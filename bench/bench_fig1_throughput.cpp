@@ -17,7 +17,7 @@
 // Besides the console table, the run emits BENCH_fig1.json (per-structure
 // Mops/s by thread count) — the repo's machine-readable perf trajectory.
 // CI uploads it as an artifact and fails on >30% multi_queue regressions
-// against the committed baseline (scripts/check_fig1_regression.py).
+// against the committed baseline (scripts/check_bench_regression.py).
 //
 // Default parameters finish in seconds; PCQ_BENCH_FULL=1 uses a
 // 10M-element prefill (paper scale).

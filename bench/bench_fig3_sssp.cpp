@@ -21,7 +21,7 @@
 // better), the run emits BENCH_fig3.json with both seconds and a
 // higher-is-better throughput series ("mops" = million settled nodes
 // per second) that CI gates against bench/baselines/ via
-// scripts/check_fig1_regression.py --figure fig3 --normalize coarse.
+// scripts/check_bench_regression.py --figure fig3 --normalize coarse.
 
 #include <cstdint>
 #include <cstdio>

@@ -16,7 +16,7 @@
 // 1.0 = perfectly balanced; finite even when Gamma overflows). The
 // process is a pure function of its seed, so CI gates the pot_* series
 // against bench/baselines/BENCH_thm3.baseline.json exactly —
-// scripts/check_fig1_regression.py --figure thm3 --gate-prefix pot_.
+// scripts/check_bench_regression.py --figure thm3 --gate-prefix pot_.
 
 #include <cmath>
 #include <cstddef>

@@ -52,7 +52,9 @@
 //     installs an upper-level pointer re-validates after the CAS and
 //     keeps unlinking while the installed successor is dead
 //     (unlink_dead_successor loops in locate_preds / unlink_upper /
-//     collect_prefix / insert's linking). The residual store-buffer
+//     collect_prefix / insert's linking), and descents (locate_preds,
+//     sprays) never step onto a dead tower above level 0, whose lower
+//     links may be frozen stale. The residual store-buffer
 //     race — installer's link + liveness re-check vs claimer's mark +
 //     level sweep, each missing the other — is closed by making the
 //     claiming fetch_or and the upper-level pointer accesses seq_cst
@@ -266,9 +268,14 @@ class concurrent_skiplist {
     insert_pinned(rh, rng, key, value);
   }
 
-  /// insert body; caller holds a pin() guard for rh.
-  void insert_pinned(reclaim_handle& rh, xoshiro256ss& rng, const Key& key,
+  /// insert body; caller holds a pin() guard for rh. The key is copied
+  /// first: the upper-level linking below runs after the level-0 splice
+  /// has published the element, and a caller's key may live in memory
+  /// that a consumer frees as soon as it pops the element (the executor
+  /// pushes a job's own priority field).
+  void insert_pinned(reclaim_handle& rh, xoshiro256ss& rng, const Key& key_in,
                      const Value& value) {
+    const Key key = key_in;
     const int height = sample_height(rng());
     node* n = make_node(height, key, value);
     reclaim_.on_alloc(n);
@@ -339,6 +346,15 @@ class concurrent_skiplist {
     // with the claim's fetch_or guarantees at least one side sees the
     // other. The freshly linked successor is similarly re-validated so a
     // stale read can never leave n pointing at a retired node.
+    //
+    // The walk to the splice point never steps onto a dead tower (it
+    // unlinks it, as locate_preds does): a dead node may already be off
+    // this level's path, so splicing after it could leave n reachable
+    // only from it. Its predecessor can still die between the walk and
+    // the CAS, so a splice after a predecessor found dead afterwards
+    // stops the linking there: n may then be off this level's path,
+    // where no sweep maintains its link, and must not be linked higher,
+    // where a descent would drop onto it and follow that link.
     for (int lvl = 1; lvl < height; ++lvl) {
       node* pred = preds[lvl];
       while (true) {
@@ -348,8 +364,18 @@ class concurrent_skiplist {
         }
         std::uintptr_t succ_t = pred->tower()[lvl].load(std::memory_order_acquire);
         node* succ = ptr_of(succ_t);
-        while (succ != nullptr && compare_(succ->key, key)) {
-          pred = succ;
+        while (succ != nullptr) {
+          if (is_marked(succ->tower()[0].load(std::memory_order_seq_cst))) {
+            const std::uintptr_t after =
+                succ->tower()[lvl].load(std::memory_order_seq_cst);
+            pred->tower()[lvl].compare_exchange_strong(
+                succ_t, after, std::memory_order_seq_cst,
+                std::memory_order_relaxed);
+          } else if (compare_(succ->key, key)) {
+            pred = succ;
+          } else {
+            break;
+          }
           succ_t = pred->tower()[lvl].load(std::memory_order_acquire);
           succ = ptr_of(succ_t);
         }
@@ -360,6 +386,10 @@ class concurrent_skiplist {
           unlink_dead_successors(n, lvl);
           if (is_marked(n->tower()[0].load(std::memory_order_seq_cst))) {
             unlink_upper(n);
+            return;
+          }
+          if (pred != head_ &&
+              is_marked(pred->tower()[0].load(std::memory_order_seq_cst))) {
             return;
           }
           break;
@@ -425,10 +455,26 @@ class concurrent_skiplist {
     const int top = start_height < kMaxHeight - 1 ? start_height : kMaxHeight - 1;
     for (int lvl = top; lvl >= 0; --lvl) {
       std::uint64_t jump = rng.bounded(max_jump + 1);
-      while (jump-- > 0) {
-        node* next = ptr_of(cur->tower()[lvl].load(std::memory_order_acquire));
+      while (jump > 0) {
+        std::uintptr_t next_t = cur->tower()[lvl].load(std::memory_order_acquire);
+        node* next = ptr_of(next_t);
         if (next == nullptr) break;
+        if (lvl > 0 &&
+            is_marked(next->tower()[0].load(std::memory_order_seq_cst))) {
+          // Never step onto a dead tower above level 0: once another
+          // sweep has dropped it from a lower level, its link there is
+          // frozen and may name a node already retired and freed. Unlink
+          // it and re-read, the discipline locate_preds follows, so the
+          // descent only ever drops down from live nodes.
+          const std::uintptr_t after =
+              next->tower()[lvl].load(std::memory_order_seq_cst);
+          cur->tower()[lvl].compare_exchange_strong(
+              next_t, after, std::memory_order_seq_cst,
+              std::memory_order_relaxed);
+          continue;
+        }
         cur = next;
+        --jump;
       }
     }
     if (cur == head_) {

@@ -39,14 +39,15 @@
 //
 // Emptiness is relaxed everywhere: a false try_pop means "looked empty
 // during the attempt", not "was empty at a linearization point". Callers
-// that need a termination guarantee combine it with their own in-flight
-// accounting (see graph/parallel_sssp.hpp) or quiesce first.
+// that need a termination guarantee combine it with in-flight accounting
+// (util/in_flight.hpp, used by parallel_sssp, the graph task process and
+// the executor) or quiesce first.
 //
 // Why there is no `try_pop_any` escape hatch ("pop from anywhere,
 // ignoring priority — just prove non-emptiness"): every consumer that
 // looked like it needed one turns out to be covered by the two
 // guarantees above. The executor (exec/executor.hpp) and parallel_sssp
-// terminate on failed-pop + in-flight accounting, so a false negative
+// terminate on failed pop + drained in-flight counter, so a false negative
 // costs one backoff round, never liveness; drains terminate because
 // flush-on-destruction plus relaxed emptiness make a fresh handle able
 // to empty any quiescent queue completely. A try_pop_any would also be

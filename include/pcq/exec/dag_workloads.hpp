@@ -93,7 +93,6 @@ dag_exec_result run_dag_executor(const graph::csr_graph& dag,
 
   dag_exec_result result;
   result.outputs.assign(n, 0);
-  std::atomic<std::uint64_t> settled{0};
   std::atomic<bool> topo_ok{true};
 
   // Task bodies are built lazily per node; the recursive factory and
@@ -112,7 +111,6 @@ dag_exec_result run_dag_executor(const graph::csr_graph& dag,
       // decrement + queue push publishes them all to this body.
       result.outputs[v] =
           task_kernel(input[v].load(std::memory_order_relaxed) + v, rounds);
-      settled.fetch_add(1, std::memory_order_relaxed);
       for (const graph::csr_graph::arc& a : dag.out(v)) {
         input[a.head].fetch_add(result.outputs[v],
                                 std::memory_order_relaxed);
@@ -130,7 +128,10 @@ dag_exec_result run_dag_executor(const graph::csr_graph& dag,
       ex.submit(sim::task_priority(depth[v], v, n), make_task(v));
   result.stats = ex.run(num_threads);
 
-  result.settled = settled.load(std::memory_order_relaxed);
+  // Counted after the run rather than by a shared per-task RMW; a
+  // duplicate settle already cleared topo_ok through the exchange.
+  for (std::size_t v = 0; v < n; ++v)
+    result.settled += settled_flag[v].load(std::memory_order_relaxed);
   result.topo_ok = topo_ok.load(std::memory_order_relaxed);
   return result;
 }

@@ -25,12 +25,16 @@
 // dependency past the queue. Chained awaits work: a continuation may
 // spawn more children and call `then` again.
 //
-// Termination reuses parallel_sssp's in-flight protocol verbatim: a
-// shared counter is incremented BEFORE an entry becomes poppable and
-// decremented only after its body (and any spawns it made) are done,
-// so `failed pop && in_flight == 0` (acquire, paired with the release
-// decrement) proves no task exists or can appear — exactly the
-// guarantee the queues' relaxed emptiness cannot give on its own.
+// Termination uses the in-flight protocol of util/in_flight.hpp, the
+// one parallel_sssp and the graph task process use: a job's unit passes
+// to the entries it produces. run_job only COLLECTS a job's spawns and
+// its (or a cascaded ancestor's) continuation re-push in a per-worker
+// vector; after it returns the worker settles their count once and only
+// then pushes them, one scalar push each in enqueue order. So
+// `failed pop && drained()` proves no task exists or can appear —
+// exactly the guarantee the queues' relaxed emptiness cannot give on
+// its own — and a job that spawns one child or re-pushes one
+// continuation touches the shared counter not at all.
 //
 // Why no `try_pop_any` escape hatch in the pq concept: see the note in
 // core/pq_handle.hpp — the executor never needs "pop from anywhere,
@@ -49,6 +53,7 @@
 #include <vector>
 
 #include "core/pq_handle.hpp"
+#include "util/in_flight.hpp"
 #include "util/spinlock.hpp"
 #include "util/timer.hpp"
 
@@ -143,9 +148,8 @@ class executor {
     const std::size_t threads = num_threads == 0 ? 1 : num_threads;
     wall_timer timer;
 
-    // In-flight protocol: count BEFORE the entries become poppable.
-    in_flight_.store(static_cast<std::uint64_t>(roots_.size()),
-                     std::memory_order_relaxed);
+    // Count the roots BEFORE they become poppable.
+    in_flight_.seed(roots_.size());
     std::uint64_t seeded = 0;
     {
       // Scoped seeder handle on id 0; destroyed (and flushed) before
@@ -170,14 +174,14 @@ class executor {
         std::uint64_t value = 0;
         if (!handle.try_pop(key, value)) {
           // Relaxed emptiness alone cannot terminate: pair the failed
-          // pop with the acquire in-flight check (cf. parallel_sssp).
-          if (in_flight_.load(std::memory_order_acquire) == 0) break;
+          // pop with the in-flight check.
+          if (in_flight_.drained()) break;
           bo.pause();
           continue;
         }
         bo.reset();
         ctx.run_job(from_value(value));
-        in_flight_.fetch_sub(1, std::memory_order_release);
+        ctx.publish();
       }
       executed_by[tid] = ctx.executed_;
       spawned_by[tid] = ctx.spawned_;
@@ -242,12 +246,21 @@ class executor {
       if (j->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) finish(j);
     }
 
+    // Settles the finished job's unit against the jobs it produced, THEN
+    // pushes them: publishing first would let a product finish and
+    // drain the counter while this worker still held work. The push's
+    // internal release publishes each job's fields to whichever worker
+    // pops it.
+    void publish() {
+      ex_->in_flight_.settle(ready_.size());
+      for (detail::job* j : ready_) handle_->push(j->priority, to_value(j));
+      ready_.clear();
+    }
+
    private:
+    // Collected, not pushed: publish() counts and pushes after the body.
     void enqueue(detail::job* j) {
-      // Count before poppable; the push's internal release publishes
-      // the job's fields to whichever worker pops it.
-      ex_->in_flight_.fetch_add(1, std::memory_order_relaxed);
-      handle_->push(j->priority, to_value(j));
+      ready_.push_back(j);
       ++spawned_;
     }
 
@@ -279,6 +292,7 @@ class executor {
     pq_handle_t<Queue>* handle_;
     std::size_t wid_;
     detail::job* current_ = nullptr;
+    std::vector<detail::job*> ready_;  // produced by the running job
     std::uint64_t executed_ = 0;
     std::uint64_t spawned_ = 0;
   };
@@ -292,7 +306,7 @@ class executor {
 
   Queue& queue_;
   std::vector<detail::job*> roots_;
-  std::atomic<std::uint64_t> in_flight_{0};
+  in_flight_counter in_flight_;
 };
 
 }  // namespace exec

@@ -19,27 +19,19 @@
 //   correctness. fig3 and the ctest suite assert exact equality against
 //   sequential Dijkstra.
 //
-// Termination protocol (the concept makes emptiness RELAXED — a false
-// try_pop means "looked empty", so it can never terminate the loop by
-// itself):
-//
-//   A shared in_flight counter tracks queue entries plus in-progress
-//   relaxations: incremented before entries become poppable (the seed
-//   push, and each batch BEFORE push_batch publishes it), decremented
-//   only after the popped entry is fully processed (successor entries
-//   already counted and pushed). Invariant: in_flight == 0 implies the
-//   queue is empty AND no thread can push again — every poppable entry
-//   is counted, and a processing thread still holds its own entry's
-//   count while it pushes successors. So a worker that sees a failed pop
-//   re-checks in_flight: zero => done (the per-queue emptiness sweep
-//   said empty and the counter proves nothing is in flight); nonzero =>
-//   back off (pcq::backoff ladder) and retry, because an element exists
-//   or is about to — handle-buffered elements (k-LSM local components,
-//   MultiQueue pop buffers) count as in flight and are poppable by their
-//   owner, so progress is always possible. The acquire load of a zero
-//   in_flight synchronizes with the release decrement of the last
-//   processed entry, ordering every dist[] write before any worker
-//   returns.
+// Termination uses the in-flight protocol of util/in_flight.hpp (the
+// concept makes emptiness RELAXED — a false try_pop means "looked
+// empty", so it can never terminate the loop by itself): the seed entry
+// is counted before it is pushed; a popped entry's unit passes to the
+// successor batch it produced, settled once BEFORE push_batch publishes
+// the batch (a stale pop or an arc scan with no decrease returns the
+// unit; one decrease hands it over without touching the counter); and a
+// worker whose pop fails exits iff the counter is drained, otherwise it
+// backs off (pcq::backoff ladder) and retries. Handle-buffered elements
+// (k-LSM local components, MultiQueue pop buffers) stay counted and are
+// poppable by their owner, so the retry always makes progress. The
+// acquire load of a zero count orders every dist[] write before any
+// worker returns.
 //
 // Workers join before the function returns, so reading the final
 // distances out of the atomics is race-free.
@@ -56,6 +48,7 @@
 #include "core/pq_handle.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/dijkstra.hpp"
+#include "util/in_flight.hpp"
 #include "util/spinlock.hpp"
 #include "util/timer.hpp"
 
@@ -85,11 +78,11 @@ sssp_result parallel_sssp(const csr_graph& g, csr_graph::node_id source,
   for (std::size_t i = 0; i < n; ++i) {
     dist[i].store(kUnreachable, std::memory_order_relaxed);
   }
-  std::atomic<std::uint64_t> in_flight{0};
+  in_flight_counter in_flight;
   std::vector<std::uint64_t> relaxed(threads, 0), stale(threads, 0);
 
   dist[source].store(0, std::memory_order_relaxed);
-  in_flight.store(1, std::memory_order_relaxed);
+  in_flight.seed(1);
   {
     // Scoped so buffering queues (k-LSM) flush the seed entry into
     // shared visibility before any worker starts.
@@ -106,17 +99,17 @@ sssp_result parallel_sssp(const csr_graph& g, csr_graph::node_id source,
       typename entry::first_type key{};
       typename entry::second_type value{};
       if (!handle.try_pop(key, value)) {
-        if (in_flight.load(std::memory_order_acquire) == 0) break;
+        if (in_flight.drained()) break;
         bo.pause();
         continue;
       }
       bo.reset();
       const auto d = static_cast<std::uint64_t>(key);
       const auto u = static_cast<csr_graph::node_id>(value);
+      batch.clear();
       if (dist[u].load(std::memory_order_acquire) < d) {
         ++my_stale;  // stale-entry elision: v was improved past d
       } else {
-        batch.clear();
         for (const csr_graph::arc& a : g.out(u)) {
           const std::uint64_t nd = d + a.weight;
           std::uint64_t cur = dist[a.head].load(std::memory_order_relaxed);
@@ -130,18 +123,12 @@ sssp_result parallel_sssp(const csr_graph& g, csr_graph::node_id source,
             }
           }
         }
-        if (!batch.empty()) {
-          // Count BEFORE publishing: an entry must never be poppable
-          // while uncounted, or a racing zero-check could terminate
-          // workers with work still queued.
-          in_flight.fetch_add(batch.size(), std::memory_order_relaxed);
-          handle.push_batch(batch.data(), batch.size());
-        }
       }
-      // Our entry is fully processed only now (successors counted and
-      // pushed); release so the terminating zero-load orders all dist[]
-      // writes before any worker returns.
-      in_flight.fetch_sub(1, std::memory_order_release);
+      // Settle BEFORE publishing: a successor must never be poppable
+      // while uncounted, or a racing drained() could end the run with
+      // work still queued.
+      in_flight.settle(batch.size());
+      if (!batch.empty()) handle.push_batch(batch.data(), batch.size());
     }
     relaxed[tid] = my_relaxed;
     stale[tid] = my_stale;

@@ -19,14 +19,14 @@
 // bench_ext_graph_process compares these inversions across all five
 // queues on road-grid and random-DAG workloads.
 //
-// Termination reuses the graph layer's in-flight protocol (the rules in
-// docs/ARCHITECTURE.md): the counter is bumped BEFORE a task becomes
-// poppable (roots at seed time, each released successor before its
-// push), decremented only after its settle fully processed (successors
-// counted and pushed), and a worker that fails a pop terminates iff the
-// counter reads zero. On a DAG this drains completely: every task is
-// released exactly once (the unique fetch_sub that moves its dependency
-// count to zero) and settled exactly once (queue conservation).
+// Termination uses the in-flight protocol of util/in_flight.hpp: roots
+// are counted at seed time, a settled task's unit passes to the
+// successors it released (collected during the arc scan and settled
+// once BEFORE they are pushed), and a worker that fails a pop terminates
+// iff the counter is drained. On a DAG this drains completely: every
+// task is released exactly once (the unique fetch_sub that moves its
+// dependency count to zero) and settled exactly once (queue
+// conservation).
 //
 // The topological-release invariant — no task is ever popped with
 // unsettled predecessors or settled twice — is checked inline on every
@@ -46,6 +46,7 @@
 #include "core/pq_handle.hpp"
 #include "core/rank_recorder.hpp"
 #include "graph/csr_graph.hpp"
+#include "util/in_flight.hpp"
 #include "util/spinlock.hpp"
 #include "util/timer.hpp"
 
@@ -132,7 +133,7 @@ graph_process_result run_graph_process(const graph::csr_graph& dag,
 
   rank_recorder recorder(threads);
   recorder.reserve(2 * n / threads + 16);
-  std::atomic<std::uint64_t> in_flight{0};
+  in_flight_counter in_flight;
   std::atomic<bool> topo_ok{true};
   std::vector<std::vector<std::pair<std::uint64_t, graph::csr_graph::node_id>>>
       orders(threads);
@@ -140,14 +141,13 @@ graph_process_result run_graph_process(const graph::csr_graph& dag,
 
   {
     // Roots (no dependencies) seed the queue; counted before they are
-    // poppable, per the in-flight rules. Scoped so buffering handles
-    // flush before workers start.
+    // poppable. Scoped so buffering handles flush before workers start.
     auto seeder = queue.get_handle(0);
     std::uint64_t roots = 0;
     for (graph::csr_graph::node_id v = 0; v < n; ++v) {
       if (remaining[v].load(std::memory_order_relaxed) == 0) ++roots;
     }
-    in_flight.store(roots, std::memory_order_relaxed);
+    in_flight.seed(roots);
     for (graph::csr_graph::node_id v = 0; v < n; ++v) {
       if (remaining[v].load(std::memory_order_relaxed) != 0) continue;
       const std::uint64_t key = task_priority(depth[v], v, n);
@@ -158,13 +158,14 @@ graph_process_result run_graph_process(const graph::csr_graph& dag,
 
   auto worker = [&](std::size_t tid) {
     auto handle = queue.get_handle(tid);
+    std::vector<graph::csr_graph::node_id> ready;
     backoff bo;
     while (true) {
       typename Queue::entry::first_type key{};
       typename Queue::entry::second_type value{};
       std::uint64_t ts = 0;
       if (!handle.try_pop_timed(key, value, ts)) {
-        if (in_flight.load(std::memory_order_acquire) == 0) break;
+        if (in_flight.drained()) break;
         bo.pause();
         continue;
       }
@@ -180,18 +181,19 @@ graph_process_result run_graph_process(const graph::csr_graph& dag,
           settled_flag[v].exchange(true, std::memory_order_acq_rel)) {
         topo_ok.store(false, std::memory_order_relaxed);
       }
+      ready.clear();
       for (const graph::csr_graph::arc& a : dag.out(v)) {
-        if (remaining[a.head].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          // Count before the push publishes the task (rule 2).
-          in_flight.fetch_add(1, std::memory_order_relaxed);
-          const std::uint64_t succ_key =
-              task_priority(depth[a.head], a.head, n);
-          recorder.record(tid, event_kind::insert,
-                          handle.push_timed(succ_key, a.head), succ_key);
-          ++released_by[tid];
-        }
+        if (remaining[a.head].fetch_sub(1, std::memory_order_acq_rel) == 1)
+          ready.push_back(a.head);
       }
-      in_flight.fetch_sub(1, std::memory_order_release);
+      // Count the released successors before any push publishes one.
+      in_flight.settle(ready.size());
+      for (const graph::csr_graph::node_id w : ready) {
+        const std::uint64_t succ_key = task_priority(depth[w], w, n);
+        recorder.record(tid, event_kind::insert, handle.push_timed(succ_key, w),
+                        succ_key);
+      }
+      released_by[tid] += ready.size();
     }
   };
 

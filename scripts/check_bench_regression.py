@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Gate multi_queue performance against a committed bench baseline.
+"""Gate a bench artifact against its committed baseline.
 
 Usage:
-    check_fig1_regression.py CURRENT.json BASELINE.json
+    check_bench_regression.py CURRENT.json BASELINE.json
         [--figure fig1] [--threshold 0.30] [--normalize coarse]
         [--gate-prefix mq_] [--two-sided]
         [--metric mops] [--lower-is-better]
@@ -11,8 +11,7 @@ Works for any BENCH_<figure>.json produced by benchlib/json_writer.hpp
 with the shape {threads: [...], series: [{name, mops: [...]}]} — fig1
 emits Mops/s, fig3 emits million-settled-nodes/s; both are
 higher-is-better, the default assumption. --figure only labels the
-report (the filename keeps its historical fig1 name; it gates every
-figure).
+report.
 
 --metric KEY gates a different per-series list than "mops" (every
 json_writer series may carry extra aligned lists — bench_fault's

@@ -5,7 +5,7 @@ Usage:
     check_bench_schema.py BENCH_a.json [BENCH_b.json ...]
 
 Every bench artifact — whatever figure it belongs to — shares one
-contract, which both scripts/check_fig1_regression.py and any downstream
+contract, which both scripts/check_bench_regression.py and any downstream
 plotting assume:
 
   - a single JSON object with string "bench" and "unit" keys;

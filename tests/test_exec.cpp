@@ -30,8 +30,12 @@ using pcq::exec::job_context;
 struct fixtures {
   pcq::graph::csr_graph grid_dag;
   pcq::graph::csr_graph rnd_dag;
+  pcq::graph::csr_graph path_dag;
+  pcq::graph::csr_graph star_dag;
   std::vector<std::uint64_t> grid_oracle;
   std::vector<std::uint64_t> rnd_oracle;
+  std::vector<std::uint64_t> path_oracle;
+  std::vector<std::uint64_t> star_oracle;
   pcq::exec::forkjoin_params fj;
   std::uint64_t fj_oracle = 0;
   std::uint64_t fj_jobs = 0;
@@ -48,8 +52,19 @@ fixtures make_fixtures() {
   rnd.nodes = 400;
   rnd.avg_degree = 3.0;
   f.rnd_dag = pcq::sim::make_dag(pcq::graph::make_random_graph(rnd));
+  // The two shapes that pin each branch of the in-flight settle rule:
+  // every task of a 1xN path releases exactly one successor (k = 1, no
+  // counter RMW); the star's root releases all leaves at once (k >= 2)
+  // and each leaf releases nothing (k = 0).
+  std::vector<pcq::graph::csr_graph::edge> path, star;
+  for (std::uint32_t v = 0; v + 1 < 1000; ++v) path.push_back({v, v + 1, 1});
+  for (std::uint32_t v = 1; v < 1000; ++v) star.push_back({0, v, 1});
+  f.path_dag = pcq::graph::csr_graph::from_edges(1000, path);
+  f.star_dag = pcq::graph::csr_graph::from_edges(1000, star);
   f.grid_oracle = pcq::exec::sequential_dag_outputs(f.grid_dag, f.rounds);
   f.rnd_oracle = pcq::exec::sequential_dag_outputs(f.rnd_dag, f.rounds);
+  f.path_oracle = pcq::exec::sequential_dag_outputs(f.path_dag, f.rounds);
+  f.star_oracle = pcq::exec::sequential_dag_outputs(f.star_dag, f.rounds);
   f.fj.items = 4096;
   f.fj.grain = 64;
   f.fj.rounds = 4;
@@ -95,6 +110,8 @@ void check_queue(const fixtures& f, MakeQueue make) {
     check_dag(f, f.rnd_dag, f.rnd_oracle, make, threads);
     check_forkjoin(f, make, threads);
   }
+  check_dag(f, f.path_dag, f.path_oracle, make, 4);
+  check_dag(f, f.star_dag, f.star_oracle, make, 4);
 }
 
 }  // namespace
