@@ -21,10 +21,11 @@
 // where the user-visible cost of a scheduling decision lives in p99/p999,
 // which is why this bench reports percentiles, not just throughput).
 //
-// The measured path is run_service_realtime: real threads, wall-clock
-// pacing, per-worker lock-free logs, percentiles via the exact
-// sorted-merge latency_summary. Every cell is gated on full completion
-// (a lost request exits nonzero).
+// The measured path is run_service_realtime with an empty fault plan
+// (so no supervisor thread): real threads, wall-clock pacing,
+// per-worker lock-free logs, percentiles via the exact sorted-merge
+// latency_summary. Every cell is gated on full completion (a lost
+// request exits nonzero).
 //
 // Emits BENCH_service.json: x-axis ("threads") = offered load percent,
 // one series per dispatcher × service distribution; "mops" = million

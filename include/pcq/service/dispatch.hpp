@@ -23,8 +23,8 @@
 //                                    // have served (its DEAD-worker
 //                                    // backlog) into out; a shared queue
 //                                    // has none and returns 0. Called by
-//                                    // the fault runners' recovery agent
-//                                    // once worker w is crashed — w no
+//                                    // the runners' recovery path once
+//                                    // worker w is crashed — w no
 //                                    // longer fetches, so this cannot
 //                                    // race the fetch(w, ...) owner.
 //
@@ -47,9 +47,9 @@
 //
 // A false fetch is relaxed emptiness, exactly like the underlying
 // queues: "looked empty", never "is empty". Runners terminate on
-// completion counts, not on failed fetches.
+// accounting, not on failed fetches.
 //
-// The fault runners (service/fault.hpp) layer graceful degradation
+// The runners (service/server.hpp) layer graceful degradation
 // AROUND this concept without changing it: admission control decides
 // before dispatch() whether to shed (using backlog() as the load
 // signal), and crash-retry / stall-failover re-dispatches travel

@@ -1,132 +1,48 @@
-// Fault injection + graceful degradation for the service layer.
+// Fault plans for the service runners: seeded recipes that turn a
+// fault intensity into per-worker roles and arrival bursts.
 //
 // The rank-error bound is a PROXY for what a user pays; the cost becomes
 // real when the world misbehaves — workers slow down, freeze, or die,
-// and arrivals burst past the provisioned load. This header makes that
-// regime first-class: a deterministic, seeded FAULT PLAN injected into
-// both service runners, plus the degradation policies a production
-// scheduler needs to fail gracefully instead of falling over. The
-// robustness question it answers (bench_fault): does queue-level choice
-// (MultiQueue-EDF) keep its latency/deadline advantage over strict EDF,
-// FCFS, and scheduler-level po2 when the fault intensity rises?
+// and arrivals burst past the provisioned load. The fault model itself
+// (worker roles, degradation policies, the recovery queue, and the
+// conservation invariant completed + shed + lost == dispatched) lives
+// with the runners in service/server.hpp, which take a fault_plan and a
+// degrade_config. This header only BUILDS plans, deterministically from
+// a (config, seed) pair, so every dispatcher under comparison sees the
+// identical perturbation. The robustness question bench_fault answers
+// with them: does queue-level choice (MultiQueue-EDF) keep its
+// latency/deadline advantage over strict EDF, FCFS, and scheduler-level
+// po2 when the fault intensity rises?
 //
-// Fault model — one role per worker, windows in trace seconds:
-//
-//   ok            — healthy.
-//   slow(factor)  — every service demand it executes is multiplied by
-//                   `slow_factor` (thermal throttling, a noisy
-//                   neighbor, a degraded disk).
-//   stall[s0,s1)  — transiently frozen: fetches are suppressed and an
-//                   in-flight request makes NO progress during the
-//                   window (GC pause, VM migration). Service resumes at
-//                   s1; the completion is pushed out by the overlap.
-//   crash(t)      — permanently dead from t on: never fetches again,
-//                   and an in-flight request is ABANDONED at t.
-//
-// Arrival bursts are a trace perturbation, not a worker role:
-// `apply_bursts` compresses inter-arrival gaps inside seeded windows by
-// a rate factor (flash crowd), preserving request count, arrival order,
-// and each request's arrival-relative deadline slack — so every
-// dispatcher still sees the identical (perturbed) trace.
-//
-// Degradation policies (degrade_config):
-//
-//   admission control — at dispatch time, a request predicted to miss
-//     its deadline is SHED instead of queued: predicted completion =
-//     now + backlog/workers · est_service + service. Shedding at the
-//     door converts a guaranteed deadline miss (plus the queueing it
-//     inflicts on everyone behind it) into an explicit, counted drop.
-//   retry-with-backoff — a request abandoned by a crashed worker is
-//     re-dispatched after retry_backoff · 2^(attempt-1) seconds, at
-//     most max_retries times; exhaustion marks it LOST. Retries bypass
-//     admission control (the request was already admitted once).
-//   stall failover — the watchdog's graceful sibling: when a stalled
-//     worker has held an in-flight request for failover_timeout while
-//     still inside its stall window, the request is RE-DISPATCHED so a
-//     live worker can serve it. First completion wins: the settled
-//     table drops the loser, so failover never double-counts.
-//
-//   dead-worker reclaim — a dispatcher with per-worker queues (po2)
-//     strands a dead worker's queued backlog: nobody else ever pops it.
-//     The recovery agent calls the dispatcher's reclaim(w) once worker
-//     w is crashed (and again after later arrivals, since the dead
-//     worker's drained — hence short — queue keeps attracting new
-//     dispatches) and re-routes the orphans through recovery. Shared
-//     queues reclaim nothing: any live worker can pop a dead worker's
-//     work, which is itself a robustness result the bench surfaces via
-//     `reclaimed`.
-//
-// Re-dispatches (retry + failover + reclaim) travel through a RECOVERY
-// queue the workers drain BEFORE fetching from the dispatcher — not
-// through the dispatcher itself. Two reasons: the dispatcher concept's threading
-// contract gives dispatch() to the single arrival thread (a supervisor
-// re-dispatching concurrently would race it, and seal() has already
-// destroyed the dispatch handle by the time late retries fire), and
-// recovery is the same code path for every dispatcher under comparison,
-// so the bench measures the POLICY, not four different retry paths.
-//
-// THE conservation invariant (bench_fault exits nonzero on violation):
-//
-//   completed + shed + lost == dispatched (== trace size)
-//
-// Every request presented to the dispatch layer is accounted exactly
-// once: served (completed, possibly past deadline — counted in
-// `missed`), shed at admission, or lost to crash with retries
-// exhausted. Duplicates from failover settle to exactly one completion.
-//
-// `run_service_virtual_faults` is the deterministic object: a
-// single-threaded DES extending server.hpp's event rules (completions
-// and abandons precede failovers precede retry wakes precede arrivals
-// at equal times; ties by worker index; idle eligible workers fetch in
-// index order, recovery queue first), so fault runs are byte-stable for
-// a fixed (config, seed) and tests pin exact schedules.
-// `run_service_realtime_faults` is the measured/TSan path: the same
-// semantics against the wall clock, with a supervisor thread running
-// retry timers, failover scans, and the global stall watchdog.
+//   fault_config     — the recipe: role fractions, window placement as
+//                      fractions of the trace span, burst count and
+//                      rate; `at_intensity(level, seed)` is the bench's
+//                      ladder (level 1 healthy, 2..5 turn every knob up).
+//   make_fault_plan  — a seeded shuffle of worker ids claims roles in
+//                      order crash, stall, slow; crashes are capped at
+//                      workers−1 so one worker always survives.
+//   plan_bursts      — seeded, disjoint burst windows.
+//   apply_bursts     — a trace perturbation, not a worker role: it
+//                      compresses inter-arrival gaps inside the windows
+//                      by a rate factor (flash crowd), preserving request
+//                      count, arrival order, and each request's
+//                      arrival-relative deadline slack.
 
 #pragma once
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <limits>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "service/server.hpp"
 #include "service/workload.hpp"
 #include "util/rng.hpp"
-#include "util/spinlock.hpp"
-#include "util/timer.hpp"
 
 namespace pcq {
 namespace service {
-
-enum class fault_kind { ok, slow, stall, crash };
-
-/// One worker's role for a run. Roles are exclusive by construction
-/// (make_fault_plan assigns disjoint sets), which keeps the completion
-/// arithmetic closed-form in the virtual runner.
-struct worker_fault {
-  fault_kind kind = fault_kind::ok;
-  double slow_factor = 1.0;  ///< slow: multiplies every service demand
-  double stall_start = 0.0;  ///< stall: frozen during [start, end)
-  double stall_end = 0.0;
-  double crash_time = std::numeric_limits<double>::infinity();
-};
-
-/// Arrival-rate multiplier window: gaps inside [start, end) divide by
-/// rate_factor.
-struct burst_window {
-  double start = 0.0;
-  double end = 0.0;
-  double rate_factor = 1.0;
-};
 
 /// Seeded fault-plan recipe. Fractions are of the worker count; windows
 /// and times are fractions of the trace span. `at_intensity` is the
@@ -160,18 +76,6 @@ struct fault_config {
     cfg.burst_duration_frac = 0.15;
     cfg.burst_rate_factor = 1.0 + 1.0 * x;  // 1.25x .. 2x arrivals
     return cfg;
-  }
-};
-
-struct fault_plan {
-  std::vector<worker_fault> workers;
-  std::vector<burst_window> bursts;
-
-  bool any_crash() const {
-    for (const worker_fault& w : workers) {
-      if (w.kind == fault_kind::crash) return true;
-    }
-    return false;
   }
 };
 
@@ -285,621 +189,6 @@ inline fault_plan make_fault_plan(const fault_config& cfg,
     f.slow_factor = cfg.slow_factor;
   }
   return plan;
-}
-
-/// Graceful-degradation policy knobs. Defaults are fail-hard (no
-/// shedding, no retries, no failover): the un-degraded runners'
-/// semantics, so turning one policy on isolates its effect.
-struct degrade_config {
-  /// Shed at dispatch when now + backlog/workers·est_service + service
-  /// exceeds the deadline. est_service must be > 0 to arm the check.
-  bool admission_control = false;
-  double est_service = 0.0;
-  /// Crash recovery: re-dispatch after retry_backoff·2^(attempt−1),
-  /// at most max_retries attempts; exhaustion marks the request lost.
-  std::size_t max_retries = 0;
-  double retry_backoff = 0.0;
-  /// Stall failover: re-dispatch a stalled worker's in-flight request
-  /// once it has been frozen this long (infinity = never).
-  double failover_timeout = std::numeric_limits<double>::infinity();
-};
-
-namespace detail {
-
-/// Settled states for the per-request accounting table. A request
-/// leaves `live` exactly once; duplicate copies (failover) observe a
-/// non-live state and are dropped without being counted.
-enum : std::uint8_t {
-  kLive = 0,
-  kDone = 1,
-  kLost = 2,
-  kShed = 3,
-};
-
-/// Exponential backoff multiplier for retry attempt k (1-based),
-/// exponent clamped so the shift can never overflow.
-inline double backoff_factor(std::size_t attempt) {
-  return std::ldexp(1.0, static_cast<int>(
-                             std::min<std::size_t>(attempt - 1, 30)));
-}
-
-inline bool admission_sheds(const request& r, double now,
-                            std::size_t queued, std::size_t workers,
-                            const degrade_config& degrade) {
-  if (!degrade.admission_control || degrade.est_service <= 0.0) {
-    return false;
-  }
-  const double predicted =
-      now +
-      static_cast<double>(queued) * degrade.est_service /
-          static_cast<double>(workers == 0 ? 1 : workers) +
-      r.service;
-  return predicted > r.deadline;
-}
-
-}  // namespace detail
-
-/// Deterministic single-threaded DES with fault injection — the
-/// byte-stable object the fault tests pin. Extends run_service_virtual's
-/// event rules; see the header comment for the full contract.
-template <typename Dispatcher>
-service_result run_service_virtual_faults(const std::vector<request>& trace,
-                                          Dispatcher& dispatcher,
-                                          std::size_t workers,
-                                          const fault_plan& plan,
-                                          const degrade_config& degrade) {
-  constexpr double kNever = std::numeric_limits<double>::infinity();
-  constexpr std::uint64_t kNone = std::numeric_limits<std::uint64_t>::max();
-
-  service_result result;
-  result.worker_logs.resize(workers);
-  result.worker_completions.assign(workers, 0);
-  result.dispatched = trace.size();
-  result.completion_order.reserve(trace.size());
-
-  std::vector<worker_fault> faults = plan.workers;
-  faults.resize(workers);  // missing entries default to ok
-
-  std::vector<std::uint64_t> running(workers, kNone);
-  std::vector<double> started(workers, 0.0);
-  std::vector<double> finish(workers, kNever);    // completion or abandon
-  std::vector<bool> abandons(workers, false);     // finish is an abandon
-  std::vector<double> failover_at(workers, kNever);
-  std::vector<bool> dead(workers, false);
-  std::vector<bool> crash_pending(workers, false);  // death event not yet run
-  for (std::size_t w = 0; w < workers; ++w) {
-    crash_pending[w] = faults[w].kind == fault_kind::crash;
-  }
-
-  std::vector<std::uint8_t> settled(trace.size(), detail::kLive);
-  std::vector<std::uint8_t> attempts(trace.size(), 0);
-  std::deque<std::uint64_t> recovery;                    // ready now
-  std::vector<std::pair<double, std::uint64_t>> timers;  // retry wakes
-
-  std::size_t next_arrival = 0;
-  double now = 0.0;
-  std::uint64_t accounted = 0;  // completed + shed + lost
-
-  const auto eligible = [&](std::size_t w) {
-    const worker_fault& f = faults[w];
-    if (dead[w]) return false;
-    if (f.kind == fault_kind::crash && now >= f.crash_time) return false;
-    if (f.kind == fault_kind::stall && now >= f.stall_start &&
-        now < f.stall_end) {
-      return false;
-    }
-    return true;
-  };
-
-  // Closed-form finish time for worker w starting duration-d work at t,
-  // plus the abandon/failover schedule the role implies.
-  const auto schedule = [&](std::size_t w, double t, double dur) {
-    const worker_fault& f = faults[w];
-    double end = t + dur * (f.kind == fault_kind::slow ? f.slow_factor : 1.0);
-    abandons[w] = false;
-    failover_at[w] = kNever;
-    if (f.kind == fault_kind::stall && t < f.stall_start &&
-        end > f.stall_start) {
-      end += f.stall_end - f.stall_start;  // suspended across the window
-      const double t_f = f.stall_start + degrade.failover_timeout;
-      if (t_f < f.stall_end) failover_at[w] = t_f;
-    }
-    if (f.kind == fault_kind::crash && end > f.crash_time) {
-      end = f.crash_time;
-      abandons[w] = true;
-    }
-    finish[w] = end;
-  };
-
-  const auto record_completion = [&](std::size_t w) {
-    const std::uint64_t seq = running[w];
-    if (settled[seq] == detail::kLive) {
-      const request& r = trace[seq];
-      request_record rec;
-      rec.seq = seq;
-      rec.arrival = r.arrival;
-      rec.start = started[w];
-      rec.completion = now;
-      rec.service = r.service;
-      result.worker_logs[w].push_back(rec);
-      result.completion_order.push_back(seq);
-      ++result.worker_completions[w];
-      ++result.completed;
-      if (now > r.deadline) ++result.missed;
-      settled[seq] = detail::kDone;
-      ++accounted;
-    }
-    // else: a failover duplicate finished second — dropped, uncounted.
-    running[w] = kNone;
-    finish[w] = kNever;
-    failover_at[w] = kNever;
-  };
-
-  // Drain the dead worker's private backlog (po2 FIFO; a shared queue
-  // has none) into recovery so live workers can serve the orphans —
-  // the health-check rerouting a real load balancer does.
-  std::vector<std::uint64_t> reclaim_buf;
-  const auto reclaim_worker = [&](std::size_t w) {
-    reclaim_buf.clear();
-    dispatcher.reclaim(w, reclaim_buf);
-    for (std::uint64_t seq : reclaim_buf) {
-      if (settled[seq] == detail::kLive) {
-        recovery.push_back(seq);
-        ++result.reclaimed;
-      }
-    }
-  };
-
-  const auto abandon_inflight = [&](std::size_t w) {
-    const std::uint64_t seq = running[w];
-    dead[w] = true;
-    crash_pending[w] = false;
-    running[w] = kNone;
-    finish[w] = kNever;
-    failover_at[w] = kNever;
-    reclaim_worker(w);
-    if (settled[seq] != detail::kLive) return;  // duplicate; already done
-    if (attempts[seq] < degrade.max_retries) {
-      ++attempts[seq];
-      const double wake = now + degrade.retry_backoff *
-                                    detail::backoff_factor(attempts[seq]);
-      timers.emplace_back(wake, seq);
-      ++result.retries;
-    } else {
-      settled[seq] = detail::kLost;
-      ++result.lost;
-      ++accounted;
-    }
-  };
-
-  const auto start_idle_workers = [&] {
-    for (std::size_t w = 0; w < workers; ++w) {
-      if (running[w] != kNone || !eligible(w)) continue;
-      while (true) {
-        std::uint64_t seq = kNone;
-        if (!recovery.empty()) {
-          seq = recovery.front();
-          recovery.pop_front();
-        } else if (!dispatcher.fetch(w, seq)) {
-          break;
-        }
-        if (settled[seq] != detail::kLive) continue;  // stale duplicate
-        running[w] = seq;
-        started[w] = now;
-        schedule(w, now, trace[seq].service);
-        break;
-      }
-    }
-  };
-
-  while (accounted < trace.size()) {
-    // Candidate events, ordered (time, class, index): class 0 finish
-    // (completion or abandon), 1 idle-worker crash (death with nothing
-    // in flight — still an event, because its private backlog must be
-    // reclaimed), 2 failover, 3 retry wake, 4 arrival, 5 stall-end wake
-    // (no-op that re-triggers fetches).
-    double best_t = kNever;
-    int best_class = 6;
-    std::size_t best_w = workers;
-    std::size_t best_timer = timers.size();
-
-    for (std::size_t w = 0; w < workers; ++w) {
-      if (running[w] != kNone && finish[w] < best_t) {
-        best_t = finish[w];
-        best_class = 0;
-        best_w = w;
-      }
-    }
-    for (std::size_t w = 0; w < workers; ++w) {
-      if (crash_pending[w] && running[w] == kNone &&
-          faults[w].crash_time < best_t) {
-        best_t = faults[w].crash_time;
-        best_class = 1;
-        best_w = w;
-      }
-    }
-    for (std::size_t w = 0; w < workers; ++w) {
-      if (running[w] != kNone && failover_at[w] < best_t) {
-        best_t = failover_at[w];
-        best_class = 2;
-        best_w = w;
-      }
-    }
-    for (std::size_t i = 0; i < timers.size(); ++i) {
-      if (timers[i].first < best_t) {
-        best_t = timers[i].first;
-        best_class = 3;
-        best_timer = i;
-      }
-    }
-    if (next_arrival < trace.size() &&
-        trace[next_arrival].arrival < best_t) {
-      best_t = trace[next_arrival].arrival;
-      best_class = 4;
-    }
-    for (std::size_t w = 0; w < workers; ++w) {
-      const worker_fault& f = faults[w];
-      if (f.kind == fault_kind::stall && !dead[w] && running[w] == kNone &&
-          f.stall_end > now && f.stall_end < best_t) {
-        best_t = f.stall_end;
-        best_class = 5;
-        best_w = w;
-      }
-    }
-
-    if (best_class == 6) break;  // nothing runnable: fail closed, short
-    now = best_t;
-
-    switch (best_class) {
-      case 0:
-        if (abandons[best_w]) {
-          abandon_inflight(best_w);
-        } else {
-          record_completion(best_w);
-        }
-        break;
-      case 1:
-        dead[best_w] = true;
-        crash_pending[best_w] = false;
-        reclaim_worker(best_w);
-        break;
-      case 2: {
-        // Failover: duplicate the frozen worker's in-flight request into
-        // the recovery queue. The original stays scheduled; whichever
-        // copy finishes first settles the request.
-        recovery.push_back(running[best_w]);
-        failover_at[best_w] = kNever;
-        ++result.failovers;
-        break;
-      }
-      case 3: {
-        recovery.push_back(timers[best_timer].second);
-        timers.erase(timers.begin() +
-                     static_cast<std::ptrdiff_t>(best_timer));
-        break;
-      }
-      case 4: {
-        const request& r = trace[next_arrival];
-        const std::size_t queued = dispatcher.backlog() + recovery.size();
-        if (detail::admission_sheds(r, now, queued, workers, degrade)) {
-          settled[r.seq] = detail::kShed;
-          ++result.shed;
-          ++accounted;
-        } else {
-          dispatcher.dispatch(r);
-          // A dead worker's (empty, hence attractive) po2 FIFO can keep
-          // collecting arrivals; re-route them immediately.
-          for (std::size_t w = 0; w < workers; ++w) {
-            if (dead[w]) reclaim_worker(w);
-          }
-        }
-        ++next_arrival;
-        if (next_arrival == trace.size()) dispatcher.seal();
-        break;
-      }
-      default:
-        break;  // stall-end wake: fetches below do the work
-    }
-    start_idle_workers();
-  }
-  result.seconds = now;
-  return result;
-}
-
-/// Real-threads twin of run_service_virtual_faults: identical fault and
-/// degradation semantics against the wall clock. One arrival thread
-/// paces (and sheds) the trace, workers honor their roles (slow spin,
-/// frozen windows, crash exits), and a SUPERVISOR thread runs the
-/// recovery machinery: retry timers for crash-abandoned requests,
-/// failover scans over the in-flight table, loss marking on retry
-/// exhaustion, termination on full accounting, and the global stall
-/// watchdog (no progress anywhere for stall_timeout_seconds while
-/// requests are unaccounted → stop short with `stalled` set). Pick
-/// stall_timeout_seconds above the longest interval in which EVERY
-/// surviving worker can be frozen at once, or a healthy run can be
-/// fail-closed spuriously.
-template <typename Dispatcher>
-service_result run_service_realtime_faults(
-    const std::vector<request>& trace, Dispatcher& dispatcher,
-    std::size_t workers, const fault_plan& plan,
-    const degrade_config& degrade, double stall_timeout_seconds = 5.0) {
-  constexpr std::uint64_t kNone = std::numeric_limits<std::uint64_t>::max();
-
-  service_result result;
-  result.worker_logs.resize(workers);
-  result.worker_completions.assign(workers, 0);
-  result.dispatched = trace.size();
-
-  std::vector<worker_fault> faults = plan.workers;
-  faults.resize(workers);
-
-  const std::uint64_t total = trace.size();
-  std::atomic<std::uint64_t> completed{0};
-  std::atomic<std::uint64_t> shed{0};
-  std::atomic<std::uint64_t> lost{0};
-  std::atomic<std::uint64_t> missed{0};
-  std::atomic<std::uint64_t> started{0};  // successful fetches
-  std::atomic<std::uint64_t> dropped{0};  // settled duplicates discarded
-  std::atomic<std::uint64_t> retries{0};
-  std::atomic<std::uint64_t> failovers{0};
-  std::atomic<std::uint64_t> reclaimed{0};
-  std::atomic<bool> done{false};
-  std::atomic<bool> stalled{false};
-
-  std::vector<std::atomic<std::uint8_t>> settled(total);
-  for (auto& s : settled) s.store(detail::kLive, std::memory_order_relaxed);
-
-  // In-flight table for the supervisor's failover scan. seq is the
-  // gate: it is stored AFTER since_us, so a reader that sees a live seq
-  // sees a start time no newer than the fetch (a stale-but-older start
-  // can only make failover fire later within one scan period — benign).
-  struct alignas(64) inflight_slot {
-    std::atomic<std::uint64_t> seq{
-        std::numeric_limits<std::uint64_t>::max()};
-    std::atomic<std::uint64_t> since_us{0};
-  };
-  std::vector<inflight_slot> inflight(workers);
-
-  spinlock recovery_lock;
-  std::deque<std::uint64_t> recovery;  // ready-to-refetch duplicates
-  spinlock abandoned_lock;
-  std::deque<std::uint64_t> abandoned;  // crash-abandoned, awaiting retry
-
-  wall_timer clock;
-
-  const auto in_stall = [&](std::size_t w, double t) {
-    const worker_fault& f = faults[w];
-    return f.kind == fault_kind::stall && t >= f.stall_start &&
-           t < f.stall_end;
-  };
-
-  std::thread arrivals([&] {
-    for (const request& r : trace) {
-      while (true) {
-        const double gap = r.arrival - clock.elapsed_seconds();
-        if (gap <= 0.0) break;
-        if (gap > 100e-6) {
-          std::this_thread::yield();
-        } else {
-          cpu_relax();
-        }
-      }
-      recovery_lock.lock();
-      const std::size_t in_recovery = recovery.size();
-      recovery_lock.unlock();
-      const std::size_t queued = dispatcher.backlog() + in_recovery;
-      if (detail::admission_sheds(r, clock.elapsed_seconds(), queued,
-                                  workers, degrade)) {
-        settled[r.seq].store(detail::kShed, std::memory_order_release);
-        shed.fetch_add(1, std::memory_order_release);
-      } else {
-        dispatcher.dispatch(r);
-      }
-    }
-    dispatcher.seal();
-  });
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      const worker_fault& f = faults[w];
-      auto& log = result.worker_logs[w];
-      backoff bo;
-      while (!done.load(std::memory_order_acquire)) {
-        double t = clock.elapsed_seconds();
-        if (f.kind == fault_kind::crash && t >= f.crash_time) break;
-        if (in_stall(w, t)) {  // frozen: no fetches, no progress
-          std::this_thread::yield();
-          continue;
-        }
-        std::uint64_t seq = kNone;
-        recovery_lock.lock();
-        if (!recovery.empty()) {
-          seq = recovery.front();
-          recovery.pop_front();
-        }
-        recovery_lock.unlock();
-        if (seq == kNone && !dispatcher.fetch(w, seq)) {
-          bo.pause();
-          continue;
-        }
-        bo.reset();
-        if (settled[seq].load(std::memory_order_acquire) != detail::kLive) {
-          dropped.fetch_add(1, std::memory_order_relaxed);
-          continue;  // stale duplicate (failover loser / late retry)
-        }
-        started.fetch_add(1, std::memory_order_relaxed);
-        const request& r = trace[seq];
-        const double start = clock.elapsed_seconds();
-        inflight[w].since_us.store(
-            static_cast<std::uint64_t>(start * 1e6),
-            std::memory_order_relaxed);
-        inflight[w].seq.store(seq, std::memory_order_release);
-
-        // Spin out the demand, honoring the role: slow inflates it,
-        // stall windows freeze progress, crash abandons mid-service.
-        const double dur =
-            r.service * (f.kind == fault_kind::slow ? f.slow_factor : 1.0);
-        double progressed = 0.0;
-        double last = start;
-        bool abandoned_here = false;
-        while (progressed < dur) {
-          t = clock.elapsed_seconds();
-          if (f.kind == fault_kind::crash && t >= f.crash_time) {
-            abandoned_here = true;
-            break;
-          }
-          if (!in_stall(w, t)) progressed += t - last;
-          last = t;
-          cpu_relax();
-        }
-        inflight[w].seq.store(kNone, std::memory_order_release);
-        if (abandoned_here) {
-          abandoned_lock.lock();
-          abandoned.push_back(seq);
-          abandoned_lock.unlock();
-          break;  // the worker is dead from here
-        }
-        std::uint8_t expect = detail::kLive;
-        if (settled[seq].compare_exchange_strong(
-                expect, detail::kDone, std::memory_order_acq_rel)) {
-          request_record rec;
-          rec.seq = seq;
-          rec.arrival = r.arrival;
-          rec.start = start;
-          rec.completion = clock.elapsed_seconds();
-          rec.service = r.service;
-          log.push_back(rec);
-          if (rec.completion > r.deadline) {
-            missed.fetch_add(1, std::memory_order_relaxed);
-          }
-          completed.fetch_add(1, std::memory_order_release);
-        } else {
-          dropped.fetch_add(1, std::memory_order_relaxed);  // lost the race
-        }
-      }
-    });
-  }
-
-  // Supervisor: retry timers, failover scans, termination, watchdog.
-  std::thread supervisor([&] {
-    std::vector<std::uint8_t> attempts(total, 0);
-    std::vector<std::pair<double, std::uint64_t>> timers;
-    std::vector<std::uint64_t> last_failover(workers, kNone);
-    std::vector<std::uint64_t> reclaim_buf;
-    std::uint64_t seen_progress = 0;
-    double idle_since = clock.elapsed_seconds();
-    while (!done.load(std::memory_order_acquire)) {
-      const double t = clock.elapsed_seconds();
-
-      abandoned_lock.lock();
-      std::deque<std::uint64_t> fresh;
-      fresh.swap(abandoned);
-      abandoned_lock.unlock();
-      for (const std::uint64_t seq : fresh) {
-        if (settled[seq].load(std::memory_order_acquire) != detail::kLive) {
-          continue;
-        }
-        if (attempts[seq] < degrade.max_retries) {
-          ++attempts[seq];
-          timers.emplace_back(t + degrade.retry_backoff *
-                                      detail::backoff_factor(attempts[seq]),
-                              seq);
-        } else {
-          std::uint8_t expect = detail::kLive;
-          if (settled[seq].compare_exchange_strong(
-                  expect, detail::kLost, std::memory_order_acq_rel)) {
-            lost.fetch_add(1, std::memory_order_release);
-          }
-        }
-      }
-      for (std::size_t i = 0; i < timers.size();) {
-        if (timers[i].first <= t) {
-          recovery_lock.lock();
-          recovery.push_back(timers[i].second);
-          recovery_lock.unlock();
-          retries.fetch_add(1, std::memory_order_relaxed);
-          timers.erase(timers.begin() + static_cast<std::ptrdiff_t>(i));
-        } else {
-          ++i;
-        }
-      }
-
-      // Reclaim dead workers' stranded backlogs (po2 FIFOs; a shared
-      // queue reclaims nothing). Every tick, because the dead worker's
-      // empty FIFO keeps attracting new arrivals.
-      for (std::size_t w = 0; w < workers; ++w) {
-        const worker_fault& f = faults[w];
-        if (f.kind != fault_kind::crash || t < f.crash_time) continue;
-        reclaim_buf.clear();
-        if (dispatcher.reclaim(w, reclaim_buf) == 0) continue;
-        recovery_lock.lock();
-        for (const std::uint64_t seq : reclaim_buf) recovery.push_back(seq);
-        recovery_lock.unlock();
-        reclaimed.fetch_add(reclaim_buf.size(), std::memory_order_relaxed);
-      }
-
-      for (std::size_t w = 0; w < workers; ++w) {
-        if (!in_stall(w, t)) continue;
-        const std::uint64_t seq =
-            inflight[w].seq.load(std::memory_order_acquire);
-        if (seq == kNone || last_failover[w] == seq) continue;
-        const double since =
-            static_cast<double>(
-                inflight[w].since_us.load(std::memory_order_relaxed)) /
-            1e6;
-        const double frozen_since = std::max(faults[w].stall_start, since);
-        if (t - frozen_since < degrade.failover_timeout) continue;
-        if (settled[seq].load(std::memory_order_acquire) != detail::kLive) {
-          continue;
-        }
-        last_failover[w] = seq;
-        recovery_lock.lock();
-        recovery.push_back(seq);
-        recovery_lock.unlock();
-        failovers.fetch_add(1, std::memory_order_relaxed);
-      }
-
-      const std::uint64_t accounted =
-          completed.load(std::memory_order_acquire) +
-          shed.load(std::memory_order_acquire) +
-          lost.load(std::memory_order_acquire);
-      if (accounted >= total) {
-        done.store(true, std::memory_order_release);
-        break;
-      }
-      const std::uint64_t progress =
-          accounted + started.load(std::memory_order_relaxed) +
-          dropped.load(std::memory_order_relaxed);
-      if (progress != seen_progress) {
-        seen_progress = progress;
-        idle_since = t;
-      } else if (t - idle_since > stall_timeout_seconds) {
-        stalled.store(true, std::memory_order_release);
-        done.store(true, std::memory_order_release);
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  });
-
-  arrivals.join();
-  supervisor.join();
-  for (auto& t : pool) t.join();
-  result.completed = completed.load();
-  result.shed = shed.load();
-  result.lost = lost.load();
-  result.missed = missed.load();
-  result.retries = retries.load();
-  result.failovers = failovers.load();
-  result.reclaimed = reclaimed.load();
-  result.stalled = stalled.load();
-  result.seconds = clock.elapsed_seconds();
-  for (std::size_t w = 0; w < workers; ++w) {
-    result.worker_completions[w] = result.worker_logs[w].size();
-  }
-  return result;
 }
 
 }  // namespace service

@@ -1,16 +1,21 @@
 // The worker-pool server: runs an open-loop trace through a dispatcher
-// and records per-request wait / service / sojourn times.
+// and records per-request wait / service / sojourn times, optionally
+// under an injected fault plan with graceful-degradation policies.
 //
-// Two runners share the dispatcher concept (service/dispatch.hpp):
+// One runner per clock, both over the dispatcher concept
+// (service/dispatch.hpp), both taking an optional fault_plan and
+// degrade_config (empty plan + default policies = a healthy, fail-hard
+// run):
 //
 //   run_service_virtual — single-threaded discrete-event simulation in
 //     VIRTUAL time. Deterministic by construction (event order is a pure
-//     function of the trace and the dispatcher's seeded decisions), so
-//     the test suite can assert EXACT completion orders and EXACT
-//     latency summaries: EDF through a strict queue is the
+//     function of the trace, the plan, and the dispatcher's seeded
+//     decisions), so the test suite can assert EXACT completion orders
+//     and EXACT latency summaries: EDF through a strict queue is the
 //     earliest-deadline schedule, FCFS is arrival order, a MultiQueue
 //     with d = #queues degenerates to strict and must match EDF
-//     trace-for-trace.
+//     trace-for-trace; fault runs are byte-stable for a fixed
+//     (config, seed), so bench_fault's artifact is gated exactly.
 //
 //   run_service_realtime — real threads against the wall clock. One
 //     arrival thread paces the trace (open-loop: it never waits for
@@ -21,38 +26,112 @@
 //     of bench_service and the TSan target (dispatch/fetch race by
 //     design).
 //
+// Fault model — one role per worker (fault_plan), windows in trace
+// seconds; service/fault.hpp builds seeded plans:
+//
+//   ok            — healthy.
+//   slow(factor)  — every service demand it executes is multiplied by
+//                   `slow_factor` (thermal throttling, a noisy
+//                   neighbor, a degraded disk).
+//   stall[s0,s1)  — transiently frozen: fetches are suppressed and an
+//                   in-flight request makes NO progress during the
+//                   window (GC pause, VM migration). Service resumes at
+//                   s1; the completion is pushed out by the overlap.
+//   crash(t)      — permanently dead from t on: never fetches again,
+//                   and an in-flight request is ABANDONED at t.
+//
+// Degradation policies (degrade_config; defaults are all off):
+//
+//   admission control — at dispatch time, a request predicted to miss
+//     its deadline is SHED instead of queued: predicted completion =
+//     now + backlog/workers · est_service + service. Shedding at the
+//     door converts a guaranteed deadline miss (plus the queueing it
+//     inflicts on everyone behind it) into an explicit, counted drop.
+//   retry-with-backoff — a request abandoned by a crashed worker is
+//     re-dispatched after retry_backoff · 2^(attempt-1) seconds, at
+//     most max_retries times; exhaustion marks it LOST. Retries bypass
+//     admission control (the request was already admitted once).
+//   stall failover — when a stalled worker has held an in-flight
+//     request for failover_timeout while still inside its stall window,
+//     the request is RE-DISPATCHED so a live worker can serve it. First
+//     completion wins: the settled table drops the loser, so failover
+//     never double-counts.
+//   dead-worker reclaim — a dispatcher with per-worker queues (po2)
+//     strands a dead worker's queued backlog: nobody else ever pops it.
+//     The runner calls the dispatcher's reclaim(w) once worker w is
+//     crashed (and again after later arrivals, since the dead worker's
+//     drained — hence short — queue keeps attracting new dispatches)
+//     and re-routes the orphans through recovery. Shared queues reclaim
+//     nothing: any live worker can pop a dead worker's work.
+//
+// Re-dispatches (retry + failover + reclaim) travel through a RECOVERY
+// queue the workers drain BEFORE fetching from the dispatcher — not
+// through the dispatcher itself: the dispatcher concept gives dispatch()
+// to the single arrival thread (and seal() has already destroyed the
+// dispatch handle by the time late retries fire), and one recovery path
+// for every dispatcher means the benches compare POLICIES, not four
+// retry paths.
+//
+// THE conservation invariant (bench_fault exits nonzero on violation):
+//
+//   completed + shed + lost == dispatched (== trace size)
+//
+// Every request is accounted exactly once: served (completed, possibly
+// past deadline — counted in `missed`), shed at admission, or lost to a
+// crash with retries exhausted. Duplicates settle to one completion.
+//
 // Virtual-time event rules (the determinism contract the tests pin):
-//   1. Events are processed in time order; at equal times COMPLETIONS
-//      precede ARRIVALS (a freed worker is visible to the arrival's
-//      fetch round), and simultaneous completions resolve by lowest
-//      worker index.
-//   2. After every event, idle workers fetch in worker-index order
-//      until their fetch fails; a request fetched at time t starts at t
-//      (wait = t − arrival) and completes at t + service.
+//   1. Events are processed in time order. At equal times: finishes
+//      (completion or crash abandon) ≺ idle-worker crash ≺ failover ≺
+//      retry wake ≺ arrival ≺ stall-end wake; ties by lowest worker
+//      index. With an empty plan only finishes and arrivals exist, so
+//      COMPLETIONS precede ARRIVALS (a freed worker is visible to the
+//      arrival's fetch round).
+//   2. After every event, idle eligible workers fetch in worker-index
+//      order — recovery queue first, then the dispatcher — until a
+//      fetch fails; a request fetched at time t starts at t
+//      (wait = t − arrival) and completes at t + service (role-adjusted).
 //   3. The dispatcher is sealed immediately after the last arrival is
 //      dispatched (flushing any dispatch-side buffering, e.g. k-LSM
 //      local blocks — without this a buffering queue could strand the
 //      tail of the trace invisibly and the simulation could not drain).
 //
-// Termination everywhere is by completion COUNT, never by a failed
-// fetch: emptiness is relaxed all the way down (core/pq_handle.hpp), so
-// "looked empty" proves nothing while requests remain. Every trace
-// request is dispatched exactly once and finite, so the count is reached
-// — for a CONFORMING dispatcher. A buggy one that loses a request would
-// leave the count short forever, so both runners fail closed instead of
-// hanging: the virtual runner breaks when no event is runnable, and the
-// realtime runner carries a stall watchdog (no fetch or completion
-// progress anywhere for stall_timeout seconds → stop the workers and
-// return short, result.stalled = true). Callers then fail on the
-// completion count in bounded time instead of wedging CI.
+// Termination everywhere is by ACCOUNTING (completed + shed + lost),
+// never by a failed fetch: emptiness is relaxed all the way down
+// (core/pq_handle.hpp), so "looked empty" proves nothing while requests
+// remain. A conforming dispatcher reaches full accounting; a buggy one
+// that loses a request would leave it short forever, so both runners
+// fail closed instead of hanging: the virtual runner breaks when no
+// event is runnable, and the realtime runner carries a stall watchdog
+// (no fetch, completion, shed, loss, or discarded duplicate anywhere
+// for stall_timeout seconds → stop the workers and return short,
+// result.stalled = true). Callers then fail on the completion count in
+// bounded time instead of wedging CI.
+//
+// Realtime threads. Workers check termination and the watchdog only in
+// their idle path (after a failed fetch), keyed on one `accounted`
+// counter — the only counter RMW per completion. The completed, shed,
+// lost, and missed totals are derived after the join from the logs and
+// the settled table. A SUPERVISOR thread runs only when the plan has a
+// crash or stall role, the only sources of retry, reclaim, and failover
+// work: it turns crash abandons into retry timers (or losses), drains
+// dead workers' backlogs, scans stalled workers for failover, stops
+// frozen workers once everything is accounted, and runs the watchdog
+// too, so it still fires when every worker is dead or frozen.
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <limits>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "service/workload.hpp"
@@ -74,12 +153,8 @@ struct request_record {
 
 struct service_result {
   std::uint64_t completed = 0;
-  /// Requests presented to the dispatch layer (= trace size). The fault
-  /// conservation invariant (service/fault.hpp) is
-  ///   completed + shed + lost == dispatched
-  /// — every request is served, shed at admission, or lost to a crash
-  /// with retries exhausted, exactly once. The fault runners enforce
-  /// the accounting; bench_fault exits nonzero on any violation.
+  /// Requests presented to the dispatch layer (= trace size); see the
+  /// conservation invariant in the header comment.
   std::uint64_t dispatched = 0;
   std::uint64_t shed = 0;    ///< dropped by admission control at dispatch
   std::uint64_t lost = 0;    ///< crash-abandoned with retries exhausted
@@ -91,17 +166,12 @@ struct service_result {
   /// per-worker queues (po2) ever strand work this way; shared-queue
   /// dispatchers report 0.
   std::uint64_t reclaimed = 0;
-  /// Realtime runner only: the stall watchdog fired — the dispatcher
-  /// stopped producing fetches with requests still unaccounted for
-  /// (completed < trace.size()), and the workers were stopped early.
+  /// Realtime runner only: the stall watchdog fired — nothing progressed
+  /// with requests still unaccounted for, and the workers were stopped
+  /// early.
   bool stalled = false;
-  double seconds = 0.0;  ///< makespan: last completion (virtual) or wall
+  double seconds = 0.0;  ///< makespan: last event (virtual) or wall
   std::vector<std::vector<request_record>> worker_logs;  ///< shard per worker
-  /// Completions per worker — the realtime runner's progress counters
-  /// surfaced (each worker owns its log shard, so the count is exact).
-  /// The fault bench asserts a crashed worker completed nothing after
-  /// its crash tick against these plus the shard timestamps.
-  std::vector<std::uint64_t> worker_completions;
   /// Virtual runner only: seq of every request in completion order (the
   /// deterministic object the exact-order tests assert on).
   std::vector<std::uint64_t> completion_order;
@@ -150,81 +220,413 @@ inline latency_report summarize(const service_result& result) {
   return report;
 }
 
+enum class fault_kind { ok, slow, stall, crash };
+
+/// One worker's role for a run. Roles are exclusive by construction
+/// (make_fault_plan assigns disjoint sets), which keeps the completion
+/// arithmetic closed-form in the virtual runner.
+struct worker_fault {
+  fault_kind kind = fault_kind::ok;
+  double slow_factor = 1.0;  ///< slow: multiplies every service demand
+  double stall_start = 0.0;  ///< stall: frozen during [start, end)
+  double stall_end = 0.0;
+  double crash_time = std::numeric_limits<double>::infinity();
+
+  bool crashed_by(double t) const {
+    return kind == fault_kind::crash && t >= crash_time;
+  }
+  bool stalled_at(double t) const {
+    return kind == fault_kind::stall && t >= stall_start && t < stall_end;
+  }
+  /// The service demand as this worker executes it.
+  double scaled(double service) const {
+    return kind == fault_kind::slow ? service * slow_factor : service;
+  }
+};
+
+/// Arrival-rate multiplier window: gaps inside [start, end) divide by
+/// rate_factor (service/fault.hpp's apply_bursts).
+struct burst_window {
+  double start = 0.0;
+  double end = 0.0;
+  double rate_factor = 1.0;
+};
+
+/// Per-worker roles (missing entries are ok) plus the burst windows the
+/// trace was perturbed with. Both runners reject a plan with more
+/// entries than workers, stall_end < stall_start, or a slow_factor that
+/// is not finite and positive.
+struct fault_plan {
+  std::vector<worker_fault> workers;
+  std::vector<burst_window> bursts;
+
+  bool any(fault_kind kind) const {
+    for (const worker_fault& w : workers) {
+      if (w.kind == kind) return true;
+    }
+    return false;
+  }
+};
+
+/// Graceful-degradation policy knobs. Defaults are fail-hard (no
+/// shedding, no retries, no failover), so turning one policy on
+/// isolates its effect.
+struct degrade_config {
+  /// Shed at dispatch when now + backlog/workers·est_service + service
+  /// exceeds the deadline. est_service must be > 0 to arm the check.
+  bool admission_control = false;
+  double est_service = 0.0;
+  /// Crash recovery: re-dispatch after retry_backoff·2^(attempt−1),
+  /// at most max_retries attempts; exhaustion marks the request lost.
+  std::size_t max_retries = 0;
+  double retry_backoff = 0.0;
+  /// Stall failover: re-dispatch a stalled worker's in-flight request
+  /// once it has been frozen this long (infinity = never).
+  double failover_timeout = std::numeric_limits<double>::infinity();
+
+  bool admission_armed() const {
+    return admission_control && est_service > 0.0;
+  }
+};
+
+namespace detail {
+
+/// Settled states for the per-request accounting table. A request
+/// leaves `live` exactly once; duplicate copies (failover) observe a
+/// non-live state and are dropped without being counted.
+enum : std::uint8_t {
+  kLive = 0,
+  kDone = 1,
+  kLost = 2,
+  kShed = 3,
+};
+
+/// Exponential backoff multiplier for retry attempt k (1-based),
+/// exponent clamped so the shift can never overflow.
+inline double backoff_factor(std::size_t attempt) {
+  return std::ldexp(1.0, static_cast<int>(
+                             std::min<std::size_t>(attempt - 1, 30)));
+}
+
+/// Admission control's verdict for an armed degrade_config.
+inline bool admission_sheds(const request& r, double now,
+                            std::size_t queued, std::size_t workers,
+                            const degrade_config& degrade) {
+  const double predicted =
+      now +
+      static_cast<double>(queued) * degrade.est_service /
+          static_cast<double>(workers == 0 ? 1 : workers) +
+      r.service;
+  return predicted > r.deadline;
+}
+
+/// The plan padded to one role per worker; throws std::invalid_argument
+/// on a plan no run can honor.
+inline std::vector<worker_fault> roles_for(const fault_plan& plan,
+                                           std::size_t workers) {
+  if (plan.workers.size() > workers) {
+    throw std::invalid_argument("fault_plan: more roles than workers");
+  }
+  for (const worker_fault& f : plan.workers) {
+    if (!(f.stall_end >= f.stall_start)) {
+      throw std::invalid_argument("fault_plan: stall_end < stall_start");
+    }
+    if (!std::isfinite(f.slow_factor) || f.slow_factor <= 0.0) {
+      throw std::invalid_argument(
+          "fault_plan: slow_factor must be finite and positive");
+    }
+  }
+  std::vector<worker_fault> roles = plan.workers;
+  roles.resize(workers);
+  return roles;
+}
+
+/// The realtime stall watchdog: expires once `progress` has not moved
+/// across consecutive observations spanning more than `timeout` seconds.
+class stall_watch {
+ public:
+  explicit stall_watch(double timeout) : timeout_(timeout) {}
+
+  /// Forget the idle stretch (the observer made progress itself).
+  void reset() { watching_ = false; }
+
+  bool expired(std::uint64_t progress, double now) {
+    if (!watching_ || progress != seen_) {
+      watching_ = true;
+      seen_ = progress;
+      since_ = now;
+      return false;
+    }
+    return now - since_ > timeout_;
+  }
+
+ private:
+  double timeout_;
+  bool watching_ = false;
+  std::uint64_t seen_ = 0;
+  double since_ = 0.0;
+};
+
+}  // namespace detail
+
 /// Deterministic single-threaded discrete-event run in virtual time.
 /// The trace must be sorted by arrival (make_open_loop_trace's output
-/// is; hand-built test traces are by construction).
+/// is; hand-built test traces are by construction). See the header
+/// comment for the event rules.
 template <typename Dispatcher>
 service_result run_service_virtual(const std::vector<request>& trace,
                                    Dispatcher& dispatcher,
-                                   std::size_t workers) {
-  constexpr double kIdle = std::numeric_limits<double>::infinity();
+                                   std::size_t workers,
+                                   const fault_plan& plan = {},
+                                   const degrade_config& degrade = {}) {
+  constexpr double kNever = std::numeric_limits<double>::infinity();
   constexpr std::uint64_t kNone = std::numeric_limits<std::uint64_t>::max();
+
+  const std::vector<worker_fault> faults = detail::roles_for(plan, workers);
 
   service_result result;
   result.worker_logs.resize(workers);
-  result.worker_completions.assign(workers, 0);
   result.dispatched = trace.size();
   result.completion_order.reserve(trace.size());
 
-  std::vector<double> busy_until(workers, kIdle);
-  std::vector<double> started(workers, 0.0);
   std::vector<std::uint64_t> running(workers, kNone);
+  std::vector<double> started(workers, 0.0);
+  std::vector<double> finish(workers, kNever);    // completion or abandon
+  std::vector<bool> abandons(workers, false);     // finish is an abandon
+  std::vector<double> failover_at(workers, kNever);
+  std::vector<bool> dead(workers, false);
+  std::vector<bool> crash_pending(workers, false);  // death event not yet run
+  for (std::size_t w = 0; w < workers; ++w) {
+    crash_pending[w] = faults[w].kind == fault_kind::crash;
+  }
+
+  std::vector<std::uint8_t> settled(trace.size(), detail::kLive);
+  std::vector<std::uint8_t> attempts(trace.size(), 0);
+  std::deque<std::uint64_t> recovery;                    // ready now
+  std::vector<std::pair<double, std::uint64_t>> timers;  // retry wakes
+
+  const bool admission = degrade.admission_armed();
   std::size_t next_arrival = 0;
   double now = 0.0;
+  std::uint64_t accounted = 0;  // completed + shed + lost
 
-  const auto start_idle_workers = [&] {
-    for (std::size_t w = 0; w < workers; ++w) {
-      if (running[w] != kNone) continue;
-      std::uint64_t seq = 0;
-      if (!dispatcher.fetch(w, seq)) continue;
-      running[w] = seq;
-      started[w] = now;
-      busy_until[w] = now + trace[seq].service;
+  const auto eligible = [&](std::size_t w) {
+    return !dead[w] && !faults[w].crashed_by(now) &&
+           !faults[w].stalled_at(now);
+  };
+
+  // Closed-form finish time for worker w starting duration-d work at t,
+  // plus the abandon/failover schedule the role implies.
+  const auto schedule = [&](std::size_t w, double t, double dur) {
+    const worker_fault& f = faults[w];
+    double end = t + f.scaled(dur);
+    abandons[w] = false;
+    failover_at[w] = kNever;
+    if (f.kind == fault_kind::stall && t < f.stall_start &&
+        end > f.stall_start) {
+      end += f.stall_end - f.stall_start;  // suspended across the window
+      const double t_f = f.stall_start + degrade.failover_timeout;
+      if (t_f < f.stall_end) failover_at[w] = t_f;
+    }
+    if (f.kind == fault_kind::crash && end > f.crash_time) {
+      end = f.crash_time;
+      abandons[w] = true;
+    }
+    finish[w] = end;
+  };
+
+  const auto record_completion = [&](std::size_t w) {
+    const std::uint64_t seq = running[w];
+    if (settled[seq] == detail::kLive) {
+      const request& r = trace[seq];
+      request_record rec;
+      rec.seq = seq;
+      rec.arrival = r.arrival;
+      rec.start = started[w];
+      rec.completion = now;
+      rec.service = r.service;
+      result.worker_logs[w].push_back(rec);
+      result.completion_order.push_back(seq);
+      ++result.completed;
+      if (now > r.deadline) ++result.missed;
+      settled[seq] = detail::kDone;
+      ++accounted;
+    }
+    // else: a failover duplicate finished second — dropped, uncounted.
+    running[w] = kNone;
+    finish[w] = kNever;
+    failover_at[w] = kNever;
+  };
+
+  // Drain the dead worker's private backlog (po2 FIFO; a shared queue
+  // has none) into recovery so live workers can serve the orphans —
+  // the health-check rerouting a real load balancer does.
+  std::vector<std::uint64_t> reclaim_buf;
+  const auto reclaim_worker = [&](std::size_t w) {
+    reclaim_buf.clear();
+    dispatcher.reclaim(w, reclaim_buf);
+    for (std::uint64_t seq : reclaim_buf) {
+      if (settled[seq] == detail::kLive) {
+        recovery.push_back(seq);
+        ++result.reclaimed;
+      }
     }
   };
 
-  while (result.completed < trace.size()) {
-    // Earliest completion (ties: lowest worker index) vs next arrival;
-    // completions win ties so freed workers see the arrival's fetch.
-    std::size_t cw = workers;
-    double ct = kIdle;
+  const auto abandon_inflight = [&](std::size_t w) {
+    const std::uint64_t seq = running[w];
+    dead[w] = true;
+    crash_pending[w] = false;
+    running[w] = kNone;
+    finish[w] = kNever;
+    failover_at[w] = kNever;
+    reclaim_worker(w);
+    if (settled[seq] != detail::kLive) return;  // duplicate; already done
+    if (attempts[seq] < degrade.max_retries) {
+      ++attempts[seq];
+      const double wake = now + degrade.retry_backoff *
+                                    detail::backoff_factor(attempts[seq]);
+      timers.emplace_back(wake, seq);
+      ++result.retries;
+    } else {
+      settled[seq] = detail::kLost;
+      ++result.lost;
+      ++accounted;
+    }
+  };
+
+  const auto start_idle_workers = [&] {
     for (std::size_t w = 0; w < workers; ++w) {
-      if (running[w] != kNone && busy_until[w] < ct) {
-        ct = busy_until[w];
-        cw = w;
+      if (running[w] != kNone || !eligible(w)) continue;
+      while (true) {
+        std::uint64_t seq = kNone;
+        if (!recovery.empty()) {
+          seq = recovery.front();
+          recovery.pop_front();
+        } else if (!dispatcher.fetch(w, seq)) {
+          break;
+        }
+        if (settled[seq] != detail::kLive) continue;  // stale duplicate
+        running[w] = seq;
+        started[w] = now;
+        schedule(w, now, trace[seq].service);
+        break;
       }
     }
-    const double at =
-        next_arrival < trace.size() ? trace[next_arrival].arrival : kIdle;
+  };
 
-    // No runnable event: every worker idle, no arrivals left, and every
-    // fetch already failed after the previous event. A conforming
-    // dispatcher cannot get here (sealing flushed all buffering); return
-    // short so a buggy one fails its test on the completion count
-    // instead of spinning forever.
-    if (cw == workers && next_arrival == trace.size()) break;
+  while (accounted < trace.size()) {
+    // Candidate events, ordered (time, class, index): class 0 finish
+    // (completion or abandon), 1 idle-worker crash (death with nothing
+    // in flight — still an event, because its private backlog must be
+    // reclaimed), 2 failover, 3 retry wake, 4 arrival, 5 stall-end wake
+    // (no-op that re-triggers fetches).
+    double best_t = kNever;
+    int best_class = 6;
+    std::size_t best_w = workers;
+    std::size_t best_timer = timers.size();
 
-    if (cw < workers && ct <= at) {
-      now = ct;
-      const request& r = trace[running[cw]];
-      request_record rec;
-      rec.seq = r.seq;
-      rec.arrival = r.arrival;
-      rec.start = started[cw];
-      rec.completion = now;
-      rec.service = r.service;
-      result.worker_logs[cw].push_back(rec);
-      result.completion_order.push_back(r.seq);
-      ++result.worker_completions[cw];
-      ++result.completed;
-      if (now > r.deadline) ++result.missed;
-      running[cw] = kNone;
-      busy_until[cw] = kIdle;
-    } else {
-      now = at;
-      dispatcher.dispatch(trace[next_arrival]);
-      ++next_arrival;
-      if (next_arrival == trace.size()) dispatcher.seal();
+    for (std::size_t w = 0; w < workers; ++w) {
+      if (running[w] != kNone && finish[w] < best_t) {
+        best_t = finish[w];
+        best_class = 0;
+        best_w = w;
+      }
+    }
+    for (std::size_t w = 0; w < workers; ++w) {
+      if (crash_pending[w] && running[w] == kNone &&
+          faults[w].crash_time < best_t) {
+        best_t = faults[w].crash_time;
+        best_class = 1;
+        best_w = w;
+      }
+    }
+    for (std::size_t w = 0; w < workers; ++w) {
+      if (running[w] != kNone && failover_at[w] < best_t) {
+        best_t = failover_at[w];
+        best_class = 2;
+        best_w = w;
+      }
+    }
+    for (std::size_t i = 0; i < timers.size(); ++i) {
+      if (timers[i].first < best_t) {
+        best_t = timers[i].first;
+        best_class = 3;
+        best_timer = i;
+      }
+    }
+    if (next_arrival < trace.size() &&
+        trace[next_arrival].arrival < best_t) {
+      best_t = trace[next_arrival].arrival;
+      best_class = 4;
+    }
+    for (std::size_t w = 0; w < workers; ++w) {
+      const worker_fault& f = faults[w];
+      if (f.kind == fault_kind::stall && !dead[w] && running[w] == kNone &&
+          f.stall_end > now && f.stall_end < best_t) {
+        best_t = f.stall_end;
+        best_class = 5;
+        best_w = w;
+      }
+    }
+
+    // No runnable event. A conforming dispatcher cannot get here
+    // (sealing flushed all buffering); return short so a buggy one
+    // fails its test on the count instead of spinning forever.
+    if (best_class == 6) break;
+    now = best_t;
+
+    switch (best_class) {
+      case 0:
+        if (abandons[best_w]) {
+          abandon_inflight(best_w);
+        } else {
+          record_completion(best_w);
+        }
+        break;
+      case 1:
+        dead[best_w] = true;
+        crash_pending[best_w] = false;
+        reclaim_worker(best_w);
+        break;
+      case 2: {
+        // Failover: duplicate the frozen worker's in-flight request into
+        // the recovery queue. The original stays scheduled; whichever
+        // copy finishes first settles the request.
+        recovery.push_back(running[best_w]);
+        failover_at[best_w] = kNever;
+        ++result.failovers;
+        break;
+      }
+      case 3: {
+        recovery.push_back(timers[best_timer].second);
+        timers.erase(timers.begin() +
+                     static_cast<std::ptrdiff_t>(best_timer));
+        break;
+      }
+      case 4: {
+        const request& r = trace[next_arrival];
+        if (admission &&
+            detail::admission_sheds(r, now,
+                                    dispatcher.backlog() + recovery.size(),
+                                    workers, degrade)) {
+          settled[r.seq] = detail::kShed;
+          ++result.shed;
+          ++accounted;
+        } else {
+          dispatcher.dispatch(r);
+          // A dead worker's (empty, hence attractive) po2 FIFO can keep
+          // collecting arrivals; re-route them immediately.
+          for (std::size_t w = 0; w < workers; ++w) {
+            if (dead[w]) reclaim_worker(w);
+          }
+        }
+        ++next_arrival;
+        if (next_arrival == trace.size()) dispatcher.seal();
+        break;
+      }
+      default:
+        break;  // stall-end wake: fetches below do the work
     }
     start_idle_workers();
   }
@@ -232,36 +634,82 @@ service_result run_service_virtual(const std::vector<request>& trace,
   return result;
 }
 
-/// Real-time open-loop run: one arrival thread paces the trace against
-/// the wall clock (yielding while far from the next arrival, spinning
-/// the last stretch), `workers` worker threads fetch and spin out each
-/// request's service demand. Trace times are wall seconds — generate
-/// traces whose span fits the time you are willing to measure.
+/// Real-time open-loop run: one arrival thread paces (and, with
+/// admission control armed, sheds) the trace against the wall clock,
+/// yielding while far from the next arrival and spinning the last
+/// stretch; `workers` worker threads honor their roles (slow spin,
+/// frozen windows, crash exits) and spin out each request's demand.
+/// Trace times are wall seconds — generate traces whose span fits the
+/// time you are willing to measure.
 ///
 /// `stall_timeout_seconds` arms the watchdog (the realtime twin of the
-/// virtual runner's no-runnable-event break above): if no worker makes
-/// progress — no successful fetch and no completion anywhere — for that
-/// long while completions are still owed, every worker stops and the
-/// short result comes back with `stalled` set. Progress counts fetches
-/// as well as completions so one long in-service request cannot trip
-/// it; the timeout only needs to exceed the longest dispatch gap, not
-/// the trace makespan. Pick it comfortably above the largest single
-/// service demand.
+/// virtual runner's no-runnable-event break): if nothing progresses —
+/// no successful fetch, completion, shed, loss, or discarded duplicate
+/// anywhere — for that long while requests are unaccounted for, every
+/// worker stops and the short result comes back with `stalled` set.
+/// Progress counts fetches as well as completions, so the timeout only
+/// needs to exceed the longest dispatch gap, not the trace makespan.
+/// Pick it comfortably above the largest single service demand and the
+/// longest interval in which every surviving worker can be frozen at
+/// once, or a healthy run can be failed closed spuriously.
 template <typename Dispatcher>
 service_result run_service_realtime(const std::vector<request>& trace,
                                     Dispatcher& dispatcher,
                                     std::size_t workers,
-                                    double stall_timeout_seconds = 5.0) {
+                                    double stall_timeout_seconds = 5.0,
+                                    const fault_plan& plan = {},
+                                    const degrade_config& degrade = {}) {
+  constexpr std::uint64_t kNone = std::numeric_limits<std::uint64_t>::max();
+
+  const std::vector<worker_fault> faults = detail::roles_for(plan, workers);
+
   service_result result;
   result.worker_logs.resize(workers);
-  result.worker_completions.assign(workers, 0);
   result.dispatched = trace.size();
 
-  std::atomic<std::uint64_t> completed{0};
-  std::atomic<std::uint64_t> missed{0};
-  std::atomic<std::uint64_t> started{0};  // successful fetches (watchdog)
-  std::atomic<bool> stalled{false};
   const std::uint64_t total = trace.size();
+  std::atomic<std::uint64_t> accounted{0};  // completed + shed + lost
+  std::atomic<std::uint64_t> started{0};    // successful fetches
+  std::atomic<std::uint64_t> dropped{0};    // settled duplicates discarded
+  std::atomic<bool> stop{false};
+  std::atomic<bool> stalled{false};
+  const auto progress = [&] {
+    return accounted.load(std::memory_order_relaxed) +
+           started.load(std::memory_order_relaxed) +
+           dropped.load(std::memory_order_relaxed);
+  };
+
+  std::vector<std::atomic<std::uint8_t>> settled(total);
+  for (auto& s : settled) s.store(detail::kLive, std::memory_order_relaxed);
+
+  // In-flight table of stall-role workers for the failover scan. seq is
+  // the gate: it is stored AFTER since_us, so a reader that sees a live
+  // seq sees a start time no newer than the fetch (a stale-but-older
+  // start can only make failover fire later within one scan period).
+  struct alignas(64) inflight_slot {
+    std::atomic<std::uint64_t> seq{
+        std::numeric_limits<std::uint64_t>::max()};
+    std::atomic<std::uint64_t> since_us{0};
+  };
+  std::vector<inflight_slot> inflight(workers);
+
+  // Ready-to-refetch duplicates. `recovery_size` mirrors the deque so
+  // workers skip the lock with one relaxed load while it is empty.
+  spinlock recovery_lock;
+  std::deque<std::uint64_t> recovery;
+  std::atomic<std::size_t> recovery_size{0};
+  const auto requeue = [&](std::uint64_t seq) {
+    recovery_lock.lock();
+    recovery.push_back(seq);
+    recovery_size.store(recovery.size(), std::memory_order_relaxed);
+    recovery_lock.unlock();
+  };
+  spinlock abandoned_lock;
+  std::deque<std::uint64_t> abandoned;  // crash-abandoned, awaiting retry
+
+  const bool admission = degrade.admission_armed();
+  const bool supervised =
+      plan.any(fault_kind::crash) || plan.any(fault_kind::stall);
   wall_timer clock;  // the one epoch every thread measures against
 
   std::thread arrivals([&] {
@@ -275,7 +723,17 @@ service_result run_service_realtime(const std::vector<request>& trace,
           cpu_relax();
         }
       }
-      dispatcher.dispatch(r);
+      if (admission &&
+          detail::admission_sheds(
+              r, clock.elapsed_seconds(),
+              dispatcher.backlog() +
+                  recovery_size.load(std::memory_order_relaxed),
+              workers, degrade)) {
+        settled[r.seq].store(detail::kShed, std::memory_order_release);
+        accounted.fetch_add(1, std::memory_order_release);
+      } else {
+        dispatcher.dispatch(r);
+      }
     }
     dispatcher.seal();
   });
@@ -284,63 +742,210 @@ service_result run_service_realtime(const std::vector<request>& trace,
   pool.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     pool.emplace_back([&, w] {
+      const worker_fault& f = faults[w];
+      const bool stall_role = f.kind == fault_kind::stall;
       auto& log = result.worker_logs[w];
       backoff bo;
-      std::uint64_t seen_progress = 0;
-      double idle_since = 0.0;
-      bool idling = false;
-      while (completed.load(std::memory_order_acquire) < total &&
-             !stalled.load(std::memory_order_acquire)) {
-        std::uint64_t seq = 0;
-        if (!dispatcher.fetch(w, seq)) {
-          // Watchdog: track global progress (fetches + completions);
-          // if nothing moved for stall_timeout_seconds while requests
-          // are still owed, the dispatcher lost one — fail closed.
-          const std::uint64_t progress =
-              started.load(std::memory_order_relaxed) +
-              completed.load(std::memory_order_relaxed);
-          const double now = clock.elapsed_seconds();
-          if (!idling || progress != seen_progress) {
-            idling = true;
-            seen_progress = progress;
-            idle_since = now;
-          } else if (now - idle_since > stall_timeout_seconds) {
+      detail::stall_watch watch(stall_timeout_seconds);
+      while (!stop.load(std::memory_order_acquire)) {
+        if (f.kind == fault_kind::crash || stall_role) {
+          const double t = clock.elapsed_seconds();
+          if (f.crashed_by(t)) break;
+          if (f.stalled_at(t)) {  // frozen: no fetches, no progress
+            std::this_thread::yield();
+            continue;
+          }
+        }
+        std::uint64_t seq = kNone;
+        if (recovery_size.load(std::memory_order_relaxed) != 0) {
+          recovery_lock.lock();
+          if (!recovery.empty()) {
+            seq = recovery.front();
+            recovery.pop_front();
+            recovery_size.store(recovery.size(), std::memory_order_relaxed);
+          }
+          recovery_lock.unlock();
+        }
+        if (seq == kNone && !dispatcher.fetch(w, seq)) {
+          // Idle path: terminate on full accounting; otherwise, if
+          // nothing moved anywhere for stall_timeout_seconds, the
+          // dispatcher lost a request — fail closed.
+          if (accounted.load(std::memory_order_acquire) >= total) break;
+          if (watch.expired(progress(), clock.elapsed_seconds())) {
             stalled.store(true, std::memory_order_release);
+            stop.store(true, std::memory_order_release);
             break;
           }
           bo.pause();
           continue;
         }
         bo.reset();
-        idling = false;
+        watch.reset();
+        if (settled[seq].load(std::memory_order_acquire) != detail::kLive) {
+          dropped.fetch_add(1, std::memory_order_relaxed);
+          continue;  // stale duplicate (failover loser / late retry)
+        }
         started.fetch_add(1, std::memory_order_relaxed);
         const request& r = trace[seq];
         const double start = clock.elapsed_seconds();
-        const double until = start + r.service;
-        while (clock.elapsed_seconds() < until) cpu_relax();
-        request_record rec;
-        rec.seq = seq;
-        rec.arrival = r.arrival;
-        rec.start = start;
-        rec.completion = clock.elapsed_seconds();
-        rec.service = r.service;
-        log.push_back(rec);
-        if (rec.completion > r.deadline) {
-          missed.fetch_add(1, std::memory_order_relaxed);
+        if (stall_role) {
+          inflight[w].since_us.store(
+              static_cast<std::uint64_t>(start * 1e6),
+              std::memory_order_relaxed);
+          inflight[w].seq.store(seq, std::memory_order_release);
         }
-        completed.fetch_add(1, std::memory_order_release);
+
+        // Spin out the demand, honoring the role: slow inflates it,
+        // stall windows freeze progress, crash abandons mid-service.
+        const double dur = f.scaled(r.service);
+        double progressed = 0.0;
+        double last = start;
+        bool abandoned_here = false;
+        while (progressed < dur) {
+          const double t = clock.elapsed_seconds();
+          if (f.crashed_by(t)) {
+            abandoned_here = true;
+            break;
+          }
+          if (!f.stalled_at(t)) progressed += t - last;
+          last = t;
+          cpu_relax();
+        }
+        if (stall_role) {
+          inflight[w].seq.store(kNone, std::memory_order_release);
+        }
+        if (abandoned_here) {
+          abandoned_lock.lock();
+          abandoned.push_back(seq);
+          abandoned_lock.unlock();
+          break;  // the worker is dead from here
+        }
+        // The settled-table CAS makes the first completion win.
+        std::uint8_t expect = detail::kLive;
+        if (settled[seq].compare_exchange_strong(
+                expect, detail::kDone, std::memory_order_acq_rel)) {
+          request_record rec;
+          rec.seq = seq;
+          rec.arrival = r.arrival;
+          rec.start = start;
+          rec.completion = clock.elapsed_seconds();
+          rec.service = r.service;
+          log.push_back(rec);
+          accounted.fetch_add(1, std::memory_order_release);
+        } else {
+          dropped.fetch_add(1, std::memory_order_relaxed);  // lost the race
+        }
+      }
+    });
+  }
+
+  // Supervisor: retry timers, loss marking, dead-worker reclaim,
+  // failover scans; stops frozen workers on full accounting and runs
+  // the watchdog for when no worker is left in its idle path.
+  std::thread supervisor;
+  if (supervised) {
+    supervisor = std::thread([&] {
+      std::vector<std::uint8_t> attempts(total, 0);
+      std::vector<std::pair<double, std::uint64_t>> timers;
+      std::vector<std::uint64_t> last_failover(workers, kNone);
+      std::vector<std::uint64_t> reclaim_buf;
+      detail::stall_watch watch(stall_timeout_seconds);
+      while (!stop.load(std::memory_order_acquire)) {
+        const double t = clock.elapsed_seconds();
+
+        abandoned_lock.lock();
+        std::deque<std::uint64_t> fresh;
+        fresh.swap(abandoned);
+        abandoned_lock.unlock();
+        for (const std::uint64_t seq : fresh) {
+          if (settled[seq].load(std::memory_order_acquire) !=
+              detail::kLive) {
+            continue;
+          }
+          if (attempts[seq] < degrade.max_retries) {
+            ++attempts[seq];
+            timers.emplace_back(
+                t + degrade.retry_backoff *
+                        detail::backoff_factor(attempts[seq]),
+                seq);
+          } else {
+            std::uint8_t expect = detail::kLive;
+            if (settled[seq].compare_exchange_strong(
+                    expect, detail::kLost, std::memory_order_acq_rel)) {
+              accounted.fetch_add(1, std::memory_order_release);
+            }
+          }
+        }
+        for (std::size_t i = 0; i < timers.size();) {
+          if (timers[i].first <= t) {
+            requeue(timers[i].second);
+            ++result.retries;
+            timers.erase(timers.begin() + static_cast<std::ptrdiff_t>(i));
+          } else {
+            ++i;
+          }
+        }
+
+        // Reclaim dead workers' stranded backlogs (po2 FIFOs; a shared
+        // queue reclaims nothing). Every tick, because the dead worker's
+        // empty FIFO keeps attracting new arrivals.
+        for (std::size_t w = 0; w < workers; ++w) {
+          if (!faults[w].crashed_by(t)) continue;
+          reclaim_buf.clear();
+          dispatcher.reclaim(w, reclaim_buf);
+          for (const std::uint64_t seq : reclaim_buf) requeue(seq);
+          result.reclaimed += reclaim_buf.size();
+        }
+
+        for (std::size_t w = 0; w < workers; ++w) {
+          if (!faults[w].stalled_at(t)) continue;
+          const std::uint64_t seq =
+              inflight[w].seq.load(std::memory_order_acquire);
+          if (seq == kNone || last_failover[w] == seq) continue;
+          const double since =
+              static_cast<double>(
+                  inflight[w].since_us.load(std::memory_order_relaxed)) /
+              1e6;
+          const double frozen_since = std::max(faults[w].stall_start, since);
+          if (t - frozen_since < degrade.failover_timeout) continue;
+          if (settled[seq].load(std::memory_order_acquire) !=
+              detail::kLive) {
+            continue;
+          }
+          last_failover[w] = seq;
+          requeue(seq);
+          ++result.failovers;
+        }
+
+        if (accounted.load(std::memory_order_acquire) >= total) {
+          stop.store(true, std::memory_order_release);
+          break;
+        }
+        if (watch.expired(progress(), t)) {
+          stalled.store(true, std::memory_order_release);
+          stop.store(true, std::memory_order_release);
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
     });
   }
 
   arrivals.join();
+  if (supervisor.joinable()) supervisor.join();
   for (auto& t : pool) t.join();
-  result.completed = completed.load();
-  result.missed = missed.load();
-  result.stalled = stalled.load();
   result.seconds = clock.elapsed_seconds();
-  for (std::size_t w = 0; w < workers; ++w) {
-    result.worker_completions[w] = result.worker_logs[w].size();
+  result.stalled = stalled.load();
+  for (const auto& log : result.worker_logs) {
+    result.completed += log.size();
+    for (const request_record& rec : log) {
+      if (rec.completion > trace[rec.seq].deadline) ++result.missed;
+    }
+  }
+  for (const auto& s : settled) {
+    const std::uint8_t state = s.load(std::memory_order_relaxed);
+    if (state == detail::kShed) ++result.shed;
+    if (state == detail::kLost) ++result.lost;
   }
   return result;
 }

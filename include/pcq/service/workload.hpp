@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -54,8 +55,12 @@ struct service_dist {
   }
 
   /// Pareto with shape α > 1 scaled to the given mean:
-  /// E[S] = α·x_m/(α−1)  ⇒  x_m = mean·(α−1)/α.
+  /// E[S] = α·x_m/(α−1)  ⇒  x_m = mean·(α−1)/α. Throws
+  /// std::invalid_argument for α ≤ 1, which has no finite mean.
   static service_dist pareto_mean(double shape, double mean) {
+    if (!(shape > 1.0)) {
+      throw std::invalid_argument("pareto_mean: shape must exceed 1");
+    }
     return {dist_kind::pareto, shape, mean * (shape - 1.0) / shape};
   }
 
@@ -154,16 +159,35 @@ struct workload_config {
 };
 
 /// λ that offers load ρ to `workers` servers: ρ = λ·E[S]/workers.
+/// Throws std::invalid_argument unless workers > 0, 0 < ρ < 1 (an open
+/// loop at ρ ≥ 1 never drains), and E[S] is finite and positive.
 inline double arrival_rate_for_load(double rho, std::size_t workers,
                                     const service_dist& dist) {
-  return rho * static_cast<double>(workers) / dist.mean();
+  if (workers == 0) {
+    throw std::invalid_argument("arrival_rate_for_load: no workers");
+  }
+  if (!(rho > 0.0 && rho < 1.0)) {
+    throw std::invalid_argument("arrival_rate_for_load: rho not in (0, 1)");
+  }
+  const double mean = dist.mean();
+  if (!std::isfinite(mean) || mean <= 0.0) {
+    throw std::invalid_argument(
+        "arrival_rate_for_load: service mean must be finite and positive");
+  }
+  return rho * static_cast<double>(workers) / mean;
 }
 
 /// Materializes the full open-loop trace: Poisson arrivals (exponential
 /// inter-arrival gaps), i.i.d. service demands, proportional deadlines.
-/// Sorted by arrival by construction; seq equals the index.
+/// Sorted by arrival by construction; seq equals the index. Throws
+/// std::invalid_argument unless arrival_rate is finite and positive (a
+/// zero rate would put every arrival at +inf).
 inline std::vector<request> make_open_loop_trace(
     const workload_config& cfg) {
+  if (!std::isfinite(cfg.arrival_rate) || cfg.arrival_rate <= 0.0) {
+    throw std::invalid_argument(
+        "make_open_loop_trace: arrival_rate must be finite and positive");
+  }
   std::vector<request> trace;
   trace.reserve(cfg.num_requests);
   xoshiro256ss arrivals(derive_seed(cfg.seed, 0));

@@ -1,16 +1,20 @@
-// Fault-injection + graceful-degradation tests (service/fault.hpp).
+// Fault-injection + graceful-degradation tests: service/fault.hpp's
+// seeded plans through service/server.hpp's runners.
 //
-// The virtual-time fault runner is deterministic by construction, so
-// the interesting protocols are pinned EXACTLY on hand-built traces:
-// stall failover without double-counting (both races — the failover
-// copy winning and the stalled original winning), crash abandonment
-// with bounded retry delivering exactly the non-lost completions, and
+// The virtual-time runner is deterministic by construction, so the
+// interesting protocols are pinned EXACTLY on hand-built traces: stall
+// failover without double-counting (both races — the failover copy
+// winning and the stalled original winning), crash abandonment with
+// bounded retry delivering exactly the non-lost completions, and
 // deadline-aware admission shedding. Seeded runs then check the hard
 // conservation invariant (completed + shed + lost == dispatched) under
 // EVERY policy combination × dispatcher, byte-stability for a fixed
-// (config, seed), and equivalence with the fault-free runner under an
-// empty plan. A final real-threads section covers the supervisor path
-// (retry timers, failover scan, watchdog interplay) under TSan.
+// (config, seed), and that retry and failover are inert without
+// faults; a seeded property sweep repeats those checks over random
+// intensities and worker counts. Both runners must reject plans no run
+// can honor. A final real-threads section covers the supervisor path
+// (retry timers, failover scan, watchdog interplay) under TSan, and the
+// unsupervised path's shed accounting.
 
 #include "service/fault.hpp"
 
@@ -18,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "core/multi_queue.hpp"
@@ -25,6 +30,7 @@
 #include "service/server.hpp"
 #include "service/workload.hpp"
 #include "test_macros.hpp"
+#include "util/rng.hpp"
 
 using namespace pcq::service;
 
@@ -45,7 +51,6 @@ std::vector<bool> check_accounting(const service_result& result,
   for (std::size_t w = 0; w < result.worker_logs.size(); ++w) {
     const worker_fault& f =
         w < plan.workers.size() ? plan.workers[w] : worker_fault{};
-    CHECK(result.worker_completions[w] == result.worker_logs[w].size());
     for (const request_record& r : result.worker_logs[w]) {
       CHECK(r.seq < trace.size());
       CHECK(!seen[r.seq]);  // failover must never double-count
@@ -64,6 +69,63 @@ std::vector<bool> check_accounting(const service_result& result,
   CHECK(recorded == result.completed);
   CHECK(missed == result.missed);
   return seen;
+}
+
+// Two runs agree on every counter and every double.
+void check_identical(const service_result& a, const service_result& b) {
+  CHECK(a.completion_order == b.completion_order);
+  CHECK(a.completed == b.completed && a.shed == b.shed &&
+        a.lost == b.lost && a.missed == b.missed &&
+        a.retries == b.retries && a.failovers == b.failovers &&
+        a.reclaimed == b.reclaimed);
+  CHECK(a.seconds == b.seconds);
+  CHECK(a.worker_logs.size() == b.worker_logs.size());
+  for (std::size_t w = 0; w < a.worker_logs.size(); ++w) {
+    CHECK(a.worker_logs[w].size() == b.worker_logs[w].size());
+    for (std::size_t i = 0; i < a.worker_logs[w].size(); ++i) {
+      const request_record& x = a.worker_logs[w][i];
+      const request_record& y = b.worker_logs[w][i];
+      CHECK(x.seq == y.seq && x.arrival == y.arrival && x.start == y.start &&
+            x.completion == y.completion && x.service == y.service);
+    }
+  }
+}
+
+// One virtual run through a fresh dispatcher: kind 0 mq, 1 fcfs,
+// 2 edf, 3 po2.
+service_result run_kind(int kind, const std::vector<request>& trace,
+                        std::size_t workers, const fault_plan& plan,
+                        const degrade_config& degrade) {
+  switch (kind) {
+    case 0: {
+      auto mq = make_mq_dispatcher(workers);
+      return run_service_virtual(trace, mq, workers, plan, degrade);
+    }
+    case 1: {
+      auto fcfs = make_fcfs_dispatcher(workers);
+      return run_service_virtual(trace, fcfs, workers, plan, degrade);
+    }
+    case 2: {
+      auto edf = make_edf_dispatcher(workers);
+      return run_service_virtual(trace, edf, workers, plan, degrade);
+    }
+    default: {
+      po2_dispatcher po2(workers, 1717);
+      return run_service_virtual(trace, po2, workers, plan, degrade);
+    }
+  }
+}
+
+// The policy grid on 50 µs work: bit 0 arms admission control, bit 1
+// two crash retries, bit 2 stall failover.
+degrade_config policy(unsigned mask, double est_service) {
+  degrade_config d;
+  d.admission_control = (mask & 1u) != 0;
+  d.est_service = d.admission_control ? est_service : 0.0;
+  d.max_retries = (mask & 2u) != 0 ? 2 : 0;
+  d.retry_backoff = 20 * 50e-6;
+  d.failover_timeout = (mask & 4u) != 0 ? 10 * 50e-6 : kInf;
+  return d;
 }
 
 }  // namespace
@@ -90,7 +152,7 @@ int main() {
 
     auto fcfs = make_fcfs_dispatcher(2);
     const service_result result =
-        run_service_virtual_faults(trace, fcfs, 2, plan, degrade);
+        run_service_virtual(trace, fcfs, 2, plan, degrade);
     check_accounting(result, trace, plan);
     CHECK(result.completed == 2);
     CHECK(result.failovers == 1);
@@ -98,8 +160,8 @@ int main() {
     CHECK(result.completion_order.size() == 2);
     CHECK(result.completion_order[0] == 0);
     CHECK(result.completion_order[1] == 1);
-    CHECK(result.worker_completions[0] == 2);
-    CHECK(result.worker_completions[1] == 0);  // frozen copy was dropped
+    CHECK(result.worker_logs[0].size() == 2);
+    CHECK(result.worker_logs[1].empty());  // frozen copy was dropped
     CHECK_NEAR(result.seconds, 9.0, 0.0);
   }
 
@@ -122,14 +184,14 @@ int main() {
 
     auto fcfs = make_fcfs_dispatcher(2);
     const service_result result =
-        run_service_virtual_faults(trace, fcfs, 2, plan, degrade);
+        run_service_virtual(trace, fcfs, 2, plan, degrade);
     check_accounting(result, trace, plan);
     CHECK(result.completed == 2);
     CHECK(result.failovers == 1);
     CHECK(result.completion_order[0] == 1);
     CHECK(result.completion_order[1] == 0);
-    CHECK(result.worker_completions[0] == 1);
-    CHECK(result.worker_completions[1] == 1);  // original kept its win
+    CHECK(result.worker_logs[0].size() == 1);
+    CHECK(result.worker_logs[1].size() == 1);  // original kept its win
     // seq1: suspended 1..11 after 1s of work, 4s remain -> completes 15.
     CHECK_NEAR(result.worker_logs[1][0].completion, 15.0, 0.0);
     CHECK_NEAR(result.seconds, 20.0, 0.0);
@@ -153,11 +215,11 @@ int main() {
 
     auto fcfs = make_fcfs_dispatcher(2);
     const service_result result =
-        run_service_virtual_faults(trace, fcfs, 2, plan, degrade);
+        run_service_virtual(trace, fcfs, 2, plan, degrade);
     check_accounting(result, trace, plan);
     CHECK(result.completed == 2);
     CHECK(result.failovers == 0);
-    CHECK(result.worker_completions[1] == 1);
+    CHECK(result.worker_logs[1].size() == 1);
     CHECK_NEAR(result.seconds, 15.0, 0.0);
   }
 
@@ -182,12 +244,12 @@ int main() {
     retrying.retry_backoff = 1.0;
     auto fcfs = make_fcfs_dispatcher(2);
     const service_result recovered =
-        run_service_virtual_faults(trace, fcfs, 2, plan, retrying);
+        run_service_virtual(trace, fcfs, 2, plan, retrying);
     check_accounting(recovered, trace, plan);
     CHECK(recovered.completed == 2);
     CHECK(recovered.lost == 0);
     CHECK(recovered.retries == 1);
-    CHECK(recovered.worker_completions[1] == 0);
+    CHECK(recovered.worker_logs[1].empty());
     // seq1 re-dispatched at 3, served by worker 0: completes at 8.
     CHECK_NEAR(recovered.worker_logs[0][1].start, 3.0, 0.0);
     CHECK_NEAR(recovered.seconds, 8.0, 0.0);
@@ -195,7 +257,7 @@ int main() {
     degrade_config no_retry;  // defaults: max_retries = 0
     auto fcfs2 = make_fcfs_dispatcher(2);
     const service_result dropped =
-        run_service_virtual_faults(trace, fcfs2, 2, plan, no_retry);
+        run_service_virtual(trace, fcfs2, 2, plan, no_retry);
     const std::vector<bool> seen = check_accounting(dropped, trace, plan);
     CHECK(dropped.completed == 1);
     CHECK(dropped.lost == 1);
@@ -224,7 +286,7 @@ int main() {
 
     auto fcfs = make_fcfs_dispatcher(1);
     const service_result result =
-        run_service_virtual_faults(trace, fcfs, 1, plan, degrade);
+        run_service_virtual(trace, fcfs, 1, plan, degrade);
     const std::vector<bool> seen = check_accounting(result, trace, plan);
     CHECK(result.completed == 2 && result.shed == 1 && result.lost == 0);
     CHECK(seen[0] && seen[1] && !seen[2]);
@@ -236,8 +298,9 @@ int main() {
   }
 
   // ------------------------------------------------------------------
-  // An EMPTY plan with fail-hard defaults must reproduce the fault-free
-  // virtual runner exactly — same schedule, same doubles.
+  // Retry and failover are inert without faults: arming both on an
+  // all-ok plan reproduces the default (empty-plan, fail-hard) run
+  // exactly — same schedule, same doubles.
   {
     workload_config cfg;
     cfg.num_requests = 400;
@@ -247,18 +310,19 @@ int main() {
     const std::vector<request> trace = make_open_loop_trace(cfg);
     fault_plan healthy;
     healthy.workers.resize(3);
+    degrade_config armed;
+    armed.max_retries = 3;
+    armed.retry_backoff = 50e-6;
+    armed.failover_timeout = 50e-6;
 
     auto base_mq = make_mq_dispatcher(3);
     const service_result base = run_service_virtual(trace, base_mq, 3);
-    auto fault_mq = make_mq_dispatcher(3);
-    const service_result faulty = run_service_virtual_faults(
-        trace, fault_mq, 3, healthy, degrade_config{});
-    CHECK(base.completion_order == faulty.completion_order);
-    CHECK(base.completed == faulty.completed);
-    CHECK(base.missed == faulty.missed);
-    CHECK(summarize(base).sojourn.sorted_samples() ==
-          summarize(faulty).sojourn.sorted_samples());
-    CHECK(faulty.shed == 0 && faulty.lost == 0 && faulty.failovers == 0);
+    auto armed_mq = make_mq_dispatcher(3);
+    const service_result inert =
+        run_service_virtual(trace, armed_mq, 3, healthy, armed);
+    check_identical(base, inert);
+    CHECK(base.completed == trace.size());
+    CHECK(inert.retries == 0 && inert.failovers == 0 && inert.reclaimed == 0);
   }
 
   // ------------------------------------------------------------------
@@ -282,70 +346,93 @@ int main() {
     }
     const fault_plan plan = make_fault_plan(fc, 4, trace_span(trace));
     CHECK(plan.workers.size() == 4);
-    CHECK(plan.any_crash());
+    CHECK(plan.any(fault_kind::crash));
 
     // Byte-stability: two independent runs of the same (config, seed)
     // agree on every double.
-    degrade_config full;
-    full.admission_control = true;
-    full.est_service = trace_mean_service(trace);
-    full.max_retries = 2;
-    full.retry_backoff = 20 * 50e-6;
-    full.failover_timeout = 10 * 50e-6;
-    auto mq_a = make_mq_dispatcher(4);
-    auto mq_b = make_mq_dispatcher(4);
-    const service_result ra =
-        run_service_virtual_faults(trace, mq_a, 4, plan, full);
-    const service_result rb =
-        run_service_virtual_faults(trace, mq_b, 4, plan, full);
-    CHECK(ra.completion_order == rb.completion_order);
-    CHECK(ra.completed == rb.completed && ra.shed == rb.shed &&
-          ra.lost == rb.lost && ra.missed == rb.missed &&
-          ra.retries == rb.retries && ra.failovers == rb.failovers);
-    CHECK(ra.seconds == rb.seconds);
-    for (std::size_t w = 0; w < 4; ++w) {
-      CHECK(ra.worker_logs[w].size() == rb.worker_logs[w].size());
-      for (std::size_t i = 0; i < ra.worker_logs[w].size(); ++i) {
-        CHECK(ra.worker_logs[w][i].seq == rb.worker_logs[w][i].seq);
-        CHECK(ra.worker_logs[w][i].start == rb.worker_logs[w][i].start);
-        CHECK(ra.worker_logs[w][i].completion ==
-              rb.worker_logs[w][i].completion);
-      }
-    }
+    const degrade_config full = policy(7, trace_mean_service(trace));
+    const service_result ra = run_kind(0, trace, 4, plan, full);
+    check_identical(ra, run_kind(0, trace, 4, plan, full));
     check_accounting(ra, trace, plan);
 
     // Conservation under the full policy grid. Crash recovery with
     // retries may still lose work (exhaustion) — the invariant is the
     // accounting, not zero loss.
-    for (const bool admission : {false, true}) {
-      for (const std::size_t max_retries : {std::size_t(0), std::size_t(2)}) {
-        for (const double failover : {kInf, 10 * 50e-6}) {
-          degrade_config d;
-          d.admission_control = admission;
-          d.est_service = admission ? trace_mean_service(trace) : 0.0;
-          d.max_retries = max_retries;
-          d.retry_backoff = 20 * 50e-6;
-          d.failover_timeout = failover;
+    for (unsigned mask = 0; mask < 8; ++mask) {
+      const degrade_config d = policy(mask, trace_mean_service(trace));
+      for (int kind = 0; kind < 4; ++kind) {
+        check_accounting(run_kind(kind, trace, 4, plan, d), trace, plan);
+      }
+    }
+  }
 
-          auto mq = make_mq_dispatcher(4);
-          check_accounting(
-              run_service_virtual_faults(trace, mq, 4, plan, d), trace,
-              plan);
-          auto fcfs = make_fcfs_dispatcher(4);
-          check_accounting(
-              run_service_virtual_faults(trace, fcfs, 4, plan, d), trace,
-              plan);
-          auto edf = make_edf_dispatcher(4);
-          check_accounting(
-              run_service_virtual_faults(trace, edf, 4, plan, d), trace,
-              plan);
-          po2_dispatcher po2(4, 1717);
-          check_accounting(
-              run_service_virtual_faults(trace, po2, 4, plan, d), trace,
-              plan);
+  // ------------------------------------------------------------------
+  // Seeded property sweep: 50 seeds, each with a random intensity level
+  // 1..5 and worker count 1..8, through every dispatcher under every
+  // policy combination. Every run conserves, completes no seq twice,
+  // starts nothing on a crashed worker at or after its tick
+  // (check_accounting), and replays bit-for-bit.
+  {
+    pcq::xoshiro256ss pick(0x50524F50u);  // "PROP"
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+      const unsigned level = 1 + static_cast<unsigned>(pick.bounded(5));
+      const std::size_t workers = 1 + pick.bounded(8);
+      workload_config cfg;
+      cfg.num_requests = 120;
+      cfg.service = service_dist::exponential_mean(50e-6);
+      cfg.arrival_rate = arrival_rate_for_load(0.85, workers, cfg.service);
+      cfg.seed = pcq::derive_seed(0x5EED, seed);
+      const std::vector<request> base_trace = make_open_loop_trace(cfg);
+      const fault_config fc = fault_config::at_intensity(level, seed);
+      const std::vector<request> trace =
+          apply_bursts(base_trace, plan_bursts(fc, trace_span(base_trace)));
+      const fault_plan plan = make_fault_plan(fc, workers, trace_span(trace));
+      for (unsigned mask = 0; mask < 8; ++mask) {
+        const degrade_config d = policy(mask, trace_mean_service(trace));
+        for (int kind = 0; kind < 4; ++kind) {
+          const service_result a = run_kind(kind, trace, workers, plan, d);
+          check_accounting(a, trace, plan);
+          check_identical(a, run_kind(kind, trace, workers, plan, d));
         }
       }
     }
+  }
+
+  // ------------------------------------------------------------------
+  // Both runners reject plans no run can honor, before starting work.
+  {
+    const std::vector<request> trace = {{0.0, 1.0, 10.0, 0}};
+    const auto rejected = [&trace](const fault_plan& bad) {
+      auto fcfs = make_fcfs_dispatcher(2);
+      CHECK_THROWS(run_service_virtual(trace, fcfs, 2, bad),
+                   std::invalid_argument);
+      auto mq = make_mq_dispatcher(2);
+      CHECK_THROWS(run_service_realtime(trace, mq, 2, 5.0, bad),
+                   std::invalid_argument);
+    };
+    fault_plan too_many;  // three roles for two workers
+    too_many.workers.resize(3);
+    rejected(too_many);
+
+    fault_plan inverted;
+    inverted.workers.resize(2);
+    inverted.workers[1].kind = fault_kind::stall;
+    inverted.workers[1].stall_start = 2.0;
+    inverted.workers[1].stall_end = 1.0;
+    rejected(inverted);
+
+    for (const double factor : {0.0, -2.0, kInf, std::nan("")}) {
+      fault_plan bad_slow;
+      bad_slow.workers.resize(1);
+      bad_slow.workers[0].kind = fault_kind::slow;
+      bad_slow.workers[0].slow_factor = factor;
+      rejected(bad_slow);
+    }
+
+    fault_plan fewer;  // fewer roles than workers: the rest are ok
+    fewer.workers.resize(1);
+    auto fcfs = make_fcfs_dispatcher(2);
+    CHECK(run_service_virtual(trace, fcfs, 2, fewer).completed == 1);
   }
 
   // ------------------------------------------------------------------
@@ -370,16 +457,16 @@ int main() {
 
     po2_dispatcher po2(2, 4242);
     const service_result rp =
-        run_service_virtual_faults(trace, po2, 2, plan, no_retry);
+        run_service_virtual(trace, po2, 2, plan, no_retry);
     check_accounting(rp, trace, plan);
     CHECK(rp.lost == 1);  // only the in-flight victim
     CHECK(rp.completed == 49);
     CHECK(rp.reclaimed >= 1);  // the stranded FIFO was drained
-    CHECK(rp.worker_completions[1] == 0);  // died during its first job
+    CHECK(rp.worker_logs[1].empty());  // died during its first job
 
     auto fcfs = make_fcfs_dispatcher(2);
     const service_result rf =
-        run_service_virtual_faults(trace, fcfs, 2, plan, no_retry);
+        run_service_virtual(trace, fcfs, 2, plan, no_retry);
     check_accounting(rf, trace, plan);
     CHECK(rf.lost == 1 && rf.completed == 49);
     CHECK(rf.reclaimed == 0);  // shared queue: nothing to strand
@@ -444,8 +531,8 @@ int main() {
     degrade.failover_timeout = 5e-3;  // well inside the 50 ms window
 
     auto mq = make_mq_dispatcher(2);
-    const service_result result = run_service_realtime_faults(
-        trace, mq, 2, plan, degrade, /*stall_timeout_seconds=*/5.0);
+    const service_result result = run_service_realtime(
+        trace, mq, 2, /*stall_timeout_seconds=*/5.0, plan, degrade);
     CHECK(!result.stalled);  // injected stall must not trip the watchdog
     check_accounting(result, trace, plan);
     CHECK(result.lost == 0);  // no crashes in this plan
@@ -457,10 +544,41 @@ int main() {
     crashy.workers[1].kind = fault_kind::crash;
     crashy.workers[1].crash_time = 0.4 * span;
     auto po2 = po2_dispatcher(2, 99);
-    const service_result crashed = run_service_realtime_faults(
-        trace, po2, 2, crashy, degrade, /*stall_timeout_seconds=*/5.0);
+    const service_result crashed = run_service_realtime(
+        trace, po2, 2, /*stall_timeout_seconds=*/5.0, crashy, degrade);
     CHECK(!crashed.stalled);
     check_accounting(crashed, trace, crashy);
+  }
+
+  // Without a crash or stall role the realtime runner has no supervisor:
+  // the arrival thread sheds and the workers alone terminate. Every odd
+  // request is due at its own arrival, so admission must shed exactly
+  // those on any interleaving; the totals are derived after the join.
+  {
+    std::vector<request> trace;
+    for (std::uint64_t i = 0; i < 100; ++i) {
+      const double arrival = 50e-6 * static_cast<double>(i);
+      trace.push_back(
+          {arrival, 10e-6, i % 2 == 1 ? arrival : arrival + 1.0, i});
+    }
+    fault_plan plan;
+    plan.workers.resize(2);
+    plan.workers[0].kind = fault_kind::slow;
+    plan.workers[0].slow_factor = 2.0;
+    degrade_config degrade;
+    degrade.admission_control = true;
+    degrade.est_service = 10e-6;
+
+    auto mq = make_mq_dispatcher(2);
+    const service_result result = run_service_realtime(
+        trace, mq, 2, /*stall_timeout_seconds=*/5.0, plan, degrade);
+    CHECK(!result.stalled);
+    const std::vector<bool> seen = check_accounting(result, trace, plan);
+    CHECK(result.shed == 50 && result.completed == 50 && result.lost == 0);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      CHECK(seen[i] == (i % 2 == 0));
+    }
+    CHECK(result.missed == 0);
   }
 
   std::printf("test_fault OK\n");

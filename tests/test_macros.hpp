@@ -31,3 +31,19 @@
       std::exit(1);                                                     \
     }                                                                   \
   } while (0)
+
+// Passes iff evaluating `expr` throws an exception of type `type`.
+#define CHECK_THROWS(expr, type)                                        \
+  do {                                                                  \
+    bool check_thrown_ = false;                                         \
+    try {                                                               \
+      (void)(expr);                                                     \
+    } catch (const type&) {                                             \
+      check_thrown_ = true;                                             \
+    }                                                                   \
+    if (!check_thrown_) {                                               \
+      std::fprintf(stderr, "CHECK_THROWS failed: %s did not throw %s  " \
+                   "(%s:%d)\n", #expr, #type, __FILE__, __LINE__);      \
+      std::exit(1);                                                     \
+    }                                                                   \
+  } while (0)

@@ -274,6 +274,10 @@ int main() {
         lock_.unlock();
         return n;
       }
+      // One shared FIFO: nothing is ever stranded on a dead worker.
+      std::size_t reclaim(std::size_t, std::vector<std::uint64_t>&) {
+        return 0;
+      }
 
      private:
       std::uint64_t dispatched_ = 0;

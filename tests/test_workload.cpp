@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "test_macros.hpp"
@@ -168,6 +170,38 @@ int main() {
     const service_dist d = service_dist::exponential_mean(50e-6);
     const double lambda = pcq::service::arrival_rate_for_load(0.9, 4, d);
     CHECK_NEAR(lambda * d.mean() / 4.0, 0.9, 1e-12);
+  }
+
+  // Inputs that would make a degenerate trace are rejected: Pareto
+  // α ≤ 1 has no mean, and a zero rate puts every arrival at +inf.
+  {
+    using pcq::service::arrival_rate_for_load;
+    CHECK_THROWS(service_dist::pareto_mean(1.0, 1.0), std::invalid_argument);
+    CHECK_THROWS(service_dist::pareto_mean(0.5, 1.0), std::invalid_argument);
+
+    const service_dist d = service_dist::exponential_mean(50e-6);
+    CHECK_THROWS(arrival_rate_for_load(0.5, 0, d), std::invalid_argument);
+    for (const double rho : {0.0, -0.1, 1.0, 1.5, std::nan("")}) {
+      CHECK_THROWS(arrival_rate_for_load(rho, 4, d), std::invalid_argument);
+    }
+    service_dist no_mean;  // Pareto α = 1 built by hand: infinite mean
+    no_mean.kind = pcq::service::dist_kind::pareto;
+    no_mean.a = 1.0;
+    no_mean.b = 1.0;
+    CHECK_THROWS(arrival_rate_for_load(0.5, 4, no_mean),
+                 std::invalid_argument);
+    CHECK_THROWS(arrival_rate_for_load(0.5, 4,
+                                       service_dist::exponential_mean(-1.0)),
+                 std::invalid_argument);
+
+    for (const double rate :
+         {0.0, -1.0, std::numeric_limits<double>::infinity(),
+          std::nan("")}) {
+      workload_config cfg;
+      cfg.num_requests = 4;
+      cfg.arrival_rate = rate;
+      CHECK_THROWS(make_open_loop_trace(cfg), std::invalid_argument);
+    }
   }
 
   // Priority keys: arrival_order is the seq itself; deadline keys order
