@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "exec/executor.hpp"
@@ -67,6 +68,83 @@ struct dag_exec_result {
   exec_stats stats;
 };
 
+namespace detail {
+
+// Everything a DAG task touches for one node, in one 16-byte record, so
+// releasing a successor costs one cache line.
+struct dag_node {
+  std::atomic<std::uint64_t> input{0};      // sum of predecessor outputs
+  std::atomic<std::uint32_t> remaining{0};  // uncleared dependencies
+  std::atomic<bool> settled{false};         // the node's task has run
+};
+
+static_assert(sizeof(dag_node) == 16, "one DAG node record is 16 bytes");
+
+// Shared by every task of one run_dag_executor call.
+struct dag_run {
+  const graph::csr_graph* dag;
+  const std::uint32_t* depth;
+  dag_node* nodes;
+  std::uint64_t* outputs;
+  std::size_t n;
+  std::uint32_t rounds;
+  std::atomic<bool> topo_ok{true};
+};
+
+inline void prefetch(const void* p) {
+#if defined(__GNUC__)
+  __builtin_prefetch(p);
+#else
+  (void)p;
+#endif
+}
+
+// The task body of node v. Two words and trivially copyable, so job_fn
+// stores it inline: releasing a successor allocates nothing.
+struct dag_task {
+  dag_run* run;
+  graph::csr_graph::node_id v;
+
+  void operator()(job_context& ctx) const {
+    dag_run& s = *run;
+    dag_node& node = s.nodes[v];
+    const graph::csr_graph::arc_range succ = s.dag->out(v);
+    // The successors' records and priorities are needed right after the
+    // kernel; start loading them now.
+    for (const graph::csr_graph::arc& a : succ) {
+      prefetch(&s.nodes[a.head]);
+      prefetch(&s.depth[a.head]);
+    }
+    // Topological-release invariant (graph_process's oracle): all
+    // dependencies cleared, and this is the node's first settle.
+    if (node.remaining.load(std::memory_order_acquire) != 0 ||
+        node.settled.exchange(true, std::memory_order_acq_rel))
+      s.topo_ok.store(false, std::memory_order_relaxed);
+    // Predecessor inputs are visible: each predecessor's relaxed
+    // fetch_add on input happens-before its acq_rel decrement of
+    // remaining, and the release chain through the final decrement +
+    // queue push publishes them all to this body.
+    const std::uint64_t out =
+        task_kernel(node.input.load(std::memory_order_relaxed) + v, s.rounds);
+    s.outputs[v] = out;
+    for (const graph::csr_graph::arc& a : succ) {
+      dag_node& next = s.nodes[a.head];
+      next.input.fetch_add(out, std::memory_order_relaxed);
+      if (next.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        ctx.spawn_detached(sim::task_priority(s.depth[a.head], a.head, s.n),
+                           dag_task{run, a.head});
+    }
+  }
+};
+
+// A capture added here must not push the closure out of job_fn's
+// inline buffer, or every released task would allocate again.
+static_assert(std::is_trivially_copyable<dag_task>::value &&
+                  sizeof(dag_task) <= 2 * sizeof(void*),
+              "dag_task must stay small enough for job_fn to store inline");
+
+}  // namespace detail
+
 /// Runs the DAG as real executor work over `queue` (passed in empty).
 /// Correct iff result.topo_ok, result.settled == num_nodes, and
 /// result.outputs == sequential_dag_outputs(dag, rounds).
@@ -77,62 +155,27 @@ dag_exec_result run_dag_executor(const graph::csr_graph& dag,
   const std::size_t n = dag.num_nodes();
   const std::vector<std::uint32_t> depth = sim::dag_depths(dag);
 
-  std::unique_ptr<std::atomic<std::uint32_t>[]> remaining(
-      new std::atomic<std::uint32_t>[n]);
-  std::unique_ptr<std::atomic<std::uint64_t>[]> input(
-      new std::atomic<std::uint64_t>[n]);
-  std::unique_ptr<std::atomic<bool>[]> settled_flag(new std::atomic<bool>[n]);
-  for (std::size_t v = 0; v < n; ++v) {
-    remaining[v].store(0, std::memory_order_relaxed);
-    input[v].store(0, std::memory_order_relaxed);
-    settled_flag[v].store(false, std::memory_order_relaxed);
-  }
+  std::unique_ptr<detail::dag_node[]> nodes(new detail::dag_node[n]);
   for (graph::csr_graph::node_id u = 0; u < n; ++u)
     for (const graph::csr_graph::arc& a : dag.out(u))
-      remaining[a.head].fetch_add(1, std::memory_order_relaxed);
+      nodes[a.head].remaining.fetch_add(1, std::memory_order_relaxed);
 
   dag_exec_result result;
   result.outputs.assign(n, 0);
-  std::atomic<bool> topo_ok{true};
-
-  // Task bodies are built lazily per node; the recursive factory and
-  // everything its closures reference outlive run().
-  std::function<job_fn(graph::csr_graph::node_id)> make_task =
-      [&](graph::csr_graph::node_id v) -> job_fn {
-    return [&, v](job_context& ctx) {
-      // Topological-release invariant (graph_process's oracle): all
-      // dependencies cleared, and this is the node's first settle.
-      if (remaining[v].load(std::memory_order_acquire) != 0 ||
-          settled_flag[v].exchange(true, std::memory_order_acq_rel))
-        topo_ok.store(false, std::memory_order_relaxed);
-      // Predecessor inputs are visible: each predecessor's relaxed
-      // fetch_add on input[v] happens-before its acq_rel decrement of
-      // remaining[v], and the release chain through the final
-      // decrement + queue push publishes them all to this body.
-      result.outputs[v] =
-          task_kernel(input[v].load(std::memory_order_relaxed) + v, rounds);
-      for (const graph::csr_graph::arc& a : dag.out(v)) {
-        input[a.head].fetch_add(result.outputs[v],
-                                std::memory_order_relaxed);
-        if (remaining[a.head].fetch_sub(1, std::memory_order_acq_rel) == 1)
-          ctx.spawn_detached(
-              sim::task_priority(depth[a.head], a.head, n),
-              make_task(a.head));
-      }
-    };
-  };
+  detail::dag_run state{&dag, depth.data(), nodes.get(),
+                        result.outputs.data(), n, rounds};
 
   executor<Queue> ex(queue);
   for (graph::csr_graph::node_id v = 0; v < n; ++v)
-    if (remaining[v].load(std::memory_order_relaxed) == 0)
-      ex.submit(sim::task_priority(depth[v], v, n), make_task(v));
+    if (nodes[v].remaining.load(std::memory_order_relaxed) == 0)
+      ex.submit(sim::task_priority(depth[v], v, n), detail::dag_task{&state, v});
   result.stats = ex.run(num_threads);
 
   // Counted after the run rather than by a shared per-task RMW; a
   // duplicate settle already cleared topo_ok through the exchange.
   for (std::size_t v = 0; v < n; ++v)
-    result.settled += settled_flag[v].load(std::memory_order_relaxed);
-  result.topo_ok = topo_ok.load(std::memory_order_relaxed);
+    result.settled += nodes[v].settled.load(std::memory_order_relaxed);
+  result.topo_ok = state.topo_ok.load(std::memory_order_relaxed);
   return result;
 }
 

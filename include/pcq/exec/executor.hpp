@@ -8,13 +8,19 @@
 //
 // Await is continuation-passing, never blocking:
 //
-//   - every job carries an atomic `pending` count = 1 (its own body)
-//     + one per live awaited child;
-//   - `ctx.then(fn)` registers a continuation on the current job;
-//   - when `pending` drops to zero and a continuation is set, the job
-//     is *re-pushed through the ready queue* with the continuation as
-//     its next body (hand-off); otherwise completion cascades to the
-//     parent's `pending` count and the job is freed.
+//   - a job holds ONE callable slot. run_job moves the body out before
+//     calling it; `ctx.then(fn)` refills the vacated slot, so a second
+//     then() in the same body replaces the first;
+//   - children are counted locally while the body runs. A body that
+//     spawned none finishes at once with no RMW; otherwise its atomic
+//     `pending` count is written once, = k children, before publish()
+//     pushes them (their push releases the store), and each child's
+//     completion decrements it;
+//   - when the job finishes (k = 0, or the last child brings `pending`
+//     to zero) and its slot holds a continuation, the job is *re-pushed
+//     through the ready queue* with the continuation as its next body
+//     (hand-off); otherwise completion cascades to the parent's
+//     `pending` count and the job is recycled.
 //
 // Hand-off beats blocking joins on both axes this repo measures: a
 // worker that finishes the last child never parks (no idle HW thread,
@@ -24,6 +30,13 @@
 // schedule — a blocked join would smuggle a scheduler-invisible
 // dependency past the queue. Chained awaits work: a continuation may
 // spawn more children and call `then` again.
+//
+// Jobs are recycled, not freed: a finished job goes onto the finishing
+// worker's free list and that worker's next spawn reuses it. Each
+// worker's list starts empty in every run() and is deleted when the
+// worker exits, so steady state allocates no job per task. Under
+// AddressSanitizer a job on a free list is poisoned, so a use of a
+// finished job still reports, as a use-after-poison.
 //
 // Termination uses the in-flight protocol of util/in_flight.hpp, the
 // one parallel_sssp and the graph task process use: a job's unit passes
@@ -52,6 +65,17 @@
 #include <utility>
 #include <vector>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define PCQ_EXEC_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PCQ_EXEC_ASAN 1
+#endif
+#endif
+#ifdef PCQ_EXEC_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 #include "core/pq_handle.hpp"
 #include "util/in_flight.hpp"
 #include "util/spinlock.hpp"
@@ -64,20 +88,27 @@ class job_context;
 
 /// A job body. Runs exactly once on some worker; may spawn children,
 /// spawn detached roots, and register a continuation via the context.
+/// libstdc++ stores a trivially copyable closure of at most two pointers
+/// inline; a larger capture costs a heap allocation per job.
 using job_fn = std::function<void(job_context&)>;
 
 namespace detail {
 
 struct job {
+  // The next callable to run: the body, then each continuation that a
+  // body's then() stores into the slot run_job vacated.
   job_fn body;
-  job_fn continuation;   // set via ctx.then(); runs after all children
-  job* parent = nullptr; // awaited-by link; nullptr for roots/detached
+  job* parent = nullptr;  // awaited-by link; nullptr for roots/detached
   std::uint64_t priority = 0;
-  // 1 for the un-run body, +1 per live awaited child. The job's storage
-  // is only touched single-threaded once this hits zero (acq_rel RMWs
-  // form a release sequence, so the last decrementer sees everything).
-  std::atomic<std::uint32_t> pending{1};
+  // Live awaited children of the body that last ran. Written once, by
+  // the worker that ran the body, before the children are pushed; each
+  // child's completion decrements it, and the decrement that reaches
+  // zero owns the job single-threaded (the acq_rel RMWs form a release
+  // sequence, so that worker sees every child's writes).
+  std::atomic<std::uint32_t> pending{0};
 };
+
+static_assert(sizeof(job) <= 64, "a job must fit one cache line");
 
 }  // namespace detail
 
@@ -212,38 +243,48 @@ class executor {
     worker_context(executor* ex, pq_handle_t<Queue>* handle, std::size_t wid)
         : ex_(ex), handle_(handle), wid_(wid) {}
 
+    worker_context(const worker_context&) = delete;
+    worker_context& operator=(const worker_context&) = delete;
+
+    // The pool has drained, so no other worker can reach a job here.
+    ~worker_context() {
+      for (detail::job* j : free_) {
+        unpoison(j);
+        delete j;
+      }
+    }
+
     void spawn(std::uint64_t priority, job_fn fn) override {
-      detail::job* child = new detail::job;
-      child->body = std::move(fn);
-      child->priority = priority;
+      detail::job* child = make_job(priority, std::move(fn));
       child->parent = current_;
-      // The parent is mid-body, so its pending count is >= 1 and this
-      // relaxed increment cannot race a completion cascade.
-      current_->pending.fetch_add(1, std::memory_order_relaxed);
+      ++children_;  // stored into current_->pending once the body returns
       enqueue(child);
     }
 
     void spawn_detached(std::uint64_t priority, job_fn fn) override {
-      detail::job* j = new detail::job;
-      j->body = std::move(fn);
-      j->priority = priority;
-      enqueue(j);
+      enqueue(make_job(priority, std::move(fn)));
     }
 
-    void then(job_fn fn) override {
-      current_->continuation = std::move(fn);
-    }
+    // run_job moved the body out, so the slot holds only what the
+    // running body stores here: the last then() wins.
+    void then(job_fn fn) override { current_->body = std::move(fn); }
 
     std::size_t worker_id() const override { return wid_; }
 
     void run_job(detail::job* j) {
       current_ = j;
-      job_fn body = std::move(j->body);  // free the slot for hand-off reuse
+      children_ = 0;
+      job_fn body = std::move(j->body);  // vacate the slot for then()
       j->body = nullptr;
       body(*this);
       current_ = nullptr;
       ++executed_;
-      if (j->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) finish(j);
+      if (children_ == 0) {
+        finish(j);
+      } else {
+        // Ordered before every child's decrement by publish()'s pushes.
+        j->pending.store(children_, std::memory_order_relaxed);
+      }
     }
 
     // Settles the finished job's unit against the jobs it produced, THEN
@@ -258,28 +299,46 @@ class executor {
     }
 
    private:
+    detail::job* make_job(std::uint64_t priority, job_fn&& fn) {
+      detail::job* j;
+      if (free_.empty()) {
+        j = new detail::job;
+      } else {
+        j = free_.back();
+        free_.pop_back();
+        unpoison(j);
+        j->parent = nullptr;
+      }
+      j->body = std::move(fn);
+      j->priority = priority;
+      return j;
+    }
+
+    void recycle(detail::job* j) {
+      poison(j);
+      free_.push_back(j);
+    }
+
     // Collected, not pushed: publish() counts and pushes after the body.
     void enqueue(detail::job* j) {
       ready_.push_back(j);
       ++spawned_;
     }
 
-    // Called by whichever worker drops a job's pending count to zero;
-    // from that point the job is owned single-threaded.
+    // Called by the worker that ran a childless body or whose decrement
+    // brought `pending` to zero; from that point the job is owned
+    // single-threaded.
     void finish(detail::job* j) {
       for (;;) {
-        if (j->continuation) {
-          // Hand-off: the continuation becomes the job's next body and
-          // re-enters the ready queue at the job's priority — the
+        if (j->body) {
+          // Hand-off: the continuation is already the job's next body
+          // and re-enters the ready queue at the job's priority — the
           // scheduling policy keeps authority; no worker ever blocks.
-          j->body = std::move(j->continuation);
-          j->continuation = nullptr;
-          j->pending.store(1, std::memory_order_relaxed);
           enqueue(j);
           return;
         }
         detail::job* parent = j->parent;
-        delete j;
+        recycle(j);
         if (parent == nullptr) return;
         if (parent->pending.fetch_sub(1, std::memory_order_acq_rel) != 1)
           return;
@@ -287,12 +346,29 @@ class executor {
       }
     }
 
+    static void poison(detail::job* j) {
+#ifdef PCQ_EXEC_ASAN
+      ASAN_POISON_MEMORY_REGION(j, sizeof(detail::job));
+#else
+      (void)j;
+#endif
+    }
+    static void unpoison(detail::job* j) {
+#ifdef PCQ_EXEC_ASAN
+      ASAN_UNPOISON_MEMORY_REGION(j, sizeof(detail::job));
+#else
+      (void)j;
+#endif
+    }
+
     friend class executor;
     executor* ex_;
     pq_handle_t<Queue>* handle_;
     std::size_t wid_;
     detail::job* current_ = nullptr;
-    std::vector<detail::job*> ready_;  // produced by the running job
+    std::uint32_t children_ = 0;        // awaited spawns of current_'s body
+    std::vector<detail::job*> ready_;   // produced by the running job
+    std::vector<detail::job*> free_;    // finished jobs, reused by spawns
     std::uint64_t executed_ = 0;
     std::uint64_t spawned_ = 0;
   };

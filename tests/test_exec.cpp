@@ -8,7 +8,9 @@
 
 #include "exec/executor.hpp"
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -26,6 +28,7 @@
 namespace {
 
 using pcq::exec::job_context;
+using pcq::exec::job_fn;
 
 struct fixtures {
   pcq::graph::csr_graph grid_dag;
@@ -103,6 +106,105 @@ void check_forkjoin(const fixtures& f, MakeQueue make, std::size_t threads) {
   CHECK(queue->size() == 0);
 }
 
+// An await chain three generations deep: every inner node spawns a
+// batch of children, and its continuation checks that batch, spawns a
+// second one and calls then() again; the second continuation checks it
+// too and reports the subtree's leaf count. Children report through
+// plain (non-atomic) cells, so a continuation that ran before one of its
+// children finished is a wrong count here and a data race under TSan.
+constexpr int kChainGens = 3;
+constexpr std::uint64_t kChainFanout = 2;  // children per batch
+
+std::uint64_t chain_leaves(int gen) {
+  return gen == kChainGens ? 1 : 2 * kChainFanout * chain_leaves(gen + 1);
+}
+
+// Jobs the chain runs (and pushes): three per inner node, one per leaf.
+std::uint64_t chain_jobs(int gen) {
+  return gen == kChainGens ? 1 : 3 + 2 * kChainFanout * chain_jobs(gen + 1);
+}
+
+template <typename MakeQueue>
+void check_await_chain(MakeQueue make) {
+  constexpr std::size_t threads = 4;
+  auto queue = make(threads);
+  pcq::exec::executor<typename decltype(queue)::element_type> ex(*queue);
+  std::atomic<std::uint64_t> early{0};  // continuations that ran too soon
+  std::function<job_fn(int, std::uint64_t*)> make_node =
+      [&](int gen, std::uint64_t* out) -> job_fn {
+    const std::uint64_t prio = static_cast<std::uint64_t>(kChainGens - gen);
+    if (gen == kChainGens) return [out](job_context&) { *out = 1; };
+    return [&, gen, out, prio](job_context& ctx) {
+      std::uint64_t* cells = new std::uint64_t[2 * kChainFanout]();
+      const std::uint64_t want = chain_leaves(gen + 1);
+      const auto check = [&early, cells, want](std::uint64_t from) {
+        for (std::uint64_t i = from; i < from + kChainFanout; ++i)
+          if (cells[i] != want) early.fetch_add(1, std::memory_order_relaxed);
+      };
+      for (std::uint64_t i = 0; i < kChainFanout; ++i)
+        ctx.spawn(prio, make_node(gen + 1, &cells[i]));
+      ctx.then([&, gen, out, prio, cells, check](job_context& c1) {
+        check(0);
+        for (std::uint64_t i = kChainFanout; i < 2 * kChainFanout; ++i)
+          c1.spawn(prio, make_node(gen + 1, &cells[i]));
+        c1.then([out, cells, check](job_context&) {
+          check(kChainFanout);
+          std::uint64_t sum = 0;
+          for (std::uint64_t i = 0; i < 2 * kChainFanout; ++i) sum += cells[i];
+          *out = sum;
+          delete[] cells;
+        });
+      });
+    };
+  };
+  std::uint64_t total = 0;
+  ex.submit(0, make_node(0, &total));
+  const pcq::exec::exec_stats stats = ex.run(threads);
+  CHECK(early.load() == 0);
+  CHECK(total == chain_leaves(0));
+  CHECK(stats.executed == chain_jobs(0));
+  CHECK(stats.spawned == chain_jobs(0));
+  CHECK(queue->size() == 0);
+}
+
+// Two run() cycles on one executor and queue: each conserves its own
+// counts, and jobs recycled in the first run do not leak into or
+// corrupt the second (LSan checks the former under ASan).
+template <typename MakeQueue>
+void check_back_to_back(MakeQueue make) {
+  constexpr std::size_t threads = 4;
+  constexpr std::uint64_t roots = 64;
+  auto queue = make(threads);
+  pcq::exec::executor<typename decltype(queue)::element_type> ex(*queue);
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    std::atomic<std::uint64_t> hits{0};
+    std::atomic<std::uint64_t> early{0};
+    for (std::uint64_t r = 0; r < roots; ++r) {
+      ex.submit(r, [&, r](job_context& ctx) {
+        hits.fetch_add(1, std::memory_order_relaxed);
+        std::uint64_t* done = new std::uint64_t[2]();
+        ctx.spawn(r, [done](job_context&) { done[0] = 1; });
+        ctx.spawn(r + 1, [done](job_context&) { done[1] = 1; });
+        ctx.spawn_detached(r, [&](job_context&) {
+          hits.fetch_add(1, std::memory_order_relaxed);
+        });
+        ctx.then([&, done](job_context&) {
+          if (done[0] + done[1] != 2)
+            early.fetch_add(1, std::memory_order_relaxed);
+          delete[] done;
+        });
+      });
+    }
+    const pcq::exec::exec_stats stats = ex.run(threads);
+    // Per root: body, two children, one detached job, one continuation.
+    CHECK(hits.load() == 2 * roots);
+    CHECK(early.load() == 0);
+    CHECK(stats.executed == 5 * roots);
+    CHECK(stats.spawned == 5 * roots);
+    CHECK(queue->size() == 0);
+  }
+}
+
 template <typename MakeQueue>
 void check_queue(const fixtures& f, MakeQueue make) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -112,6 +214,8 @@ void check_queue(const fixtures& f, MakeQueue make) {
   }
   check_dag(f, f.path_dag, f.path_oracle, make, 4);
   check_dag(f, f.star_dag, f.star_oracle, make, 4);
+  check_await_chain(make);
+  check_back_to_back(make);
 }
 
 }  // namespace
@@ -194,6 +298,43 @@ int main() {
     CHECK(hits == 3);
     CHECK(stats.executed == 3);
     CHECK(stats.spawned == 3);
+  }
+
+  // then() in a body that spawned no children: the job finishes at once
+  // and the continuation is re-pushed and runs exactly once.
+  {
+    pcq::coarse_pq<std::uint64_t, std::uint64_t> q;
+    pcq::exec::executor<pcq::coarse_pq<std::uint64_t, std::uint64_t>> ex(q);
+    int body = 0;
+    int cont = 0;
+    ex.submit(1, [&](job_context& ctx) {
+      ++body;
+      ctx.then([&](job_context&) { ++cont; });
+    });
+    const pcq::exec::exec_stats stats = ex.run(1);
+    CHECK(body == 1);
+    CHECK(cont == 1);
+    CHECK(stats.executed == 2);
+    CHECK(stats.spawned == 2);
+  }
+
+  // then() twice in one body: the second call replaces the first, with
+  // and without awaited children.
+  for (const bool with_child : {false, true}) {
+    pcq::coarse_pq<std::uint64_t, std::uint64_t> q;
+    pcq::exec::executor<pcq::coarse_pq<std::uint64_t, std::uint64_t>> ex(q);
+    int first = 0;
+    int second = 0;
+    ex.submit(1, [&](job_context& ctx) {
+      if (with_child) ctx.spawn(1, [](job_context&) {});
+      ctx.then([&](job_context&) { ++first; });
+      ctx.then([&](job_context&) { ++second; });
+    });
+    const pcq::exec::exec_stats stats = ex.run(1);
+    CHECK(first == 0);
+    CHECK(second == 1);
+    CHECK(stats.executed == (with_child ? 3u : 2u));
+    CHECK(stats.spawned == (with_child ? 3u : 2u));
   }
 
   std::printf("test_exec OK\n");
