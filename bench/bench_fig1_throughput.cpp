@@ -135,7 +135,7 @@ int main() {
     record(measure<multi_queue<std::uint64_t, std::uint64_t>>(
         make_mq(1.0), t, prefill, pairs));
     // Same scalar beta=1 configuration on the binary-heap substrate: the
-    // delta against mq_b1.0 (default dary_heap<4>) is the substrate's
+    // delta against mq_b1.0 (default buffered_heap<16>) is the substrate's
     // end-to-end contribution.
     using mq_binary = multi_queue<std::uint64_t, std::uint64_t,
                                   std::less<std::uint64_t>, binary_heap>;

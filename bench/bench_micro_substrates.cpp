@@ -2,8 +2,10 @@
 // (the MultiQueue's per-slot queue choice) plus the scalar utility costs
 // every hot-path operation pays (RNG draws, alias sampling, Fenwick
 // updates, uncontended spinlock acquisition). These numbers justify the
-// inner-heap default (dary_heap<4>) and document what a d-choice probe
-// costs before it ever touches a heap.
+// inner heap (dary_heap<4>, under the MultiQueue's default
+// buffered_heap<16>, whose single-thread cost is the buffered16 series)
+// and document what a d-choice probe costs before it ever touches a
+// heap.
 //
 // Substrate table: steady-state push+pop pairs at fixed heap depth — the
 // regime a MultiQueue slot actually lives in (its depth hovers around
@@ -36,6 +38,7 @@
 #include "benchlib/json_writer.hpp"
 #include "benchlib/table_printer.hpp"
 #include "heap/binary_heap.hpp"
+#include "heap/buffered_heap.hpp"
 #include "heap/dary_heap.hpp"
 #include "heap/heap_concept.hpp"
 #include "heap/pairing_heap.hpp"
@@ -122,6 +125,7 @@ const series_def kSeries[] = {
     {"binary_classic", &measure_pairs<sub_t<binary_heap_classic>>},
     {"dary2", &measure_pairs<sub_t<dary_heap<2>>>},
     {"dary4", &measure_pairs<sub_t<dary_heap<4>>>},
+    {"buffered16", &measure_pairs<sub_t<buffered_heap<16>>>},
     {"dary8", &measure_pairs<sub_t<dary_heap<8>>>},
     {"pairing", &measure_pairs<sub_t<pairing_heap>>},
     {"skiplist", &measure_pairs<sub_t<seq_skiplist>>},

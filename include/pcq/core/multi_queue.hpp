@@ -3,14 +3,22 @@
 //
 // Structure: n = queue_factor * num_threads sequential priority queues
 // (the Heap substrate parameter — any selector modeling
-// heap/heap_concept.hpp; default is the cache-aware 4-ary heap), each
-// guarded by its own spinlock, each publishing its current minimum key in
-// an atomic "top" cell so deleteMin can compare candidates without
-// locking. The substrate choice never touches the decision procedure:
-// which queue an op samples, how many RNG draws it makes, and which
-// published tops it compares are identical for every Heap — only the
-// per-op constant factor inside the lock changes (measured head-to-head
-// by bench_micro_substrates and fig1's substrate columns).
+// heap/heap_concept.hpp; default is buffered_heap<16>, a sorted deletion
+// buffer and an insertion buffer in front of the cache-aware 4-ary
+// heap), each guarded by its own spinlock, each publishing its current
+// minimum key in an atomic "top" cell so deleteMin can compare
+// candidates without locking. The substrate choice never touches the
+// decision procedure: which queue an op samples, how many RNG draws it
+// makes, and which published tops it compares are identical for every
+// Heap — only the per-op constant factor inside the lock changes
+// (measured head-to-head by bench_micro_substrates and fig1's substrate
+// columns).
+//
+// Slot layout: lock, top and count come first, then the substrate. The
+// default substrate's counts and inner-heap header fill the rest of
+// that first line, and its buffers follow on their own lines, so an
+// operation on a slot of at most B entries stays inside the slot (see
+// heap/buffered_heap.hpp for the line budget).
 //
 // insert(key):   sample one queue uniformly (optionally sticky for s
 //                consecutive inserts), lock it, push.
@@ -78,7 +86,7 @@
 #include <utility>
 #include <vector>
 
-#include "heap/dary_heap.hpp"
+#include "heap/buffered_heap.hpp"
 #include "heap/heap_concept.hpp"
 #include "util/rng.hpp"
 #include "util/spinlock.hpp"
@@ -167,7 +175,7 @@ class adaptive_batch_controller {
 };
 
 template <typename Key, typename Value, typename Compare = std::less<Key>,
-          typename Heap = dary_heap<4>>
+          typename Heap = buffered_heap<16>>
 class multi_queue {
   static_assert(std::is_trivially_copyable<Key>::value,
                 "multi_queue keys must be trivially copyable (they are "

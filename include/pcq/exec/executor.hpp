@@ -42,12 +42,12 @@
 // one parallel_sssp and the graph task process use: a job's unit passes
 // to the entries it produces. run_job only COLLECTS a job's spawns and
 // its (or a cascaded ancestor's) continuation re-push in a per-worker
-// vector; after it returns the worker settles their count once and only
-// then pushes them, one scalar push each in enqueue order. So
-// `failed pop && drained()` proves no task exists or can appear —
-// exactly the guarantee the queues' relaxed emptiness cannot give on
-// its own — and a job that spawns one child or re-pushes one
-// continuation touches the shared counter not at all.
+// vector; after it returns the worker settles their count once in its
+// ledger and only then pushes them, one scalar push each in enqueue
+// order. So `failed pop && drained()` proves no task exists or can
+// appear — exactly the guarantee the queues' relaxed emptiness cannot
+// give on its own — and a job that finishes childless, spawns one child
+// or re-pushes one continuation touches the shared counter not at all.
 //
 // Why no `try_pop_any` escape hatch in the pq concept: see the note in
 // core/pq_handle.hpp — the executor never needs "pop from anywhere,
@@ -206,7 +206,7 @@ class executor {
         if (!handle.try_pop(key, value)) {
           // Relaxed emptiness alone cannot terminate: pair the failed
           // pop with the in-flight check.
-          if (in_flight_.drained()) break;
+          if (ctx.ledger_.drained()) break;
           bo.pause();
           continue;
         }
@@ -241,7 +241,7 @@ class executor {
   class worker_context final : public job_context {
    public:
     worker_context(executor* ex, pq_handle_t<Queue>* handle, std::size_t wid)
-        : ex_(ex), handle_(handle), wid_(wid) {}
+        : ex_(ex), handle_(handle), wid_(wid), ledger_(ex->in_flight_) {}
 
     worker_context(const worker_context&) = delete;
     worker_context& operator=(const worker_context&) = delete;
@@ -293,7 +293,7 @@ class executor {
     // internal release publishes each job's fields to whichever worker
     // pops it.
     void publish() {
-      ex_->in_flight_.settle(ready_.size());
+      ledger_.settle(ready_.size());
       for (detail::job* j : ready_) handle_->push(j->priority, to_value(j));
       ready_.clear();
     }
@@ -365,6 +365,7 @@ class executor {
     executor* ex_;
     pq_handle_t<Queue>* handle_;
     std::size_t wid_;
+    in_flight_ledger ledger_;           // this worker's share of in_flight_
     detail::job* current_ = nullptr;
     std::uint32_t children_ = 0;        // awaited spawns of current_'s body
     std::vector<detail::job*> ready_;   // produced by the running job

@@ -23,15 +23,16 @@
 // concept makes emptiness RELAXED — a false try_pop means "looked
 // empty", so it can never terminate the loop by itself): the seed entry
 // is counted before it is pushed; a popped entry's unit passes to the
-// successor batch it produced, settled once BEFORE push_batch publishes
-// the batch (a stale pop or an arc scan with no decrease returns the
-// unit; one decrease hands it over without touching the counter); and a
-// worker whose pop fails exits iff the counter is drained, otherwise it
-// backs off (pcq::backoff ladder) and retries. Handle-buffered elements
-// (k-LSM local components, MultiQueue pop buffers) stay counted and are
-// poppable by their owner, so the retry always makes progress. The
-// acquire load of a zero count orders every dist[] write before any
-// worker returns.
+// successor batch it produced, settled once in the worker's ledger
+// BEFORE push_batch publishes the batch (a stale pop or an arc scan with
+// no decrease banks the unit as credit; one decrease hands it over; a
+// larger batch spends credit before it touches the counter); and a
+// worker whose pop fails exits iff its ledger reports the counter
+// drained, otherwise it backs off (pcq::backoff ladder) and retries.
+// Handle-buffered elements (k-LSM local components, MultiQueue pop
+// buffers) stay counted and are poppable by their owner, so the retry
+// always makes progress. The acquire load of a zero count orders every
+// dist[] write before any worker returns.
 //
 // Workers join before the function returns, so reading the final
 // distances out of the atomics is race-free.
@@ -92,6 +93,7 @@ sssp_result parallel_sssp(const csr_graph& g, csr_graph::node_id source,
 
   auto worker = [&](std::size_t tid) {
     auto handle = queue.get_handle(tid);
+    in_flight_ledger ledger(in_flight);
     std::vector<entry> batch;
     backoff bo;
     std::uint64_t my_relaxed = 0, my_stale = 0;
@@ -99,7 +101,7 @@ sssp_result parallel_sssp(const csr_graph& g, csr_graph::node_id source,
       typename entry::first_type key{};
       typename entry::second_type value{};
       if (!handle.try_pop(key, value)) {
-        if (in_flight.drained()) break;
+        if (ledger.drained()) break;
         bo.pause();
         continue;
       }
@@ -127,7 +129,7 @@ sssp_result parallel_sssp(const csr_graph& g, csr_graph::node_id source,
       // Settle BEFORE publishing: a successor must never be poppable
       // while uncounted, or a racing drained() could end the run with
       // work still queued.
-      in_flight.settle(batch.size());
+      ledger.settle(batch.size());
       if (!batch.empty()) handle.push_batch(batch.data(), batch.size());
     }
     relaxed[tid] = my_relaxed;

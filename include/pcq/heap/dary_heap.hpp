@@ -1,5 +1,6 @@
-// Cache-aware flat d-ary min-heap — the MultiQueue's default slot
-// substrate (ROADMAP item 4's "likely fig1 cache-miss win").
+// Cache-aware flat d-ary min-heap — coarse_pq's default substrate and
+// the inner heap under the MultiQueue's default buffered_heap
+// (heap/buffered_heap.hpp).
 //
 // Why arity beats binary for deleteMin-heavy workloads: a sift-down
 // touches O(log_d n) levels instead of O(log_2 n), and at each level the
@@ -28,6 +29,7 @@
 #include <cstddef>
 #include <functional>
 #include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -71,17 +73,39 @@ struct aligned_allocator {
   }
 };
 
+/// Holds a substrate's comparator. A stateless one (std::less, std::greater)
+/// becomes an empty base and costs no header bytes, which keeps a slot's
+/// substrate header on the MultiQueue lock line (heap/buffered_heap.hpp).
+template <typename Compare, bool Empty = std::is_empty<Compare>::value &&
+                                         !std::is_final<Compare>::value>
+class compare_holder : private Compare {
+ protected:
+  explicit compare_holder(const Compare& compare) : Compare(compare) {}
+  const Compare& comp() const { return *this; }
+};
+
+template <typename Compare>
+class compare_holder<Compare, false> {
+ protected:
+  explicit compare_holder(const Compare& compare) : compare_(compare) {}
+  const Compare& comp() const { return compare_; }
+
+ private:
+  Compare compare_;
+};
+
 }  // namespace heap_detail
 
 template <typename Key, typename Value, typename Compare = std::less<Key>,
           std::size_t Arity = 4>
-class dary_heap_t {
+class dary_heap_t : private heap_detail::compare_holder<Compare> {
   static_assert(Arity >= 2, "dary_heap arity must be at least 2");
 
  public:
   using entry = std::pair<Key, Value>;
 
-  explicit dary_heap_t(Compare compare = Compare()) : compare_(compare) {}
+  explicit dary_heap_t(Compare compare = Compare())
+      : heap_detail::compare_holder<Compare>(compare) {}
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -108,6 +132,7 @@ class dary_heap_t {
   }
 
   entry pop() {
+    const Compare& compare = this->comp();
     entry* b = buf_.data() + (Arity - 1);  // b[k] = logical node k
     entry result = std::move(b[0]);
     const std::size_t n = --size_;
@@ -121,7 +146,7 @@ class dary_heap_t {
           // group.
           std::size_t best = first;
           for (std::size_t c = first + 1; c < first + Arity; ++c) {
-            if (compare_(b[c].first, b[best].first)) best = c;
+            if (compare(b[c].first, b[best].first)) best = c;
           }
           b[hole] = std::move(b[best]);
           hole = best;
@@ -131,7 +156,7 @@ class dary_heap_t {
           // the descent ends here.
           std::size_t best = first;
           for (std::size_t c = first + 1; c < n; ++c) {
-            if (compare_(b[c].first, b[best].first)) best = c;
+            if (compare(b[c].first, b[best].first)) best = c;
           }
           b[hole] = std::move(b[best]);
           hole = best;
@@ -155,7 +180,7 @@ class dary_heap_t {
     entry moving = std::move(at(i));
     while (i > 0) {
       const std::size_t parent = (i - 1) / Arity;
-      if (!compare_(moving.first, at(parent).first)) break;
+      if (!this->comp()(moving.first, at(parent).first)) break;
       at(i) = std::move(at(parent));
       i = parent;
     }
@@ -164,7 +189,6 @@ class dary_heap_t {
 
   std::vector<entry, heap_detail::aligned_allocator<entry, 64>> buf_;
   std::size_t size_ = 0;
-  Compare compare_;
 };
 
 /// Selector: cache-aware d-ary heap, default arity 4 (one 64-byte line

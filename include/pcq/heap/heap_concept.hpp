@@ -41,6 +41,10 @@
 //   heap/binary_heap.hpp   binary_heap         bottom-up sift-down
 //                          binary_heap_classic top-down A/B reference
 //   heap/dary_heap.hpp     dary_heap<Arity=4>  cache-aware flat d-ary
+//                                              (coarse_pq default)
+//   heap/buffered_heap.hpp buffered_heap<B=16> deletion + insertion
+//                                              buffers over dary_heap<4>
+//                                              (multi_queue default)
 //   heap/pairing_heap.hpp  pairing_heap        O(1) push/meld, 2-pass pop
 //   heap/skiplist.hpp      seq_skiplist        sequential skiplist
 //

@@ -22,8 +22,8 @@
 // Termination uses the in-flight protocol of util/in_flight.hpp: roots
 // are counted at seed time, a settled task's unit passes to the
 // successors it released (collected during the arc scan and settled
-// once BEFORE they are pushed), and a worker that fails a pop terminates
-// iff the counter is drained. On a DAG this drains completely: every
+// once in the worker's ledger BEFORE they are pushed), and a worker that
+// fails a pop terminates iff its ledger reports the counter drained. On a DAG this drains completely: every
 // task is released exactly once (the unique fetch_sub that moves its
 // dependency count to zero) and settled exactly once (queue
 // conservation).
@@ -158,6 +158,7 @@ graph_process_result run_graph_process(const graph::csr_graph& dag,
 
   auto worker = [&](std::size_t tid) {
     auto handle = queue.get_handle(tid);
+    in_flight_ledger ledger(in_flight);
     std::vector<graph::csr_graph::node_id> ready;
     backoff bo;
     while (true) {
@@ -165,7 +166,7 @@ graph_process_result run_graph_process(const graph::csr_graph& dag,
       typename Queue::entry::second_type value{};
       std::uint64_t ts = 0;
       if (!handle.try_pop_timed(key, value, ts)) {
-        if (in_flight.drained()) break;
+        if (ledger.drained()) break;
         bo.pause();
         continue;
       }
@@ -187,7 +188,7 @@ graph_process_result run_graph_process(const graph::csr_graph& dag,
           ready.push_back(a.head);
       }
       // Count the released successors before any push publishes one.
-      in_flight.settle(ready.size());
+      ledger.settle(ready.size());
       for (const graph::csr_graph::node_id w : ready) {
         const std::uint64_t succ_key = task_priority(depth[w], w, n);
         recorder.record(tid, event_kind::insert, handle.push_timed(succ_key, w),

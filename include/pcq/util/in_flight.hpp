@@ -5,27 +5,32 @@
 // is the proof that nothing is left.
 //
 // The counter holds one UNIT per queued entry plus one per entry a
-// worker is processing. Rules:
+// worker is processing, plus any CREDIT a worker's ledger holds. Rules:
 //
 //   1. seed(n) before the workers start and before (or while) the n
 //      initial entries are pushed.
-//   2. A worker that finishes an entry which produced k new entries
-//      calls settle(k) once, BEFORE it publishes them. The entry's unit
-//      passes to its products: k = 0 returns it (fetch_sub(1, release)),
-//      k = 1 hands it to the one product (no RMW at all), k >= 2 adds
-//      the other k - 1 (fetch_add). Settling after publishing would let
-//      a product finish and drive the count to zero while its parent
+//   2. Each worker owns one in_flight_ledger. A worker that finishes an
+//      entry which produced k new entries calls ledger.settle(k) once,
+//      BEFORE it publishes them. The entry's unit passes to its
+//      products: k = 0 banks it as local credit (no RMW), k = 1 hands it
+//      to the one product (no RMW), k >= 2 needs k - 1 more units, which
+//      it takes from the credit first and adds with fetch_add only for
+//      the part the credit cannot cover. Settling after publishing would
+//      let a product finish and drive the count to zero while its parent
 //      still runs, and idle workers would exit with work left.
-//   3. A worker whose pop fails exits iff drained(); otherwise it backs
-//      off and retries.
+//   3. A worker whose pop fails exits iff ledger.drained(), which first
+//      hands all credit back (one fetch_sub(release)) and then reads the
+//      counter; otherwise it backs off and retries.
 //
-// Invariant: count == 0 implies no entry is queued, held in a handle
-// buffer or being processed, so none can appear again. Every change
-// after the seed is an RMW, so all of them continue the release
-// sequence of each k = 0 decrement: drained()'s acquire load of zero
-// synchronizes with every finished entry that ended a chain, and entries
-// that passed their unit on are ordered before it by the queue push that
-// published their products.
+// Invariant: count = (entries queued, held in a handle buffer or being
+// processed) + (credit held by ledgers). Credit is never negative and no
+// increment is delayed, so count == 0 implies no entry exists, none can
+// appear again, and no ledger holds credit. Every change after the seed
+// is an RMW, so all of them continue the release sequence of each
+// credit hand-back: drained()'s acquire load of zero synchronizes with
+// every hand-back, each of which follows the entries whose units it
+// banked, and entries whose unit was passed on or spent are ordered
+// before it by the queue push that published their products.
 
 #pragma once
 
@@ -37,22 +42,13 @@ namespace pcq {
 
 class alignas(64) in_flight_counter {
  public:
-  /// Rule 1: count the initial entries. Not concurrent with settle().
+  /// Rule 1: count the initial entries. Not concurrent with any ledger.
   void seed(std::uint64_t entries) {
     units_.store(entries, std::memory_order_relaxed);
   }
 
-  /// Rule 2: the entry just processed produced `products` new entries,
-  /// none of them published yet.
-  void settle(std::size_t products) {
-    if (products == 0) {
-      units_.fetch_sub(1, std::memory_order_release);
-    } else if (products > 1) {
-      units_.fetch_add(products - 1, std::memory_order_relaxed);
-    }
-  }
-
-  /// Rule 3: true iff nothing is queued or in progress.
+  /// The raw check: true iff the count is zero. Workers call their
+  /// ledger's drained(), which hands back its credit first.
   bool drained() const {
     return units_.load(std::memory_order_acquire) == 0;
   }
@@ -63,7 +59,52 @@ class alignas(64) in_flight_counter {
   }
 
  private:
+  friend class in_flight_ledger;
   std::atomic<std::uint64_t> units_{0};
+};
+
+/// One worker's view of an in_flight_counter (rules 2 and 3). Not
+/// thread-safe; one per worker, living as long as its worker loop.
+class in_flight_ledger {
+ public:
+  explicit in_flight_ledger(in_flight_counter& counter)
+      : counter_(&counter) {}
+
+  in_flight_ledger(const in_flight_ledger&) = delete;
+  in_flight_ledger& operator=(const in_flight_ledger&) = delete;
+
+  /// Rule 2: the entry just processed produced `products` new entries,
+  /// none of them published yet.
+  void settle(std::size_t products) {
+    if (products == 0) {
+      ++credit_;
+    } else if (products > 1) {
+      const std::uint64_t extra = products - 1;
+      if (extra <= credit_) {
+        credit_ -= extra;
+      } else {
+        counter_->units_.fetch_add(extra - credit_, std::memory_order_relaxed);
+        credit_ = 0;
+      }
+    }
+  }
+
+  /// Rule 3: hands back all credit, then true iff nothing is queued or
+  /// in progress anywhere.
+  bool drained() {
+    if (credit_ != 0) {
+      counter_->units_.fetch_sub(credit_, std::memory_order_release);
+      credit_ = 0;
+    }
+    return counter_->drained();
+  }
+
+  /// Units banked and not yet handed back, for tests.
+  std::uint64_t credit() const { return credit_; }
+
+ private:
+  in_flight_counter* counter_;
+  std::uint64_t credit_ = 0;
 };
 
 }  // namespace pcq

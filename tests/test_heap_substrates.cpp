@@ -12,22 +12,30 @@
 // substrate + expected_capacity hint — the substrate knob must be
 // invisible at the handle-concept level.
 //
+// buffered_heap: named edge cases for each path between its three parts
+// (deletion buffer, insertion buffer, inner heap), checked against a
+// sorted oracle and against the part sizes the path must leave, plus the
+// header size the MultiQueue lock-line budget rests on.
+//
 // Adaptive pop_batch: the controller's grow/shrink/bounds transitions are
 // a pure function of refill outcomes, tested exhaustively; an end-to-end
 // deterministic drain plus a concurrent conformance suite cover the wired
 // queue path.
 
 #include "heap/binary_heap.hpp"
+#include "heap/buffered_heap.hpp"
 #include "heap/dary_heap.hpp"
 #include "heap/heap_concept.hpp"
 #include "heap/pairing_heap.hpp"
 #include "heap/skiplist.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "core/baselines/coarse_pq.hpp"
@@ -54,6 +62,8 @@ ASSERT_BOTH(pcq::binary_heap_classic);
 ASSERT_BOTH(pcq::dary_heap<2>);
 ASSERT_BOTH(pcq::dary_heap<4>);
 ASSERT_BOTH(pcq::dary_heap<8>);
+ASSERT_BOTH(pcq::buffered_heap<16>);
+ASSERT_BOTH(pcq::buffered_heap<1>);
 ASSERT_BOTH(pcq::pairing_heap);
 ASSERT_BOTH(pcq::seq_skiplist);
 #undef ASSERT_BOTH
@@ -193,6 +203,173 @@ void substrate_suite(std::uint64_t seed) {
   max_heap_drain<max_sub_t<Selector>>(seed + 4);
 }
 
+// ---- buffered_heap edge cases ----
+
+template <std::size_t B>
+using buffered_t = pcq::buffered_heap_t<u64, u64, std::less<u64>, B>;
+
+// Line budget: two 32-bit counts plus the inner heap's 32-byte header
+// (vector + size, empty comparators), so behind a slot's lock, top and
+// count (24 bytes) the header ends exactly on the lock line.
+static_assert(sizeof(void*) != 8 ||
+                  sizeof(buffered_t<16>) ==
+                      40 + 2 * 16 * sizeof(std::pair<u64, u64>),
+              "buffered_heap header must stay 40 bytes on LP64");
+
+/// Pops everything and checks it against the sorted multiset of pushed
+/// (key, value) pairs: keys in order, every pair delivered exactly once.
+template <typename Heap>
+void drain_matches(Heap& h, std::vector<std::pair<u64, u64>> pushed) {
+  std::sort(pushed.begin(), pushed.end());
+  std::vector<std::pair<u64, u64>> popped;
+  while (!h.empty()) {
+    const std::size_t before = h.size();
+    popped.push_back(h.pop());
+    CHECK(h.size() == before - 1);
+    CHECK(popped.size() < 2 ||
+          popped[popped.size() - 2].first <= popped.back().first);
+  }
+  CHECK(h.size() == 0);
+  std::sort(popped.begin(), popped.end());
+  CHECK(popped == pushed);
+}
+
+/// A push below every key of a full deletion buffer evicts its max into
+/// the insertion buffer.
+template <std::size_t B>
+void buffered_push_below_full_deletion() {
+  buffered_t<B> h;
+  std::vector<std::pair<u64, u64>> pushed;
+  for (u64 i = 0; i < B; ++i) {
+    h.push(100 + i, i);
+    pushed.emplace_back(100 + i, i);
+  }
+  CHECK(h.deletion_size() == B && h.insertion_size() == 0);
+  h.push(1, 999);
+  pushed.emplace_back(1, 999);
+  CHECK(h.deletion_size() == B && h.insertion_size() == 1);
+  CHECK(h.top_key() == 1 && h.top().second == 999);
+  drain_matches(h, pushed);
+}
+
+/// A pop that empties the deletion buffer while the insertion buffer is
+/// non-empty (inner heap empty) sorts the insertion buffer into it.
+template <std::size_t B>
+void buffered_pop_refills_from_insertions() {
+  buffered_t<B> h;
+  std::vector<std::pair<u64, u64>> pushed;
+  for (u64 i = 0; i < B; ++i) {
+    h.push(i, i);
+    pushed.emplace_back(i, i);
+  }
+  pcq::xoshiro256ss rng(0xb0f);
+  u64 least_inserted = ~u64{0};
+  for (u64 i = 0; i < B; ++i) {
+    const u64 k = 1000 + rng.bounded(100);
+    least_inserted = std::min(least_inserted, k);
+    h.push(k, 500 + i);
+    pushed.emplace_back(k, 500 + i);
+  }
+  CHECK(h.deletion_size() == B && h.insertion_size() == B);
+  for (u64 i = 0; i < B; ++i) CHECK(h.pop().first == i);
+  CHECK(h.deletion_size() == B && h.insertion_size() == 0);
+  CHECK(h.size() == B && h.top_key() == least_inserted);
+  pushed.erase(pushed.begin(), pushed.begin() + B);
+  drain_matches(h, pushed);
+}
+
+/// A refill from an inner heap holding fewer than B entries takes them
+/// all (B >= 2; at B = 1 "fewer" is only empty).
+template <std::size_t B>
+void buffered_refill_from_short_inner() {
+  buffered_t<B> h;
+  std::vector<std::pair<u64, u64>> pushed;
+  for (u64 i = 0; i < B; ++i) {
+    h.push(i, i);
+    pushed.emplace_back(i, i);
+  }
+  // B + 1 keys past the deletion buffer: B fill the insertion buffer,
+  // the last flushes them into the inner heap.
+  for (u64 i = 0; i <= B; ++i) {
+    h.push(2000 - i, i);
+    pushed.emplace_back(2000 - i, i);
+  }
+  CHECK(h.deletion_size() == B && h.insertion_size() == 1);
+  CHECK(h.size() == 2 * B + 1);
+  for (u64 i = 0; i < B; ++i) CHECK(h.pop().first == i);
+  CHECK(h.deletion_size() == B && h.insertion_size() == 0);
+  CHECK(h.size() == B + 1);  // inner heap: 1 entry
+  for (u64 i = 0; i < B; ++i) h.pop();
+  CHECK(h.deletion_size() == 1 && h.size() == 1);
+  CHECK(h.top_key() == 2000);
+  pushed.erase(pushed.begin(), pushed.begin() + B);
+  std::sort(pushed.begin(), pushed.end());
+  pushed.erase(pushed.begin(), pushed.begin() + B);
+  drain_matches(h, pushed);
+}
+
+/// Duplicate keys spread across the deletion buffer, the insertion
+/// buffer and the inner heap: every (key, value) pair comes out once.
+template <std::size_t B>
+void buffered_duplicates_across_parts() {
+  buffered_t<B> h;
+  std::vector<std::pair<u64, u64>> pushed;
+  u64 v = 0;
+  auto push = [&](u64 k) {
+    h.push(k, v);
+    pushed.emplace_back(k, v++);
+  };
+  for (std::size_t i = 0; i < 3 * B + 1; ++i) push(5);
+  CHECK(h.deletion_size() == B && h.insertion_size() == 1);
+  CHECK(h.size() - h.deletion_size() - h.insertion_size() == 2 * B);
+  for (std::size_t i = 0; i < B; ++i) push(3);  // each evicts a 5
+  for (std::size_t i = 0; i < B; ++i) push(7);
+  CHECK(h.deletion_size() == B && h.insertion_size() > 0);
+  CHECK(h.size() - h.deletion_size() - h.insertion_size() > 0);
+  CHECK(h.top_key() == 3);
+  drain_matches(h, pushed);
+}
+
+/// reserve followed by an ascending batch of the reserved size — what
+/// multi_queue's push_batch does to a slot during a sized prefill — and
+/// the same through the queue itself.
+template <std::size_t B>
+void buffered_reserve_then_ascending_batch(std::size_t n) {
+  buffered_t<B> h;
+  h.reserve(n);
+  std::vector<std::pair<u64, u64>> pushed;
+  for (std::size_t i = 0; i < n; ++i) {
+    h.push(3 * i, i);
+    pushed.emplace_back(3 * i, i);
+  }
+  CHECK(h.size() == n && h.deletion_size() == std::min(n, B));
+  CHECK(h.top_key() == 0);
+  drain_matches(h, pushed);
+
+  using queue_t =
+      pcq::multi_queue<u64, u64, std::less<u64>, pcq::buffered_heap<B>>;
+  pcq::mq_config cfg;
+  cfg.expected_capacity = n;
+  queue_t queue(cfg, 2);
+  auto handle = queue.get_handle(0);
+  handle.push_batch(pushed.data(), pushed.size());
+  CHECK(queue.size() == n);
+  std::vector<std::pair<u64, u64>> popped;
+  u64 key = 0, value = 0;
+  while (handle.try_pop(key, value)) popped.emplace_back(key, value);
+  std::sort(popped.begin(), popped.end());
+  CHECK(popped == pushed);
+  CHECK(queue.size() == 0);
+}
+
+template <std::size_t B>
+void buffered_edge_cases() {
+  buffered_push_below_full_deletion<B>();
+  buffered_pop_refills_from_insertions<B>();
+  buffered_duplicates_across_parts<B>();
+  buffered_reserve_then_ascending_batch<B>(std::size_t{1} << 16);
+}
+
 // ---- queues parameterized by substrate ----
 
 template <typename Selector>
@@ -305,7 +482,15 @@ int main() {
   substrate_suite<pcq::dary_heap<8>>(0x5d8);
   substrate_suite<pcq::pairing_heap>(0x5fa);
   substrate_suite<pcq::seq_skiplist>(0x55c);
+  substrate_suite<pcq::buffered_heap<16>>(0x5b16);
+  substrate_suite<pcq::buffered_heap<1>>(0x5b01);
 
+  buffered_edge_cases<16>();
+  buffered_edge_cases<1>();
+  buffered_refill_from_short_inner<16>();
+  buffered_refill_from_short_inner<4>();
+
+  mq_suite_with<pcq::dary_heap<4>>(0x310);  // the previous default
   mq_suite_with<pcq::binary_heap>(0x311);
   mq_suite_with<pcq::dary_heap<8>>(0x312);
   mq_suite_with<pcq::pairing_heap>(0x313);

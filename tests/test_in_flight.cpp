@@ -1,49 +1,195 @@
-// The in-flight termination counter (util/in_flight.hpp): the settle
-// rule's three branches from a seeded count, and drained() exactly at
-// zero. The concurrent protocol is exercised by test_graph, test_exec
-// and test_graph_process, whose oracles fail on an early exit.
+// The in-flight termination protocol (util/in_flight.hpp): the ledger's
+// settle rule from a seeded count, drained()'s credit hand-back, and a
+// seeded 4-thread cell that checks random settle sequences against an
+// exact shadow count. test_graph, test_exec and test_graph_process run
+// the protocol under real workloads, whose oracles fail on an early exit.
 
 #include "util/in_flight.hpp"
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <thread>
+#include <vector>
 
 #include "test_macros.hpp"
+#include "util/rng.hpp"
+#include "util/spinlock.hpp"
 
-int main() {
-  // Table: settle(k) from a seeded count of 3 moves it by k - 1.
-  {
-    struct row {
-      std::size_t products;
-      std::uint64_t after;
-    };
-    const row table[] = {{0, 2}, {1, 3}, {2, 4}, {5, 7}};
-    for (const row& r : table) {
-      pcq::in_flight_counter c;
-      c.seed(3);
-      CHECK(!c.drained());
-      c.settle(r.products);
-      CHECK(c.units() == r.after);
-      CHECK(!c.drained());
+namespace {
+
+/// Table: from a seeded count of 8 and a starting credit, settle(k)
+/// leaves this count and credit. Credit is banked by settle(0) calls
+/// made first (each leaves the count alone).
+void ledger_table() {
+  struct row {
+    const char* name;
+    std::uint64_t credit_before;
+    std::size_t products;
+    std::uint64_t units_after;
+    std::uint64_t credit_after;
+  };
+  const row table[] = {
+      {"k=0 banks one unit", 0, 0, 8, 1},
+      {"k=0 banks onto credit", 2, 0, 8, 3},
+      {"k=1 hands the unit over", 0, 1, 8, 0},
+      {"k=1 leaves credit alone", 2, 1, 8, 2},
+      {"k=2 without credit adds one", 0, 2, 9, 0},
+      {"k=2 spends one credit", 1, 2, 8, 0},
+      {"k=5 spends all credit first", 4, 5, 8, 0},
+      {"k=5 adds what credit lacks", 1, 5, 11, 0},
+      {"k=3 leaves spare credit", 3, 3, 8, 1},
+  };
+  for (const row& r : table) {
+    pcq::in_flight_counter c;
+    c.seed(8);
+    pcq::in_flight_ledger ledger(c);
+    for (std::uint64_t i = 0; i < r.credit_before; ++i) ledger.settle(0);
+    CHECK(c.units() == 8);
+    CHECK(ledger.credit() == r.credit_before);
+    ledger.settle(r.products);
+    if (c.units() != r.units_after || ledger.credit() != r.credit_after) {
+      std::fprintf(stderr, "ledger row '%s': units %llu credit %llu\n",
+                   r.name, static_cast<unsigned long long>(c.units()),
+                   static_cast<unsigned long long>(ledger.credit()));
     }
+    CHECK(c.units() == r.units_after);
+    CHECK(ledger.credit() == r.credit_after);
+    // Count minus credit is the number of units truly owed: the seed,
+    // less the credit_before + 1 finished entries, plus the k products.
+    CHECK(c.units() - ledger.credit() ==
+          8 - (r.credit_before + 1) + r.products);
   }
+}
 
-  // drained() is true only at zero: a seed of 2, one entry passing its
-  // unit on (k = 1) and then both entries finishing with no products.
+/// drained() hands the credit back before it reads, and is true only
+/// when the count (credit included) is zero.
+void drained_flushes_credit() {
   {
     pcq::in_flight_counter c;
     c.seed(0);
-    CHECK(c.drained());
-    c.seed(2);
-    CHECK(!c.drained());
-    c.settle(1);
-    CHECK(c.units() == 2 && !c.drained());
-    c.settle(0);
-    CHECK(c.units() == 1 && !c.drained());
-    c.settle(0);
-    CHECK(c.units() == 0 && c.drained());
+    pcq::in_flight_ledger ledger(c);
+    CHECK(ledger.drained());
   }
+  {
+    // Seed 2: one entry passes its unit on (k = 1), then both finish.
+    pcq::in_flight_counter c;
+    c.seed(2);
+    pcq::in_flight_ledger ledger(c);
+    CHECK(!ledger.drained());
+    ledger.settle(1);
+    ledger.settle(0);
+    CHECK(c.units() == 2 && ledger.credit() == 1);
+    ledger.settle(0);
+    CHECK(c.units() == 2 && ledger.credit() == 2);
+    CHECK(!c.drained());  // the raw count still holds the banked units
+    CHECK(ledger.drained());
+    CHECK(c.units() == 0 && ledger.credit() == 0);
+  }
+  {
+    // Two ledgers: one's hand-back is not enough while the other still
+    // banks a unit; the second hand-back drains.
+    pcq::in_flight_counter c;
+    c.seed(2);
+    pcq::in_flight_ledger a(c), b(c);
+    a.settle(0);
+    b.settle(0);
+    CHECK(!a.drained());
+    CHECK(c.units() == 1);
+    CHECK(b.drained());
+    CHECK(a.drained());
+  }
+}
 
+/// Seeded 4-thread cell. A shared pool of tokens stands in for the
+/// queue (take = pop, give = publish). Each episode starts from one
+/// token; each taken token produces k products, drawn so the process is
+/// critical (mean k = 1) and the pool keeps running nearly empty, until
+/// the episode's budget runs out and k becomes 0. The workers start
+/// together and spend a little time on each token, so they overlap.
+/// `owed` is an exact
+/// shadow of the protocol's true count: updated before the ledger sees
+/// the settle, and so before the products are published. A worker whose
+/// ledger reports drained() must see owed == 0.
+void concurrent_shadow(std::uint64_t seed, std::size_t episodes) {
+  constexpr std::size_t kThreads = 4;
+  for (std::size_t e = 0; e < episodes; ++e) {
+    pcq::in_flight_counter counter;
+    counter.seed(1);
+    std::atomic<std::int64_t> pool{1};
+    std::atomic<std::int64_t> owed{1};
+    std::atomic<std::int64_t> budget{256};
+    std::atomic<std::size_t> ready{0};
+    std::atomic<std::int64_t> processed{0};
+    std::atomic<std::int64_t> produced{0};
+    std::atomic<bool> early{false};
+
+    auto worker = [&](std::size_t tid) {
+      pcq::in_flight_ledger ledger(counter);
+      pcq::xoshiro256ss rng(pcq::derive_seed(seed, e * kThreads + tid));
+      std::int64_t mine_processed = 0, mine_produced = 0;
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < kThreads) {
+        std::this_thread::yield();
+      }
+      for (;;) {
+        std::int64_t avail = pool.load(std::memory_order_acquire);
+        bool took = false;
+        while (avail > 0) {
+          if (pool.compare_exchange_weak(avail, avail - 1,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+            took = true;
+            break;
+          }
+        }
+        if (!took) {
+          if (ledger.drained()) {
+            if (owed.load(std::memory_order_acquire) != 0) {
+              early.store(true, std::memory_order_relaxed);
+            }
+            break;
+          }
+          std::this_thread::yield();
+          continue;
+        }
+        ++mine_processed;
+        for (int spin = 0; spin < 16; ++spin) pcq::cpu_relax();  // the work
+        // k = 0, 1 with probability 3/8 each; 2 and 3 with 1/8 each.
+        const std::uint64_t draw = rng.bounded(8);
+        std::int64_t k = draw < 3 ? 0 : draw < 6 ? 1 : draw == 6 ? 2 : 3;
+        if (k > 0 && budget.fetch_sub(k, std::memory_order_relaxed) < k) {
+          k = 0;
+        }
+        owed.fetch_add(k - 1, std::memory_order_acq_rel);
+        ledger.settle(static_cast<std::size_t>(k));
+        mine_produced += k;
+        if (k > 0) pool.fetch_add(k, std::memory_order_acq_rel);
+      }
+      processed.fetch_add(mine_processed, std::memory_order_relaxed);
+      produced.fetch_add(mine_produced, std::memory_order_relaxed);
+      CHECK(ledger.credit() == 0);
+    };
+
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
+    for (auto& t : threads) t.join();
+
+    CHECK(!early.load());
+    CHECK(counter.units() == 0);
+    CHECK(owed.load() == 0);
+    CHECK(pool.load() == 0);
+    CHECK(processed.load() == 1 + produced.load());
+  }
+}
+
+}  // namespace
+
+int main() {
+  ledger_table();
+  drained_flushes_credit();
+  concurrent_shadow(0x1f17, 400);
   std::printf("test_in_flight OK\n");
   return 0;
 }
