@@ -6,9 +6,7 @@
 //
 // Expected shape: throughput grows with batch size as the per-element
 // lock acquisition, d-choice sampling, and top/count publish amortize,
-// with diminishing returns once the heap sifts dominate. The cost —
-// not measured here — is rank relaxation growing with the buffer size
-// (see docs/ARCHITECTURE.md for the bound).
+// with diminishing returns once the heap sifts dominate.
 //
 // A second table measures the DRAIN phase: prefill once, then all
 // threads pop concurrently until the queue is empty. The tail of a
@@ -18,10 +16,23 @@
 // every sample miss, so exactly this phase thrashed every published
 // cell; the sweep is now strictly every-32nd-attempt).
 //
+// A third table puts the cost on record: the rank of every entry taken
+// by try_pop_batch(K), K in {1, 2, 4, 8, 16}, the call the drain loop of
+// parallel_sssp and the executor makes with K = kDrainBatch. One handle
+// drives the default 8-slot queue through the hold model (2^16 prefill,
+// 2^19 deliveries, each followed by a push of the next increasing label),
+// and a Fenwick oracle ranks each key when it is delivered: the number of
+// smaller keys still in the queue or still waiting in the batch.
+// Deterministic and independent of PCQ_BENCH_FULL; K = 1 must equal the
+// scalar try_pop exactly (the bench exits 1 otherwise).
+//
 // Emits BENCH_abl_batch.json next to the console tables.
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +42,7 @@
 #include "benchlib/pq_bench_driver.hpp"
 #include "benchlib/table_printer.hpp"
 #include "core/multi_queue.hpp"
+#include "util/fenwick.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
@@ -132,6 +144,56 @@ double measure_drain(std::size_t threads, std::size_t prefill,
   return percentile(mops, 0.5);
 }
 
+const std::size_t kRankBatches[] = {1, 2, 4, 8, 16};
+constexpr std::size_t kRankThreads = 4;  // x queue_factor 2 = 8 slots
+constexpr std::size_t kRankPrefill = std::size_t{1} << 16;
+constexpr std::size_t kRankDeliveries = std::size_t{1} << 19;
+
+struct rank_cost {
+  double mean = 0.0;
+  std::uint64_t max = 0;
+  std::uint64_t key_sum = 0;  // order-sensitive digest of the deliveries
+};
+
+// Rank of every delivered key under the hold model; k = 0 pops with the
+// scalar try_pop, k >= 1 with try_pop_batch(k).
+rank_cost measure_rank(std::size_t k) {
+  using entry = std::pair<std::uint64_t, std::uint64_t>;
+  multi_queue<std::uint64_t, std::uint64_t> queue(mq_config{}, kRankThreads);
+  rank_oracle oracle(kRankPrefill + kRankDeliveries);
+  auto handle = queue.get_handle(0);
+  std::uint64_t label = 0;
+  for (; label < kRankPrefill; ++label) {
+    handle.push(label, label);
+    oracle.insert(label);
+  }
+  std::vector<entry> batch(std::max<std::size_t>(k, 1));
+  rank_cost cost;
+  std::uint64_t rank_sum = 0;
+  std::size_t delivered = 0;
+  while (delivered < kRankDeliveries) {
+    const std::size_t got =
+        k == 0 ? (handle.try_pop(batch[0].first, batch[0].second) ? 1 : 0)
+               : handle.try_pop_batch(batch.data(), k);
+    if (got == 0) {
+      std::fprintf(stderr, "rank table: pop failed on a non-empty queue\n");
+      std::exit(1);
+    }
+    for (std::size_t i = 0; i < got && delivered < kRankDeliveries; ++i) {
+      const std::uint64_t rank = oracle.remove(batch[i].first);
+      rank_sum += rank;
+      cost.max = std::max(cost.max, rank);
+      cost.key_sum = cost.key_sum * 31 + batch[i].first;
+      ++delivered;
+      handle.push(label, label);
+      oracle.insert(label);
+      ++label;
+    }
+  }
+  cost.mean = static_cast<double>(rank_sum) / kRankDeliveries;
+  return cost;
+}
+
 }  // namespace
 
 int main() {
@@ -195,6 +257,28 @@ int main() {
     drain_table.row(row);
   }
 
+  // Rank cost of taking K entries per pop.
+  std::printf("\n");
+  print_header(
+      "ABL-BATCH rank: rank of each entry taken by try_pop_batch(K)",
+      "one handle, default 8-slot queue, hold model with increasing "
+      "labels; Fenwick oracle at delivery");
+  std::printf("prefill=%zu deliveries=%zu\n", kRankPrefill, kRankDeliveries);
+  const rank_cost scalar = measure_rank(0);
+  std::vector<rank_cost> rank_rows;
+  table_printer rank_table({"K", "mean_rank", "max_rank"});
+  for (const std::size_t k : kRankBatches) {
+    rank_rows.push_back(measure_rank(k));
+    rank_table.row({static_cast<double>(k), rank_rows.back().mean,
+                    static_cast<double>(rank_rows.back().max)});
+  }
+  const bool k1_is_scalar = rank_rows[0].mean == scalar.mean &&
+                            rank_rows[0].max == scalar.max &&
+                            rank_rows[0].key_sum == scalar.key_sum;
+  std::printf("K=1 equals scalar try_pop (mean %.4f, max %llu): %s\n",
+              scalar.mean, static_cast<unsigned long long>(scalar.max),
+              k1_is_scalar ? "yes" : "NO");
+
   const std::string json_path = json_artifact_path("BENCH_abl_batch.json");
   json_writer json(json_path);
   json.begin_object()
@@ -222,13 +306,28 @@ int main() {
     for (const double m : drain_series[b]) json.value(m);
     json.end_array().end_object();
   }
-  json.end_array().end_object();
+  json.end_array();
+  json.key("rank_cost").begin_object()
+      .kv("queues", kRankThreads * mq_config{}.queue_factor)
+      .kv("prefill", kRankPrefill)
+      .kv("deliveries", kRankDeliveries)
+      .kv("scalar_mean_rank", scalar.mean)
+      .kv("scalar_max_rank", scalar.max);
+  json.key("rows").begin_array();
+  for (std::size_t i = 0; i < rank_rows.size(); ++i) {
+    json.begin_object()
+        .kv("k", kRankBatches[i])
+        .kv("mean_rank", rank_rows[i].mean)
+        .kv("max_rank", rank_rows[i].max)
+        .end_object();
+  }
+  json.end_array().end_object().end_object();
   std::printf("\n%s %s\n", json.ok() ? "wrote" : "FAILED to write",
               json_path.c_str());
 
   std::printf(
       "expected shape: throughput rises with batch as lock/sample/publish "
-      "amortize,\nflattening once heap sifts dominate; the hidden cost is "
-      "rank relaxation ~ batch.\n");
-  return 0;
+      "amortize,\nflattening once heap sifts dominate; mean rank grows "
+      "with K.\n");
+  return k1_is_scalar ? 0 : 1;
 }

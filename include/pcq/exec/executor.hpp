@@ -49,6 +49,14 @@
 // give on its own — and a job that finishes childless, spawns one child
 // or re-pushes one continuation touches the shared counter not at all.
 //
+// Workers run the shared drain loop of util/in_flight.hpp: each pop
+// takes up to kDrainBatch = 4 ready jobs, and the worker runs them one
+// after another in key order, publishing each job's products before
+// the next job runs. Jobs waiting in a popped batch keep their units. A
+// job can be overtaken by at most three jobs of its own batch plus
+// whatever is pushed while it waits, so a child keyed below the rest of
+// its parent's batch runs after that batch.
+//
 // Why no `try_pop_any` escape hatch in the pq concept: see the note in
 // core/pq_handle.hpp — the executor never needs "pop from anywhere,
 // ignoring priority" because relaxed emptiness plus in-flight
@@ -60,7 +68,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -78,7 +85,6 @@
 
 #include "core/pq_handle.hpp"
 #include "util/in_flight.hpp"
-#include "util/spinlock.hpp"
 #include "util/timer.hpp"
 
 namespace pcq {
@@ -196,36 +202,18 @@ class executor {
     std::vector<std::uint64_t> executed_by(threads, 0);
     std::vector<std::uint64_t> spawned_by(threads, 0);
 
+    using entry = typename Queue::entry;
     auto worker = [&](std::size_t tid) {
       auto handle = queue_.get_handle(tid);
       worker_context ctx(this, &handle, tid);
-      backoff bo;
-      for (;;) {
-        std::uint64_t key = 0;
-        std::uint64_t value = 0;
-        if (!handle.try_pop(key, value)) {
-          // Relaxed emptiness alone cannot terminate: pair the failed
-          // pop with the in-flight check.
-          if (ctx.ledger_.drained()) break;
-          bo.pause();
-          continue;
-        }
-        bo.reset();
-        ctx.run_job(from_value(value));
+      drain<entry>(handle, ctx.ledger_, [&ctx](const entry& e) {
+        ctx.run_job(from_value(e.second));
         ctx.publish();
-      }
+      });
       executed_by[tid] = ctx.executed_;
       spawned_by[tid] = ctx.spawned_;
     };
-
-    if (threads == 1) {
-      worker(0);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(threads);
-      for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker, t);
-      for (auto& th : pool) th.join();
-    }
+    run_workers(threads, worker);
 
     exec_stats stats;
     stats.seconds = timer.elapsed_seconds();

@@ -78,8 +78,11 @@ class steal_deque_pool {
   explicit steal_deque_pool(std::size_t num_threads,
                             std::uint64_t seed = 0x57ea1deccull)
       : num_deques_(num_threads == 0 ? 1 : num_threads), seed_(seed) {
-    deques_ = static_cast<deque*>(
-        ::operator new[](num_deques_ * sizeof(deque)));
+    // Over-aligned storage: a plain operator new[] only guarantees
+    // alignof(max_align_t), and UBSan flags every access to a deque it
+    // misplaces.
+    deques_ = static_cast<deque*>(::operator new[](
+        num_deques_ * sizeof(deque), std::align_val_t{alignof(deque)}));
     for (std::size_t i = 0; i < num_deques_; ++i) new (&deques_[i]) deque();
   }
 
@@ -96,7 +99,7 @@ class steal_deque_pool {
       }
       deques_[i].~deque();
     }
-    ::operator delete[](deques_);
+    ::operator delete[](deques_, std::align_val_t{alignof(deque)});
   }
 
   class handle {

@@ -5,8 +5,11 @@
 //
 // Algorithm (label-correcting Dijkstra):
 //
-//   dist[] is an array of atomic 64-bit tentative distances. A worker
-//   pops (d, v); if dist[v] < d the entry is STALE — some thread already
+//   dist[] is an array of atomic 64-bit tentative distances. Workers
+//   run the shared drain loop of util/in_flight.hpp: each pop takes up
+//   to kDrainBatch = 4 entries from one sampled slot under one lock, and
+//   the worker processes them in turn, ascending. For each (d, v): if
+//   dist[v] < d the entry is STALE — some thread already
 //   improved v past the priority this entry was queued at — and is
 //   dropped without scanning v's arcs (the stale-entry elision; under a
 //   relaxed queue this also absorbs out-of-order pops, which merely make
@@ -16,8 +19,12 @@
 //   pin / LSM block for the whole arc scan). Every dist[] decrease is
 //   monotone, so the fixpoint is the exact shortest-path distances — for
 //   relaxed AND strict queues; relaxation costs extra stale work, never
-//   correctness. fig3 and the ctest suite assert exact equality against
-//   sequential Dijkstra.
+//   correctness. The batch adds relaxation of its own: an entry can be
+//   overtaken by at most three entries of its batch plus what arrives
+//   while it waits (bench_abl_batch records the rank cost). The stale
+//   check runs when an entry is processed, so an entry that its
+//   batch-mates improved past is still elided. fig3 and the ctest suite
+//   assert exact equality against sequential Dijkstra.
 //
 // Termination uses the in-flight protocol of util/in_flight.hpp (the
 // concept makes emptiness RELAXED — a false try_pop means "looked
@@ -29,9 +36,11 @@
 // larger batch spends credit before it touches the counter); and a
 // worker whose pop fails exits iff its ledger reports the counter
 // drained, otherwise it backs off (pcq::backoff ladder) and retries.
+// Entries still waiting in a worker's popped batch keep their units.
 // Handle-buffered elements (k-LSM local components, MultiQueue pop
-// buffers) stay counted and are poppable by their owner, so the retry
-// always makes progress. The acquire load of a zero count orders every
+// buffers) stay counted and are poppable by their owner, and a popped
+// batch is finished by its worker without waiting on anyone, so the
+// retry always makes progress. The acquire load of a zero count orders every
 // dist[] write before any worker returns.
 //
 // Workers join before the function returns, so reading the final
@@ -43,14 +52,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/pq_handle.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/dijkstra.hpp"
 #include "util/in_flight.hpp"
-#include "util/spinlock.hpp"
 #include "util/timer.hpp"
 
 namespace pcq {
@@ -94,21 +101,12 @@ sssp_result parallel_sssp(const csr_graph& g, csr_graph::node_id source,
   auto worker = [&](std::size_t tid) {
     auto handle = queue.get_handle(tid);
     in_flight_ledger ledger(in_flight);
-    std::vector<entry> batch;
-    backoff bo;
+    std::vector<entry> products;
     std::uint64_t my_relaxed = 0, my_stale = 0;
-    while (true) {
-      typename entry::first_type key{};
-      typename entry::second_type value{};
-      if (!handle.try_pop(key, value)) {
-        if (ledger.drained()) break;
-        bo.pause();
-        continue;
-      }
-      bo.reset();
-      const auto d = static_cast<std::uint64_t>(key);
-      const auto u = static_cast<csr_graph::node_id>(value);
-      batch.clear();
+    drain<entry>(handle, ledger, [&](const entry& e) {
+      const auto d = static_cast<std::uint64_t>(e.first);
+      const auto u = static_cast<csr_graph::node_id>(e.second);
+      products.clear();
       if (dist[u].load(std::memory_order_acquire) < d) {
         ++my_stale;  // stale-entry elision: v was improved past d
       } else {
@@ -119,7 +117,7 @@ sssp_result parallel_sssp(const csr_graph& g, csr_graph::node_id source,
             if (dist[a.head].compare_exchange_weak(
                     cur, nd, std::memory_order_acq_rel,
                     std::memory_order_relaxed)) {
-              batch.push_back(entry(nd, a.head));
+              products.push_back(entry(nd, a.head));
               ++my_relaxed;
               break;
             }
@@ -129,21 +127,17 @@ sssp_result parallel_sssp(const csr_graph& g, csr_graph::node_id source,
       // Settle BEFORE publishing: a successor must never be poppable
       // while uncounted, or a racing drained() could end the run with
       // work still queued.
-      ledger.settle(batch.size());
-      if (!batch.empty()) handle.push_batch(batch.data(), batch.size());
-    }
+      ledger.settle(products.size());
+      if (!products.empty()) {
+        handle.push_batch(products.data(), products.size());
+      }
+    });
     relaxed[tid] = my_relaxed;
     stale[tid] = my_stale;
   };
 
   wall_timer timer;
-  {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(worker, t);
-    worker(0);
-    for (auto& t : pool) t.join();
-  }
+  run_workers(threads, worker);
 
   sssp_result result;
   result.seconds = timer.elapsed_seconds();

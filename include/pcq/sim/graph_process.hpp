@@ -40,7 +40,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/pq_handle.hpp"
@@ -156,6 +155,9 @@ graph_process_result run_graph_process(const graph::csr_graph& dag,
     }
   }
 
+  // Not drain(): this is the rank simulator, and its replay needs one
+  // linearization timestamp per pop, which try_pop_timed draws and a
+  // batched pop would not, so the loop stays scalar.
   auto worker = [&](std::size_t tid) {
     auto handle = queue.get_handle(tid);
     in_flight_ledger ledger(in_flight);
@@ -199,13 +201,7 @@ graph_process_result run_graph_process(const graph::csr_graph& dag,
   };
 
   wall_timer timer;
-  {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(worker, t);
-    worker(0);
-    for (auto& t : pool) t.join();
-  }
+  run_workers(threads, worker);
 
   graph_process_result result;
   result.seconds = timer.elapsed_seconds();

@@ -5,7 +5,8 @@
 // is the proof that nothing is left.
 //
 // The counter holds one UNIT per queued entry plus one per entry a
-// worker is processing, plus any CREDIT a worker's ledger holds. Rules:
+// worker has popped and not yet finished, plus any CREDIT a worker's
+// ledger holds. Rules:
 //
 //   1. seed(n) before the workers start and before (or while) the n
 //      initial entries are pushed.
@@ -20,23 +21,44 @@
 //      still runs, and idle workers would exit with work left.
 //   3. A worker whose pop fails exits iff ledger.drained(), which first
 //      hands all credit back (one fetch_sub(release)) and then reads the
-//      counter; otherwise it backs off and retries.
+//      counter; otherwise it backs off and retries. A worker that popped
+//      a batch settles each entry of it by rule 2 as it finishes that
+//      entry; the entries still waiting in its batch keep their units,
+//      so they hold the count above zero exactly like queued entries.
 //
-// Invariant: count = (entries queued, held in a handle buffer or being
-// processed) + (credit held by ledgers). Credit is never negative and no
-// increment is delayed, so count == 0 implies no entry exists, none can
-// appear again, and no ledger holds credit. Every change after the seed
-// is an RMW, so all of them continue the release sequence of each
-// credit hand-back: drained()'s acquire load of zero synchronizes with
-// every hand-back, each of which follows the entries whose units it
-// banked, and entries whose unit was passed on or spent are ordered
-// before it by the queue push that published their products.
+// Invariant: count = (entries queued, held in a handle or batch buffer,
+// or being processed) + (credit held by ledgers). Credit is never
+// negative and no increment is delayed, so count == 0 implies no entry
+// exists, none can appear again, and no ledger holds credit. Every
+// change after the seed is an RMW, so all of them continue the release
+// sequence of each credit hand-back: drained()'s acquire load of zero
+// synchronizes with every hand-back, each of which follows the entries
+// whose units it banked, and entries whose unit was passed on or spent
+// are ordered before it by the queue push that published their
+// products.
+//
+// drain() below is the one worker loop of the batch runners
+// (parallel_sssp and executor::run), and run_workers() is the thread
+// pool of every loop here, the graph task process's included. drain()
+// pops up to kDrainBatch entries under one try_pop_batch and hands them
+// to the runner's body in the order popped, which is ascending. The
+// queue is not reconfigured for it, so each pop makes the same sampling
+// decision as a scalar pop and only takes more entries from the slot it
+// chose. A batched entry can then be overtaken by at most
+// kDrainBatch - 1 entries of its own batch plus whatever arrives while
+// it waits: the bound of mq_config::pop_batch, with K playing B
+// (bench_abl_batch records the rank cost per K).
 
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <thread>
+#include <vector>
+
+#include "util/spinlock.hpp"
 
 namespace pcq {
 
@@ -106,5 +128,45 @@ class in_flight_ledger {
   in_flight_counter* counter_;
   std::uint64_t credit_ = 0;
 };
+
+/// Entries a batch runner takes per pop. Four takes most of the batch
+/// runners' gain at about half the rank cost of eight (see "The drain
+/// loop" in docs/ARCHITECTURE.md).
+constexpr std::size_t kDrainBatch = 4;
+
+/// The worker loop of the batch runners: pops up to kDrainBatch entries
+/// per call and hands each to body(entry), in the order popped. The body
+/// settles the entry in `ledger` and publishes its products (rule 2). A
+/// pop that returns nothing ends the loop iff ledger.drained() (rule 3);
+/// otherwise the worker backs off and retries.
+template <typename Entry, typename Handle, typename Body>
+void drain(Handle& handle, in_flight_ledger& ledger, Body&& body) {
+  Entry batch[kDrainBatch];
+  backoff bo;
+  for (;;) {
+    const std::size_t got = handle.try_pop_batch(batch, kDrainBatch);
+    if (got == 0) {
+      if (ledger.drained()) return;
+      bo.pause();
+      continue;
+    }
+    bo.reset();
+    for (std::size_t i = 0; i < got; ++i) body(batch[i]);
+  }
+}
+
+/// Runs worker(tid) for every tid in [0, threads): tid 0 on the calling
+/// thread, the rest on threads of their own, all joined before it
+/// returns.
+template <typename Worker>
+void run_workers(std::size_t threads, Worker& worker) {
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  for (std::size_t t = 1; t < threads; ++t) {
+    pool.emplace_back(std::ref(worker), t);
+  }
+  worker(0);
+  for (std::thread& t : pool) t.join();
+}
 
 }  // namespace pcq

@@ -283,6 +283,28 @@ int main() {
     CHECK(stats.spawned == 6);
   }
 
+  // One worker, one batch: the drain loop pops four roots under one
+  // lock and runs all of them before it pops again, so a child keyed
+  // below the rest of the batch still waits for the batch to finish. The
+  // order is the batch in key order, then the children in key order.
+  {
+    static_assert(pcq::kDrainBatch == 4, "the batch below holds 4 roots");
+    pcq::coarse_pq<std::uint64_t, std::uint64_t> q;
+    pcq::exec::executor<pcq::coarse_pq<std::uint64_t, std::uint64_t>> ex(q);
+    std::vector<int> order;
+    for (int r = 0; r < 4; ++r) {
+      ex.submit(10 + r, [&, r](job_context& ctx) {
+        order.push_back(10 + r);
+        ctx.spawn(r, [&, r](job_context&) { order.push_back(r); });
+      });
+    }
+    const pcq::exec::exec_stats stats = ex.run(1);
+    CHECK(order == (std::vector<int>{10, 11, 12, 13, 0, 1, 2, 3}));
+    CHECK(stats.executed == 8);
+    CHECK(stats.spawned == 8);
+    CHECK(q.size() == 0);
+  }
+
   // A job with children but no continuation, and detached spawns from a
   // running body: both complete and conserve counts.
   {

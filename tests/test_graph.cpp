@@ -69,11 +69,26 @@ csr_graph star_graph(std::uint32_t n) {
   return csr_graph::from_edges(n, edges);
 }
 
+// Two nodes joined both ways: the source's one relaxation succeeds and
+// the way back fails, so each run holds at most one entry at a time.
+csr_graph two_node_graph() {
+  std::vector<csr_graph::edge> edges{{0, 1, 3}, {1, 0, 3}};
+  return csr_graph::from_edges(2, edges);
+}
+
 template <typename MakeQueue>
 void check_all_graphs(MakeQueue make) {
   using queue_t = typename std::decay<decltype(*make(1))>::type;
   for (const csr_graph& g : {path_graph(1000), star_graph(1000)}) {
     check_sssp_equality<queue_t>(g, 4, make, dijkstra(g, 0));
+  }
+  // Frontiers narrower than the drain loop's batch: every pop returns
+  // fewer than kDrainBatch entries, and idle workers must keep waiting
+  // on the one entry in flight.
+  for (const csr_graph& g : {path_graph(64), two_node_graph()}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      check_sssp_equality<queue_t>(g, threads, make, dijkstra(g, 0));
+    }
   }
   // Sparse random digraph: irregular degrees, duplicate arcs possible,
   // some nodes unreachable.
@@ -223,7 +238,9 @@ int main() {
   check_all_graphs([](std::size_t threads) {
     pcq::mq_config cfg;
     cfg.beta = 0.5;  // the paper's (1+beta) relaxation
-    cfg.pop_batch = 4;  // and the buffered-pop configuration
+    // A pop-buffer config too: the drain loop's try_pop_batch bypasses
+    // the buffer, so this checks that the setting changes nothing.
+    cfg.pop_batch = 4;
     return std::make_unique<pcq::multi_queue<std::uint64_t, std::uint64_t>>(
         cfg, threads);
   });

@@ -1,19 +1,24 @@
 // The in-flight termination protocol (util/in_flight.hpp): the ledger's
-// settle rule from a seeded count, drained()'s credit hand-back, and a
+// settle rule from a seeded count, drained()'s credit hand-back, a
 // seeded 4-thread cell that checks random settle sequences against an
-// exact shadow count. test_graph, test_exec and test_graph_process run
-// the protocol under real workloads, whose oracles fail on an early exit.
+// exact shadow count, and a 4-thread drain() cell in which one worker
+// holds a popped batch while the others keep failing pops. test_graph,
+// test_exec and test_graph_process run the protocol under real
+// workloads, whose oracles fail on an early exit.
 
 #include "util/in_flight.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "test_macros.hpp"
+#include "core/baselines/coarse_pq.hpp"
 #include "util/rng.hpp"
 #include "util/spinlock.hpp"
 
@@ -184,12 +189,85 @@ void concurrent_shadow(std::uint64_t seed, std::size_t episodes) {
   }
 }
 
+/// One worker holds a whole batch: kDrainBatch childless entries are
+/// seeded into a coarse queue, so the first try_pop_batch takes all of
+/// them. The worker that got them waits until another worker has failed
+/// a pop, then sleeps before it finishes each entry. The others keep
+/// failing pops meanwhile, and none may leave drain() before every held
+/// entry is settled: the waiting entries keep their units.
+void held_batch_keeps_workers(std::size_t rounds) {
+  constexpr std::size_t kThreads = 4;
+  using queue_t = pcq::coarse_pq<std::uint64_t, std::uint64_t>;
+  using entry = queue_t::entry;
+  for (std::size_t round = 0; round < rounds; ++round) {
+    queue_t queue;
+    pcq::in_flight_counter counter;
+    counter.seed(pcq::kDrainBatch);
+    {
+      auto seeder = queue.get_handle(0);
+      for (std::uint64_t k = 0; k < pcq::kDrainBatch; ++k) seeder.push(k, k);
+    }
+    std::atomic<std::size_t> ready{0};
+    std::atomic<bool> holding{false};
+    std::atomic<std::uint64_t> held_fails{0};  // failed pops while held
+    std::atomic<std::uint64_t> settled{0};
+
+    // Forwards to the queue's handle and counts the pops that fail while
+    // a batch is held.
+    struct observed_handle {
+      queue_t::handle inner;
+      std::atomic<bool>* holding;
+      std::atomic<std::uint64_t>* held_fails;
+      std::size_t try_pop_batch(entry* out, std::size_t max_n) {
+        const std::size_t got = inner.try_pop_batch(out, max_n);
+        if (got > 0) {
+          holding->store(true, std::memory_order_release);
+        } else if (holding->load(std::memory_order_acquire)) {
+          held_fails->fetch_add(1, std::memory_order_acq_rel);
+        }
+        return got;
+      }
+    };
+
+    auto worker = [&](std::size_t tid) {
+      observed_handle handle{queue.get_handle(tid), &holding, &held_fails};
+      pcq::in_flight_ledger ledger(counter);
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < kThreads) {
+        std::this_thread::yield();
+      }
+      pcq::drain<entry>(handle, ledger, [&](const entry&) {
+        // Bounded wait: a worker that never fails a pop fails the check
+        // on held_fails below instead of hanging the test.
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(2);
+        while (held_fails.load(std::memory_order_acquire) == 0 &&
+               std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::yield();
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        settled.fetch_add(1, std::memory_order_acq_rel);
+        ledger.settle(0);
+      });
+      // Checked here, not after the join: an early exit fails at once.
+      CHECK(settled.load(std::memory_order_acquire) == pcq::kDrainBatch);
+      CHECK(ledger.credit() == 0);
+    };
+    pcq::run_workers(kThreads, worker);
+
+    CHECK(held_fails.load() > 0);
+    CHECK(counter.units() == 0);
+    CHECK(queue.size() == 0);
+  }
+}
+
 }  // namespace
 
 int main() {
   ledger_table();
   drained_flushes_credit();
   concurrent_shadow(0x1f17, 400);
+  held_batch_keeps_workers(10);
   std::printf("test_in_flight OK\n");
   return 0;
 }
