@@ -22,9 +22,13 @@
 // drives the default 8-slot queue through the hold model (2^16 prefill,
 // 2^19 deliveries, each followed by a push of the next increasing label),
 // and a Fenwick oracle ranks each key when it is delivered: the number of
-// smaller keys still in the queue or still waiting in the batch.
-// Deterministic and independent of PCQ_BENCH_FULL; K = 1 must equal the
-// scalar try_pop exactly (the bench exits 1 otherwise).
+// smaller keys still in the queue or still waiting in the batch. Each K
+// has two rows: replacements pushed one by one as each entry is
+// delivered, and the drain loop's publish, where the K replacements of a
+// batch go in with one push_batch after the batch (into one sampled
+// slot). Deterministic and independent of PCQ_BENCH_FULL; both K = 1
+// rows must equal the scalar try_pop exactly (the bench exits 1
+// otherwise).
 //
 // Emits BENCH_abl_batch.json next to the console tables.
 
@@ -156,8 +160,10 @@ struct rank_cost {
 };
 
 // Rank of every delivered key under the hold model; k = 0 pops with the
-// scalar try_pop, k >= 1 with try_pop_batch(k).
-rank_cost measure_rank(std::size_t k) {
+// scalar try_pop, k >= 1 with try_pop_batch(k). With batch_publish the
+// replacement labels of a batch go in with one push_batch after it,
+// otherwise each is pushed as its entry is delivered.
+rank_cost measure_rank(std::size_t k, bool batch_publish) {
   using entry = std::pair<std::uint64_t, std::uint64_t>;
   multi_queue<std::uint64_t, std::uint64_t> queue(mq_config{}, kRankThreads);
   rank_oracle oracle(kRankPrefill + kRankDeliveries);
@@ -168,6 +174,7 @@ rank_cost measure_rank(std::size_t k) {
     oracle.insert(label);
   }
   std::vector<entry> batch(std::max<std::size_t>(k, 1));
+  std::vector<entry> replacements;
   rank_cost cost;
   std::uint64_t rank_sum = 0;
   std::size_t delivered = 0;
@@ -185,9 +192,18 @@ rank_cost measure_rank(std::size_t k) {
       cost.max = std::max(cost.max, rank);
       cost.key_sum = cost.key_sum * 31 + batch[i].first;
       ++delivered;
-      handle.push(label, label);
-      oracle.insert(label);
+      if (batch_publish) {
+        replacements.emplace_back(label, label);
+      } else {
+        handle.push(label, label);
+        oracle.insert(label);
+      }
       ++label;
+    }
+    if (!replacements.empty()) {
+      handle.push_batch(replacements.data(), replacements.size());
+      for (const entry& e : replacements) oracle.insert(e.first);
+      replacements.clear();
     }
   }
   cost.mean = static_cast<double>(rank_sum) / kRankDeliveries;
@@ -264,18 +280,26 @@ int main() {
       "one handle, default 8-slot queue, hold model with increasing "
       "labels; Fenwick oracle at delivery");
   std::printf("prefill=%zu deliveries=%zu\n", kRankPrefill, kRankDeliveries);
-  const rank_cost scalar = measure_rank(0);
-  std::vector<rank_cost> rank_rows;
-  table_printer rank_table({"K", "mean_rank", "max_rank"});
+  const rank_cost scalar = measure_rank(0, false);
+  // Per K: replacements pushed per entry, then with one push_batch.
+  std::vector<rank_cost> rank_rows, publish_rows;
+  table_printer rank_table({"K", "mean_rank", "max_rank",
+                            "batch_publish_mean", "batch_publish_max"});
   for (const std::size_t k : kRankBatches) {
-    rank_rows.push_back(measure_rank(k));
+    rank_rows.push_back(measure_rank(k, false));
+    publish_rows.push_back(measure_rank(k, true));
     rank_table.row({static_cast<double>(k), rank_rows.back().mean,
-                    static_cast<double>(rank_rows.back().max)});
+                    static_cast<double>(rank_rows.back().max),
+                    publish_rows.back().mean,
+                    static_cast<double>(publish_rows.back().max)});
   }
-  const bool k1_is_scalar = rank_rows[0].mean == scalar.mean &&
-                            rank_rows[0].max == scalar.max &&
-                            rank_rows[0].key_sum == scalar.key_sum;
-  std::printf("K=1 equals scalar try_pop (mean %.4f, max %llu): %s\n",
+  const auto same = [](const rank_cost& a, const rank_cost& b) {
+    return a.mean == b.mean && a.max == b.max && a.key_sum == b.key_sum;
+  };
+  const bool k1_is_scalar =
+      same(rank_rows[0], scalar) && same(publish_rows[0], scalar);
+  std::printf("K=1 (both publishes) equals scalar try_pop (mean %.4f, "
+              "max %llu): %s\n",
               scalar.mean, static_cast<unsigned long long>(scalar.max),
               k1_is_scalar ? "yes" : "NO");
 
@@ -317,8 +341,15 @@ int main() {
   for (std::size_t i = 0; i < rank_rows.size(); ++i) {
     json.begin_object()
         .kv("k", kRankBatches[i])
+        .kv("publish", "per_entry")
         .kv("mean_rank", rank_rows[i].mean)
         .kv("max_rank", rank_rows[i].max)
+        .end_object();
+    json.begin_object()
+        .kv("k", kRankBatches[i])
+        .kv("publish", "batch")
+        .kv("mean_rank", publish_rows[i].mean)
+        .kv("max_rank", publish_rows[i].max)
         .end_object();
   }
   json.end_array().end_object().end_object();

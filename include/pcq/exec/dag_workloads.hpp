@@ -91,14 +91,6 @@ struct dag_run {
   std::atomic<bool> topo_ok{true};
 };
 
-inline void prefetch(const void* p) {
-#if defined(__GNUC__)
-  __builtin_prefetch(p);
-#else
-  (void)p;
-#endif
-}
-
 // The task body of node v. Two words and trivially copyable, so job_fn
 // stores it inline: releasing a successor allocates nothing.
 struct dag_task {

@@ -13,9 +13,9 @@
 //     then() in the same body replaces the first;
 //   - children are counted locally while the body runs. A body that
 //     spawned none finishes at once with no RMW; otherwise its atomic
-//     `pending` count is written once, = k children, before publish()
-//     pushes them (their push releases the store), and each child's
-//     completion decrements it;
+//     `pending` count is written once, = k children, before the batch's
+//     push_batch publishes them (the push releases the store), and each
+//     child's completion decrements it;
 //   - when the job finishes (k = 0, or the last child brings `pending`
 //     to zero) and its slot holds a continuation, the job is *re-pushed
 //     through the ready queue* with the continuation as its next body
@@ -41,21 +41,25 @@
 // Termination uses the in-flight protocol of util/in_flight.hpp, the
 // one parallel_sssp and the graph task process use: a job's unit passes
 // to the entries it produces. run_job only COLLECTS a job's spawns and
-// its (or a cascaded ancestor's) continuation re-push in a per-worker
-// vector; after it returns the worker settles their count once in its
-// ledger and only then pushes them, one scalar push each in enqueue
-// order. So `failed pop && drained()` proves no task exists or can
+// its (or a cascaded ancestor's) continuation re-push in the drain
+// loop's products vector; after it returns drain() settles their count
+// once in the worker's ledger, and only after the batch's last job does
+// it publish every collected job with one push_batch. So
+// `failed pop && drained()` proves no task exists or can
 // appear — exactly the guarantee the queues' relaxed emptiness cannot
 // give on its own — and a job that finishes childless, spawns one child
 // or re-pushes one continuation touches the shared counter not at all.
 //
 // Workers run the shared drain loop of util/in_flight.hpp: each pop
-// takes up to kDrainBatch = 4 ready jobs, and the worker runs them one
-// after another in key order, publishing each job's products before
-// the next job runs. Jobs waiting in a popped batch keep their units. A
-// job can be overtaken by at most three jobs of its own batch plus
-// whatever is pushed while it waits, so a child keyed below the rest of
-// its parent's batch runs after that batch.
+// takes up to kDrainBatch = 4 ready jobs, the worker prefetches their
+// job records, runs them one after another in key order, and then
+// publishes what the whole batch produced with one push_batch. Jobs
+// waiting in a popped batch keep their units, and collected jobs carry
+// theirs until the publish. A job can be overtaken by at most three
+// jobs of its own batch plus whatever is pushed while it waits, so a
+// child keyed below the rest of its parent's batch runs after that
+// batch; a produced job stays invisible to other workers for at most
+// three further jobs.
 //
 // Why no `try_pop_any` escape hatch in the pq concept: see the note in
 // core/pq_handle.hpp — the executor never needs "pop from anywhere,
@@ -202,14 +206,15 @@ class executor {
     std::vector<std::uint64_t> executed_by(threads, 0);
     std::vector<std::uint64_t> spawned_by(threads, 0);
 
-    using entry = typename Queue::entry;
     auto worker = [&](std::size_t tid) {
       auto handle = queue_.get_handle(tid);
-      worker_context ctx(this, &handle, tid);
-      drain<entry>(handle, ctx.ledger_, [&ctx](const entry& e) {
-        ctx.run_job(from_value(e.second));
-        ctx.publish();
-      });
+      worker_context ctx(this, tid);
+      drain<entry>(
+          handle, ctx.ledger_,
+          [](const entry& e) { prefetch(from_value(e.second)); },
+          [&ctx](const entry& e, std::vector<entry>& products) {
+            ctx.run_job(from_value(e.second), products);
+          });
       executed_by[tid] = ctx.executed_;
       spawned_by[tid] = ctx.spawned_;
     };
@@ -226,10 +231,12 @@ class executor {
   }
 
  private:
+  using entry = typename Queue::entry;
+
   class worker_context final : public job_context {
    public:
-    worker_context(executor* ex, pq_handle_t<Queue>* handle, std::size_t wid)
-        : ex_(ex), handle_(handle), wid_(wid), ledger_(ex->in_flight_) {}
+    worker_context(executor* ex, std::size_t wid)
+        : wid_(wid), ledger_(ex->in_flight_) {}
 
     worker_context(const worker_context&) = delete;
     worker_context& operator=(const worker_context&) = delete;
@@ -259,7 +266,10 @@ class executor {
 
     std::size_t worker_id() const override { return wid_; }
 
-    void run_job(detail::job* j) {
+    // Runs j's next callable and appends the jobs it produced (spawns,
+    // and its own or a cascaded ancestor's continuation) to `products`.
+    void run_job(detail::job* j, std::vector<entry>& products) {
+      products_ = &products;
       current_ = j;
       children_ = 0;
       job_fn body = std::move(j->body);  // vacate the slot for then()
@@ -270,20 +280,11 @@ class executor {
       if (children_ == 0) {
         finish(j);
       } else {
-        // Ordered before every child's decrement by publish()'s pushes.
+        // Ordered before every child's decrement by the batch's
+        // push_batch, whose release publishes each job's fields to
+        // whichever worker pops it.
         j->pending.store(children_, std::memory_order_relaxed);
       }
-    }
-
-    // Settles the finished job's unit against the jobs it produced, THEN
-    // pushes them: publishing first would let a product finish and
-    // drain the counter while this worker still held work. The push's
-    // internal release publishes each job's fields to whichever worker
-    // pops it.
-    void publish() {
-      ledger_.settle(ready_.size());
-      for (detail::job* j : ready_) handle_->push(j->priority, to_value(j));
-      ready_.clear();
     }
 
    private:
@@ -307,9 +308,9 @@ class executor {
       free_.push_back(j);
     }
 
-    // Collected, not pushed: publish() counts and pushes after the body.
+    // Collected, not pushed: drain() settles and publishes the batch.
     void enqueue(detail::job* j) {
-      ready_.push_back(j);
+      products_->emplace_back(j->priority, to_value(j));
       ++spawned_;
     }
 
@@ -350,13 +351,11 @@ class executor {
     }
 
     friend class executor;
-    executor* ex_;
-    pq_handle_t<Queue>* handle_;
     std::size_t wid_;
     in_flight_ledger ledger_;           // this worker's share of in_flight_
     detail::job* current_ = nullptr;
     std::uint32_t children_ = 0;        // awaited spawns of current_'s body
-    std::vector<detail::job*> ready_;   // produced by the running job
+    std::vector<entry>* products_ = nullptr;  // of the running batch
     std::vector<detail::job*> free_;    // finished jobs, reused by spawns
     std::uint64_t executed_ = 0;
     std::uint64_t spawned_ = 0;

@@ -14,7 +14,7 @@
 #include <limits>
 #include <vector>
 
-#include "core/detail/binary_heap.hpp"
+#include "heap/binary_heap.hpp"
 #include "graph/csr_graph.hpp"
 
 namespace pcq {
@@ -32,7 +32,7 @@ inline dijkstra_result dijkstra(const csr_graph& g,
                                 csr_graph::node_id source) {
   dijkstra_result result;
   result.distance.assign(g.num_nodes(), kUnreachable);
-  detail::binary_heap<std::uint64_t, csr_graph::node_id> frontier;
+  binary_heap_t<std::uint64_t, csr_graph::node_id> frontier;
   result.distance[source] = 0;
   frontier.push(0, source);
   while (!frontier.empty()) {

@@ -7,21 +7,26 @@
 //
 //   dist[] is an array of atomic 64-bit tentative distances. Workers
 //   run the shared drain loop of util/in_flight.hpp: each pop takes up
-//   to kDrainBatch = 4 entries from one sampled slot under one lock, and
-//   the worker processes them in turn, ascending. For each (d, v): if
+//   to kDrainBatch = 4 entries from one sampled slot under one lock, the
+//   worker prefetches each entry's dist[] cell and arc list, and then
+//   processes the entries in turn, ascending. For each (d, v): if
 //   dist[v] < d the entry is STALE — some thread already
 //   improved v past the priority this entry was queued at — and is
 //   dropped without scanning v's arcs (the stale-entry elision; under a
 //   relaxed queue this also absorbs out-of-order pops, which merely make
 //   an entry stale more often). Otherwise the worker relaxes v's arcs
-//   with a CAS-min loop per head node and pushes one new entry per
-//   successful decrease, batched through push_batch (one lock / epoch
-//   pin / LSM block for the whole arc scan). Every dist[] decrease is
+//   with a CAS-min loop per head node and appends one new entry per
+//   successful decrease. The whole batch's new entries go out in one
+//   push_batch after its last entry (one lock / epoch pin / LSM block
+//   for up to four arc scans), so two entries of a batch that both
+//   improved one head publish it twice; the stale check drops the
+//   worse copy. Every dist[] decrease is
 //   monotone, so the fixpoint is the exact shortest-path distances — for
 //   relaxed AND strict queues; relaxation costs extra stale work, never
 //   correctness. The batch adds relaxation of its own: an entry can be
 //   overtaken by at most three entries of its batch plus what arrives
-//   while it waits (bench_abl_batch records the rank cost). The stale
+//   while it waits, and a new entry stays invisible for at most three
+//   further arc scans (bench_abl_batch records the rank cost). The stale
 //   check runs when an entry is processed, so an entry that its
 //   batch-mates improved past is still elided. fig3 and the ctest suite
 //   assert exact equality against sequential Dijkstra.
@@ -30,13 +35,15 @@
 // concept makes emptiness RELAXED — a false try_pop means "looked
 // empty", so it can never terminate the loop by itself): the seed entry
 // is counted before it is pushed; a popped entry's unit passes to the
-// successor batch it produced, settled once in the worker's ledger
-// BEFORE push_batch publishes the batch (a stale pop or an arc scan with
-// no decrease banks the unit as credit; one decrease hands it over; a
-// larger batch spends credit before it touches the counter); and a
-// worker whose pop fails exits iff its ledger reports the counter
-// drained, otherwise it backs off (pcq::backoff ladder) and retries.
-// Entries still waiting in a worker's popped batch keep their units.
+// entries it produced, settled once in the worker's ledger by drain()
+// right after the entry's arc scan and so BEFORE the batch's push_batch
+// publishes them (a stale pop or an arc scan with no decrease banks the
+// unit as credit; one decrease hands it over; more decreases spend
+// credit before they touch the counter); and a worker whose pop fails
+// exits iff its ledger reports the counter drained, otherwise it backs
+// off (pcq::backoff ladder) and retries. Entries still waiting in a
+// worker's popped batch keep their units, and settled products not yet
+// published carry theirs.
 // Handle-buffered elements (k-LSM local components, MultiQueue pop
 // buffers) stay counted and are poppable by their owner, and a popped
 // batch is finished by its worker without waiting on anyone, so the
@@ -101,35 +108,32 @@ sssp_result parallel_sssp(const csr_graph& g, csr_graph::node_id source,
   auto worker = [&](std::size_t tid) {
     auto handle = queue.get_handle(tid);
     in_flight_ledger ledger(in_flight);
-    std::vector<entry> products;
     std::uint64_t my_relaxed = 0, my_stale = 0;
-    drain<entry>(handle, ledger, [&](const entry& e) {
+    const auto touch = [&](const entry& e) {
+      const auto u = static_cast<csr_graph::node_id>(e.second);
+      prefetch(&dist[u]);
+      prefetch(g.out(u).begin());
+    };
+    drain<entry>(handle, ledger, touch,
+                 [&](const entry& e, std::vector<entry>& products) {
       const auto d = static_cast<std::uint64_t>(e.first);
       const auto u = static_cast<csr_graph::node_id>(e.second);
-      products.clear();
       if (dist[u].load(std::memory_order_acquire) < d) {
         ++my_stale;  // stale-entry elision: v was improved past d
-      } else {
-        for (const csr_graph::arc& a : g.out(u)) {
-          const std::uint64_t nd = d + a.weight;
-          std::uint64_t cur = dist[a.head].load(std::memory_order_relaxed);
-          while (nd < cur) {
-            if (dist[a.head].compare_exchange_weak(
-                    cur, nd, std::memory_order_acq_rel,
-                    std::memory_order_relaxed)) {
-              products.push_back(entry(nd, a.head));
-              ++my_relaxed;
-              break;
-            }
+        return;
+      }
+      for (const csr_graph::arc& a : g.out(u)) {
+        const std::uint64_t nd = d + a.weight;
+        std::uint64_t cur = dist[a.head].load(std::memory_order_relaxed);
+        while (nd < cur) {
+          if (dist[a.head].compare_exchange_weak(
+                  cur, nd, std::memory_order_acq_rel,
+                  std::memory_order_relaxed)) {
+            products.emplace_back(nd, a.head);
+            ++my_relaxed;
+            break;
           }
         }
-      }
-      // Settle BEFORE publishing: a successor must never be poppable
-      // while uncounted, or a racing drained() could end the run with
-      // work still queued.
-      ledger.settle(products.size());
-      if (!products.empty()) {
-        handle.push_batch(products.data(), products.size());
       }
     });
     relaxed[tid] = my_relaxed;

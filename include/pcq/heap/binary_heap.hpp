@@ -17,9 +17,8 @@
 //
 // Both model the heap substrate concept (heap/heap_concept.hpp); the
 // selectors `binary_heap` / `binary_heap_classic` plug into
-// multi_queue/coarse_pq. `pcq::detail::binary_heap` (the pre-heap/
-// spelling used by graph/dijkstra.hpp and older tests) aliases
-// binary_heap_t via core/detail/binary_heap.hpp.
+// multi_queue/coarse_pq, and graph/dijkstra.hpp uses binary_heap_t
+// directly.
 
 #pragma once
 

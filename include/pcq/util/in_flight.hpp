@@ -23,11 +23,13 @@
 //      hands all credit back (one fetch_sub(release)) and then reads the
 //      counter; otherwise it backs off and retries. A worker that popped
 //      a batch settles each entry of it by rule 2 as it finishes that
-//      entry; the entries still waiting in its batch keep their units,
-//      so they hold the count above zero exactly like queued entries.
+//      entry and publishes the products of the whole batch after its
+//      last entry; the entries still waiting in its batch keep their
+//      units, and the settled products not yet published carry theirs,
+//      so both hold the count above zero exactly like queued entries.
 //
-// Invariant: count = (entries queued, held in a handle or batch buffer,
-// or being processed) + (credit held by ledgers). Credit is never
+// Invariant: count = (entries queued, held in a handle, batch or products
+// buffer, or being processed) + (credit held by ledgers). Credit is never
 // negative and no increment is delayed, so count == 0 implies no entry
 // exists, none can appear again, and no ledger holds credit. Every
 // change after the seed is an RMW, so all of them continue the release
@@ -40,14 +42,16 @@
 // drain() below is the one worker loop of the batch runners
 // (parallel_sssp and executor::run), and run_workers() is the thread
 // pool of every loop here, the graph task process's included. drain()
-// pops up to kDrainBatch entries under one try_pop_batch and hands them
-// to the runner's body in the order popped, which is ascending. The
-// queue is not reconfigured for it, so each pop makes the same sampling
+// applies rule 2 itself, so settle-before-publish holds by construction.
+// The queue is not reconfigured for it: each pop makes the same sampling
 // decision as a scalar pop and only takes more entries from the slot it
-// chose. A batched entry can then be overtaken by at most
-// kDrainBatch - 1 entries of its own batch plus whatever arrives while
-// it waits: the bound of mq_config::pop_batch, with K playing B
-// (bench_abl_batch records the rank cost per K).
+// chose, and each publish goes to one sampled slot like any push_batch.
+// A batched entry can then be overtaken by at most kDrainBatch - 1
+// entries of its own batch plus whatever arrives while it waits (the
+// bound of mq_config::pop_batch, with K playing B), and a product stays
+// invisible until its batch's last body finishes, at most
+// kDrainBatch - 1 further bodies (bench_abl_batch records the rank cost
+// of both per K).
 
 #pragma once
 
@@ -134,14 +138,29 @@ class in_flight_ledger {
 /// loop" in docs/ARCHITECTURE.md).
 constexpr std::size_t kDrainBatch = 4;
 
+/// Starts loading the cache line at `p`; a hint with no effect on
+/// program state.
+inline void prefetch(const void* p) {
+#if defined(__GNUC__)
+  __builtin_prefetch(p);
+#else
+  (void)p;
+#endif
+}
+
 /// The worker loop of the batch runners: pops up to kDrainBatch entries
-/// per call and hands each to body(entry), in the order popped. The body
-/// settles the entry in `ledger` and publishes its products (rule 2). A
-/// pop that returns nothing ends the loop iff ledger.drained() (rule 3);
+/// per call, runs touch(entry) over all of them, then body(entry,
+/// products) over each in the order popped. The body appends the
+/// entries it produced to `products` and nothing else; drain() settles
+/// each entry in `ledger` right after its body (rule 2) and publishes
+/// the batch's products with one push_batch after the last body. A pop
+/// that returns nothing ends the loop iff ledger.drained() (rule 3);
 /// otherwise the worker backs off and retries.
-template <typename Entry, typename Handle, typename Body>
-void drain(Handle& handle, in_flight_ledger& ledger, Body&& body) {
+template <typename Entry, typename Handle, typename Touch, typename Body>
+void drain(Handle& handle, in_flight_ledger& ledger, Touch&& touch,
+           Body&& body) {
   Entry batch[kDrainBatch];
+  std::vector<Entry> products;
   backoff bo;
   for (;;) {
     const std::size_t got = handle.try_pop_batch(batch, kDrainBatch);
@@ -151,7 +170,16 @@ void drain(Handle& handle, in_flight_ledger& ledger, Body&& body) {
       continue;
     }
     bo.reset();
-    for (std::size_t i = 0; i < got; ++i) body(batch[i]);
+    for (std::size_t i = 0; i < got; ++i) touch(batch[i]);
+    for (std::size_t i = 0; i < got; ++i) {
+      const std::size_t before = products.size();
+      body(batch[i], products);
+      ledger.settle(products.size() - before);
+    }
+    if (!products.empty()) {
+      handle.push_batch(products.data(), products.size());
+      products.clear();
+    }
   }
 }
 

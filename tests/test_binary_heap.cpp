@@ -1,4 +1,4 @@
-#include "core/detail/binary_heap.hpp"
+#include "heap/binary_heap.hpp"
 
 #include <algorithm>
 #include <cstdint>
@@ -11,7 +11,7 @@ int main() {
   // Heap-sort property: random pushes (with duplicates) pop in
   // non-decreasing key order, values travel with their keys.
   {
-    pcq::detail::binary_heap<std::uint64_t, std::uint64_t> heap;
+    pcq::binary_heap_t<std::uint64_t, std::uint64_t> heap;
     pcq::xoshiro256ss rng(3);
     std::vector<std::uint64_t> keys;
     const std::size_t n = 5000;
@@ -33,7 +33,7 @@ int main() {
 
   // Interleaved push/pop stays consistent with a reference multiset.
   {
-    pcq::detail::binary_heap<std::uint64_t, std::uint64_t> heap;
+    pcq::binary_heap_t<std::uint64_t, std::uint64_t> heap;
     std::vector<std::uint64_t> reference;
     pcq::xoshiro256ss rng(4);
     for (int step = 0; step < 20000; ++step) {
@@ -53,7 +53,7 @@ int main() {
 
   // Max-heap via custom comparator.
   {
-    pcq::detail::binary_heap<int, int, std::greater<int>> heap;
+    pcq::binary_heap_t<int, int, std::greater<int>> heap;
     for (const int k : {3, 1, 4, 1, 5, 9, 2, 6}) heap.push(k, k);
     int prev = 100;
     while (!heap.empty()) {

@@ -4,7 +4,10 @@
 // kernels are commutative over predecessors, so equality is exact), the
 // topological-release invariant must hold inline, and conservation must
 // be perfect: every spawned job runs exactly once (executed == spawned,
-// with known closed-form counts for both workloads).
+// with known closed-form counts for both workloads). A batch whose one
+// push_batch mixes awaited children, detached spawns and a cascaded
+// continuation re-push is checked on every queue, and on one worker
+// with its exact order and publish sizes.
 
 #include "exec/executor.hpp"
 
@@ -12,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "test_macros.hpp"
@@ -205,6 +209,130 @@ void check_back_to_back(MakeQueue make) {
   }
 }
 
+// One batch whose publish mixes all three kinds of product. Roots P, Q,
+// R, S and T are keyed 0, 20, 21, 22 and 23. One worker on a strict
+// queue pops them four at a time:
+//   - batch 1 (P, Q, R, S) publishes C (P's awaited child), D (Q's
+//     detached spawn) and E (R's awaited child);
+//   - batch 2 (C, D, E, T) publishes P again (C completes it: a cascaded
+//     continuation re-push), G (D's detached spawn) and F (E's awaited
+//     child);
+//   - batch 3 (P's continuation, F, G) publishes R again (F completes E,
+//     which completes R), and batch 4 runs R's continuation.
+enum mixed_job { kP, kQ, kR, kS, kT, kC, kD, kE, kF, kG, kP2, kR2, kMixedJobs };
+
+struct mixed_log {
+  std::atomic<std::uint64_t> step{0};
+  std::atomic<std::uint64_t> runs[kMixedJobs]{};
+  std::atomic<std::uint64_t> seq[kMixedJobs]{};  // step at which it ran
+  std::vector<int>* order = nullptr;             // one worker only
+
+  void run(mixed_job j) {
+    seq[j].store(step.fetch_add(1, std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+    runs[j].fetch_add(1, std::memory_order_relaxed);
+    if (order != nullptr) order->push_back(j);
+  }
+  bool before(mixed_job a, mixed_job b) const {
+    return seq[a].load() < seq[b].load();
+  }
+};
+
+template <typename Queue>
+pcq::exec::exec_stats run_mixed_publish(Queue& queue, std::size_t threads,
+                                        mixed_log& log) {
+  pcq::exec::executor<Queue> ex(queue);
+  mixed_log* l = &log;
+  ex.submit(0, [l](job_context& ctx) {
+    l->run(kP);
+    ctx.spawn(1, [l](job_context&) { l->run(kC); });
+    ctx.then([l](job_context&) { l->run(kP2); });
+  });
+  ex.submit(20, [l](job_context& ctx) {
+    l->run(kQ);
+    ctx.spawn_detached(2, [l](job_context& c) {
+      l->run(kD);
+      c.spawn_detached(5, [l](job_context&) { l->run(kG); });
+    });
+  });
+  ex.submit(21, [l](job_context& ctx) {
+    l->run(kR);
+    ctx.spawn(3, [l](job_context& c) {
+      l->run(kE);
+      c.spawn(4, [l](job_context&) { l->run(kF); });
+    });
+    ctx.then([l](job_context&) { l->run(kR2); });
+  });
+  ex.submit(22, [l](job_context&) { l->run(kS); });
+  ex.submit(23, [l](job_context&) { l->run(kT); });
+  return ex.run(threads);
+}
+
+// Any queue, any worker count: every job runs once, after what it
+// awaits, and the counts are exact (five roots, five spawns and two
+// continuation re-pushes).
+template <typename MakeQueue>
+void check_mixed_publish(MakeQueue make) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    auto queue = make(threads);
+    mixed_log log;
+    const pcq::exec::exec_stats stats =
+        run_mixed_publish(*queue, threads, log);
+    CHECK(stats.executed == kMixedJobs);
+    CHECK(stats.spawned == kMixedJobs);
+    for (const auto& r : log.runs) CHECK(r.load() == 1);
+    CHECK(log.before(kP, kC) && log.before(kC, kP2));
+    CHECK(log.before(kQ, kD) && log.before(kD, kG));
+    CHECK(log.before(kR, kE) && log.before(kE, kF) && log.before(kF, kR2));
+    CHECK(queue->size() == 0);
+  }
+}
+
+// A coarse queue whose handles log the size of every push_batch.
+class publish_log_pq {
+ public:
+  using inner_t = pcq::coarse_pq<std::uint64_t, std::uint64_t>;
+  using entry = inner_t::entry;
+
+  class handle {
+   public:
+    handle(handle&&) = default;
+    handle(const handle&) = delete;
+    handle& operator=(const handle&) = delete;
+
+    void push(const std::uint64_t& key, const std::uint64_t& value) {
+      inner_.push(key, value);
+    }
+    void push_batch(const entry* items, std::size_t n) {
+      log_->push_back(n);
+      inner_.push_batch(items, n);
+    }
+    bool try_pop(std::uint64_t& key, std::uint64_t& value) {
+      return inner_.try_pop(key, value);
+    }
+    std::size_t try_pop_batch(entry* out, std::size_t max_n) {
+      return inner_.try_pop_batch(out, max_n);
+    }
+
+   private:
+    friend class publish_log_pq;
+    handle(inner_t::handle&& inner, std::vector<std::size_t>* log)
+        : inner_(std::move(inner)), log_(log) {}
+    inner_t::handle inner_;
+    std::vector<std::size_t>* log_;
+  };
+
+  handle get_handle(std::size_t tid) {
+    return handle(queue_.get_handle(tid), &publishes);
+  }
+  std::size_t size() const { return queue_.size(); }
+
+  std::vector<std::size_t> publishes;  // one worker only
+
+ private:
+  inner_t queue_;
+};
+
 template <typename MakeQueue>
 void check_queue(const fixtures& f, MakeQueue make) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -216,6 +344,7 @@ void check_queue(const fixtures& f, MakeQueue make) {
   check_dag(f, f.star_dag, f.star_oracle, make, 4);
   check_await_chain(make);
   check_back_to_back(make);
+  check_mixed_publish(make);
 }
 
 }  // namespace
@@ -302,6 +431,22 @@ int main() {
     CHECK(order == (std::vector<int>{10, 11, 12, 13, 0, 1, 2, 3}));
     CHECK(stats.executed == 8);
     CHECK(stats.spawned == 8);
+    CHECK(q.size() == 0);
+  }
+
+  // The mixed batches above on one worker: the exact order, and one
+  // push_batch per batch that produced anything, of 3, 3 and 1 jobs.
+  {
+    publish_log_pq q;
+    mixed_log log;
+    std::vector<int> order;
+    log.order = &order;
+    const pcq::exec::exec_stats stats = run_mixed_publish(q, 1, log);
+    CHECK(order == (std::vector<int>{kP, kQ, kR, kS, kC, kD, kE, kT, kP2, kF,
+                                     kG, kR2}));
+    CHECK(q.publishes == (std::vector<std::size_t>{3, 3, 1}));
+    CHECK(stats.executed == kMixedJobs);
+    CHECK(stats.spawned == kMixedJobs);
     CHECK(q.size() == 0);
   }
 

@@ -76,11 +76,35 @@ csr_graph two_node_graph() {
   return csr_graph::from_edges(2, edges);
 }
 
+// Many nodes relaxing one shared head: the source reaches nodes 1..m at
+// distance i, node i reaches head h = m + 1 at distance 2m + 1 - i, and
+// h starts a two-node tail. Popped in ascending order, every node of a
+// batch improves h again, so one push_batch carries up to kDrainBatch
+// entries for h, and all but the best are dropped as stale.
+csr_graph shared_head_graph(std::uint32_t m) {
+  const std::uint32_t h = m + 1;
+  std::vector<csr_graph::edge> edges;
+  for (std::uint32_t i = 1; i <= m; ++i) {
+    edges.push_back({0, i, i});
+    edges.push_back({i, h, 2 * (m - i) + 1});
+  }
+  edges.push_back({h, h + 1, 1});
+  edges.push_back({h + 1, h + 2, 1});
+  return csr_graph::from_edges(h + 3, edges);
+}
+
 template <typename MakeQueue>
 void check_all_graphs(MakeQueue make) {
   using queue_t = typename std::decay<decltype(*make(1))>::type;
   for (const csr_graph& g : {path_graph(1000), star_graph(1000)}) {
     check_sssp_equality<queue_t>(g, 4, make, dijkstra(g, 0));
+  }
+  {
+    const csr_graph g = shared_head_graph(64);
+    const auto reference = dijkstra(g, 0);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      check_sssp_equality<queue_t>(g, threads, make, reference);
+    }
   }
   // Frontiers narrower than the drain loop's batch: every pop returns
   // fewer than kDrainBatch entries, and idle workers must keep waiting
@@ -258,6 +282,21 @@ int main() {
   check_all_graphs([](std::size_t) {
     return std::make_unique<pcq::coarse_pq<std::uint64_t, std::uint64_t>>();
   });
+
+  // The shared head under a strict queue and one worker: every one of
+  // the m nodes improves h, four per batch, so h is relaxed m times and
+  // m - 1 of its entries are stale. Relaxations: m nodes, m times h, and
+  // the two tail nodes once each.
+  {
+    constexpr std::uint32_t m = 64;
+    const csr_graph g = shared_head_graph(m);
+    pcq::coarse_pq<std::uint64_t, std::uint64_t> queue;
+    const auto result = parallel_sssp(g, 0, 1, queue);
+    CHECK(result.distance == dijkstra(g, 0).distance);
+    CHECK(result.distance[m + 1] == m + 1);
+    CHECK(result.relaxations == 2 * m + 2);
+    CHECK(result.stale_pops == m - 1);
+  }
 
   std::printf("test_graph OK\n");
   return 0;

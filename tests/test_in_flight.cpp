@@ -1,8 +1,10 @@
 // The in-flight termination protocol (util/in_flight.hpp): the ledger's
 // settle rule from a seeded count, drained()'s credit hand-back, a
 // seeded 4-thread cell that checks random settle sequences against an
-// exact shadow count, and a 4-thread drain() cell in which one worker
-// holds a popped batch while the others keep failing pops. test_graph,
+// exact shadow count, a 4-thread drain() cell in which one worker holds
+// a popped batch while the others keep failing pops, and a 4-thread
+// drain() cell that checks on every push_batch that each product being
+// published is already counted, and that a batch publishes once. test_graph,
 // test_exec and test_graph_process run the protocol under real
 // workloads, whose oracles fail on an early exit.
 
@@ -227,6 +229,9 @@ void held_batch_keeps_workers(std::size_t rounds) {
         }
         return got;
       }
+      void push_batch(const entry* items, std::size_t n) {
+        inner.push_batch(items, n);
+      }
     };
 
     auto worker = [&](std::size_t tid) {
@@ -236,7 +241,8 @@ void held_batch_keeps_workers(std::size_t rounds) {
       while (ready.load(std::memory_order_acquire) < kThreads) {
         std::this_thread::yield();
       }
-      pcq::drain<entry>(handle, ledger, [&](const entry&) {
+      pcq::drain<entry>(handle, ledger, [](const entry&) {},
+                        [&](const entry&, std::vector<entry>&) {
         // Bounded wait: a worker that never fails a pop fails the check
         // on held_fails below instead of hanging the test.
         const auto give_up =
@@ -247,7 +253,6 @@ void held_batch_keeps_workers(std::size_t rounds) {
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
         settled.fetch_add(1, std::memory_order_acq_rel);
-        ledger.settle(0);
       });
       // Checked here, not after the join: an early exit fails at once.
       CHECK(settled.load(std::memory_order_acquire) == pcq::kDrainBatch);
@@ -261,6 +266,150 @@ void held_batch_keeps_workers(std::size_t rounds) {
   }
 }
 
+/// A fair (FIFO) spin lock: the turn of publish_after_settle below.
+class ticket_lock {
+ public:
+  void lock() {
+    const std::uint64_t mine = next_.fetch_add(1, std::memory_order_relaxed);
+    while (serving_.load(std::memory_order_acquire) != mine) {
+      std::this_thread::yield();
+    }
+  }
+  void unlock() { serving_.fetch_add(1, std::memory_order_release); }
+
+ private:
+  std::atomic<std::uint64_t> next_{0};
+  std::atomic<std::uint64_t> serving_{0};
+};
+
+/// Settle-before-publish, checked on every push_batch drain() makes.
+/// Four workers drain one coarse queue seeded with kDrainBatch entries;
+/// each entry's body appends k products, drawn so the process grows
+/// (mean k = 13/8) until the episode's budget runs out. The wrapped handle serializes the
+/// workers' steps: a worker takes a fair turn in each try_pop_batch and
+/// keeps it until its next one (or until drain() returns), so its
+/// bodies, settles, publish and a failed pop's credit hand-back all run
+/// while the other workers wait at a pop, holding no entry, with their
+/// credit recorded. The units owed are then exact at every publish:
+///
+///   counter.units() - (every ledger's credit) == queued + n,
+///
+/// the n products being the only entries the publishing worker still
+/// holds. A product published before its entry is settled breaks the
+/// equality. The wrapper also checks that a batch with products makes
+/// exactly one push_batch and a batch without makes none.
+void publish_after_settle(std::uint64_t seed, std::size_t episodes) {
+  constexpr std::size_t kThreads = 4;
+  using queue_t = pcq::coarse_pq<std::uint64_t, std::uint64_t>;
+  using entry = queue_t::entry;
+  for (std::size_t e = 0; e < episodes; ++e) {
+    queue_t queue;
+    pcq::in_flight_counter counter;
+    counter.seed(pcq::kDrainBatch);
+    {
+      auto seeder = queue.get_handle(0);
+      for (std::uint64_t k = 0; k < pcq::kDrainBatch; ++k) seeder.push(k, k);
+    }
+    ticket_lock turn;
+    std::uint64_t credit[kThreads] = {};  // guarded by `turn`
+    std::atomic<std::int64_t> budget{512};
+    std::atomic<std::uint64_t> batches_with_products{0};
+    std::atomic<std::uint64_t> publishes{0};  // push_batch calls
+    std::atomic<std::uint64_t> processed{0};
+    std::atomic<std::uint64_t> produced{0};
+
+    struct checked_handle {
+      queue_t::handle inner;
+      queue_t* queue;
+      pcq::in_flight_counter* counter;
+      pcq::in_flight_ledger* ledger;
+      ticket_lock* turn;
+      std::uint64_t* credit;
+      std::size_t tid;
+      bool has_turn = false;
+      std::size_t batch_products = 0;  // appended by this batch's bodies
+      std::size_t batch_publishes = 0;
+      std::uint64_t batches_with_products = 0;
+      std::uint64_t publishes = 0;
+
+      std::size_t try_pop_batch(entry* out, std::size_t max_n) {
+        end_turn();
+        turn->lock();
+        has_turn = true;
+        batch_products = 0;
+        batch_publishes = 0;
+        return inner.try_pop_batch(out, max_n);
+      }
+
+      void push_batch(const entry* items, std::size_t n) {
+        ++batch_publishes;
+        ++publishes;
+        std::uint64_t all_credit = ledger->credit();
+        for (std::size_t t = 0; t < kThreads; ++t) {
+          if (t != tid) all_credit += credit[t];
+        }
+        const std::uint64_t owed = counter->units() - all_credit;
+        if (owed != queue->size() + n) {
+          std::fprintf(stderr,
+                       "publish of %zu with %llu owed, %zu queued\n", n,
+                       static_cast<unsigned long long>(owed), queue->size());
+        }
+        CHECK(owed == queue->size() + n);
+        inner.push_batch(items, n);
+      }
+
+      // Closes the step: the batch it drained published once iff it
+      // produced anything, and the others see this worker's credit.
+      void end_turn() {
+        if (!has_turn) return;
+        CHECK(batch_publishes == (batch_products > 0 ? 1u : 0u));
+        if (batch_products > 0) ++batches_with_products;
+        credit[tid] = ledger->credit();
+        has_turn = false;
+        turn->unlock();
+      }
+    };
+
+    auto worker = [&](std::size_t tid) {
+      pcq::in_flight_ledger ledger(counter);
+      checked_handle handle{queue.get_handle(tid), &queue, &counter, &ledger,
+                            &turn, credit, tid};
+      pcq::xoshiro256ss rng(pcq::derive_seed(seed, e * kThreads + tid));
+      std::uint64_t mine_processed = 0, mine_produced = 0;
+      pcq::drain<entry>(
+          handle, ledger, [](const entry&) {},
+          [&](const entry&, std::vector<entry>& products) {
+            ++mine_processed;
+            // k = 0 with probability 1/8, 1 with 3/8, 2 and 3 with 2/8.
+            const std::uint64_t draw = rng.bounded(8);
+            std::int64_t k = draw < 1 ? 0 : draw < 4 ? 1 : draw < 6 ? 2 : 3;
+            if (k > 0 && budget.fetch_sub(k, std::memory_order_relaxed) < k) {
+              k = 0;
+            }
+            for (std::int64_t i = 0; i < k; ++i) {
+              const std::uint64_t label = rng.bounded(1024);
+              products.emplace_back(label, label);
+            }
+            handle.batch_products += static_cast<std::size_t>(k);
+            mine_produced += static_cast<std::uint64_t>(k);
+          });
+      handle.end_turn();
+      CHECK(ledger.credit() == 0);
+      batches_with_products.fetch_add(handle.batches_with_products,
+                                      std::memory_order_relaxed);
+      publishes.fetch_add(handle.publishes, std::memory_order_relaxed);
+      processed.fetch_add(mine_processed, std::memory_order_relaxed);
+      produced.fetch_add(mine_produced, std::memory_order_relaxed);
+    };
+    pcq::run_workers(kThreads, worker);
+
+    CHECK(counter.units() == 0);
+    CHECK(queue.size() == 0);
+    CHECK(processed.load() == pcq::kDrainBatch + produced.load());
+    CHECK(publishes.load() == batches_with_products.load());
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -268,6 +417,7 @@ int main() {
   drained_flushes_credit();
   concurrent_shadow(0x1f17, 400);
   held_batch_keeps_workers(10);
+  publish_after_settle(0x5e77, 200);
   std::printf("test_in_flight OK\n");
   return 0;
 }
