@@ -1,19 +1,19 @@
 // ABL-BATCH — ablation of the MultiQueue's batched hot paths over batch
 // sizes {1, 4, 16, 64}: batch = 1 is the paper's scalar algorithm
-// (run_alternating, pop_batch = 1); larger batches push with one
-// lock/publish per push_batch and pop through the per-handle pop buffer
-// (mq_config::pop_batch = batch).
+// (run_alternating: push + try_pop); larger batches push with one
+// lock/publish per push_batch and pop with one lock/publish per
+// try_pop_batch(batch) (run_alternating_batched).
 //
 // Expected shape: throughput grows with batch size as the per-element
 // lock acquisition, d-choice sampling, and top/count publish amortize,
 // with diminishing returns once the heap sifts dominate.
 //
 // A second table measures the DRAIN phase: prefill once, then all
-// threads pop concurrently until the queue is empty. The tail of a
-// drain is the near-empty regime where deleteMin samples keep missing —
-// the path where the emptiness sweep's cadence matters (an earlier
-// multi_queue version swept the full O(#queues) top+count array on
-// every sample miss, so exactly this phase thrashed every published
+// threads pop with try_pop_batch(batch) until the queue is empty. The
+// tail of a drain is the near-empty regime where deleteMin samples keep
+// missing — the path where the emptiness sweep's cadence matters (an
+// earlier multi_queue version swept the full O(#queues) top+count array
+// on every sample miss, so exactly this phase thrashed every published
 // cell; the sweep is now strictly every-32nd-attempt).
 //
 // A third table puts the cost on record: the rank of every entry taken
@@ -58,43 +58,19 @@ using namespace pcq::bench;
 
 const std::size_t kBatches[] = {1, 4, 16, 64};
 
-// Sentinel batch value selecting the adaptive pop-buffer controller
-// (mq_config::adaptive_batch): the refill size starts at 1 and doubles
-// on contended/full refills, halves on empty/short ones, bounded by
-// pop_batch_max. Pushes stay scalar — the controller only governs the
-// pop side, so the column is comparable to batch1 on the push path.
-constexpr std::size_t kAdaptive = 0;
-constexpr std::size_t kAdaptiveMax = 64;
-
-mq_config make_qcfg(std::size_t batch) {
-  mq_config qcfg;
-  qcfg.queue_factor = 2;
-  if (batch == kAdaptive) {
-    qcfg.pop_batch = 1;
-    qcfg.adaptive_batch = true;
-    qcfg.pop_batch_max = kAdaptiveMax;
-  } else {
-    qcfg.pop_batch = batch;
-  }
-  return qcfg;
-}
-
 double measure(std::size_t threads, std::size_t prefill, std::size_t pairs,
                std::size_t batch) {
   std::vector<double> mops;
   for (unsigned trial = 0; trial < trials(); ++trial) {
-    multi_queue<std::uint64_t, std::uint64_t> queue(make_qcfg(batch),
-                                                    threads);
+    multi_queue<std::uint64_t, std::uint64_t> queue(mq_config{}, threads);
     workload_config cfg;
     cfg.num_threads = threads;
     cfg.prefill = prefill;
     cfg.pairs_per_thread = pairs;
     cfg.seed = 11 + trial;
-    // Scalar workload for batch=1 AND for adaptive (whose pushes are
-    // scalar by design); explicit batches drive the batched entry points.
-    const auto result =
-        batch <= 1 ? run_alternating(queue, cfg)
-                   : run_alternating_batched(queue, cfg, batch);
+    const auto result = batch == 1
+                            ? run_alternating(queue, cfg)
+                            : run_alternating_batched(queue, cfg, batch);
     mops.push_back(result.mops_per_sec);
   }
   return percentile(mops, 0.5);
@@ -108,8 +84,7 @@ double measure_drain(std::size_t threads, std::size_t prefill,
   using entry = std::pair<std::uint64_t, std::uint64_t>;
   std::vector<double> mops;
   for (unsigned trial = 0; trial < trials(); ++trial) {
-    multi_queue<std::uint64_t, std::uint64_t> queue(make_qcfg(batch),
-                                                    threads);
+    multi_queue<std::uint64_t, std::uint64_t> queue(mq_config{}, threads);
     {
       auto handle = queue.get_handle(0);
       xoshiro256ss rng(77 + trial);
@@ -131,13 +106,12 @@ double measure_drain(std::size_t threads, std::size_t prefill,
     for (std::size_t t = 0; t < threads; ++t) {
       pool.emplace_back([&, t] {
         auto handle = queue.get_handle(t);
+        std::vector<entry> out(batch);
+        // The loop ends on the delivered count, not on a pop's relaxed
+        // emptiness verdict.
         while (delivered.load(std::memory_order_acquire) < prefill) {
-          std::uint64_t k = 0, v = 0;
-          // A false pop here is transient (another handle's pop buffer
-          // still owes its elements); the loop terminates on the
-          // delivered count, not on emptiness.
-          if (handle.try_pop(k, v))
-            delivered.fetch_add(1, std::memory_order_acq_rel);
+          const std::size_t got = handle.try_pop_batch(out.data(), batch);
+          if (got > 0) delivered.fetch_add(got, std::memory_order_acq_rel);
         }
       });
     }
@@ -218,21 +192,17 @@ int main() {
 
   print_header(
       "ABL-BATCH: throughput vs batch size (Mops/s, higher is better)",
-      "alternating insert/deleteMin through push_batch + pop buffer; "
+      "alternating insert/deleteMin through push_batch + try_pop_batch; "
       "batch=1 is the scalar paper algorithm");
   std::printf("prefill=%zu pairs/thread=%zu (PCQ_BENCH_FULL=%d)\n", prefill,
               pairs, full_scale() ? 1 : 0);
 
-  // The fixed batch columns plus the adaptive controller as its own
-  // series (drain is where it should earn its keep: the tail wants
-  // batch=1 while the full phase wants large refills).
-  std::vector<std::size_t> batches(std::begin(kBatches), std::end(kBatches));
-  batches.push_back(kAdaptive);
+  const std::vector<std::size_t> batches(std::begin(kBatches),
+                                         std::end(kBatches));
   std::vector<std::string> names;
-  for (const std::size_t b : kBatches) {
+  for (const std::size_t b : batches) {
     names.push_back("batch" + std::to_string(b));
   }
-  names.push_back("adaptive");
 
   std::vector<std::string> columns{"threads"};
   columns.insert(columns.end(), names.begin(), names.end());
@@ -317,12 +287,7 @@ int main() {
   json.end_array();
   json.key("series").begin_array();
   for (std::size_t b = 0; b < batches.size(); ++b) {
-    json.begin_object().kv("name", names[b]);
-    if (batches[b] == kAdaptive) {
-      json.kv("pop_batch_max", kAdaptiveMax);
-    } else {
-      json.kv("batch", batches[b]);
-    }
+    json.begin_object().kv("name", names[b]).kv("batch", batches[b]);
     json.key("mops").begin_array();
     for (const double m : series[b]) json.value(m);
     json.end_array();

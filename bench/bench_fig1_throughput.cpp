@@ -2,9 +2,10 @@
 // vs thread count, for the (1+beta) priority queue (beta = 0.5, 0.75), the
 // original MultiQueue (beta = 1), the Lindén–Jonsson-style skiplist, the
 // k-LSM (k = 256), a coarse-locked heap, and — beyond the paper — the
-// batched MultiQueue (push_batch + pop buffer, batch = 16), which
+// batched MultiQueue (push_batch + try_pop_batch, batch = 16), which
 // amortizes the per-element lock/publish cost, plus a substrate A/B:
-// mq_b1.0 runs on the default cache-aware 4-ary slot heap while
+// mq_b1.0 runs on the default slot heap (buffered_heap<16>: deletion and
+// insertion buffers over the cache-aware 4-ary heap) while
 // mq_b1.0_binary is the identical configuration on the binary heap, so
 // the column pair isolates what the inner-heap layout buys end-to-end
 // (the decision procedure and RNG streams are substrate-independent).
@@ -71,7 +72,6 @@ double measure_batched(std::size_t threads, std::size_t prefill,
     mq_config qcfg;
     qcfg.beta = 1.0;
     qcfg.queue_factor = 2;
-    qcfg.pop_batch = batch;
     multi_queue<std::uint64_t, std::uint64_t> queue(qcfg, threads);
     workload_config cfg;
     cfg.num_threads = threads;

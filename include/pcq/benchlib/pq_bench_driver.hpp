@@ -3,7 +3,8 @@
 // handle concept of core/pq_handle.hpp (statically asserted — no
 // per-queue special cases): run_alternating additionally requires the
 // timed extension for its record_events mode, run_alternating_batched
-// uses the concept's batch ops.
+// pushes with push_batch and pops with try_pop_batch, so the one-lock-
+// per-batch amortization is the caller's and works on every queue.
 //
 // Phases: concurrent prefill (untimed), barrier, then each thread runs
 // pairs_per_thread iterations of push(random key) + try_pop. With
@@ -69,6 +70,53 @@ class spin_barrier {
   std::atomic<std::uint64_t> generation_{0};
 };
 
+/// The timing frame both drivers share: one thread per worker, each with
+/// its own handle, and a barrier between the untimed prefill and the
+/// timed phase. body(tid, handle, start) prefills, calls start() once,
+/// runs its timed loop and returns its failed pops. The phase runs from
+/// the first start() to the last body's return, before any handle dies.
+template <typename Queue, typename Body>
+run_result run_timed_workers(Queue& queue, std::size_t threads,
+                             std::uint64_t timed_ops, Body body) {
+  using clock = std::chrono::steady_clock;
+  spin_barrier barrier(threads);
+  std::vector<clock::time_point> starts(threads), ends(threads);
+  std::vector<std::uint64_t> failed(threads, 0);
+
+  auto worker = [&](std::size_t tid) {
+    auto handle = queue.get_handle(tid);
+    const auto start = [&] {
+      barrier.arrive_and_wait();
+      starts[tid] = clock::now();
+    };
+    failed[tid] = body(tid, handle, start);
+    ends[tid] = clock::now();
+  };
+
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(worker, t);
+  worker(0);
+  for (auto& t : pool) t.join();
+
+  auto first_start = starts[0];
+  auto last_end = ends[0];
+  run_result result;
+  for (std::size_t t = 0; t < threads; ++t) {
+    if (starts[t] < first_start) first_start = starts[t];
+    if (ends[t] > last_end) last_end = ends[t];
+    result.failed_pops += failed[t];
+  }
+  result.seconds =
+      std::chrono::duration<double>(last_end - first_start).count();
+  result.total_ops = timed_ops;
+  result.mops_per_sec =
+      result.seconds > 0.0
+          ? static_cast<double>(result.total_ops) / result.seconds / 1e6
+          : 0.0;
+  return result;
+}
+
 }  // namespace detail
 
 template <typename Queue>
@@ -77,16 +125,10 @@ run_result run_alternating(Queue& queue, const workload_config& config) {
   static_assert(has_timed_api<Queue>::value,
                 "run_alternating's record_events mode needs the timed "
                 "extension (push_timed / try_pop_timed)");
-  using clock = std::chrono::steady_clock;
   const std::size_t threads = config.num_threads ? config.num_threads : 1;
-
   rank_recorder recorder(threads);
-  detail::spin_barrier barrier(threads);
-  std::vector<clock::time_point> starts(threads), ends(threads);
-  std::vector<std::uint64_t> failed(threads, 0);
 
-  auto worker = [&](std::size_t tid) {
-    auto handle = queue.get_handle(tid);
+  auto body = [&](std::size_t tid, auto& handle, const auto& start) {
     xoshiro256ss keys(derive_seed(config.seed, 0x9000 + tid));
     auto& log = recorder.log(tid);
     if (config.record_events) {
@@ -108,10 +150,8 @@ run_result run_alternating(Queue& queue, const workload_config& config) {
       }
     }
 
-    barrier.arrive_and_wait();
-    starts[tid] = clock::now();
-
-    std::uint64_t my_failed = 0;
+    start();
+    std::uint64_t failed = 0;
     for (std::size_t i = 0; i < config.pairs_per_thread; ++i) {
       const std::uint64_t key = next_key();
       std::uint64_t popped_key = 0, popped_value = 0;
@@ -122,67 +162,41 @@ run_result run_alternating(Queue& queue, const workload_config& config) {
         if (handle.try_pop_timed(popped_key, popped_value, pop_ts)) {
           log.push_back(mq_event{pop_ts, popped_key, event_kind::remove});
         } else {
-          ++my_failed;
+          ++failed;
         }
       } else {
         handle.push(key, key);
-        if (!handle.try_pop(popped_key, popped_value)) ++my_failed;
+        if (!handle.try_pop(popped_key, popped_value)) ++failed;
       }
     }
-    ends[tid] = clock::now();
-    failed[tid] = my_failed;
+    return failed;
   };
 
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(worker, t);
-  worker(0);
-  for (auto& t : pool) t.join();
-
-  auto first_start = starts[0];
-  auto last_end = ends[0];
-  run_result result;
-  for (std::size_t t = 0; t < threads; ++t) {
-    if (starts[t] < first_start) first_start = starts[t];
-    if (ends[t] > last_end) last_end = ends[t];
-    result.failed_pops += failed[t];
-  }
-  result.seconds =
-      std::chrono::duration<double>(last_end - first_start).count();
-  result.total_ops =
-      2 * static_cast<std::uint64_t>(config.pairs_per_thread) * threads;
-  result.mops_per_sec =
-      result.seconds > 0.0
-          ? static_cast<double>(result.total_ops) / result.seconds / 1e6
-          : 0.0;
+  run_result result = detail::run_timed_workers(
+      queue, threads,
+      2 * static_cast<std::uint64_t>(config.pairs_per_thread) * threads,
+      body);
   if (config.record_events) result.logs = recorder.take_logs();
   return result;
 }
 
 /// Batched variant of run_alternating through the concept's batch ops:
-/// each round pushes `batch` keys with one push_batch and then pops
-/// `batch` elements with try_pop — for the MultiQueue, configure
-/// mq_config::pop_batch = batch so pops refill through the per-handle
-/// buffer and both hot paths run amortized. Untimed only (the timed API
-/// deliberately bypasses the pop buffer). pairs_per_thread is rounded
-/// down to a whole number of rounds so throughput numbers stay
-/// per-element comparable with the scalar driver.
+/// each round pushes `batch` keys with one push_batch and then takes
+/// `batch` elements with try_pop_batch, calling it again while a call
+/// returns fewer than asked and more than none. Elements still missing
+/// when a call returns 0 count as failed pops. Untimed only.
+/// pairs_per_thread is rounded down to a whole number of rounds so
+/// throughput numbers stay per-element comparable with the scalar driver.
 template <typename Queue>
 run_result run_alternating_batched(Queue& queue,
                                    const workload_config& config,
                                    std::size_t batch) {
   PCQ_ASSERT_PQ_CONCEPT(Queue);
-  using clock = std::chrono::steady_clock;
   const std::size_t threads = config.num_threads ? config.num_threads : 1;
   const std::size_t b = batch ? batch : 1;
   const std::size_t rounds = config.pairs_per_thread / b;
 
-  detail::spin_barrier barrier(threads);
-  std::vector<clock::time_point> starts(threads), ends(threads);
-  std::vector<std::uint64_t> failed(threads, 0);
-
-  auto worker = [&](std::size_t tid) {
-    auto handle = queue.get_handle(tid);
+  auto body = [&](std::size_t tid, auto& handle, const auto& start) {
     xoshiro256ss keys(derive_seed(config.seed, 0x9000 + tid));
     const auto next_key = [&keys] { return keys() >> 1; };
     std::vector<typename Queue::entry> block(b);
@@ -199,48 +213,28 @@ run_result run_alternating_batched(Queue& queue,
       my_prefill -= n;
     }
 
-    barrier.arrive_and_wait();
-    starts[tid] = clock::now();
-
-    std::uint64_t my_failed = 0;
+    start();
+    std::uint64_t failed = 0;
     for (std::size_t r = 0; r < rounds; ++r) {
       for (std::size_t i = 0; i < b; ++i) {
         const std::uint64_t key = next_key();
         block[i] = {key, key};
       }
       handle.push_batch(block.data(), b);
-      for (std::size_t i = 0; i < b; ++i) {
-        std::uint64_t popped_key = 0, popped_value = 0;
-        if (!handle.try_pop(popped_key, popped_value)) ++my_failed;
+      std::size_t got = 0;
+      while (got < b) {
+        const std::size_t n = handle.try_pop_batch(block.data(), b - got);
+        if (n == 0) break;
+        got += n;
       }
+      failed += b - got;
     }
-    ends[tid] = clock::now();
-    failed[tid] = my_failed;
+    return failed;
   };
 
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(worker, t);
-  worker(0);
-  for (auto& t : pool) t.join();
-
-  auto first_start = starts[0];
-  auto last_end = ends[0];
-  run_result result;
-  for (std::size_t t = 0; t < threads; ++t) {
-    if (starts[t] < first_start) first_start = starts[t];
-    if (ends[t] > last_end) last_end = ends[t];
-    result.failed_pops += failed[t];
-  }
-  result.seconds =
-      std::chrono::duration<double>(last_end - first_start).count();
-  result.total_ops =
-      2 * static_cast<std::uint64_t>(rounds) * b * threads;
-  result.mops_per_sec =
-      result.seconds > 0.0
-          ? static_cast<double>(result.total_ops) / result.seconds / 1e6
-          : 0.0;
-  return result;
+  return detail::run_timed_workers(
+      queue, threads, 2 * static_cast<std::uint64_t>(rounds) * b * threads,
+      body);
 }
 
 /// Exact rank statistics from the timed event logs (see rank_recorder.hpp).

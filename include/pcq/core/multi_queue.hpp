@@ -41,33 +41,23 @@
 //                          lock + n sifts + one publish.
 //   try_pop_batch(out, k): one candidate selection + one lock, up to k
 //                          pops, one publish. Elements come out in heap
-//                          (ascending) order.
-//   pop buffer:            with mq_config::pop_batch = B > 1, try_pop
-//                          refills a per-handle buffer of up to B elements
-//                          from the chosen queue and serves from it. The
-//                          extra rank relaxation is bounded: a buffered
-//                          element can be overtaken only by the at most
-//                          B-1 elements ahead of it in its own refill plus
-//                          whatever arrives while it waits — the same
-//                          invisibility shape as the k-LSM's thread-local
-//                          blocks, with B playing the role of k.
+//                          (ascending) order. The extra rank relaxation is
+//                          bounded: an entry of the batch can be overtaken
+//                          only by the at most k-1 entries ahead of it in
+//                          its own batch plus whatever arrives while the
+//                          caller holds it. try_pop is try_pop_batch(1).
 //
 // Handles model the uniform queue concept of core/pq_handle.hpp (this
-// class is the concept's reference implementation): they own buffered
-// elements, so they are move-only and flush any undelivered buffer back
-// into the queue on destruction (elements never die with a thread). size() sums a per-handle striped counter — O(1) in
-// the queue count, contention-free (each handle writes its own stripe) —
-// and counts buffered elements as live. Approximate under concurrency,
-// exact when quiescent.
+// class is the concept's reference implementation). A handle owns no
+// elements — every element is in some slot or delivered — so a handle
+// can die at any time. size() sums a per-handle striped counter — O(1)
+// in the queue count, contention-free (each handle writes its own
+// stripe). Approximate under concurrency, exact when quiescent.
 //
 // The *_timed variants additionally draw a timestamp from a global atomic
 // counter *inside the critical section* (the operation's linearization
 // point). Replaying the merged timestamp order through a rank oracle
-// (core/rank_recorder.hpp) yields exact, skew-free rank statistics. Timed
-// pops never refill the pop buffer (they serve a non-empty buffer first,
-// ticking at delivery — near-exact, like the skiplist baselines' timed
-// paths), so rank instrumentation of the buffered configuration measures
-// the relaxation it actually introduces.
+// (core/rank_recorder.hpp) yields exact, skew-free rank statistics.
 //
 // Key requirements: trivially copyable, totally ordered by Compare, and
 // std::numeric_limits<Key>::max() is reserved as the empty sentinel
@@ -109,69 +99,14 @@ struct mq_config {
   /// inserts. 1 is the paper's algorithm; larger values are the locality
   /// extension ablated in bench_abl_sticky.
   std::size_t stickiness = 1;
-  /// Pop-buffer refill size B: try_pop serves from a per-handle buffer
-  /// refilled with up to B elements from the chosen queue under one lock.
-  /// 1 disables buffering (the paper's algorithm); larger values amortize
-  /// deleteMin's lock/publish at a bounded rank-relaxation cost (see the
-  /// header comment). Ablated in bench_abl_batch.
-  std::size_t pop_batch = 1;
   /// Expected number of live elements across the whole queue; when
   /// nonzero, each slot heap reserves its uniform share (plus
   /// balls-into-bins slack) at construction, so a prefill of this size
   /// never reallocates inside a queue lock. Purely a capacity hint —
   /// never a limit.
   std::size_t expected_capacity = 0;
-  /// Opt-in adaptive pop-buffer sizing: when true, each handle sizes its
-  /// own refill batch B dynamically in [1, pop_batch_max] (grow on
-  /// lock-contention/full-buffer signals, shrink on emptiness signals —
-  /// see adaptive_batch_controller), starting from pop_batch. Per-handle
-  /// state only, and no effect on the sampling decision procedure: the
-  /// RNG draws per deleteMin attempt are identical whatever B is.
-  bool adaptive_batch = false;
-  /// Upper bound for the adaptive controller's batch size.
-  std::size_t pop_batch_max = 64;
   /// Base seed for the per-thread sampling RNG streams.
   std::uint64_t seed = 0x706371u;  // "pcq"
-};
-
-/// Per-handle pop-buffer size governor for mq_config::adaptive_batch.
-/// Pure deterministic function of the refill outcomes it observes (no
-/// clocks, no RNG, no shared state), so transitions are unit-testable:
-///
-///   grow  (B *= 2, up to max):  the refill came back FULL (the slot had
-///          at least B elements — demand outruns the buffer), or the
-///          refill hit lock contention (a bigger buffer means fewer lock
-///          acquisitions per element, which is the lever against
-///          contention).
-///   shrink (B /= 2, down to 1): the refill found NOTHING (the emptiness
-///          sweep verdict — buffering an almost-empty queue just
-///          concentrates the last elements in one thread), or came back
-///          under half-full (the slots are shallower than B, so the
-///          buffer is overshooting what a single slot can supply).
-///   hold:  uncontended refill in [B/2, B) — supply roughly matches B.
-///
-/// Shrink wins when both signals fire (an empty contended refill means
-/// the queue is draining; backing off is the right move).
-class adaptive_batch_controller {
- public:
-  adaptive_batch_controller(std::size_t initial, std::size_t max_batch)
-      : max_(max_batch < 1 ? 1 : max_batch) {
-    batch_ = initial < 1 ? 1 : (initial > max_ ? max_ : initial);
-  }
-
-  std::size_t batch() const { return batch_; }
-
-  void on_refill(std::size_t requested, std::size_t got, bool contended) {
-    if (got == 0 || got < requested / 2) {
-      batch_ = batch_ / 2 < 1 ? 1 : batch_ / 2;
-    } else if (contended || got == requested) {
-      batch_ = batch_ * 2 > max_ ? max_ : batch_ * 2;
-    }
-  }
-
- private:
-  std::size_t max_;
-  std::size_t batch_;
 };
 
 template <typename Key, typename Value, typename Compare = std::less<Key>,
@@ -194,10 +129,6 @@ class multi_queue {
         slots_(new slot[num_queues_]) {
     if (config_.choices < 1) config_.choices = 1;
     if (config_.stickiness < 1) config_.stickiness = 1;
-    if (config_.pop_batch < 1) config_.pop_batch = 1;
-    if (config_.pop_batch_max < config_.pop_batch) {
-      config_.pop_batch_max = config_.pop_batch;
-    }
     if (config_.expected_capacity > 0) {
       // Uniform share + 25% slack: random inserts spread like balls into
       // bins, so the max-loaded slot overshoots E/n by O(sqrt(E/n log n));
@@ -213,9 +144,9 @@ class multi_queue {
 
   std::size_t num_queues() const { return num_queues_; }
 
-  /// Elements currently owned by the queue, including those buffered in
-  /// handles' pop buffers. Sums the handle-striped counter: O(1) in the
-  /// queue count, no locks, no shared cache lines on the write side.
+  /// Elements currently in the queue. Sums the handle-striped counter:
+  /// O(1) in the queue count, no locks, no shared cache lines on the
+  /// write side.
   /// Approximate under concurrency (the sum is not a snapshot), exact
   /// when quiescent. Regression-tested under concurrent insert/delete in
   /// test_multi_queue.
@@ -225,31 +156,7 @@ class multi_queue {
    public:
     handle(const handle&) = delete;
     handle& operator=(const handle&) = delete;
-    handle(handle&& other) noexcept
-        : queue_(other.queue_),
-          rng_(other.rng_),
-          scratch_(std::move(other.scratch_)),
-          batch_scratch_(std::move(other.batch_scratch_)),
-          buffer_(std::move(other.buffer_)),
-          buffer_pos_(other.buffer_pos_),
-          adaptive_(other.adaptive_),
-          stripe_(other.stripe_),
-          sticky_queue_(other.sticky_queue_),
-          sticky_left_(other.sticky_left_) {
-      other.queue_ = nullptr;
-      other.buffer_.clear();
-      other.buffer_pos_ = 0;
-    }
-
-    /// Undelivered buffered elements go back into the queue — they were
-    /// never handed to the caller, so they must not die with the handle.
-    ~handle() {
-      if (queue_ != nullptr && buffer_pos_ < buffer_.size()) {
-        queue_->push_batch_impl(*this, buffer_.data() + buffer_pos_,
-                                buffer_.size() - buffer_pos_,
-                                /*counted=*/false);
-      }
-    }
+    handle(handle&&) noexcept = default;
 
     void push(const Key& key, const Value& value) {
       queue_->push_impl(*this, key, value, nullptr);
@@ -265,7 +172,7 @@ class multi_queue {
     /// One lock + one publish for the whole batch. The batch is copied
     /// and sorted locally before any lock is taken.
     void push_batch(const entry* items, std::size_t n) {
-      queue_->push_batch_impl(*this, items, n, /*counted=*/true);
+      queue_->push_batch_impl(*this, items, n);
     }
 
     bool try_pop(Key& key, Value& value) {
@@ -280,7 +187,7 @@ class multi_queue {
     /// returns how many were written to out (ascending key order). 0 means
     /// the emptiness sweep found nothing (relaxed, like try_pop).
     std::size_t try_pop_batch(entry* out, std::size_t max_n) {
-      return queue_->pop_batch_impl(*this, out, max_n, /*counted=*/true);
+      return queue_->pop_batch_impl(*this, out, max_n, nullptr);
     }
 
    private:
@@ -289,16 +196,12 @@ class multi_queue {
         : queue_(queue),
           rng_(derive_seed(queue->config_.seed, thread_id)),
           scratch_(std::min(queue->config_.choices, queue->num_queues_)),
-          adaptive_(queue->config_.pop_batch, queue->config_.pop_batch_max),
           stripe_(thread_id) {}
 
     multi_queue* queue_;
     xoshiro256ss rng_;
     std::vector<std::size_t> scratch_;  ///< d-choice sample buffer
     std::vector<entry> batch_scratch_;  ///< push_batch local sort area
-    std::vector<entry> buffer_;         ///< pop buffer (refilled elements)
-    std::size_t buffer_pos_ = 0;        ///< next undelivered buffer slot
-    adaptive_batch_controller adaptive_;  ///< per-handle B governor
     std::size_t stripe_ = 0;            ///< striped-counter lane
     std::size_t sticky_queue_ = 0;
     std::size_t sticky_left_ = 0;  ///< inserts remaining on sticky_queue_
@@ -360,8 +263,7 @@ class multi_queue {
     count_.add(h.stripe_, 1);
   }
 
-  void push_batch_impl(handle& h, const entry* items, std::size_t n,
-                       bool counted) {
+  void push_batch_impl(handle& h, const entry* items, std::size_t n) {
     if (n == 0) return;
     // Sort a local copy before locking: ascending pushes keep each sift
     // shallow and leave the heap's min ready for the single publish.
@@ -376,45 +278,12 @@ class multi_queue {
     for (const entry& e : h.batch_scratch_) s->heap.push(e.first, e.second);
     publish(*s);
     s->lock.unlock();
-    if (counted) {
-      count_.add(h.stripe_, static_cast<std::int64_t>(n));
-    }
+    count_.add(h.stripe_, static_cast<std::int64_t>(n));
   }
 
   bool pop_impl(handle& h, Key& key, Value& value, std::uint64_t* ts_out) {
-    // Serve the pop buffer first. Delivery is when an element stops being
-    // "in the queue", so the counter decrements here, not at refill.
-    if (h.buffer_pos_ < h.buffer_.size()) {
-      const entry& e = h.buffer_[h.buffer_pos_++];
-      key = e.first;
-      value = e.second;
-      count_.add(h.stripe_, -1);
-      if (ts_out != nullptr) *ts_out = tick();  // delivery tick: near-exact
-      return true;
-    }
-    // Refill path (untimed pops only — see header comment).
-    if ((config_.pop_batch > 1 || config_.adaptive_batch) &&
-        ts_out == nullptr) {
-      const std::size_t want =
-          config_.adaptive_batch ? h.adaptive_.batch() : config_.pop_batch;
-      h.buffer_.resize(want);
-      bool contended = false;
-      const std::size_t got =
-          pop_batch_impl(h, h.buffer_.data(), want,
-                         /*counted=*/false, nullptr,
-                         config_.adaptive_batch ? &contended : nullptr);
-      if (config_.adaptive_batch) h.adaptive_.on_refill(want, got, contended);
-      h.buffer_.resize(got);
-      h.buffer_pos_ = 0;
-      if (got == 0) return false;
-      const entry& e = h.buffer_[h.buffer_pos_++];
-      key = e.first;
-      value = e.second;
-      count_.add(h.stripe_, -1);
-      return true;
-    }
     entry e;
-    if (pop_batch_impl(h, &e, 1, /*counted=*/true, ts_out) == 0) return false;
+    if (pop_batch_impl(h, &e, 1, ts_out) == 0) return false;
     key = e.first;
     value = e.second;
     return true;
@@ -423,13 +292,9 @@ class multi_queue {
   /// The one deleteMin retry loop: (1+beta)/d candidate selection,
   /// try_lock, up to max_n heap pops under one lock, one publish. The
   /// scalar path is max_n = 1; ts_out (scalar callers only) draws the
-  /// linearization ticket inside the critical section. contended_out
-  /// (adaptive refills only) reports whether any candidate's try_lock
-  /// failed — an observation, not a branch: the sampling/RNG sequence is
-  /// identical whether or not it is requested.
+  /// linearization ticket inside the critical section.
   std::size_t pop_batch_impl(handle& h, entry* out, std::size_t max_n,
-                             bool counted, std::uint64_t* ts_out = nullptr,
-                             bool* contended_out = nullptr) {
+                             std::uint64_t* ts_out) {
     if (max_n == 0) return 0;
     const Compare compare{};
     backoff bo;
@@ -447,18 +312,14 @@ class multi_queue {
       }
       if (have_candidate) {
         slot& s = slots_[candidate];
-        if (!s.lock.try_lock()) {
-          if (contended_out != nullptr) *contended_out = true;
-        } else {
+        if (s.lock.try_lock()) {
           std::size_t got = 0;
           while (got < max_n && !s.heap.empty()) out[got++] = s.heap.pop();
           if (got > 0) {
             publish(s);
             if (ts_out != nullptr) *ts_out = tick();
             s.lock.unlock();
-            if (counted) {
-              count_.add(h.stripe_, -static_cast<std::int64_t>(got));
-            }
+            count_.add(h.stripe_, -static_cast<std::int64_t>(got));
             return got;
           }
           s.lock.unlock();

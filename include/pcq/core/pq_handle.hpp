@@ -14,10 +14,10 @@
 //
 // Handle contract:
 //
-//   - Move-only. Handles may own elements (the MultiQueue's pop buffer,
-//     the k-LSM's local component) and resources (the skiplist queues'
-//     epoch-reclamation records), so copying is deleted; moving transfers
-//     ownership and leaves the source dead.
+//   - Move-only. Handles may own elements (the k-LSM's local component)
+//     and resources (the skiplist queues' epoch-reclamation records), so
+//     copying is deleted; moving transfers ownership and leaves the
+//     source dead.
 //   - Flush-on-destruction. Any element a handle owns but never delivered
 //     to its caller returns to the queue when the handle dies — elements
 //     never die with a thread, and a fresh handle can always drain the

@@ -44,10 +44,9 @@
 // off (pcq::backoff ladder) and retries. Entries still waiting in a
 // worker's popped batch keep their units, and settled products not yet
 // published carry theirs.
-// Handle-buffered elements (k-LSM local components, MultiQueue pop
-// buffers) stay counted and are poppable by their owner, and a popped
-// batch is finished by its worker without waiting on anyone, so the
-// retry always makes progress. The acquire load of a zero count orders every
+// Handle-buffered elements (k-LSM local components) stay counted and
+// are poppable by their owner, and a popped batch is finished by its
+// worker without waiting on anyone, so the retry always makes progress. The acquire load of a zero count orders every
 // dist[] write before any worker returns.
 //
 // Workers join before the function returns, so reading the final

@@ -83,8 +83,8 @@ namespace service {
 /// concept. Handle w belongs to worker w; handle `workers` is the
 /// dispatch side's, held in an optional so seal() can destroy it —
 /// destruction is the concept's flush point, which publishes anything a
-/// buffering queue (k-LSM local component, MultiQueue pop buffer) still
-/// holds on the dispatch side.
+/// buffering queue (the k-LSM's local component) still holds on the
+/// dispatch side.
 template <typename Queue>
 class pq_dispatcher {
   static_assert(is_pq<Queue>::value,

@@ -5,7 +5,7 @@
 // not just against theory.
 //
 // Why an EXACT trace-level match is possible (and what it proves): with
-// one thread, stickiness = 1, pop_batch = 1, and uniform insertion, the
+// one thread, stickiness = 1, scalar pops, and uniform insertion, the
 // MultiQueue handle's decision procedure is the label process —
 //
 //   insert:  one rng.bounded(n) draw picks the queue/bin
@@ -183,7 +183,6 @@ inline equivalence_result run_equivalence(const equivalence_config& cfg) {
   mcfg.choices = cfg.choices;
   mcfg.queue_factor = cfg.num_queues;
   mcfg.stickiness = 1;   // the coupling's insert is one bounded(n) draw
-  mcfg.pop_batch = 1;    // buffering would decouple delivery from choice
   mcfg.seed = cfg.seed;
   multi_queue<std::uint64_t, std::uint64_t> queue(mcfg, 1);
 

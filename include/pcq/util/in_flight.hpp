@@ -46,12 +46,11 @@
 // The queue is not reconfigured for it: each pop makes the same sampling
 // decision as a scalar pop and only takes more entries from the slot it
 // chose, and each publish goes to one sampled slot like any push_batch.
-// A batched entry can then be overtaken by at most kDrainBatch - 1
-// entries of its own batch plus whatever arrives while it waits (the
-// bound of mq_config::pop_batch, with K playing B), and a product stays
-// invisible until its batch's last body finishes, at most
-// kDrainBatch - 1 further bodies (bench_abl_batch records the rank cost
-// of both per K).
+// A batch of K = kDrainBatch entries relaxes each of them by at most
+// K - 1 entries of its batch plus arrivals: nothing else can overtake an
+// entry while it waits in the batch. A product stays invisible until its
+// batch's last body finishes, at most K - 1 further bodies
+// (bench_abl_batch records the rank cost of both per K).
 
 #pragma once
 

@@ -262,9 +262,6 @@ int main() {
   check_all_graphs([](std::size_t threads) {
     pcq::mq_config cfg;
     cfg.beta = 0.5;  // the paper's (1+beta) relaxation
-    // A pop-buffer config too: the drain loop's try_pop_batch bypasses
-    // the buffer, so this checks that the setting changes nothing.
-    cfg.pop_batch = 4;
     return std::make_unique<pcq::multi_queue<std::uint64_t, std::uint64_t>>(
         cfg, threads);
   });

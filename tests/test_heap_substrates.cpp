@@ -16,11 +16,6 @@
 // (deletion buffer, insertion buffer, inner heap), checked against a
 // sorted oracle and against the part sizes the path must leave, plus the
 // header size the MultiQueue lock-line budget rests on.
-//
-// Adaptive pop_batch: the controller's grow/shrink/bounds transitions are
-// a pure function of refill outcomes, tested exhaustively; an end-to-end
-// deterministic drain plus a concurrent conformance suite cover the wired
-// queue path.
 
 #include "heap/binary_heap.hpp"
 #include "heap/buffered_heap.hpp"
@@ -375,101 +370,26 @@ void buffered_edge_cases() {
 template <typename Selector>
 void mq_suite_with(std::uint64_t seed) {
   using queue_t = pcq::multi_queue<u64, u64, std::less<u64>, Selector>;
-  pcq::testing::run_standard_suite(
-      [](std::size_t threads) {
-        pcq::mq_config cfg;
-        cfg.expected_capacity = 4096;
-        return std::make_unique<queue_t>(cfg, threads);
-      },
-      /*drain_exact=*/false, seed);
+  const auto make = [](std::size_t threads) {
+    pcq::mq_config cfg;
+    cfg.expected_capacity = 4096;
+    return std::make_unique<queue_t>(cfg, threads);
+  };
+  pcq::testing::run_standard_suite(make, /*drain_exact=*/false, seed);
+  pcq::testing::check_batched_conservation(make, /*threads=*/4,
+                                           /*rounds=*/400, /*batch=*/8,
+                                           seed + 7);
 }
 
 void coarse_suite_nondefault() {
   using queue_t = pcq::coarse_pq<u64, u64, std::less<u64>, pcq::pairing_heap>;
-  pcq::testing::run_standard_suite(
-      [](std::size_t /*threads*/) {
-        return std::make_unique<queue_t>(/*expected_capacity=*/2048);
-      },
-      /*drain_exact=*/true);
-}
-
-// ---- adaptive pop_batch ----
-
-void adaptive_controller_transitions() {
-  // Grow on full refills, doubling to the cap and holding there.
-  pcq::adaptive_batch_controller c(1, 64);
-  CHECK(c.batch() == 1);
-  const std::size_t grown[] = {2, 4, 8, 16, 32, 64, 64};
-  for (std::size_t expect : grown) {
-    c.on_refill(c.batch(), c.batch(), /*contended=*/false);
-    CHECK(c.batch() == expect);
-  }
-  // Short refill (under half of requested) shrinks.
-  c.on_refill(64, 10, false);
-  CHECK(c.batch() == 32);
-  // In [half, full) and uncontended: hold.
-  c.on_refill(32, 20, false);
-  CHECK(c.batch() == 32);
-  // Contention grows even on a partial refill.
-  c.on_refill(32, 20, true);
-  CHECK(c.batch() == 64);
-  // Emptiness shrinks all the way to the floor and stays there.
-  const std::size_t shrunk[] = {32, 16, 8, 4, 2, 1, 1, 1};
-  for (std::size_t expect : shrunk) {
-    c.on_refill(c.batch(), 0, /*contended=*/false);
-    CHECK(c.batch() == expect);
-  }
-  // Empty-but-contended: the shrink signal wins.
-  c.on_refill(1, 1, false);  // allow one grow first
-  CHECK(c.batch() == 2);
-  c.on_refill(2, 0, /*contended=*/true);
-  CHECK(c.batch() == 1);
-  // Constructor clamps: initial above max, zero initial, zero max.
-  CHECK(pcq::adaptive_batch_controller(100, 64).batch() == 64);
-  CHECK(pcq::adaptive_batch_controller(0, 8).batch() == 1);
-  CHECK(pcq::adaptive_batch_controller(5, 0).batch() == 1);
-}
-
-/// Deterministic single-thread end-to-end: an adaptive handle must
-/// conserve elements exactly through grow/shrink cycles (push phase,
-/// full drain, emptiness verdict).
-void adaptive_queue_drain() {
-  pcq::mq_config cfg;
-  cfg.adaptive_batch = true;
-  cfg.pop_batch_max = 32;
-  cfg.expected_capacity = 10000;
-  pcq::multi_queue<u64, u64> queue(cfg, 2);
-  auto handle = queue.get_handle(0);
-  pcq::xoshiro256ss rng(0xadab);
-  u64 sum_in = 0;
-  for (std::size_t i = 0; i < 10000; ++i) {
-    const u64 k = rng() >> 1;
-    handle.push(k, value_of(k));
-    sum_in += k;
-  }
-  u64 sum_out = 0;
-  std::size_t got = 0;
-  u64 key = 0, value = 0;
-  while (handle.try_pop(key, value)) {
-    CHECK(value == value_of(key));
-    sum_out += key;
-    ++got;
-  }
-  CHECK(got == 10000);
-  CHECK(sum_in == sum_out);
-  CHECK(queue.size() == 0);
-}
-
-void adaptive_mq_suite() {
-  using queue_t = pcq::multi_queue<u64, u64>;
-  pcq::testing::run_standard_suite(
-      [](std::size_t threads) {
-        pcq::mq_config cfg;
-        cfg.adaptive_batch = true;
-        cfg.pop_batch_max = 16;
-        return std::make_unique<queue_t>(cfg, threads);
-      },
-      /*drain_exact=*/false, 0xada0);
+  const auto make = [](std::size_t /*threads*/) {
+    return std::make_unique<queue_t>(/*expected_capacity=*/2048);
+  };
+  pcq::testing::run_standard_suite(make, /*drain_exact=*/true);
+  pcq::testing::check_batched_conservation(make, /*threads=*/4,
+                                           /*rounds=*/400, /*batch=*/8,
+                                           0xc0a7);
 }
 
 }  // namespace
@@ -496,10 +416,6 @@ int main() {
   mq_suite_with<pcq::pairing_heap>(0x313);
   mq_suite_with<pcq::seq_skiplist>(0x314);
   coarse_suite_nondefault();
-
-  adaptive_controller_transitions();
-  adaptive_queue_drain();
-  adaptive_mq_suite();
 
   std::printf("test_heap_substrates OK\n");
   return 0;

@@ -262,34 +262,24 @@ int main() {
     }
   }
 
-  // Batched ops: one-lock-per-batch pushes and pops conserve elements
-  // under concurrency (including flush-on-destruction of pop buffers),
-  // and a single-queue drain through try_pop_batch is globally sorted.
+  // Batched ops: one-lock-per-batch pushes and try_pop_batch calls
+  // conserve elements under concurrency, and a single-queue drain through
+  // try_pop_batch is globally sorted.
   {
-    const auto make_batched = [](std::size_t threads) {
-      pcq::mq_config cfg;
-      cfg.pop_batch = 16;
-      return std::make_unique<mq>(cfg, threads);
-    };
-    pcq::testing::check_batched_conservation(make_batched, /*threads=*/4,
+    pcq::testing::check_batched_conservation(make_mq, /*threads=*/4,
                                              /*rounds=*/500, /*batch=*/16,
                                              0xba7c4);
     const auto make_single = [](std::size_t threads) {
       pcq::mq_config cfg;
       cfg.queue_factor = 1;
-      cfg.pop_batch = 8;
       return std::make_unique<mq>(cfg, threads);
     };
     pcq::testing::check_batched_drain(make_single, /*n=*/4096, /*batch=*/8,
                                       /*exact=*/true, 0xba7c5);
     // Multi-queue configuration: chunks stay ascending but the merge is
     // relaxed, so no global-order assertion.
-    pcq::testing::check_batched_drain(make_batched, /*n=*/4096, /*batch=*/16,
+    pcq::testing::check_batched_drain(make_mq, /*n=*/4096, /*batch=*/16,
                                       /*exact=*/false, 0xba7c6);
-    // The standard suite through the pop-buffer configuration: buffered
-    // elements count as live, retrying consumers drain other handles'
-    // leftovers after flush, and nothing is lost or duplicated.
-    pcq::testing::run_standard_suite(make_batched, /*drain_exact=*/false);
   }
 
   // Shared harness: conservation, no-lost-wakeups, exact drain at the
