@@ -34,9 +34,10 @@
 // 1..5; one series per dispatcher with mops (completed per virtual
 // second), sojourn percentiles, and the degradation fractions
 // miss_frac / shed_frac / lost_frac plus retry/failover/reclaim
-// counters. CI gates mq miss_frac and shed_frac normalized by the same
-// run's fcfs (lower is better, loose threshold — the claim gated is
-// "mq does not become an outlier under faults", not an exact curve).
+// counters. CI gates the whole artifact exactly: at PCQ_MAX_THREADS=2
+// it must be byte-identical (cmp) to
+// bench/baselines/BENCH_fault.baseline.json, so any change to a
+// dispatcher, the fault process or the trace shows up as a diff.
 //
 // Env knobs: PCQ_MAX_THREADS caps workers, PCQ_FAULT_REQUESTS
 // overrides requests per cell (CI smoke runs tiny counts).
@@ -335,7 +336,8 @@ int main() {
       "intensity; conservation held in every cell (or this binary would "
       "have exited 1); shared-queue dispatchers reclaim nothing, po2 "
       "reclaims its dead workers' stranded FIFOs; mq tracks fcfs or "
-      "better on miss_frac/shed_frac (the CI gate, fcfs-normalized "
-      "against the committed baseline).\n");
+      "better on miss_frac/shed_frac; at PCQ_MAX_THREADS=2 this "
+      "artifact is byte-identical to the committed baseline (the CI "
+      "gate).\n");
   return 0;
 }

@@ -5,24 +5,13 @@ Usage:
     check_bench_regression.py CURRENT.json BASELINE.json
         [--figure fig1] [--threshold 0.30] [--normalize coarse]
         [--gate-prefix mq_] [--two-sided]
-        [--metric mops] [--lower-is-better]
 
 Works for any BENCH_<figure>.json produced by benchlib/json_writer.hpp
 with the shape {threads: [...], series: [{name, mops: [...]}]} — fig1
 emits Mops/s, fig3 emits million-settled-nodes/s; both are
-higher-is-better, the default assumption. --figure only labels the
-report.
-
---metric KEY gates a different per-series list than "mops" (every
-json_writer series may carry extra aligned lists — bench_fault's
-miss_frac / shed_frac). --lower-is-better flips the verdict for
-metrics where UP is the regression (deadline-miss and shed fractions):
-a gated cell fails when it rises more than --threshold above baseline
-(and, with --two-sided, when it falls more than --threshold below —
-deterministic-bench drift). Zero is a valid best-case value for
-lower-is-better metrics, so zero current cells gate normally there;
-zero/absent BASELINE cells are skipped (no ratio to take), as are
-cells whose normalizer is zero.
+higher-is-better. --figure only labels the report. Zero/absent
+baseline cells are skipped (no ratio to take), as are cells whose
+normalizer is zero.
 
 Compares every gated series (names starting with --gate-prefix, default
 "mq_") at every thread count present in both files and fails (exit 1)
@@ -55,12 +44,12 @@ import json
 import sys
 
 
-def load_series(path, metric):
+def load_series(path):
     with open(path) as f:
         doc = json.load(f)
     threads = doc["threads"]
-    series = {s["name"]: dict(zip(threads, s[metric]))
-              for s in doc["series"] if metric in s}
+    series = {s["name"]: dict(zip(threads, s["mops"]))
+              for s in doc["series"] if "mops" in s}
     return threads, series
 
 
@@ -82,15 +71,10 @@ def main():
                         help="also fail on cells moving the other way (for "
                              "deterministic benches, where any movement "
                              "means the process changed)")
-    parser.add_argument("--metric", default="mops",
-                        help="per-series list to gate (default: mops)")
-    parser.add_argument("--lower-is-better", action="store_true",
-                        help="fail on cells RISING more than --threshold "
-                             "above baseline (miss/shed fractions)")
     args = parser.parse_args()
 
-    cur_threads, current = load_series(args.current, args.metric)
-    base_threads, baseline = load_series(args.baseline, args.metric)
+    cur_threads, current = load_series(args.current)
+    base_threads, baseline = load_series(args.baseline)
     shared_threads = [t for t in cur_threads if t in base_threads]
     if not shared_threads:
         print(f"[{args.figure}] no overlapping thread counts between "
@@ -110,9 +94,7 @@ def main():
 
     def cell(series, name, t):
         v = series[name].get(t)
-        # 0 is a legitimate best-case value for lower-is-better metrics
-        # (a fraction that never happened); for throughput it means dead.
-        if v is None or v < 0 or (v == 0 and not args.lower_is_better):
+        if v is None or v <= 0:
             return None
         if args.normalize is None:
             return v
@@ -122,8 +104,7 @@ def main():
         return v / norm
 
     failures = []
-    print(f"[{args.figure}] (metric: {args.metric}, cells in {unit}, "
-          f"{'lower' if args.lower_is_better else 'higher'} is better)")
+    print(f"[{args.figure}] (cells in {unit}, higher is better)")
     print(f"{'series':<18}{'threads':>8}{'baseline':>10}{'current':>10}"
           f"{'ratio':>8}  gate")
     for name in sorted(set(current) & set(baseline)):
@@ -131,11 +112,9 @@ def main():
         for t in shared_threads:
             base = cell(baseline, name, t)
             cur = cell(current, name, t)
-            if base is None or (args.lower_is_better and base == 0):
+            if base is None:
                 continue  # no baseline ratio to take
             if cur is None:
-                if args.lower_is_better:
-                    continue  # value or normalizer absent: nothing to gate
                 # A dead/zero current cell against a live baseline is the
                 # worst regression there is, not a skip.
                 if gated:
@@ -145,12 +124,8 @@ def main():
                 continue
             ratio = cur / base
             verdict = "ok"
-            if args.lower_is_better:
-                bad = ratio > 1.0 + args.threshold
-                drift = args.two_sided and ratio < 1.0 - args.threshold
-            else:
-                bad = ratio < 1.0 - args.threshold
-                drift = args.two_sided and ratio > 1.0 + args.threshold
+            bad = ratio < 1.0 - args.threshold
+            drift = args.two_sided and ratio > 1.0 + args.threshold
             if gated and (bad or drift):
                 verdict = "REGRESSION" if bad else "DRIFT"
                 failures.append((name, t, base, cur, ratio))

@@ -10,8 +10,7 @@
 // which is why workers always scope their handle inside the thread and
 // drains use a fresh handle after joining).
 //
-// Checks (run_standard_suite bundles all but batched conservation, which
-// each queue's own test calls):
+// Checks (run_standard_suite bundles all of them):
 //   concept conformance — compile-time surface asserts plus the runtime
 //     contract: relaxed emptiness, scalar and batched round-trips,
 //     handle moves mid-stream, flush-on-destruction;
@@ -287,7 +286,7 @@ void check_monotone_drain(MakeQueue make, std::size_t n, bool exact,
 /// and a fresh-handle drain must account for every element. Chunk order
 /// is check_batched_drain's job: under concurrency a push can land
 /// between two claims of one chunk. Written against the concept's batch
-/// API (core/pq_handle.hpp); each queue's own test calls it.
+/// API (core/pq_handle.hpp).
 template <typename MakeQueue>
 void check_batched_conservation(MakeQueue make, std::size_t threads,
                                 std::size_t rounds, std::size_t batch,
@@ -465,9 +464,8 @@ void check_timed_replay(MakeQueue make, bool exact, std::uint64_t seed) {
 /// per-chunk order here because some queues' batched pops are relaxed
 /// even when their scalar pops are exact (the MultiQueue pops a chunk
 /// from a single inner queue) — queues whose batches stay exact assert
-/// that separately in their own test. Concurrent batched pops
-/// (check_batched_conservation) are not part of the suite: each queue's
-/// own test calls them, and the spraylist's leaves them out until its
+/// that separately in their own test. The spraylist's test lists these
+/// checks itself, leaving out check_batched_conservation until its
 /// livelock (a plain test_spray_pq run occasionally hangs) is fixed.
 template <typename MakeQueue>
 void run_standard_suite(MakeQueue make, bool drain_exact,
@@ -477,6 +475,8 @@ void run_standard_suite(MakeQueue make, bool drain_exact,
   check_no_lost_wakeups(make, /*producers=*/2, /*consumers=*/2,
                         /*items_per_producer=*/6000, seed + 1);
   check_monotone_drain(make, /*n=*/4096, drain_exact, seed + 2);
+  check_batched_conservation(make, /*threads=*/4, /*rounds=*/400,
+                             /*batch=*/8, seed + 4);
   check_batched_drain(make, /*n=*/2048, /*batch=*/8, /*exact=*/false,
                       seed + 5);
   check_timed_replay(make, drain_exact, seed + 6);

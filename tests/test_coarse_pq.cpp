@@ -106,9 +106,6 @@ int main() {
   // Shared harness: conservation, no-lost-wakeups, exact drain (the
   // coarse heap is strict by construction).
   pcq::testing::run_standard_suite(make_coarse, /*drain_exact=*/true);
-  pcq::testing::check_batched_conservation(make_coarse, /*threads=*/4,
-                                           /*rounds=*/400, /*batch=*/8,
-                                           0xc0a4);
 
   std::printf("test_coarse_pq OK\n");
   return 0;

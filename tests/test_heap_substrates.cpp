@@ -370,26 +370,22 @@ void buffered_edge_cases() {
 template <typename Selector>
 void mq_suite_with(std::uint64_t seed) {
   using queue_t = pcq::multi_queue<u64, u64, std::less<u64>, Selector>;
-  const auto make = [](std::size_t threads) {
-    pcq::mq_config cfg;
-    cfg.expected_capacity = 4096;
-    return std::make_unique<queue_t>(cfg, threads);
-  };
-  pcq::testing::run_standard_suite(make, /*drain_exact=*/false, seed);
-  pcq::testing::check_batched_conservation(make, /*threads=*/4,
-                                           /*rounds=*/400, /*batch=*/8,
-                                           seed + 7);
+  pcq::testing::run_standard_suite(
+      [](std::size_t threads) {
+        pcq::mq_config cfg;
+        cfg.expected_capacity = 4096;
+        return std::make_unique<queue_t>(cfg, threads);
+      },
+      /*drain_exact=*/false, seed);
 }
 
 void coarse_suite_nondefault() {
   using queue_t = pcq::coarse_pq<u64, u64, std::less<u64>, pcq::pairing_heap>;
-  const auto make = [](std::size_t /*threads*/) {
-    return std::make_unique<queue_t>(/*expected_capacity=*/2048);
-  };
-  pcq::testing::run_standard_suite(make, /*drain_exact=*/true);
-  pcq::testing::check_batched_conservation(make, /*threads=*/4,
-                                           /*rounds=*/400, /*batch=*/8,
-                                           0xc0a7);
+  pcq::testing::run_standard_suite(
+      [](std::size_t /*threads*/) {
+        return std::make_unique<queue_t>(/*expected_capacity=*/2048);
+      },
+      /*drain_exact=*/true);
 }
 
 }  // namespace

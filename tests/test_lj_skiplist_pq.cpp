@@ -150,9 +150,6 @@ int main() {
   // policies.
   pcq::testing::run_standard_suite(make_lj, /*drain_exact=*/true);
   pcq::testing::run_standard_suite(make_lj_deferred, /*drain_exact=*/true);
-  pcq::testing::check_batched_conservation(make_lj, /*threads=*/4,
-                                           /*rounds=*/400, /*batch=*/8,
-                                           0x1ea4);
 
   std::printf("test_lj_skiplist_pq OK\n");
   return 0;
