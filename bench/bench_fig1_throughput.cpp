@@ -1,8 +1,9 @@
 // FIG1 — reproduces Figure 1: throughput of alternating insert/deleteMin
 // vs thread count, for the (1+beta) priority queue (beta = 0.5, 0.75), the
 // original MultiQueue (beta = 1), the Lindén–Jonsson-style skiplist, the
-// k-LSM (k = 256), a coarse-locked heap, and — beyond the paper — the
-// batched MultiQueue (push_batch + try_pop_batch, batch = 16), which
+// k-LSM (k = 256), the SprayList (`spraylist`, sized for the thread
+// count), a coarse-locked heap, and — beyond the paper — the batched
+// MultiQueue (push_batch + try_pop_batch, batch = 16), which
 // amortizes the per-element lock/publish cost, plus a substrate A/B:
 // mq_b1.0 runs on the default slot heap (buffered_heap<16>: deletion and
 // insertion buffers over the cache-aware 4-ary heap) while

@@ -5,19 +5,18 @@
 // it flattening as threads grow while MultiQueues keep scaling.
 //
 // All the algorithmic content — marked-prefix traversal, one-fetch_or
-// claims, batched head restructuring, policy-selected memory reclamation
-// — lives in core/detail/concurrent_skiplist.hpp; this wrapper adds the
+// claims, batched head restructuring, epoch-based memory reclamation —
+// lives in core/detail/concurrent_skiplist.hpp; this wrapper adds the
 // handle concept surface of core/pq_handle.hpp. Handles are move-only:
-// each owns its epoch-reclamation record (the EBR registration), which
-// is what enables the batch ops' pin/unpin elision — push_batch and
-// try_pop_batch pin the epoch once for the whole batch instead of once
-// per element. Batched pops stay strict per element: each claim
-// re-traverses from the head, so every popped element is the global
-// minimum at its claim instant (the head restructure keeps the re-walked
-// prefix bounded). The default reclaim_ebr policy frees retired towers
-// during operation (long-lived queues stay O(live + threads * limbo)
-// instead of growing with the total insert count); instantiate with
-// reclaim_deferred for the free-at-destruction behavior.
+// each owns its epoch-reclamation record (the EBR registration). A scalar
+// push or pop pins the epoch for its own duration; push_batch and
+// try_pop_batch pin it once for the whole batch instead of once per
+// element. Batched pops stay strict per element: each claim re-traverses
+// from the head, so every popped element is the global minimum at its
+// claim instant (the head restructure keeps the re-walked prefix
+// bounded). Retired towers are freed during operation, so a long-lived
+// queue stays O(live + threads * limbo) instead of growing with the total
+// insert count.
 //
 // Timestamps for the timed extension are drawn from a global atomic
 // counter immediately after the claiming fetch_or / linking CAS rather
@@ -38,10 +37,9 @@
 
 namespace pcq {
 
-template <typename Key, typename Value, typename Compare = std::less<Key>,
-          typename Reclaim = reclaim_ebr>
+template <typename Key, typename Value, typename Compare = std::less<Key>>
 class lj_skiplist_pq {
-  using list_type = detail::concurrent_skiplist<Key, Value, Compare, Reclaim>;
+  using list_type = detail::concurrent_skiplist<Key, Value, Compare>;
 
  public:
   using entry = std::pair<Key, Value>;
@@ -67,14 +65,8 @@ class lj_skiplist_pq {
       other.queue_ = nullptr;
     }
 
-    // Scalar ops use the lazy-pin elision (util/ebr.hpp): each ends by
-    // parking the epoch pin instead of dropping it, so back-to-back
-    // scalar push/pop on this handle re-enter with one CAS instead of
-    // the full store+fence+re-read pin protocol.
     void push(const Key& key, const Value& value) {
-      auto guard = queue_->list_.pin_resume(rh_);
-      queue_->list_.insert_pinned(rh_, rng_, key, value);
-      guard.unpin_lazy();
+      queue_->list_.insert(rh_, rng_, key, value);
     }
 
     std::uint64_t push_timed(const Key& key, const Value& value) {
@@ -84,9 +76,7 @@ class lj_skiplist_pq {
       // this insert and the timestamp-merged replay never sees an
       // unmatched remove. (Drawing after the insert loses that race.)
       const std::uint64_t ts = queue_->tick();
-      auto guard = queue_->list_.pin_resume(rh_);
-      queue_->list_.insert_pinned(rh_, rng_, key, value);
-      guard.unpin_lazy();
+      push(key, value);
       return ts;
     }
 
@@ -102,17 +92,11 @@ class lj_skiplist_pq {
     }
 
     bool try_pop(Key& key, Value& value) {
-      auto guard = queue_->list_.pin_resume(rh_);
-      const bool ok = queue_->list_.try_pop_front_pinned(rh_, key, value);
-      guard.unpin_lazy();
-      return ok;
+      return queue_->list_.try_pop_front(rh_, key, value);
     }
 
     bool try_pop_timed(Key& key, Value& value, std::uint64_t& ts) {
-      auto guard = queue_->list_.pin_resume(rh_);
-      const bool ok = queue_->list_.try_pop_front_pinned(rh_, key, value);
-      guard.unpin_lazy();
-      if (!ok) return false;
+      if (!try_pop(key, value)) return false;
       ts = queue_->tick();
       return true;
     }

@@ -18,13 +18,14 @@
 // emptiness detection matches try_pop_front's (relaxed under races).
 //
 // Models the handle concept of core/pq_handle.hpp: handles are move-only
-// and own their epoch-reclamation record, so push_batch / try_pop_batch
-// pin the epoch once per batch (pin/unpin elision) while running the
-// per-element spray logic unchanged.
+// and own their epoch-reclamation record. A scalar op pins the epoch for
+// its own duration; push_batch / try_pop_batch pin it once per batch
+// (pin/unpin elision) while running the per-element spray logic
+// unchanged.
 //
-// Reclamation is policy-selected in the substrate: the default
-// reclaim_ebr frees sprayed-out towers during operation once an insert's
-// helping unlink or a cleaner's restructure detaches them.
+// The substrate reclaims by epochs: it frees sprayed-out towers during
+// operation once an insert's helping unlink or a cleaner's restructure
+// detaches them.
 
 #pragma once
 
@@ -40,10 +41,9 @@
 
 namespace pcq {
 
-template <typename Key, typename Value, typename Compare = std::less<Key>,
-          typename Reclaim = reclaim_ebr>
+template <typename Key, typename Value, typename Compare = std::less<Key>>
 class spray_pq {
-  using list_type = detail::concurrent_skiplist<Key, Value, Compare, Reclaim>;
+  using list_type = detail::concurrent_skiplist<Key, Value, Compare>;
 
  public:
   using entry = std::pair<Key, Value>;
@@ -76,13 +76,8 @@ class spray_pq {
       other.queue_ = nullptr;
     }
 
-    // Scalar ops use the lazy-pin elision (util/ebr.hpp): each parks
-    // its epoch pin on exit so the next scalar op on this handle can
-    // resume it with one CAS.
     void push(const Key& key, const Value& value) {
-      auto guard = queue_->list_.pin_resume(rh_);
-      queue_->list_.insert_pinned(rh_, rng_, key, value);
-      guard.unpin_lazy();
+      queue_->list_.insert(rh_, rng_, key, value);
     }
 
     std::uint64_t push_timed(const Key& key, const Value& value) {
@@ -90,9 +85,7 @@ class spray_pq {
       // a racing consumer's remove ticket ordered after this insert, so
       // replayed removes always match.
       const std::uint64_t ts = queue_->tick();
-      auto guard = queue_->list_.pin_resume(rh_);
-      queue_->list_.insert_pinned(rh_, rng_, key, value);
-      guard.unpin_lazy();
+      push(key, value);
       return ts;
     }
 
@@ -108,10 +101,9 @@ class spray_pq {
     }
 
     bool try_pop(Key& key, Value& value) {
-      auto guard = queue_->list_.pin_resume(rh_);
-      const bool ok = pop_pinned(key, value);
-      guard.unpin_lazy();
-      return ok;
+      auto guard = queue_->list_.pin(rh_);
+      (void)guard;
+      return pop_pinned(key, value);
     }
 
     bool try_pop_timed(Key& key, Value& value, std::uint64_t& ts) {

@@ -17,54 +17,44 @@
 //   - Inserts splice over marked nodes they walk past at level 0 (helping
 //     physical deletion), which also handles inserting a new minimum into
 //     the dead prefix.
-//   - try_pop_spray implements the SprayList descent: a random walk of
-//     bounded jumps per level that lands O(polylog) positions from the
-//     front, then claims the first live node from there. Sprays never
+//   - try_pop_spray_pinned implements the SprayList descent: a random
+//     walk of bounded jumps per level that lands O(polylog) positions from
+//     the front, then claims the first live node from there. Sprays never
 //     restructure; spray_pq mixes in cleaner (front) pops for that.
 //
-// Memory reclamation is a template policy:
+// Memory reclamation is epoch-based (util/ebr.hpp), the list's only
+// policy. Every operation runs under a pinned epoch, and the two sites
+// that make dead nodes unreachable at level 0 — the prefix restructure's
+// head swing and an insert's Harris-style dead-run unlink — own the nodes
+// their successful CAS detached (CAS uniqueness makes ownership
+// exclusive). The owner strips each node out of the upper levels it still
+// appears in (unlink_upper) and retires it to the list's epoch domain,
+// which frees it two epoch advances later. Pinning also keeps the level-0
+// CAS ABA-safe: a node's address cannot be recycled while any operation
+// that could have read it is still pinned. So memory stays
+// O(live + threads * limbo) under churn, not O(total inserts).
 //
-//   - reclaim_deferred: nodes are threaded onto striped allocation lists
-//     at creation and freed only by the destructor. Traversals are safe
-//     and the bottom-level CAS is ABA-free without any per-op cost, but
-//     memory grows with the total insert count — acceptable only for
-//     bench-lifetime queues.
-//   - reclaim_ebr (default for the pq wrappers): epoch-based reclamation
-//     via util/ebr.hpp. Every operation runs under a pinned epoch, and
-//     the two sites that make dead nodes unreachable at level 0 — the
-//     prefix restructure's head swing and an insert's Harris-style
-//     dead-run unlink — own the nodes their successful CAS detached
-//     (CAS uniqueness makes ownership exclusive). The owner strips each
-//     node out of the upper levels it still appears in (unlink_upper)
-//     and retires it to the epoch domain, which frees it two epoch
-//     advances later. Pinning also keeps the level-0 CAS ABA-safe: a
-//     node's address cannot be recycled while any operation that could
-//     have read it is still pinned.
-//
-//     Freeing memory promotes stale upper-level hints from "benign rot"
-//     to use-after-free, so upper levels obey a strict discipline. At
-//     level 0 no extra work is needed: a marked node's pointer is
-//     frozen, and every level-0 splice CAS expects the exact current
-//     pointer value, so a link to a detached (hence retired) node can
-//     never be installed. At levels >= 1 the expectation argument does
-//     not hold (a stale successor read can be CASed in after its
-//     target's owner already swept the level), so every site that
-//     installs an upper-level pointer re-validates after the CAS and
-//     keeps unlinking while the installed successor is dead
-//     (unlink_dead_successor loops in locate_preds / unlink_upper /
-//     collect_prefix / insert's linking), and descents (locate_preds,
-//     sprays) never step onto a dead tower above level 0, whose lower
-//     links may be frozen stale. The residual store-buffer
-//     race — installer's link + liveness re-check vs claimer's mark +
-//     level sweep, each missing the other — is closed by making the
-//     claiming fetch_or and the upper-level pointer accesses seq_cst
-//     (free on x86: seq_cst RMWs are the same locked instructions):
-//     in the single total order, either the installer's re-check sees
-//     the mark (and it removes its own link), or the claimer's sweep
-//     sees the link (and unlinks it). Links *from* already-unreachable
-//     nodes need no sweep: only readers pinned before the node was
-//     detached can traverse them, and while any such reader stays
-//     pinned the epoch cannot advance far enough to free the target.
+// Freeing memory promotes stale upper-level hints from "benign rot" to
+// use-after-free, so upper levels obey a strict discipline. At level 0 no
+// extra work is needed: a marked node's pointer is frozen, and every
+// level-0 splice CAS expects the exact current pointer value, so a link to
+// a detached (hence retired) node can never be installed. At levels >= 1
+// the expectation argument does not hold (a stale successor read can be
+// CASed in after its target's owner already swept the level), so every site
+// that installs an upper-level pointer re-validates after the CAS and keeps
+// unlinking while the installed successor is dead (unlink_dead_successors
+// loops in locate_preds / unlink_upper / collect_prefix / insert's
+// linking), and descents (locate_preds, sprays) never step onto a dead
+// tower above level 0, whose lower links may be frozen stale. The residual
+// store-buffer race — installer's link + liveness re-check vs claimer's
+// mark + level sweep, each missing the other — is closed by making the
+// claiming fetch_or and the upper-level pointer accesses seq_cst (free on
+// x86: seq_cst RMWs are the same locked instructions): in the single total
+// order, either the installer's re-check sees the mark (and it removes its
+// own link), or the claimer's sweep sees the link (and unlinks it). Links
+// *from* already-unreachable nodes need no sweep: only readers pinned
+// before the node was detached can traverse them, and while any such reader
+// stays pinned the epoch cannot advance far enough to free the target.
 //
 // Key and Value must be trivially copyable and trivially destructible
 // (nodes are raw storage, and keys/values are read after a claim without
@@ -84,100 +74,9 @@
 #include "util/striped_counter.hpp"
 
 namespace pcq {
-
-/// Reclamation policy tags for concurrent_skiplist (and the pq wrappers
-/// built on it).
-struct reclaim_deferred {};
-struct reclaim_ebr {};
-
 namespace detail {
 
-template <typename Node, typename Policy>
-class reclaim_state;
-
-/// Striped allocation lists; everything is freed at destruction. The
-/// handle and guard are empty so the hot paths compile to nothing.
-template <typename Node>
-class reclaim_state<Node, reclaim_deferred> {
- public:
-  struct handle_type {};
-  struct guard_type {
-    void unpin_lazy() {}
-  };
-  static constexpr bool kEager = false;
-
-  handle_type get_handle() { return {}; }
-  static guard_type pin(handle_type&) { return {}; }
-  static guard_type pin_resume(handle_type&) { return {}; }
-
-  void on_alloc(Node* n) {
-    auto& list = stripes_[stripe_of(n)].allocated;
-    Node* old = list.load(std::memory_order_relaxed);
-    do {
-      n->alloc_next = old;
-    } while (!list.compare_exchange_weak(old, n, std::memory_order_release,
-                                         std::memory_order_relaxed));
-  }
-  static void on_unlinked(handle_type&, Node*) {}
-
-  std::size_t reclaimed_quiescent() const { return 0; }
-  std::size_t limbo_quiescent() const { return 0; }
-
-  ~reclaim_state() {
-    for (auto& stripe : stripes_) {
-      Node* cur = stripe.allocated.load(std::memory_order_relaxed);
-      while (cur != nullptr) {
-        Node* next = cur->alloc_next;
-        ::operator delete(cur);
-        cur = next;
-      }
-    }
-  }
-
- private:
-  static constexpr std::size_t kStripes = 64;
-  struct alignas(64) stripe_t {
-    std::atomic<Node*> allocated{nullptr};
-  };
-  static std::size_t stripe_of(const Node* n) {
-    return (reinterpret_cast<std::uintptr_t>(n) >> 6) & (kStripes - 1);
-  }
-  stripe_t stripes_[kStripes];
-};
-
-/// Epoch-based reclamation: unlinked nodes are retired into the owning
-/// handle's limbo and freed after the grace period. The node's alloc_next
-/// field doubles as the limbo link (a node is tracked either by the
-/// allocation stripes or by limbo, never both).
-template <typename Node>
-class reclaim_state<Node, reclaim_ebr> {
- public:
-  struct traits {
-    static Node*& limbo_next(Node* n) { return n->alloc_next; }
-    static void reclaim(Node* n) { ::operator delete(n); }
-  };
-  using domain_type = ebr_domain<Node, traits>;
-  using handle_type = typename domain_type::handle;
-  using guard_type = typename domain_type::guard;
-  static constexpr bool kEager = true;
-
-  handle_type get_handle() { return domain_.get_handle(); }
-  static guard_type pin(handle_type& h) { return h.pin(); }
-  static guard_type pin_resume(handle_type& h) { return h.pin_resume(); }
-  void on_alloc(Node*) {}
-  static void on_unlinked(handle_type& h, Node* n) { h.retire(n); }
-
-  std::size_t reclaimed_quiescent() const {
-    return domain_.reclaimed_quiescent();
-  }
-  std::size_t limbo_quiescent() const { return domain_.limbo_quiescent(); }
-
- private:
-  domain_type domain_;
-};
-
-template <typename Key, typename Value, typename Compare = std::less<Key>,
-          typename Reclaim = reclaim_deferred>
+template <typename Key, typename Value, typename Compare = std::less<Key>>
 class concurrent_skiplist {
   static_assert(std::is_trivially_copyable<Key>::value &&
                     std::is_trivially_destructible<Key>::value,
@@ -189,7 +88,8 @@ class concurrent_skiplist {
                 "destructible");
 
   struct node;
-  using reclaim_type = reclaim_state<node, Reclaim>;
+  struct node_traits;
+  using domain_type = ebr_domain<node, node_traits>;
 
  public:
   /// Tallest tower: supports ~2^24 elements at the classic p = 1/2
@@ -198,9 +98,9 @@ class concurrent_skiplist {
   /// Marked-prefix length that triggers a head restructure.
   static constexpr std::size_t kPrefixBound = 128;
 
-  /// Per-thread reclamation registration; every operation takes one by
-  /// reference. Empty (and free) under reclaim_deferred.
-  using reclaim_handle = typename reclaim_type::handle_type;
+  /// Per-thread epoch registration; every operation takes one by
+  /// reference.
+  using reclaim_handle = typename domain_type::handle;
 
   concurrent_skiplist() : head_(make_node(kMaxHeight, Key{}, Value{})) {}
 
@@ -208,62 +108,49 @@ class concurrent_skiplist {
   concurrent_skiplist& operator=(const concurrent_skiplist&) = delete;
 
   ~concurrent_skiplist() {
-    if (kEager) {
-      // Limbo nodes are freed by the domain member's destructor; the
-      // level-0 chain (live + marked-but-unclaimed-by-restructure) is
-      // ours to free here. Retired nodes are never level-0 reachable, so
-      // the two sets are disjoint.
-      node* cur = ptr_of(head_->tower()[0].load(std::memory_order_relaxed));
-      while (cur != nullptr) {
-        node* next =
-            ptr_of(cur->tower()[0].load(std::memory_order_relaxed));
-        ::operator delete(cur);
-        cur = next;
-      }
+    // Limbo nodes are freed by the domain member's destructor; the level-0
+    // chain (live + marked-but-unclaimed-by-restructure) is ours to free
+    // here. Retired nodes are never level-0 reachable, so the two sets are
+    // disjoint.
+    node* cur = ptr_of(head_->tower()[0].load(std::memory_order_relaxed));
+    while (cur != nullptr) {
+      node* next = ptr_of(cur->tower()[0].load(std::memory_order_relaxed));
+      ::operator delete(cur);
+      cur = next;
     }
     ::operator delete(head_);
   }
 
-  reclaim_handle get_reclaim_handle() { return reclaim_.get_handle(); }
+  reclaim_handle get_reclaim_handle() { return domain_.get_handle(); }
 
   /// Caller-held epoch pin. The `*_pinned` operation variants run under a
   /// guard obtained here, so a batch of operations pays one pin/unpin
   /// (store + seq_cst fence + load) instead of one per element — the
   /// pin/unpin elision the baseline batch APIs are built on. Guards are
   /// not reentrant: never call a pinning (non-`_pinned`) operation while
-  /// holding one. An empty no-op under reclaim_deferred.
-  using pin_guard = typename reclaim_type::guard_type;
-  pin_guard pin(reclaim_handle& rh) { return reclaim_type::pin(rh); }
-
-  /// Like pin(), but resumes a pin the caller previously ended with
-  /// guard.unpin_lazy() — one CAS instead of store+fence+re-read when
-  /// the same handle's operations run back to back (the scalar-op pin
-  /// elision; see util/ebr.hpp). Identical guarantees either way.
-  pin_guard pin_resume(reclaim_handle& rh) {
-    return reclaim_type::pin_resume(rh);
-  }
+  /// holding one.
+  using pin_guard = typename domain_type::guard;
+  pin_guard pin(reclaim_handle& rh) { return rh.pin(); }
 
   /// Live elements (inserted minus claimed), summed over striped counters.
   /// Approximate under concurrency, exact when quiescent.
   std::size_t size() const { return count_.sum_clamped(); }
 
-  /// Nodes allocated and not yet freed (excludes the head sentinel).
-  /// Under reclaim_ebr this is live + marked-but-unreclaimed + limbo and
-  /// stays bounded under churn; under reclaim_deferred it is the total
-  /// insert count. Quiescent-only accuracy.
+  /// Nodes allocated and not yet freed (excludes the head sentinel):
+  /// live + marked-but-unreclaimed + limbo, bounded under churn.
+  /// Quiescent-only accuracy.
   std::size_t allocated_nodes() const {
     const std::size_t created = created_.sum_clamped();
-    const std::size_t freed = reclaim_.reclaimed_quiescent();
+    const std::size_t freed = domain_.reclaimed_quiescent();
     return created > freed ? created - freed : 0;
   }
 
-  /// Nodes waiting out their grace period (0 under reclaim_deferred).
-  /// Quiescent-only accuracy.
-  std::size_t limbo_nodes() const { return reclaim_.limbo_quiescent(); }
+  /// Nodes waiting out their grace period. Quiescent-only accuracy.
+  std::size_t limbo_nodes() const { return domain_.limbo_quiescent(); }
 
   void insert(reclaim_handle& rh, xoshiro256ss& rng, const Key& key,
               const Value& value) {
-    auto epoch_guard = reclaim_type::pin(rh);
+    auto epoch_guard = rh.pin();
     (void)epoch_guard;
     insert_pinned(rh, rng, key, value);
   }
@@ -278,7 +165,6 @@ class concurrent_skiplist {
     const Key key = key_in;
     const int height = sample_height(rng());
     node* n = make_node(height, key, value);
-    reclaim_.on_alloc(n);
     created_.add(stripe_of(n), 1);
 
     node* preds[kMaxHeight];
@@ -403,7 +289,7 @@ class concurrent_skiplist {
   /// Returns false when the traversal reaches the end of the list
   /// (relaxed: concurrent inserts may race with the emptiness verdict).
   bool try_pop_front(reclaim_handle& rh, Key& key, Value& value) {
-    auto epoch_guard = reclaim_type::pin(rh);
+    auto epoch_guard = rh.pin();
     (void)epoch_guard;
     return try_pop_front_pinned(rh, key, value);
   }
@@ -438,16 +324,10 @@ class concurrent_skiplist {
   /// steps in [0, max_jump] per level, descend, then claim the first live
   /// node at or after the landing point. Returns false if the spray ran
   /// off the end of the list (caller retries or cleans from the front).
-  bool try_pop_spray(reclaim_handle& rh, xoshiro256ss& rng, int start_height,
-                     std::uint64_t max_jump, Key& key, Value& value) {
-    auto epoch_guard = reclaim_type::pin(rh);
-    (void)epoch_guard;
-    return try_pop_spray_pinned(rh, rng, start_height, max_jump, key, value);
-  }
-
-  /// try_pop_spray body; caller holds a pin() guard for rh (the handle
-  /// parameter is kept for signature symmetry — sprays never restructure,
-  /// so they retire nothing themselves).
+  /// The caller holds a pin() guard for rh (spray_pq's deleteMin mixes
+  /// sprays with front pops under one pin); the handle parameter is kept
+  /// for signature symmetry — sprays never restructure, so they retire
+  /// nothing themselves.
   bool try_pop_spray_pinned([[maybe_unused]] reclaim_handle& rh,
                             xoshiro256ss& rng, int start_height,
                             std::uint64_t max_jump, Key& key, Value& value) {
@@ -497,20 +377,23 @@ class concurrent_skiplist {
   }
 
  private:
-  static constexpr bool kEager = reclaim_type::kEager;
-
   struct node {
     Key key;
     Value value;
     int height;
-    /// Reclamation link: striped all-allocations list (reclaim_deferred)
-    /// or limbo list once retired (reclaim_ebr). Never a traversal edge.
-    node* alloc_next;
+    /// Epoch-domain limbo link, used only once the node is retired. Never
+    /// a traversal edge.
+    node* limbo_next;
     // Tower of tagged pointers (LSB = logically-deleted mark, level 0
     // only). Trailing-array idiom: make_node() allocates `height` slots.
     std::atomic<std::uintptr_t> next_[1];
 
     std::atomic<std::uintptr_t>* tower() { return next_; }
+  };
+
+  struct node_traits {
+    static node*& limbo_next(node* n) { return n->limbo_next; }
+    static void reclaim(node* n) { ::operator delete(n); }
   };
 
   static constexpr std::size_t kStripes = 64;
@@ -540,7 +423,7 @@ class concurrent_skiplist {
     n->key = key;
     n->value = value;
     n->height = height;
-    n->alloc_next = nullptr;
+    n->limbo_next = nullptr;
     for (int i = 0; i < height; ++i) {
       new (&n->tower()[i]) std::atomic<std::uintptr_t>(0);
     }
@@ -558,18 +441,14 @@ class concurrent_skiplist {
   /// Reclaim an exclusively-owned chain of marked nodes that a successful
   /// CAS just detached from level 0: [first, end), linked by their frozen
   /// level-0 pointers. Each node is stripped out of any upper level it
-  /// still appears in, then handed to the epoch domain. No-op under
-  /// reclaim_deferred.
-  void retire_chain([[maybe_unused]] reclaim_handle& rh, node* first,
-                    node* end) {
-    if constexpr (kEager) {
-      node* n = first;
-      while (n != end) {
-        node* next = ptr_of(n->tower()[0].load(std::memory_order_relaxed));
-        unlink_upper(n);
-        reclaim_type::on_unlinked(rh, n);
-        n = next;
-      }
+  /// still appears in, then handed to the epoch domain.
+  void retire_chain(reclaim_handle& rh, node* first, node* end) {
+    node* n = first;
+    while (n != end) {
+      node* next = ptr_of(n->tower()[0].load(std::memory_order_relaxed));
+      unlink_upper(n);
+      rh.retire(n);
+      n = next;
     }
   }
 
@@ -655,8 +534,7 @@ class concurrent_skiplist {
           // unlink_dead_successors: the loop re-reads after the CAS and
           // only ever advances past a live successor, so a stale
           // cur_next pointing at a retired node cannot survive the
-          // traversal (required under reclaim_ebr, harmless hygiene
-          // under reclaim_deferred).
+          // traversal.
           const std::uintptr_t cur_next =
               cur->tower()[lvl].load(std::memory_order_seq_cst);
           pred->tower()[lvl].compare_exchange_strong(
@@ -714,7 +592,7 @@ class concurrent_skiplist {
   node* head_;
   striped_counter<kStripes> count_;
   striped_counter<kStripes> created_;
-  reclaim_type reclaim_;
+  domain_type domain_;
 };
 
 }  // namespace detail

@@ -1,6 +1,8 @@
 // Epoch-based memory reclamation (EBR), after Fraser's 3-epoch scheme:
 // the grace-period mechanism that lets lock-free structures free removed
 // nodes during operation instead of deferring every free to destruction.
+// core/detail/concurrent_skiplist.hpp, the substrate of both skiplist
+// baselines, is the one user; it reclaims through nothing else.
 //
 // Model: a domain owns a global epoch counter and a registry of per-thread
 // records. Every structure operation runs under a pinned epoch (RAII
@@ -24,21 +26,6 @@
 // that read the record as idle could advance twice and free a generation
 // this thread is about to traverse.
 //
-// Pin elision (guard::unpin_lazy + handle::pin_resume): a caller doing
-// back-to-back scalar operations on one handle can end each operation
-// with unpin_lazy(), which leaves `epoch | kLazyBit` in the record
-// instead of kIdle. The next pin_resume() re-enters with a single CAS
-// (lazy e -> active e) when the mark survives — no store+fence+re-read.
-// Safety: a surviving mark bounds the global epoch by e+1, because
-// advancing PAST e+1 requires a scanner to first CAS the stale mark to
-// kIdle (a lazy record at the current epoch counts as pinned; a stale
-// one is idled in passing). So a successful resume yields a pin exactly
-// as stale as pin() itself permits — the scanner may advance e -> e+1
-// right after either — and the 3-bucket grace reasoning is unchanged.
-// The scanner-side CAS is also what keeps an *idle* lazy handle from
-// stranding limbo: it blocks at most one epoch step before any other
-// thread's scan parks it (regression-tested in test_ebr).
-//
 // Costs and bounds: pin/unpin is one store + one fence + one load per
 // operation; retire is a local list push; every kScanThreshold retires the
 // owner scans the registry once (O(#records)) to try to advance and frees
@@ -46,9 +33,9 @@
 // O(records * (kScanThreshold + per-epoch retires)) — independent of the
 // total operation count. Records are recycled through a free list when
 // handles die and are only deallocated by the domain destructor, so
-// registry scans never race deallocation. A dead handle's limbo survives
-// on the record and is freed by whoever reuses the record (or the
-// destructor).
+// registry scans never race deallocation. A dead handle's limbo moves to
+// the domain's orphan list, which any later scan frees once its grace
+// period has elapsed (or the destructor does).
 //
 // Traits contract (ebr_default_traits shows the shape): limbo_next(n)
 // exposes an intrusive Node* link field that the domain may use after the
@@ -116,19 +103,6 @@ class ebr_domain {
       if (rec_ != nullptr) rec_->pinned.store(kIdle, std::memory_order_release);
     }
 
-    /// End the pinned scope but leave a lazy mark (epoch | kLazyBit) so
-    /// the handle's next pin_resume() can re-enter with one CAS. The
-    /// release store pairs with the scanners' seq_cst reads; only the
-    /// owner writes active pin values, so the relaxed re-read of our own
-    /// epoch is exact.
-    void unpin_lazy() {
-      if (rec_ != nullptr) {
-        const std::uint64_t e = rec_->pinned.load(std::memory_order_relaxed);
-        rec_->pinned.store(e | kLazyBit, std::memory_order_release);
-        rec_ = nullptr;
-      }
-    }
-
    private:
     friend class handle;
     explicit guard(record* rec) : rec_(rec) {}
@@ -136,7 +110,7 @@ class ebr_domain {
   };
 
   /// Per-thread registration. Move-only; releasing returns the record to
-  /// the registry's reuse pool (its limbo stays pending on the record).
+  /// the registry's reuse pool and its pending limbo to the orphan list.
   class handle {
    public:
     handle(const handle&) = delete;
@@ -173,39 +147,6 @@ class ebr_domain {
         e = now;
       }
       return guard(rec_);
-    }
-
-    /// Cheap re-entry after guard::unpin_lazy(). If our lazy mark
-    /// survived, one seq_cst CAS (lazy e -> active e) re-pins — it MUST
-    /// be an RMW, not a store, to arbitrate against a scanner CASing the
-    /// mark to kIdle at the same instant (a plain store could land after
-    /// that CAS and leave us "pinned" at an epoch the scanner already
-    /// advanced past). Success bounds the global epoch by e+1, so the
-    /// guard is exactly as stale as pin() permits; the one epoch load
-    /// that follows is for LIVENESS, not safety: if the epoch did step
-    /// to e+1 while we were parked, we re-publish at the current epoch
-    /// (legal — a resume holds no references yet), otherwise our own
-    /// scans would see our stale pin and never advance again (a lone
-    /// elided-churn thread would strand its own limbo; regression-tested
-    /// in test_ebr). Fast path: one relaxed own-line load, one CAS, one
-    /// epoch load — no publish/re-read loop. Falls back to the full pin
-    /// protocol when the mark was idled or never lazy.
-    guard pin_resume() {
-      std::uint64_t cur = rec_->pinned.load(std::memory_order_relaxed);
-      if (cur != kIdle && (cur & kLazyBit) != 0) {
-        const std::uint64_t e = cur & ~kLazyBit;
-        if (rec_->pinned.compare_exchange_strong(cur, e,
-                                                 std::memory_order_seq_cst,
-                                                 std::memory_order_relaxed)) {
-          if (domain_->epoch_.load(std::memory_order_seq_cst) == e) {
-            return guard(rec_);
-          }
-          // Epoch moved while parked (at most to e+1). We are actively
-          // pinned at e — harmless — but must re-publish at the current
-          // epoch; fall through to the standard loop.
-        }
-      }
-      return pin();
     }
 
     /// Hand an *unlinked* node to the domain. Must run under a pin (the
@@ -287,12 +228,6 @@ class ebr_domain {
 
  private:
   static constexpr std::uint64_t kIdle = ~std::uint64_t{0};
-  /// Tag bit for guard::unpin_lazy's parked state: `epoch | kLazyBit`.
-  /// kIdle has the bit set too, so lazy checks must exclude kIdle first.
-  /// Real epochs stay below 2^63 (a counter bumped at most once per
-  /// kScanThreshold retires cannot get near it).
-  static constexpr std::uint64_t kLazyBit = std::uint64_t{1} << 63;
-
   struct alignas(64) record {
     std::atomic<std::uint64_t> pinned{kIdle};
     std::atomic<bool> active{false};
@@ -375,26 +310,7 @@ class ebr_domain {
       // seq_cst so the scan participates in the same total order as the
       // pin protocol: a pin we miss here implies the pinner re-read the
       // epoch after our advance.
-      std::uint64_t p = r->pinned.load(std::memory_order_seq_cst);
-      if (p != kIdle && (p & kLazyBit) != 0) {
-        // A lazy mark at the current epoch counts as a pin at e (the
-        // owner may resume into it at any moment). A STALE mark gets
-        // CASed to kIdle right here — that is what bounds how long an
-        // idle lazy handle can block advance (one epoch step) and keeps
-        // its limbo from being stranded. CAS failure means the owner
-        // raced us (resumed, re-parked, or went idle); judge the fresh
-        // value it installed.
-        const std::uint64_t lazy_epoch = p & ~kLazyBit;
-        if (lazy_epoch == e) {
-          p = lazy_epoch;
-        } else if (r->pinned.compare_exchange_strong(
-                       p, kIdle, std::memory_order_seq_cst,
-                       std::memory_order_seq_cst)) {
-          p = kIdle;
-        } else if (p != kIdle && (p & kLazyBit) != 0) {
-          p &= ~kLazyBit;
-        }
-      }
+      const std::uint64_t p = r->pinned.load(std::memory_order_seq_cst);
       if (p != kIdle && p != e) {
         all_current = false;
         break;

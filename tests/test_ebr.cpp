@@ -116,68 +116,6 @@ void test_orphan_drain() {
   CHECK(domain.limbo_quiescent() <= 4 * domain_t::kScanThreshold);
 }
 
-// Lazy-pin elision (guard::unpin_lazy + handle::pin_resume).
-void test_lazy_pin_mechanics() {
-  domain_t domain;
-  auto h1 = domain.get_handle();
-  auto h2 = domain.get_handle();
-
-  // Fast path: park and resume with no interference. The resumed guard
-  // is a real pin — it must block the epoch beyond e+1 exactly like a
-  // pin() guard would.
-  {
-    auto g = h1.pin();
-    g.unpin_lazy();
-    auto r = h1.pin_resume();
-    (void)r;
-    const std::uint64_t e0 = domain.epoch();
-    for (std::size_t i = 0; i < 8 * domain_t::kScanThreshold; ++i) {
-      auto g2 = h2.pin();
-      (void)g2;
-      h2.retire(make_cnode(i));
-    }
-    CHECK(domain.epoch() <= e0 + 1);
-    CHECK(domain.reclaimed_quiescent() == 0);
-  }
-  // r dropped (normal unpin): h1 idle again.
-
-  // The stranding regression: h1 parks lazily and then goes quiet. A
-  // truly-pinned record would cap the epoch at e0+1 and freeze all of
-  // h2's limbo forever; the lazy mark must NOT — h2's scans idle the
-  // stale mark in passing, the epoch advances freely, and the backlog
-  // drains like h1 never existed.
-  const std::uint64_t parked_epoch = domain.epoch();
-  h1.pin().unpin_lazy();
-  const std::size_t before = domain.reclaimed_quiescent();
-  for (std::size_t i = 0; i < 8 * domain_t::kScanThreshold; ++i) {
-    auto g2 = h2.pin();
-    (void)g2;
-    h2.retire(make_cnode(i));
-  }
-  CHECK(domain.epoch() > parked_epoch + 1);
-  CHECK(domain.reclaimed_quiescent() > before);
-  CHECK(domain.limbo_quiescent() <= 4 * domain_t::kScanThreshold);
-
-  // h1's mark was idled by h2's scans, so its resume takes the full-pin
-  // fallback — and must still yield a working pin.
-  {
-    auto r = h1.pin_resume();
-    (void)r;
-    h1.retire(make_cnode(0));
-  }
-
-  // Back-to-back elided churn on ONE handle: the owner's own scans see
-  // its record pinned at the current epoch (a lazy mark at e counts as a
-  // pin at e), so advancement — and therefore reclamation — keeps up
-  // exactly as in the non-lazy loop of test_epoch_mechanics.
-  for (std::size_t i = 0; i < 16 * domain_t::kScanThreshold; ++i) {
-    auto g = h1.pin_resume();
-    h1.retire(make_cnode(i));
-    g.unpin_lazy();
-  }
-  CHECK(domain.limbo_quiescent() <= 4 * domain_t::kScanThreshold);
-}
-
 void test_concurrent_canary() {
   const std::size_t kSlots = 256;
   const std::size_t kWriters = 2, kReaders = 2;
@@ -271,7 +209,6 @@ void test_concurrent_canary() {
 int main() {
   test_epoch_mechanics();
   test_orphan_drain();
-  test_lazy_pin_mechanics();
   test_concurrent_canary();
   CHECK(g_allocated.load() == g_freed.load());  // after domain destructors
   std::printf("test_ebr OK\n");

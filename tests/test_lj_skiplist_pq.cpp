@@ -12,18 +12,10 @@
 
 namespace {
 
-// Default policy (reclaim_ebr) and the striped-allocation fallback run
-// the same suites: reclamation must never change queue semantics.
 using ljq = pcq::lj_skiplist_pq<std::uint64_t, std::uint64_t>;
-using ljq_deferred =
-    pcq::lj_skiplist_pq<std::uint64_t, std::uint64_t,
-                        std::less<std::uint64_t>, pcq::reclaim_deferred>;
 
 std::unique_ptr<ljq> make_lj(std::size_t /*threads*/) {
   return std::make_unique<ljq>();
-}
-std::unique_ptr<ljq_deferred> make_lj_deferred(std::size_t /*threads*/) {
-  return std::make_unique<ljq_deferred>();
 }
 
 }  // namespace
@@ -91,8 +83,7 @@ int main() {
   // from a single surviving handle (all other records idle, so every
   // reclamation scan advances the epoch and drains dead handles' orphaned
   // limbo). Unfreed nodes must be O(live + limbo residue), not O(total
-  // inserts); the deferred policy on the same workload keeps every node
-  // by design — the instrumentation must show exactly that.
+  // inserts).
   {
     const std::size_t threads = 4, churn = 20000, live = 512;
     const std::size_t total = live + threads * churn;
@@ -128,28 +119,11 @@ int main() {
     CHECK(queue.size() == live);
     CHECK(queue.allocated_nodes() <= live + 4096);
     CHECK(queue.allocated_nodes() < total / 4);
-
-    ljq_deferred deferred;
-    {
-      auto handle = deferred.get_handle(0);
-      pcq::xoshiro256ss rng(0xc6u);
-      for (std::size_t i = 0; i < live; ++i) handle.push(rng() >> 1, 0);
-      for (std::size_t i = 0; i < churn; ++i) {
-        handle.push(rng() >> 1, 0);
-        std::uint64_t k = 0, v = 0;
-        CHECK(handle.try_pop(k, v));
-      }
-    }
-    CHECK(deferred.size() == live);
-    CHECK(deferred.allocated_nodes() == live + churn);  // keeps everything
-    CHECK(deferred.limbo_nodes() == 0);
   }
 
   // Shared harness: conservation and no-lost-wakeups under concurrency,
-  // sorted single-thread drain (LJ is strict) — through both reclamation
-  // policies.
+  // sorted single-thread drain (LJ is strict).
   pcq::testing::run_standard_suite(make_lj, /*drain_exact=*/true);
-  pcq::testing::run_standard_suite(make_lj_deferred, /*drain_exact=*/true);
 
   std::printf("test_lj_skiplist_pq OK\n");
   return 0;

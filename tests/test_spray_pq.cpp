@@ -14,15 +14,9 @@
 namespace {
 
 using sprayq = pcq::spray_pq<std::uint64_t, std::uint64_t>;
-using sprayq_deferred =
-    pcq::spray_pq<std::uint64_t, std::uint64_t, std::less<std::uint64_t>,
-                  pcq::reclaim_deferred>;
 
 std::unique_ptr<sprayq> make_spray(std::size_t threads) {
   return std::make_unique<sprayq>(threads);
-}
-std::unique_ptr<sprayq_deferred> make_spray_deferred(std::size_t threads) {
-  return std::make_unique<sprayq_deferred>(threads);
 }
 
 /// run_standard_suite without check_batched_conservation, which stays
@@ -94,7 +88,7 @@ int main() {
 
   // Churn memory bound: sprays claim nodes mid-list, so their towers are
   // reclaimed through inserts' helping unlinks rather than the front
-  // restructure — the EBR policy must still keep unfreed nodes
+  // restructure — epoch reclamation must still keep unfreed nodes
   // O(live + limbo residue) instead of O(total inserts). The pump phase
   // (single surviving handle, mostly cleaner pops at 4-thread config from
   // one thread) drains dead handles' orphaned limbo.
@@ -137,9 +131,8 @@ int main() {
 
   // Shared harness checks (spray_suite): conservation and no-lost-wakeups
   // under concurrency; the 1-thread build drains exactly sorted (pure
-  // cleaner pops) — through both reclamation policies.
+  // cleaner pops).
   spray_suite(make_spray);
-  spray_suite(make_spray_deferred);
 
   std::printf("test_spray_pq OK\n");
   return 0;
