@@ -1,34 +1,33 @@
 // MICRO — single-threaded microbenchmarks of the sequential substrates
 // (the MultiQueue's per-slot queue choice) plus the scalar utility costs
 // every hot-path operation pays (RNG draws, alias sampling, Fenwick
-// updates, uncontended spinlock acquisition). These numbers justify the
-// inner heap (dary_heap<4>, under the MultiQueue's default
-// buffered_heap<16>, whose single-thread cost is the buffered16 series)
-// and document what a d-choice probe costs before it ever touches a
-// heap.
+// updates, uncontended spinlock acquisition). These numbers compare the
+// substrates a slot can hold (the MultiQueue's default buffered_heap<16>
+// over dary_heap<4> is the buffered16 series) and document what a
+// d-choice probe costs before it ever touches a heap.
 //
-// Substrate table: steady-state push+pop pairs at fixed heap depth — the
-// regime a MultiQueue slot actually lives in (its depth hovers around
-// total/(2*threads) while pairs stream through). Depth sweeps 2^8..2^20;
-// the JSON "threads" axis carries the log2 depth exponents (the schema's
-// generic strictly-increasing x-axis), one series per substrate plus
-// std::priority_queue as the STL reference. Each (substrate, depth) cell
-// prefills once and reuses the structure across trials: steady state is
-// the point, not construction.
+// Substrate table: hold-model pairs at fixed heap depth — the regime a
+// MultiQueue slot actually lives in (its depth hovers around
+// total/(2*threads) while pairs stream through). Each pair pops the
+// minimum and pushes it back at key + 1 + bounded(2^30), over a prefill
+// of bounded(2^30) keys: the loop benchmark/'s heap.pair_ns times, so a
+// pushed key lands anywhere in the heap, not always at its front. Depth
+// sweeps 2^8..2^20; the JSON "threads" axis carries the log2 depth
+// exponents (the schema's generic strictly-increasing x-axis), one
+// series per substrate plus std::priority_queue as the STL reference.
+// Each (substrate, depth) cell prefills once and reuses the structure
+// across trials: steady state is the point, not construction.
 //
-// Expected shape: at shallow depths everything is cache-resident and the
-// simpler loops win; past ~2^16 the comparison tree no longer fits in L2
-// and the d-ary layout's fewer, wider levels (one cache line per sibling
-// group, bounce deletion's single compare-chain per level) pull ahead of
-// the binary heaps. The pairing heap's O(1) push shows up as cheap pairs
-// at depth where its pointer-chasing pop hasn't taken over; the
-// sequential skiplist documents why it is nobody's inner queue.
+// Expected shape: the array heaps sit within a few tens of percent of
+// each other at every depth and trade places from run to run; cost per
+// pair grows with depth as the comparison tree leaves L1, then L2.
 //
 // Emits BENCH_micro.json (gated in CI against a committed baseline).
 
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <string>
 #include <utility>
@@ -41,8 +40,6 @@
 #include "heap/buffered_heap.hpp"
 #include "heap/dary_heap.hpp"
 #include "heap/heap_concept.hpp"
-#include "heap/pairing_heap.hpp"
-#include "heap/skiplist.hpp"
 #include "util/discrete_distribution.hpp"
 #include "util/fenwick.hpp"
 #include "util/rng.hpp"
@@ -77,29 +74,47 @@ struct std_pq_adapter {
 /// the end), so neither the push nor the pop loop is dead code.
 u64 g_sink = 0;
 
-/// Median Mops/s of steady-state push+pop pairs at fixed depth. The
-/// structure is prefilled once; every trial runs `iters` pairs against
-/// the same warm structure (each pair counts as 2 ops, matching the
-/// queue-level benches' accounting).
+/// One (substrate, depth) cell. The structure is prefilled once; every
+/// trial runs hold-model pairs against the same warm structure.
+struct pair_cell {
+  virtual ~pair_cell() = default;
+  /// Mops/s of `iters` timed pairs (each pair counts as 2 ops, matching
+  /// the queue-level benches' accounting).
+  virtual double trial(std::size_t iters) = 0;
+};
+
 template <typename Heap>
-double measure_pairs(std::size_t depth, std::size_t iters) {
-  Heap heap;
-  xoshiro256ss rng(0x515u);
-  for (std::size_t i = 0; i < depth; ++i) heap.push(rng(), i);
-  std::vector<double> mops;
-  // Extra trials over the repo default: individual cells are fast, and
-  // the median needs headroom against scheduler interference spikes on
-  // small CI boxes (a single descheduling can halve one trial).
-  for (unsigned trial = 0; trial < trials() + 2; ++trial) {
-    wall_timer timer;
-    for (std::size_t i = 0; i < iters; ++i) {
-      heap.push(rng(), i);
-      g_sink += heap.pop().first;
+struct hold_cell final : pair_cell {
+  explicit hold_cell(std::size_t depth) {
+    for (std::size_t i = 0; i < depth; ++i) {
+      heap.push(rng.bounded(1u << 30), i);
     }
-    mops.push_back(static_cast<double>(2 * iters) / timer.elapsed_seconds() /
-                   1e6);
   }
-  return percentile(mops, 0.5);
+
+  double trial(std::size_t iters) override {
+    // Untimed pairs first: the previous series' trial evicted this
+    // structure from cache.
+    pairs(iters / 4);
+    wall_timer timer;
+    pairs(iters);
+    return static_cast<double>(2 * iters) / timer.elapsed_seconds() / 1e6;
+  }
+
+  void pairs(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const u64 key = heap.pop().first;
+      g_sink += key;
+      heap.push(key + 1 + rng.bounded(1u << 30), i);
+    }
+  }
+
+  Heap heap;
+  xoshiro256ss rng{0x515u};
+};
+
+template <typename Heap>
+std::unique_ptr<pair_cell> make_cell(std::size_t depth) {
+  return std::make_unique<hold_cell<Heap>>(depth);
 }
 
 /// Median ns/op of a scalar utility operation (body invoked `iters`
@@ -117,19 +132,16 @@ double measure_ns(std::size_t iters, Body&& body) {
 
 struct series_def {
   const char* name;
-  double (*run)(std::size_t depth, std::size_t iters);
+  std::unique_ptr<pair_cell> (*make)(std::size_t depth);
 };
 
 const series_def kSeries[] = {
-    {"binary", &measure_pairs<sub_t<binary_heap>>},
-    {"binary_classic", &measure_pairs<sub_t<binary_heap_classic>>},
-    {"dary2", &measure_pairs<sub_t<dary_heap<2>>>},
-    {"dary4", &measure_pairs<sub_t<dary_heap<4>>>},
-    {"buffered16", &measure_pairs<sub_t<buffered_heap<16>>>},
-    {"dary8", &measure_pairs<sub_t<dary_heap<8>>>},
-    {"pairing", &measure_pairs<sub_t<pairing_heap>>},
-    {"skiplist", &measure_pairs<sub_t<seq_skiplist>>},
-    {"std_pq", &measure_pairs<std_pq_adapter>},
+    {"binary", &make_cell<sub_t<binary_heap>>},
+    {"dary2", &make_cell<sub_t<dary_heap<2>>>},
+    {"dary4", &make_cell<sub_t<dary_heap<4>>>},
+    {"buffered16", &make_cell<sub_t<buffered_heap<16>>>},
+    {"dary8", &make_cell<sub_t<dary_heap<8>>>},
+    {"std_pq", &make_cell<std_pq_adapter>},
 };
 
 }  // namespace
@@ -145,7 +157,7 @@ int main() {
   const std::size_t iters = scaled<std::size_t>(1u << 15, 1u << 18);
 
   print_header(
-      "MICRO substrates: steady-state push+pop pairs at fixed depth "
+      "MICRO substrates: hold-model pop+push pairs at fixed depth "
       "(Mops/s, higher is better)",
       "one sequential structure per cell, prefilled once; depth = the "
       "regime a MultiQueue slot lives in");
@@ -160,11 +172,23 @@ int main() {
   std::vector<std::vector<double>> results(std::size(kSeries));
   for (const int e : exponents) {
     const std::size_t depth = std::size_t{1} << e;
+    std::vector<std::unique_ptr<pair_cell>> cells;
+    for (const auto& s : kSeries) cells.push_back(s.make(depth));
+    // Trials rotate through the series, so a burst of interference (a
+    // neighbour on a shared box, the process's cold first trial) costs
+    // each series one trial, which the median drops, instead of every
+    // trial of one cell. Extra trials over the repo default give the
+    // median that headroom on small CI boxes.
+    std::vector<std::vector<double>> mops(cells.size());
+    for (unsigned trial = 0; trial < trials() + 2; ++trial) {
+      for (std::size_t s = 0; s < cells.size(); ++s) {
+        mops[s].push_back(cells[s]->trial(iters));
+      }
+    }
     std::vector<double> row{static_cast<double>(e)};
-    for (std::size_t s = 0; s < std::size(kSeries); ++s) {
-      const double mops = kSeries[s].run(depth, iters);
-      results[s].push_back(mops);
-      row.push_back(mops);
+    for (std::size_t s = 0; s < cells.size(); ++s) {
+      results[s].push_back(percentile(mops[s], 0.5));
+      row.push_back(results[s].back());
     }
     table.row(row);
   }
@@ -242,9 +266,8 @@ int main() {
               static_cast<unsigned long long>(g_sink));
 
   std::printf(
-      "expected shape: near-ties while everything is cache-resident, then "
-      "the d-ary\nlayout (fewer levels, one line per sibling group) "
-      "pulling ahead of binary past\n~2^16; the skiplist column documents "
-      "why it is nobody's inner queue.\n");
+      "expected shape: the array heaps within a few tens of percent of "
+      "each other at\nevery depth, order changing from run to run; cost "
+      "per pair grows with depth.\n");
   return 0;
 }

@@ -34,6 +34,12 @@
 // and runner load cancel), plus p50/p95/p99/p999 sojourn and mean
 // wait/sojourn in milliseconds.
 //
+// Workers default to max_threads() (hardware concurrency) and the
+// arrival thread makes one more, so a default run is oversubscribed:
+// when hardware_concurrency < workers + 1 the bench warns on stderr and
+// writes "oversubscribed": true into the artifact (false otherwise) —
+// its latencies then include time spent waiting for a core.
+//
 // Env knobs: PCQ_MAX_THREADS caps the worker count,
 // PCQ_SERVICE_REQUESTS overrides requests per cell, PCQ_SERVICE_MAX_RHO
 // trims the load grid (CI's TSan smoke runs a short grid at small n).
@@ -43,6 +49,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "benchlib/bench_env.hpp"
@@ -122,6 +129,15 @@ int main() {
       "PCQ_SERVICE_REQUESTS", scaled<std::size_t>(6000, 200000));
   const double mean_service = 50e-6;  // 50 µs: RPC-sized work
   const double rho_cap = env_rho_cap();
+  const unsigned cores = std::thread::hardware_concurrency();
+  const bool oversubscribed = cores < workers + 1;
+  if (oversubscribed) {
+    std::fprintf(stderr,
+                 "warning: %zu workers + 1 arrival thread on %u hardware "
+                 "threads: oversubscribed, latencies include waits for a "
+                 "core\n",
+                 workers, cores);
+  }
 
   std::vector<double> rho_grid;
   for (const double rho : {0.50, 0.70, 0.80, 0.90, 0.95}) {
@@ -200,6 +216,7 @@ int main() {
           "load percent")
       .kv("full_scale", full_scale())
       .kv("workers", workers)
+      .kv("oversubscribed", oversubscribed)
       .kv("requests", requests)
       .kv("mean_service_us", mean_service * 1e6)
       .kv("pareto_shape", 2.2);

@@ -1,10 +1,9 @@
-// Coarse-grained baseline: one sequential heap substrate (same Heap
-// selector knob as multi_queue; default 4-ary) behind one lock. The paper's
-// Figure 1 "lock-based heap" competitor — strict semantics (rank always
-// 0), collapses under contention. Models the full handle concept of
-// core/pq_handle.hpp (move-only handles, batch ops, timed extension) so
-// the bench driver, the test harness, and the graph layer are
-// structure-agnostic.
+// Coarse-grained baseline: one sequential 4-ary heap (dary_heap_t)
+// behind one lock. The paper's Figure 1 "lock-based heap" competitor —
+// strict semantics (rank always 0), collapses under contention. Models
+// the full handle concept of core/pq_handle.hpp (move-only handles,
+// batch ops, timed extension) so the bench driver, the test harness, and
+// the graph layer are structure-agnostic.
 //
 // Every op blocks on the one spinlock, whose lock() runs the PR3
 // pcq::backoff ladder (cached-read gate between try_lock attempts,
@@ -23,16 +22,13 @@
 #include <utility>
 
 #include "heap/dary_heap.hpp"
-#include "heap/heap_concept.hpp"
 #include "util/spinlock.hpp"
 
 namespace pcq {
 
-template <typename Key, typename Value, typename Compare = std::less<Key>,
-          typename Heap = dary_heap<4>>
+template <typename Key, typename Value, typename Compare = std::less<Key>>
 class coarse_pq {
-  using inner_heap = heap_substrate_t<Heap, Key, Value, Compare>;
-  PCQ_ASSERT_HEAP_CONCEPT(inner_heap);
+  using inner_heap = dary_heap_t<Key, Value, Compare, 4>;
 
  public:
   using entry = std::pair<Key, Value>;

@@ -1,24 +1,15 @@
-// Array-backed binary min-heap substrates. Two variants, one layout:
+// Array-backed binary min-heap substrate with bottom-up sift-down
+// ("bounce" deletion, Wegener 1993): pop sends the root hole down the
+// min-child path to a leaf using only ONE sibling compare per level,
+// drops the moved tail entry into the leaf hole, then sifts it up. The
+// tail entry came from the deepest layer, so it almost always belongs
+// near the bottom — the upward correction is O(1) expected, versus a
+// top-down loop's two compares (sibling + moving entry) per level all
+// the way down.
 //
-//   binary_heap_t          bottom-up sift-down ("bounce" deletion,
-//                          Wegener 1993): pop sends the root hole down
-//                          the min-child path to a leaf using only ONE
-//                          sibling compare per level, drops the moved
-//                          tail entry into the leaf hole, then sifts it
-//                          up. The tail entry came from the deepest
-//                          layer, so it almost always belongs near the
-//                          bottom — the upward correction is O(1)
-//                          expected, versus the classic loop's two
-//                          compares (sibling + moving entry) per level
-//                          all the way down.
-//   binary_heap_classic_t  the original PR 1 top-down sift-down, kept
-//                          as the A/B reference bench_micro_substrates
-//                          measures the bounce variant against.
-//
-// Both model the heap substrate concept (heap/heap_concept.hpp); the
-// selectors `binary_heap` / `binary_heap_classic` plug into
-// multi_queue/coarse_pq, and graph/dijkstra.hpp uses binary_heap_t
-// directly.
+// Models the heap substrate concept (heap/heap_concept.hpp); the
+// selector `binary_heap` plugs into multi_queue, and graph/dijkstra.hpp
+// uses binary_heap_t directly.
 
 #pragma once
 
@@ -92,81 +83,10 @@ class binary_heap_t {
   Compare compare_;
 };
 
-/// The PR 1 top-down pop: per level, one sibling compare plus one
-/// compare against the moving tail entry, stopping as soon as the tail
-/// fits. bench_micro_substrates keeps it around as the A/B baseline for
-/// the bounce variant above; not used by any queue by default.
-template <typename Key, typename Value, typename Compare = std::less<Key>>
-class binary_heap_classic_t {
- public:
-  using entry = std::pair<Key, Value>;
-
-  explicit binary_heap_classic_t(Compare compare = Compare())
-      : compare_(compare) {}
-
-  bool empty() const { return entries_.empty(); }
-  std::size_t size() const { return entries_.size(); }
-  void reserve(std::size_t n) { entries_.reserve(n); }
-
-  const Key& top_key() const { return entries_.front().first; }
-  const entry& top() const { return entries_.front(); }
-
-  void push(const Key& key, const Value& value) {
-    entries_.emplace_back(key, value);
-    sift_up(entries_.size() - 1);
-  }
-
-  entry pop() {
-    entry result = std::move(entries_.front());
-    entries_.front() = std::move(entries_.back());
-    entries_.pop_back();
-    if (!entries_.empty()) sift_down(0);
-    return result;
-  }
-
- private:
-  void sift_up(std::size_t i) {
-    entry moving = std::move(entries_[i]);
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!compare_(moving.first, entries_[parent].first)) break;
-      entries_[i] = std::move(entries_[parent]);
-      i = parent;
-    }
-    entries_[i] = std::move(moving);
-  }
-
-  void sift_down(std::size_t i) {
-    entry moving = std::move(entries_[i]);
-    const std::size_t n = entries_.size();
-    while (true) {
-      std::size_t child = 2 * i + 1;
-      if (child >= n) break;
-      if (child + 1 < n &&
-          compare_(entries_[child + 1].first, entries_[child].first)) {
-        ++child;
-      }
-      if (!compare_(entries_[child].first, moving.first)) break;
-      entries_[i] = std::move(entries_[child]);
-      i = child;
-    }
-    entries_[i] = std::move(moving);
-  }
-
-  std::vector<entry> entries_;
-  Compare compare_;
-};
-
-/// Selector: bottom-up binary heap (the shared default binary substrate).
+/// Selector: bottom-up binary heap.
 struct binary_heap {
   template <typename Key, typename Value, typename Compare>
   using substrate = binary_heap_t<Key, Value, Compare>;
-};
-
-/// Selector: classic top-down binary heap (A/B reference).
-struct binary_heap_classic {
-  template <typename Key, typename Value, typename Compare>
-  using substrate = binary_heap_classic_t<Key, Value, Compare>;
 };
 
 }  // namespace pcq

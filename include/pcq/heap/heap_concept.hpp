@@ -1,9 +1,9 @@
 // The sequential priority-queue *substrate* concept — the inner data
-// structure behind each MultiQueue slot and the coarse baseline. The
-// paper treats this structure as a black box ("each queue is a
-// sequential priority queue"); pcq makes it a real template knob:
-// `multi_queue<Key, Value, Compare, Heap>` accepts any substrate
-// selector whose rebound type models the concept below.
+// structure behind each MultiQueue slot. The paper treats this structure
+// as a black box ("each queue is a sequential priority queue"); pcq
+// makes it a real template knob: `multi_queue<Key, Value, Compare, Heap>`
+// accepts any substrate selector whose rebound type models the concept
+// below.
 //
 // A substrate S = heap_substrate_t<Selector, Key, Value, Compare>
 // models the concept iff:
@@ -21,7 +21,7 @@
 // under Compare (std::less => min-heap, deleteMin semantics).
 // Substrates are move-constructible (slots live in arrays, handles in
 // vectors) and need not be thread-safe: the enclosing queue serializes
-// access per slot (spinlock in multi_queue, the one lock in coarse_pq).
+// access per slot (the slot spinlock in multi_queue).
 //
 // Selector idiom: the template parameter the queues take is not the
 // substrate itself but a *selector* — a small tag struct carrying a
@@ -39,14 +39,17 @@
 // its selector):
 //
 //   heap/binary_heap.hpp   binary_heap         bottom-up sift-down
-//                          binary_heap_classic top-down A/B reference
+//                                              (dijkstra's heap)
 //   heap/dary_heap.hpp     dary_heap<Arity=4>  cache-aware flat d-ary
-//                                              (coarse_pq default)
+//                                              (coarse_pq's heap)
 //   heap/buffered_heap.hpp buffered_heap<B=16> deletion + insertion
 //                                              buffers over dary_heap<4>
 //                                              (multi_queue default)
-//   heap/pairing_heap.hpp  pairing_heap        O(1) push/meld, 2-pass pop
-//   heap/skiplist.hpp      seq_skiplist        sequential skiplist
+//
+// All three are flat arrays: under the hold model (bench_micro_substrates)
+// they sit within run-to-run noise of each other at depths 2^8..2^20,
+// while pointer-based substrates (a pairing heap, a sequential skiplist)
+// cost 1.6-10x as much per pair at every depth.
 //
 // Like core/pq_handle.hpp, C++17 forces the detection idiom:
 // `is_heap_substrate<S>` for SFINAE, `PCQ_ASSERT_HEAP_CONCEPT(S)` for

@@ -9,13 +9,15 @@ Usage:
 Works for any BENCH_<figure>.json produced by benchlib/json_writer.hpp
 with the shape {threads: [...], series: [{name, mops: [...]}]} — fig1
 emits Mops/s, fig3 emits million-settled-nodes/s; both are
-higher-is-better. --figure only labels the report. Zero/absent
-baseline cells are skipped (no ratio to take), as are cells whose
-normalizer is zero.
+higher-is-better. Every series array named "mops" or ending in "_mops"
+is compared (exec's random_mops and forkjoin_mops next to its mops).
+--figure only labels the report. Zero/absent baseline cells are skipped
+(no ratio to take), as are cells whose normalizer is zero.
 
 Compares every gated series (names starting with --gate-prefix, default
-"mq_") at every thread count present in both files and fails (exit 1)
-if any current cell is more than --threshold below the baseline cell.
+"mq_") in each such array at every thread count present in both files
+and fails (exit 1) if any current cell is more than --threshold below
+the baseline cell.
 With --two-sided a cell more than --threshold ABOVE baseline fails too
 — for deterministic benches (thm3's seeded potential process), any
 movement means the process changed and the baseline must be regenerated
@@ -24,7 +26,8 @@ Non-gated series (the skiplist/k-LSM/coarse competitors) are reported
 but never gate: they exist for comparison, not as a perf contract.
 
 With --normalize SERIES each cell is divided by the same-run cell of
-SERIES before comparing. CI uses --normalize coarse: the coarse-locked
+SERIES in the array of the same name before comparing. CI uses
+--normalize coarse: the coarse-locked
 heap is a stable machine-speed proxy measured in the same process, so
 runner-generation and dev-box-vs-runner absolute-throughput differences
 cancel and the gate tracks *relative* multi_queue performance — a
@@ -45,12 +48,20 @@ import sys
 
 
 def load_series(path):
+    """threads, and {(series name, array name): {thread: value}} for each
+    mops-like array of every series that has a "mops" array."""
     with open(path) as f:
         doc = json.load(f)
     threads = doc["threads"]
-    series = {s["name"]: dict(zip(threads, s["mops"]))
-              for s in doc["series"] if "mops" in s}
+    series = {(s["name"], k): dict(zip(threads, v))
+              for s in doc["series"] if "mops" in s
+              for k, v in s.items() if k == "mops" or k.endswith("_mops")}
     return threads, series
+
+
+def label(key):
+    name, array = key
+    return name if array == "mops" else f"{name}.{array}"
 
 
 def main():
@@ -83,35 +94,37 @@ def main():
         return 1
 
     if args.normalize is not None:
-        if args.normalize not in current or args.normalize not in baseline:
+        norm_key = (args.normalize, "mops")
+        if norm_key not in current or norm_key not in baseline:
             print(f"[{args.figure}] --normalize series '{args.normalize}' "
-                  f"missing from current ({sorted(current)}) or baseline "
-                  f"({sorted(baseline)})")
+                  f"missing from current ({sorted(map(label, current))}) or "
+                  f"baseline ({sorted(map(label, baseline))})")
             return 1
         unit = f"x {args.normalize}"
     else:
         unit = "raw"
 
-    def cell(series, name, t):
-        v = series[name].get(t)
+    def cell(series, key, t):
+        v = series[key].get(t)
         if v is None or v <= 0:
             return None
         if args.normalize is None:
             return v
-        norm = series[args.normalize].get(t)
+        norm = series.get((args.normalize, key[1]), {}).get(t)
         if norm is None or norm <= 0:
             return None
         return v / norm
 
     failures = []
     print(f"[{args.figure}] (cells in {unit}, higher is better)")
-    print(f"{'series':<18}{'threads':>8}{'baseline':>10}{'current':>10}"
+    print(f"{'series':<24}{'threads':>8}{'baseline':>10}{'current':>10}"
           f"{'ratio':>8}  gate")
-    for name in sorted(set(current) & set(baseline)):
-        gated = name.startswith(args.gate_prefix)
+    for key in sorted(set(current) & set(baseline)):
+        name = label(key)
+        gated = key[0].startswith(args.gate_prefix)
         for t in shared_threads:
-            base = cell(baseline, name, t)
-            cur = cell(current, name, t)
+            base = cell(baseline, key, t)
+            cur = cell(current, key, t)
             if base is None:
                 continue  # no baseline ratio to take
             if cur is None:
@@ -119,7 +132,7 @@ def main():
                 # worst regression there is, not a skip.
                 if gated:
                     failures.append((name, t, base, 0.0, 0.0))
-                    print(f"{name:<18}{t:>8}{base:>10.2f}{0.0:>10.2f}"
+                    print(f"{name:<24}{t:>8}{base:>10.2f}{0.0:>10.2f}"
                           f"{0.0:>8.2f}  REGRESSION")
                 continue
             ratio = cur / base
@@ -129,11 +142,11 @@ def main():
             if gated and (bad or drift):
                 verdict = "REGRESSION" if bad else "DRIFT"
                 failures.append((name, t, base, cur, ratio))
-            print(f"{name:<18}{t:>8}{base:>10.2f}{cur:>10.2f}{ratio:>8.2f}"
+            print(f"{name:<24}{t:>8}{base:>10.2f}{cur:>10.2f}{ratio:>8.2f}"
                   f"  {verdict if gated else 'info'}")
 
-    missing = [n for n in baseline
-               if n.startswith(args.gate_prefix) and n not in current]
+    missing = [label(k) for k in baseline
+               if k[0].startswith(args.gate_prefix) and k not in current]
     if missing:
         print(f"[{args.figure}] baseline gated series missing from current "
               f"run: {missing}")

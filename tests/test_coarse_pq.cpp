@@ -13,8 +13,10 @@ namespace {
 
 using cpq = pcq::coarse_pq<std::uint64_t, std::uint64_t>;
 
+// The suite runs on a queue built with a capacity hint; the named cases
+// below build theirs without one.
 std::unique_ptr<cpq> make_coarse(std::size_t /*threads*/) {
-  return std::make_unique<cpq>();
+  return std::make_unique<cpq>(/*expected_capacity=*/2048);
 }
 
 }  // namespace

@@ -8,9 +8,8 @@
 // std::greater instantiation (max-heap semantics).
 //
 // Per queue: the shared conformance suite over multi_queue instantiated
-// with each substrate selector, and over coarse_pq with a non-default
-// substrate + expected_capacity hint — the substrate knob must be
-// invisible at the handle-concept level.
+// with each substrate selector — the substrate knob must be invisible at
+// the handle-concept level.
 //
 // buffered_heap: named edge cases for each path between its three parts
 // (deletion buffer, insertion buffer, inner heap), checked against a
@@ -21,8 +20,6 @@
 #include "heap/buffered_heap.hpp"
 #include "heap/dary_heap.hpp"
 #include "heap/heap_concept.hpp"
-#include "heap/pairing_heap.hpp"
-#include "heap/skiplist.hpp"
 
 #include <algorithm>
 #include <cstddef>
@@ -33,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/baselines/coarse_pq.hpp"
 #include "core/multi_queue.hpp"
 #include "pq_test_harness.hpp"
 #include "test_macros.hpp"
@@ -53,14 +49,11 @@ using max_sub_t = pcq::heap_substrate_t<Selector, u64, u64, std::greater<u64>>;
   PCQ_ASSERT_HEAP_CONCEPT(sub_t<Selector>);    \
   PCQ_ASSERT_HEAP_CONCEPT(max_sub_t<Selector>)
 ASSERT_BOTH(pcq::binary_heap);
-ASSERT_BOTH(pcq::binary_heap_classic);
 ASSERT_BOTH(pcq::dary_heap<2>);
 ASSERT_BOTH(pcq::dary_heap<4>);
 ASSERT_BOTH(pcq::dary_heap<8>);
 ASSERT_BOTH(pcq::buffered_heap<16>);
 ASSERT_BOTH(pcq::buffered_heap<1>);
-ASSERT_BOTH(pcq::pairing_heap);
-ASSERT_BOTH(pcq::seq_skiplist);
 #undef ASSERT_BOTH
 
 constexpr u64 kValueMix = 0x9E3779B97F4A7C15ull;
@@ -379,25 +372,13 @@ void mq_suite_with(std::uint64_t seed) {
       /*drain_exact=*/false, seed);
 }
 
-void coarse_suite_nondefault() {
-  using queue_t = pcq::coarse_pq<u64, u64, std::less<u64>, pcq::pairing_heap>;
-  pcq::testing::run_standard_suite(
-      [](std::size_t /*threads*/) {
-        return std::make_unique<queue_t>(/*expected_capacity=*/2048);
-      },
-      /*drain_exact=*/true);
-}
-
 }  // namespace
 
 int main() {
   substrate_suite<pcq::binary_heap>(0x5b1);
-  substrate_suite<pcq::binary_heap_classic>(0x5b2);
   substrate_suite<pcq::dary_heap<2>>(0x5d2);
   substrate_suite<pcq::dary_heap<4>>(0x5d4);
   substrate_suite<pcq::dary_heap<8>>(0x5d8);
-  substrate_suite<pcq::pairing_heap>(0x5fa);
-  substrate_suite<pcq::seq_skiplist>(0x55c);
   substrate_suite<pcq::buffered_heap<16>>(0x5b16);
   substrate_suite<pcq::buffered_heap<1>>(0x5b01);
 
@@ -409,9 +390,6 @@ int main() {
   mq_suite_with<pcq::dary_heap<4>>(0x310);  // the previous default
   mq_suite_with<pcq::binary_heap>(0x311);
   mq_suite_with<pcq::dary_heap<8>>(0x312);
-  mq_suite_with<pcq::pairing_heap>(0x313);
-  mq_suite_with<pcq::seq_skiplist>(0x314);
-  coarse_suite_nondefault();
 
   std::printf("test_heap_substrates OK\n");
   return 0;
