@@ -20,6 +20,9 @@
 // ready set — priority order controls the frontier), fork-join
 // reduction (spawn/await churn through the hand-off path).
 //
+// Each cell is the median of trials() verified trials that rotate
+// through the four series after one untimed warm-up round.
+//
 // Emits BENCH_exec.json: threads sweep, one series per scheduler;
 // "mops" = million grid-DAG tasks per second (the gated headline),
 // plus random_mops and forkjoin_mops arrays.
@@ -50,72 +53,55 @@ using namespace pcq;
 using namespace pcq::bench;
 using pcq::graph::csr_graph;
 
-struct cell {
-  double mops = 0.0;  ///< million executed tasks / second
-};
-
-template <typename MakeQueue>
-cell measure_dag(const char* name, const csr_graph& dag,
+// One verified run of the DAG executor on a fresh queue; million executed
+// tasks per second.
+template <typename Queue>
+double dag_trial(const char* name, const csr_graph& dag,
                  const std::vector<std::uint64_t>& oracle,
-                 std::uint32_t rounds, std::size_t threads, MakeQueue make) {
-  std::vector<double> mops;
-  for (unsigned trial = 0; trial < trials(); ++trial) {
-    auto queue = make(threads);
-    const exec::dag_exec_result res =
-        exec::run_dag_executor(dag, threads, *queue, rounds);
-    if (!res.topo_ok || res.settled != dag.num_nodes() ||
-        res.outputs != oracle || res.stats.executed != dag.num_nodes() ||
-        res.stats.spawned != dag.num_nodes()) {
-      std::fprintf(stderr,
-                   "EXEC VIOLATION (%s, %zu threads): topo_ok=%d "
-                   "settled=%llu executed=%llu spawned=%llu of %u, "
-                   "outputs %s oracle\n",
-                   name, threads, res.topo_ok ? 1 : 0,
-                   static_cast<unsigned long long>(res.settled),
-                   static_cast<unsigned long long>(res.stats.executed),
-                   static_cast<unsigned long long>(res.stats.spawned),
-                   dag.num_nodes(),
-                   res.outputs == oracle ? "match" : "MISMATCH");
-      std::exit(1);
-    }
-    mops.push_back(res.stats.seconds > 0.0
-                       ? static_cast<double>(res.settled) /
-                             res.stats.seconds / 1e6
-                       : 0.0);
+                 std::uint32_t rounds, std::size_t threads, Queue& queue) {
+  const exec::dag_exec_result res =
+      exec::run_dag_executor(dag, threads, queue, rounds);
+  if (!res.topo_ok || res.settled != dag.num_nodes() ||
+      res.outputs != oracle || res.stats.executed != dag.num_nodes() ||
+      res.stats.spawned != dag.num_nodes()) {
+    std::fprintf(stderr,
+                 "EXEC VIOLATION (%s, %zu threads): topo_ok=%d "
+                 "settled=%llu executed=%llu spawned=%llu of %u, "
+                 "outputs %s oracle\n",
+                 name, threads, res.topo_ok ? 1 : 0,
+                 static_cast<unsigned long long>(res.settled),
+                 static_cast<unsigned long long>(res.stats.executed),
+                 static_cast<unsigned long long>(res.stats.spawned),
+                 dag.num_nodes(),
+                 res.outputs == oracle ? "match" : "MISMATCH");
+    std::exit(1);
   }
-  cell c;
-  c.mops = percentile(mops, 0.5);
-  return c;
+  return res.stats.seconds > 0.0 ? static_cast<double>(res.settled) /
+                                       res.stats.seconds / 1e6
+                                 : 0.0;
 }
 
-template <typename MakeQueue>
-cell measure_forkjoin(const char* name, const exec::forkjoin_params& params,
+// One verified run of the fork-join reduction on a fresh queue.
+template <typename Queue>
+double forkjoin_trial(const char* name, const exec::forkjoin_params& params,
                       std::uint64_t oracle_sum, std::uint64_t oracle_jobs,
-                      std::size_t threads, MakeQueue make) {
-  std::vector<double> mops;
-  for (unsigned trial = 0; trial < trials(); ++trial) {
-    auto queue = make(threads);
-    const exec::forkjoin_result res =
-        exec::run_forkjoin_executor(threads, *queue, params);
-    if (res.sum != oracle_sum || res.stats.executed != oracle_jobs ||
-        res.stats.spawned != oracle_jobs) {
-      std::fprintf(stderr,
-                   "EXEC VIOLATION (%s forkjoin, %zu threads): sum %s "
-                   "oracle, executed=%llu spawned=%llu of %llu jobs\n",
-                   name, threads, res.sum == oracle_sum ? "match" : "MISMATCH",
-                   static_cast<unsigned long long>(res.stats.executed),
-                   static_cast<unsigned long long>(res.stats.spawned),
-                   static_cast<unsigned long long>(oracle_jobs));
-      std::exit(1);
-    }
-    mops.push_back(res.stats.seconds > 0.0
-                       ? static_cast<double>(res.stats.executed) /
-                             res.stats.seconds / 1e6
-                       : 0.0);
+                      std::size_t threads, Queue& queue) {
+  const exec::forkjoin_result res =
+      exec::run_forkjoin_executor(threads, queue, params);
+  if (res.sum != oracle_sum || res.stats.executed != oracle_jobs ||
+      res.stats.spawned != oracle_jobs) {
+    std::fprintf(stderr,
+                 "EXEC VIOLATION (%s forkjoin, %zu threads): sum %s "
+                 "oracle, executed=%llu spawned=%llu of %llu jobs\n",
+                 name, threads, res.sum == oracle_sum ? "match" : "MISMATCH",
+                 static_cast<unsigned long long>(res.stats.executed),
+                 static_cast<unsigned long long>(res.stats.spawned),
+                 static_cast<unsigned long long>(oracle_jobs));
+    std::exit(1);
   }
-  cell c;
-  c.mops = percentile(mops, 0.5);
-  return c;
+  return res.stats.seconds > 0.0 ? static_cast<double>(res.stats.executed) /
+                                       res.stats.seconds / 1e6
+                                 : 0.0;
 }
 
 }  // namespace
@@ -186,9 +172,10 @@ int main() {
     thread_counts.push_back(t);
   }
 
-  // results[workload][series][thread index]; workloads: grid, random, fj.
-  std::vector<std::vector<std::vector<cell>>> results(
-      3, std::vector<std::vector<cell>>(series_names.size()));
+  // results[workload][series][thread index] = median Mops/s; workloads:
+  // grid, random, fj.
+  std::vector<std::vector<std::vector<double>>> results(
+      3, std::vector<std::vector<double>>(series_names.size()));
   const char* workload_names[3] = {"grid", "random", "forkjoin"};
 
   for (std::size_t w = 0; w < 3; ++w) {
@@ -201,26 +188,40 @@ int main() {
       return columns;
     }());
     for (const std::size_t t : thread_counts) {
-      std::size_t s = 0;
-      const auto run = [&](auto make) {
-        const char* name = series_names[s].c_str();
-        cell c;
-        if (w == 0) {
-          c = measure_dag(name, grid_dag, grid_oracle, rounds, t, make);
-        } else if (w == 1) {
-          c = measure_dag(name, rnd_dag, rnd_oracle, rounds, t, make);
-        } else {
-          c = measure_forkjoin(name, fj, fj_oracle, fj_jobs, t, make);
+      // One verified trial of series s on a fresh queue.
+      const auto trial = [&](std::size_t s) {
+        const auto run = [&](auto make) {
+          const char* name = series_names[s].c_str();
+          auto queue = make(t);
+          if (w == 0) {
+            return dag_trial(name, grid_dag, grid_oracle, rounds, t, *queue);
+          }
+          if (w == 1) {
+            return dag_trial(name, rnd_dag, rnd_oracle, rounds, t, *queue);
+          }
+          return forkjoin_trial(name, fj, fj_oracle, fj_jobs, t, *queue);
+        };
+        switch (s) {
+          case 0: return run(make_mq(1.0));
+          case 1: return run(make_mq(0.5));
+          case 2: return run(make_steal);
+          default: return run(make_coarse);
         }
-        results[w][s++].push_back(c);
       };
-      run(make_mq(1.0));
-      run(make_mq(0.5));
-      run(make_steal);
-      run(make_coarse);
+      // Trials rotate through the series, so a burst of interference
+      // costs each series one trial, which the median drops, instead of
+      // setting one cell. Round 0 is an untimed warm-up of every series.
+      std::vector<std::vector<double>> mops(series_names.size());
+      for (unsigned round = 0; round <= trials(); ++round) {
+        for (std::size_t s = 0; s < series_names.size(); ++s) {
+          const double m = trial(s);
+          if (round > 0) mops[s].push_back(m);
+        }
+      }
       std::vector<double> row{static_cast<double>(t)};
-      for (std::size_t i = 0; i < series_names.size(); ++i) {
-        row.push_back(results[w][i].back().mops);
+      for (std::size_t s = 0; s < series_names.size(); ++s) {
+        results[w][s].push_back(percentile(mops[s], 0.5));
+        row.push_back(results[w][s].back());
       }
       table.row(row);
     }
@@ -244,9 +245,9 @@ int main() {
   for (std::size_t i = 0; i < series_names.size(); ++i) {
     json.begin_object().kv("name", series_names[i]);
     const auto emit = [&json](const char* key,
-                              const std::vector<cell>& cells) {
+                              const std::vector<double>& cells) {
       json.key(key).begin_array();
-      for (const cell& c : cells) json.value(c.mops);
+      for (const double m : cells) json.value(m);
       json.end_array();
     };
     emit("mops", results[0][i]);

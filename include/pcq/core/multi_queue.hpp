@@ -37,8 +37,8 @@
 // acquisition, one heap sift, and one top/count publish; batching
 // amortizes all three:
 //
-//   push_batch(items, n):  sort the batch locally (no lock held), then one
-//                          lock + n sifts + one publish.
+//   push_batch(items, n):  one lock + n substrate pushes of items[0..n)
+//                          in place, in the caller's order + one publish.
 //   try_pop_batch(out, k): one candidate selection + one lock, up to k
 //                          pops, one publish. Elements come out in heap
 //                          (ascending) order. The extra rank relaxation is
@@ -169,8 +169,9 @@ class multi_queue {
       return ts;
     }
 
-    /// One lock + one publish for the whole batch. The batch is copied
-    /// and sorted locally before any lock is taken.
+    /// One lock + one publish for the whole batch. Items are pushed in
+    /// place, in the caller's order: a slot pops its exact minimum
+    /// whatever order its entries arrived in.
     void push_batch(const entry* items, std::size_t n) {
       queue_->push_batch_impl(*this, items, n);
     }
@@ -201,7 +202,6 @@ class multi_queue {
     multi_queue* queue_;
     xoshiro256ss rng_;
     std::vector<std::size_t> scratch_;  ///< d-choice sample buffer
-    std::vector<entry> batch_scratch_;  ///< push_batch local sort area
     std::size_t stripe_ = 0;            ///< striped-counter lane
     std::size_t sticky_queue_ = 0;
     std::size_t sticky_left_ = 0;  ///< inserts remaining on sticky_queue_
@@ -265,17 +265,11 @@ class multi_queue {
 
   void push_batch_impl(handle& h, const entry* items, std::size_t n) {
     if (n == 0) return;
-    // Sort a local copy before locking: ascending pushes keep each sift
-    // shallow and leave the heap's min ready for the single publish.
-    h.batch_scratch_.assign(items, items + n);
-    const Compare compare{};
-    std::sort(h.batch_scratch_.begin(), h.batch_scratch_.end(),
-              [&compare](const entry& a, const entry& b) {
-                return compare(a.first, b.first);
-              });
     backoff bo;
     slot* s = lock_push_slot(h, bo);
-    for (const entry& e : h.batch_scratch_) s->heap.push(e.first, e.second);
+    for (std::size_t i = 0; i < n; ++i) {
+      s->heap.push(items[i].first, items[i].second);
+    }
     publish(*s);
     s->lock.unlock();
     count_.add(h.stripe_, static_cast<std::int64_t>(n));

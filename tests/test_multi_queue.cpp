@@ -1,9 +1,11 @@
 #include "core/multi_queue.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "test_macros.hpp"
@@ -280,6 +282,126 @@ int main() {
     // relaxed, so no global-order assertion.
     pcq::testing::check_batched_drain(make_mq, /*n=*/4096, /*batch=*/16,
                                       /*exact=*/false, 0xba7c6);
+  }
+
+  // push_batch is rank-neutral in the batch's order: each slot pops its
+  // exact minimum whatever order its entries arrived in, so two queues
+  // with the same seed, one fed every batch sorted and the other the same
+  // batches shuffled, make the same draws and pop the same (key, value)
+  // sequence. Keys are distinct (a serial number in the low bits). Every
+  // batch mixes keys just above the last popped key, which land below a
+  // slot's full deletion buffer, with keys far above it.
+  {
+    using entry = mq::entry;
+    pcq::mq_config cfg;
+    cfg.seed = 0x50a7;
+    mq sorted_queue(cfg, 4), shuffled_queue(cfg, 4);
+    auto sorted_handle = sorted_queue.get_handle(0);
+    auto shuffled_handle = shuffled_queue.get_handle(0);
+    pcq::xoshiro256ss rng(0x50a8);
+    const std::size_t sizes[] = {1, 3, 16, 17, 100, 4096};
+    std::uint64_t serial = 0, frontier = 0;
+    std::size_t live = 0;
+    std::vector<entry> batch, sorted_out(4), shuffled_out(4);
+    // Pops both queues down to `floor` live entries, 4 per call: each call
+    // must deliver the same entries from both.
+    const auto pop_down_to = [&](std::size_t floor) {
+      while (live > floor) {
+        const std::size_t got = sorted_handle.try_pop_batch(
+            sorted_out.data(), sorted_out.size());
+        CHECK(got > 0);
+        CHECK(shuffled_handle.try_pop_batch(shuffled_out.data(),
+                                            shuffled_out.size()) == got);
+        for (std::size_t i = 0; i < got; ++i) {
+          CHECK(sorted_out[i] == shuffled_out[i]);
+        }
+        frontier = sorted_out[got - 1].first;
+        live -= got;
+        CHECK(sorted_queue.size() == live);
+        CHECK(shuffled_queue.size() == live);
+      }
+    };
+    for (int round = 0; round < 3; ++round) {
+      for (const std::size_t n : sizes) {
+        batch.clear();
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::uint64_t hi = (frontier >> 20) +
+                                   (i % 2 == 0 ? rng.bounded(4)
+                                               : rng.bounded(1u << 30));
+          const std::uint64_t key = (hi << 20) | serial++;
+          batch.emplace_back(key, key * 7 + 1);
+        }
+        for (std::size_t i = n; i > 1; --i) {
+          std::swap(batch[i - 1], batch[rng.bounded(i)]);
+        }
+        shuffled_handle.push_batch(batch.data(), n);
+        std::sort(batch.begin(), batch.end());
+        sorted_handle.push_batch(batch.data(), n);
+        live += n;
+        CHECK(sorted_queue.size() == live);
+        CHECK(shuffled_queue.size() == live);
+        pop_down_to(256);
+      }
+    }
+    pop_down_to(0);
+    CHECK(sorted_queue.size() == 0);
+    CHECK(shuffled_queue.size() == 0);
+    CHECK(sorted_handle.try_pop_batch(sorted_out.data(), 4) == 0);
+    CHECK(shuffled_handle.try_pop_batch(shuffled_out.data(), 4) == 0);
+  }
+
+  // A batch with duplicate keys conserves the multiset of entries.
+  {
+    using entry = mq::entry;
+    mq queue(pcq::mq_config{}, 4);
+    auto handle = queue.get_handle(0);
+    pcq::xoshiro256ss rng(0xd0b);
+    std::vector<entry> pushed;
+    const std::size_t sizes[] = {5, 40, 300};
+    for (const std::size_t n : sizes) {
+      std::vector<entry> batch;
+      for (std::size_t i = 0; i < n; ++i) {
+        batch.emplace_back(rng.bounded(6), pushed.size() + i);
+      }
+      handle.push_batch(batch.data(), n);
+      pushed.insert(pushed.end(), batch.begin(), batch.end());
+      CHECK(queue.size() == pushed.size());
+    }
+    std::vector<entry> popped, out(4);
+    while (const std::size_t got = handle.try_pop_batch(out.data(), 4)) {
+      popped.insert(popped.end(), out.begin(), out.begin() + got);
+    }
+    std::sort(pushed.begin(), pushed.end());
+    std::sort(popped.begin(), popped.end());
+    CHECK(popped == pushed);
+    CHECK(queue.size() == 0);
+  }
+
+  // A batch of 1 is exactly a push: same draws, same slot, same pops
+  // (duplicate keys included).
+  {
+    mq push_queue(pcq::mq_config{}, 4), batch_queue(pcq::mq_config{}, 4);
+    auto push_handle = push_queue.get_handle(0);
+    auto batch_handle = batch_queue.get_handle(0);
+    pcq::xoshiro256ss rng(0xb1);
+    for (std::uint64_t i = 0; i < 4000; ++i) {
+      const mq::entry e(rng.bounded(1000), i);
+      push_handle.push(e.first, e.second);
+      batch_handle.push_batch(&e, 1);
+      if (i % 3 == 2) {
+        std::uint64_t pk = 0, pv = 0, bk = 0, bv = 0;
+        CHECK(push_handle.try_pop(pk, pv));
+        CHECK(batch_handle.try_pop(bk, bv));
+        CHECK(pk == bk && pv == bv);
+      }
+      CHECK(push_queue.size() == batch_queue.size());
+    }
+    std::uint64_t pk = 0, pv = 0, bk = 0, bv = 0;
+    while (push_handle.try_pop(pk, pv)) {
+      CHECK(batch_handle.try_pop(bk, bv));
+      CHECK(pk == bk && pv == bv);
+    }
+    CHECK(!batch_handle.try_pop(bk, bv));
   }
 
   // Shared harness: conservation, no-lost-wakeups, exact drain at the
