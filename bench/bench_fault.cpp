@@ -17,8 +17,8 @@
 // byte-stable for the committed (config, seed) and the CI gate compares
 // reproducible fractions, not wall-clock noise. A short
 // run_service_realtime pass at the end exercises the threaded
-// supervisor/recovery machinery (the TSan target) under the same
-// conservation checks.
+// per-worker recovery (the TSan target) under the same conservation
+// checks.
 //
 // HARD INVARIANT (this binary exits nonzero on any violation):
 //
@@ -250,10 +250,10 @@ int main() {
     }
   }
 
-  // Realtime smoke: same semantics through real threads + the
-  // supervisor (retry timers, failover scans, reclaim, watchdog) — the
-  // TSan target. Small and fault-heavy; gated on the same invariants
-  // plus "the watchdog did not fire".
+  // Realtime smoke: same semantics through real threads, each faulty
+  // worker running its own recovery (crash retry and reclaim, stall
+  // failover, watchdog) — the TSan target. Small and fault-heavy; gated
+  // on the same invariants plus "the watchdog did not fire".
   {
     const std::size_t rt_workers = max_threads();
     workload_config scfg = wcfg;

@@ -22,7 +22,7 @@
 // which is why this bench reports percentiles, not just throughput).
 //
 // The measured path is run_service_realtime with an empty fault plan
-// (so no supervisor thread): real threads, wall-clock pacing,
+// (so no recovery work): real threads, wall-clock pacing,
 // per-worker lock-free logs, percentiles via the exact sorted-merge
 // latency_summary. Every cell is gated on full completion (a lost
 // request exits nonzero).

@@ -108,16 +108,18 @@
 // result.stalled = true). Callers then fail on the completion count in
 // bounded time instead of wedging CI.
 //
-// Realtime threads. Workers check termination and the watchdog only in
-// their idle path (after a failed fetch), keyed on one `accounted`
-// counter — the only counter RMW per completion. The completed, shed,
-// lost, and missed totals are derived after the join from the logs and
-// the settled table. A SUPERVISOR thread runs only when the plan has a
-// crash or stall role, the only sources of retry, reclaim, and failover
-// work: it turns crash abandons into retry timers (or losses), drains
-// dead workers' backlogs, scans stalled workers for failover, stops
-// frozen workers once everything is accounted, and runs the watchdog
-// too, so it still fires when every worker is dead or frozen.
+// Realtime threads: the arrival thread and one thread per worker, for
+// every plan. Workers check termination and the watchdog only in their
+// idle path (after a failed fetch, or every round while frozen), keyed
+// on one `accounted` counter — the only counter RMW per completion. The
+// completed, shed, lost, and missed totals are derived after the join
+// from the logs and the settled table. Each fault's recovery runs on the
+// worker whose fault caused it, as in the virtual runner: a stalled
+// worker requeues its own in-flight request from its service spin once
+// failover_timeout has passed frozen; a crashed worker's thread stays
+// alive on a 200 µs tick to retry or lose the request it abandoned,
+// reclaim its own dispatcher backlog, and run the watchdog, so the
+// watchdog still fires when every worker is dead or frozen.
 
 #pragma once
 
@@ -341,6 +343,26 @@ inline std::vector<worker_fault> roles_for(const fault_plan& plan,
   return roles;
 }
 
+/// Throws std::invalid_argument unless trace[i].seq == i (both runners
+/// index their per-request tables by seq), every arrival and service is
+/// finite and non-negative, and arrivals never decrease.
+inline void check_trace(const std::vector<request>& trace) {
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const request& r = trace[i];
+    if (r.seq != i) {
+      throw std::invalid_argument("trace: seq must equal its index");
+    }
+    if (!std::isfinite(r.arrival) || r.arrival < 0.0 ||
+        !std::isfinite(r.service) || r.service < 0.0) {
+      throw std::invalid_argument(
+          "trace: arrival and service must be finite and non-negative");
+    }
+    if (i > 0 && r.arrival < trace[i - 1].arrival) {
+      throw std::invalid_argument("trace: arrivals must not decrease");
+    }
+  }
+}
+
 /// The realtime stall watchdog: expires once `progress` has not moved
 /// across consecutive observations spanning more than `timeout` seconds.
 class stall_watch {
@@ -370,9 +392,8 @@ class stall_watch {
 }  // namespace detail
 
 /// Deterministic single-threaded discrete-event run in virtual time.
-/// The trace must be sorted by arrival (make_open_loop_trace's output
-/// is; hand-built test traces are by construction). See the header
-/// comment for the event rules.
+/// The trace must pass detail::check_trace (make_open_loop_trace's
+/// output does). See the header comment for the event rules.
 template <typename Dispatcher>
 service_result run_service_virtual(const std::vector<request>& trace,
                                    Dispatcher& dispatcher,
@@ -382,6 +403,7 @@ service_result run_service_virtual(const std::vector<request>& trace,
   constexpr double kNever = std::numeric_limits<double>::infinity();
   constexpr std::uint64_t kNone = std::numeric_limits<std::uint64_t>::max();
 
+  detail::check_trace(trace);
   const std::vector<worker_fault> faults = detail::roles_for(plan, workers);
 
   service_result result;
@@ -638,7 +660,7 @@ service_result run_service_virtual(const std::vector<request>& trace,
 /// admission control armed, sheds) the trace against the wall clock,
 /// yielding while far from the next arrival and spinning the last
 /// stretch; `workers` worker threads honor their roles (slow spin,
-/// frozen windows, crash exits) and spin out each request's demand.
+/// frozen windows, crash recovery) and spin out each request's demand.
 /// Trace times are wall seconds — generate traces whose span fits the
 /// time you are willing to measure.
 ///
@@ -659,8 +681,10 @@ service_result run_service_realtime(const std::vector<request>& trace,
                                     double stall_timeout_seconds = 5.0,
                                     const fault_plan& plan = {},
                                     const degrade_config& degrade = {}) {
+  constexpr double kNever = std::numeric_limits<double>::infinity();
   constexpr std::uint64_t kNone = std::numeric_limits<std::uint64_t>::max();
 
+  detail::check_trace(trace);
   const std::vector<worker_fault> faults = detail::roles_for(plan, workers);
 
   service_result result;
@@ -678,20 +702,18 @@ service_result run_service_realtime(const std::vector<request>& trace,
            started.load(std::memory_order_relaxed) +
            dropped.load(std::memory_order_relaxed);
   };
-
-  std::vector<std::atomic<std::uint8_t>> settled(total);
-  for (auto& s : settled) s.store(detail::kLive, std::memory_order_relaxed);
-
-  // In-flight table of stall-role workers for the failover scan. seq is
-  // the gate: it is stored AFTER since_us, so a reader that sees a live
-  // seq sees a start time no newer than the fetch (a stale-but-older
-  // start can only make failover fire later within one scan period).
-  struct alignas(64) inflight_slot {
-    std::atomic<std::uint64_t> seq{
-        std::numeric_limits<std::uint64_t>::max()};
-    std::atomic<std::uint64_t> since_us{0};
+  // The watchdog, run by every worker that is idle, frozen, or dead.
+  const auto fail_closed = [&](detail::stall_watch& watch, double now) {
+    if (!watch.expired(progress(), now)) return false;
+    stalled.store(true, std::memory_order_release);
+    stop.store(true, std::memory_order_release);
+    return true;
   };
-  std::vector<inflight_slot> inflight(workers);
+
+  // Crash-retry attempts are shared (value-initialized to 0): a failover
+  // copy can be abandoned by a second crashing worker.
+  std::vector<std::atomic<std::uint8_t>> settled(total), attempts(total);
+  for (auto& s : settled) s.store(detail::kLive, std::memory_order_relaxed);
 
   // Ready-to-refetch duplicates. `recovery_size` mirrors the deque so
   // workers skip the lock with one relaxed load while it is empty.
@@ -704,12 +726,14 @@ service_result run_service_realtime(const std::vector<request>& trace,
     recovery_size.store(recovery.size(), std::memory_order_relaxed);
     recovery_lock.unlock();
   };
-  spinlock abandoned_lock;
-  std::deque<std::uint64_t> abandoned;  // crash-abandoned, awaiting retry
+
+  // Recovery work each faulty worker issued, summed after the join.
+  struct fault_tally {
+    std::uint64_t retries = 0, failovers = 0, reclaimed = 0;
+  };
+  std::vector<fault_tally> tallies(workers);
 
   const bool admission = degrade.admission_armed();
-  const bool supervised =
-      plan.any(fault_kind::crash) || plan.any(fault_kind::stall);
   wall_timer clock;  // the one epoch every thread measures against
 
   std::thread arrivals([&] {
@@ -743,21 +767,22 @@ service_result run_service_realtime(const std::vector<request>& trace,
   for (std::size_t w = 0; w < workers; ++w) {
     pool.emplace_back([&, w] {
       const worker_fault& f = faults[w];
-      const bool stall_role = f.kind == fault_kind::stall;
+      const bool faulty =
+          f.kind == fault_kind::crash || f.kind == fault_kind::stall;
       auto& log = result.worker_logs[w];
+      fault_tally& tally = tallies[w];
       backoff bo;
       detail::stall_watch watch(stall_timeout_seconds);
+      std::uint64_t abandoned = kNone;  // in flight at the crash
       while (!stop.load(std::memory_order_acquire)) {
-        if (f.kind == fault_kind::crash || stall_role) {
+        bool frozen = false;
+        if (faulty) {
           const double t = clock.elapsed_seconds();
           if (f.crashed_by(t)) break;
-          if (f.stalled_at(t)) {  // frozen: no fetches, no progress
-            std::this_thread::yield();
-            continue;
-          }
+          frozen = f.stalled_at(t);  // no fetches while frozen
         }
         std::uint64_t seq = kNone;
-        if (recovery_size.load(std::memory_order_relaxed) != 0) {
+        if (!frozen && recovery_size.load(std::memory_order_relaxed) != 0) {
           recovery_lock.lock();
           if (!recovery.empty()) {
             seq = recovery.front();
@@ -766,16 +791,12 @@ service_result run_service_realtime(const std::vector<request>& trace,
           }
           recovery_lock.unlock();
         }
-        if (seq == kNone && !dispatcher.fetch(w, seq)) {
+        if (seq == kNone && (frozen || !dispatcher.fetch(w, seq))) {
           // Idle path: terminate on full accounting; otherwise, if
           // nothing moved anywhere for stall_timeout_seconds, the
           // dispatcher lost a request — fail closed.
           if (accounted.load(std::memory_order_acquire) >= total) break;
-          if (watch.expired(progress(), clock.elapsed_seconds())) {
-            stalled.store(true, std::memory_order_release);
-            stop.store(true, std::memory_order_release);
-            break;
-          }
+          if (fail_closed(watch, clock.elapsed_seconds())) break;
           bo.pause();
           continue;
         }
@@ -788,38 +809,37 @@ service_result run_service_realtime(const std::vector<request>& trace,
         started.fetch_add(1, std::memory_order_relaxed);
         const request& r = trace[seq];
         const double start = clock.elapsed_seconds();
-        if (stall_role) {
-          inflight[w].since_us.store(
-              static_cast<std::uint64_t>(start * 1e6),
-              std::memory_order_relaxed);
-          inflight[w].seq.store(seq, std::memory_order_release);
-        }
 
         // Spin out the demand, honoring the role: slow inflates it,
-        // stall windows freeze progress, crash abandons mid-service.
+        // stall windows freeze progress (and, after failover_timeout
+        // frozen, hand one copy to a live worker), crash abandons
+        // mid-service.
         const double dur = f.scaled(r.service);
         double progressed = 0.0;
         double last = start;
-        bool abandoned_here = false;
+        bool failed_over = false;
         while (progressed < dur) {
           const double t = clock.elapsed_seconds();
           if (f.crashed_by(t)) {
-            abandoned_here = true;
+            abandoned = seq;
             break;
           }
-          if (!f.stalled_at(t)) progressed += t - last;
+          if (!f.stalled_at(t)) {
+            progressed += t - last;
+          } else if (!failed_over &&
+                     t - std::max(f.stall_start, start) >=
+                         degrade.failover_timeout) {
+            failed_over = true;
+            if (settled[seq].load(std::memory_order_acquire) ==
+                detail::kLive) {
+              requeue(seq);
+              ++tally.failovers;
+            }
+          }
           last = t;
           cpu_relax();
         }
-        if (stall_role) {
-          inflight[w].seq.store(kNone, std::memory_order_release);
-        }
-        if (abandoned_here) {
-          abandoned_lock.lock();
-          abandoned.push_back(seq);
-          abandoned_lock.unlock();
-          break;  // the worker is dead from here
-        }
+        if (abandoned != kNone) break;
         // The settled-table CAS makes the first completion win.
         std::uint8_t expect = detail::kLive;
         if (settled[seq].compare_exchange_strong(
@@ -836,106 +856,57 @@ service_result run_service_realtime(const std::vector<request>& trace,
           dropped.fetch_add(1, std::memory_order_relaxed);  // lost the race
         }
       }
-    });
-  }
+      if (!f.crashed_by(clock.elapsed_seconds())) return;
 
-  // Supervisor: retry timers, loss marking, dead-worker reclaim,
-  // failover scans; stops frozen workers on full accounting and runs
-  // the watchdog for when no worker is left in its idle path.
-  std::thread supervisor;
-  if (supervised) {
-    supervisor = std::thread([&] {
-      std::vector<std::uint8_t> attempts(total, 0);
-      std::vector<std::pair<double, std::uint64_t>> timers;
-      std::vector<std::uint64_t> last_failover(workers, kNone);
+      // Dead: this thread now only cleans up after its own crash, once
+      // every 200 µs. It retries (after backoff) or loses the request it
+      // abandoned, drains its dispatcher backlog into recovery on every
+      // tick (a dead po2 worker's empty FIFO keeps attracting arrivals),
+      // and runs the watchdog, until everything is accounted.
+      double retry_at = kNever;
+      if (abandoned != kNone &&
+          settled[abandoned].load(std::memory_order_acquire) ==
+              detail::kLive) {
+        const std::size_t attempt =
+            attempts[abandoned].fetch_add(1, std::memory_order_relaxed) + 1u;
+        std::uint8_t expect = detail::kLive;
+        if (attempt <= degrade.max_retries) {
+          retry_at = clock.elapsed_seconds() +
+                     degrade.retry_backoff * detail::backoff_factor(attempt);
+        } else if (settled[abandoned].compare_exchange_strong(
+                       expect, detail::kLost, std::memory_order_acq_rel)) {
+          accounted.fetch_add(1, std::memory_order_release);
+        }
+      }
       std::vector<std::uint64_t> reclaim_buf;
-      detail::stall_watch watch(stall_timeout_seconds);
+      watch.reset();
       while (!stop.load(std::memory_order_acquire)) {
         const double t = clock.elapsed_seconds();
-
-        abandoned_lock.lock();
-        std::deque<std::uint64_t> fresh;
-        fresh.swap(abandoned);
-        abandoned_lock.unlock();
-        for (const std::uint64_t seq : fresh) {
-          if (settled[seq].load(std::memory_order_acquire) !=
-              detail::kLive) {
-            continue;
-          }
-          if (attempts[seq] < degrade.max_retries) {
-            ++attempts[seq];
-            timers.emplace_back(
-                t + degrade.retry_backoff *
-                        detail::backoff_factor(attempts[seq]),
-                seq);
-          } else {
-            std::uint8_t expect = detail::kLive;
-            if (settled[seq].compare_exchange_strong(
-                    expect, detail::kLost, std::memory_order_acq_rel)) {
-              accounted.fetch_add(1, std::memory_order_release);
-            }
-          }
+        if (t >= retry_at) {
+          requeue(abandoned);
+          ++tally.retries;
+          retry_at = kNever;
         }
-        for (std::size_t i = 0; i < timers.size();) {
-          if (timers[i].first <= t) {
-            requeue(timers[i].second);
-            ++result.retries;
-            timers.erase(timers.begin() + static_cast<std::ptrdiff_t>(i));
-          } else {
-            ++i;
-          }
-        }
-
-        // Reclaim dead workers' stranded backlogs (po2 FIFOs; a shared
-        // queue reclaims nothing). Every tick, because the dead worker's
-        // empty FIFO keeps attracting new arrivals.
-        for (std::size_t w = 0; w < workers; ++w) {
-          if (!faults[w].crashed_by(t)) continue;
-          reclaim_buf.clear();
-          dispatcher.reclaim(w, reclaim_buf);
-          for (const std::uint64_t seq : reclaim_buf) requeue(seq);
-          result.reclaimed += reclaim_buf.size();
-        }
-
-        for (std::size_t w = 0; w < workers; ++w) {
-          if (!faults[w].stalled_at(t)) continue;
-          const std::uint64_t seq =
-              inflight[w].seq.load(std::memory_order_acquire);
-          if (seq == kNone || last_failover[w] == seq) continue;
-          const double since =
-              static_cast<double>(
-                  inflight[w].since_us.load(std::memory_order_relaxed)) /
-              1e6;
-          const double frozen_since = std::max(faults[w].stall_start, since);
-          if (t - frozen_since < degrade.failover_timeout) continue;
-          if (settled[seq].load(std::memory_order_acquire) !=
-              detail::kLive) {
-            continue;
-          }
-          last_failover[w] = seq;
-          requeue(seq);
-          ++result.failovers;
-        }
-
-        if (accounted.load(std::memory_order_acquire) >= total) {
-          stop.store(true, std::memory_order_release);
-          break;
-        }
-        if (watch.expired(progress(), t)) {
-          stalled.store(true, std::memory_order_release);
-          stop.store(true, std::memory_order_release);
-          break;
-        }
+        reclaim_buf.clear();
+        dispatcher.reclaim(w, reclaim_buf);
+        for (const std::uint64_t seq : reclaim_buf) requeue(seq);
+        tally.reclaimed += reclaim_buf.size();
+        if (accounted.load(std::memory_order_acquire) >= total) break;
+        if (fail_closed(watch, t)) break;
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
     });
   }
 
   arrivals.join();
-  if (supervisor.joinable()) supervisor.join();
   for (auto& t : pool) t.join();
   result.seconds = clock.elapsed_seconds();
   result.stalled = stalled.load();
+  for (const fault_tally& tally : tallies) {
+    result.retries += tally.retries;
+    result.failovers += tally.failovers;
+    result.reclaimed += tally.reclaimed;
+  }
   for (const auto& log : result.worker_logs) {
     result.completed += log.size();
     for (const request_record& rec : log) {

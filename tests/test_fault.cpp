@@ -11,10 +11,11 @@
 // EVERY policy combination × dispatcher, byte-stability for a fixed
 // (config, seed), and that retry and failover are inert without
 // faults; a seeded property sweep repeats those checks over random
-// intensities and worker counts. Both runners must reject plans no run
-// can honor. A final real-threads section covers the supervisor path
-// (retry timers, failover scan, watchdog interplay) under TSan, and the
-// unsupervised path's shed accounting.
+// intensities and worker counts. Both runners must reject plans and
+// traces no run can honor. A final real-threads section covers the
+// per-worker recovery paths (crash retry and reclaim, stall failover,
+// the watchdog with every worker dead or frozen) under TSan, and shed
+// accounting with no faulty role.
 
 #include "service/fault.hpp"
 
@@ -31,6 +32,7 @@
 #include "service/workload.hpp"
 #include "test_macros.hpp"
 #include "util/rng.hpp"
+#include "util/timer.hpp"
 
 using namespace pcq::service;
 
@@ -399,35 +401,47 @@ int main() {
   }
 
   // ------------------------------------------------------------------
-  // Both runners reject plans no run can honor, before starting work.
+  // Both runners reject plans and traces no run can honor, before
+  // starting work.
   {
     const std::vector<request> trace = {{0.0, 1.0, 10.0, 0}};
-    const auto rejected = [&trace](const fault_plan& bad) {
+    const auto rejected = [](const std::vector<request>& bad_trace,
+                             const fault_plan& bad) {
       auto fcfs = make_fcfs_dispatcher(2);
-      CHECK_THROWS(run_service_virtual(trace, fcfs, 2, bad),
+      CHECK_THROWS(run_service_virtual(bad_trace, fcfs, 2, bad),
                    std::invalid_argument);
       auto mq = make_mq_dispatcher(2);
-      CHECK_THROWS(run_service_realtime(trace, mq, 2, 5.0, bad),
+      CHECK_THROWS(run_service_realtime(bad_trace, mq, 2, 5.0, bad),
                    std::invalid_argument);
     };
     fault_plan too_many;  // three roles for two workers
     too_many.workers.resize(3);
-    rejected(too_many);
+    rejected(trace, too_many);
 
     fault_plan inverted;
     inverted.workers.resize(2);
     inverted.workers[1].kind = fault_kind::stall;
     inverted.workers[1].stall_start = 2.0;
     inverted.workers[1].stall_end = 1.0;
-    rejected(inverted);
+    rejected(trace, inverted);
 
     for (const double factor : {0.0, -2.0, kInf, std::nan("")}) {
       fault_plan bad_slow;
       bad_slow.workers.resize(1);
       bad_slow.workers[0].kind = fault_kind::slow;
       bad_slow.workers[0].slow_factor = factor;
-      rejected(bad_slow);
+      rejected(trace, bad_slow);
     }
+
+    // Malformed traces: both runners index their tables by seq, and an
+    // infinite demand would spin a realtime worker forever.
+    rejected({{0.0, 1.0, 10.0, 1}}, {});  // seq out of range
+    rejected({{0.0, 1.0, 10.0, 1}, {0.0, 1.0, 10.0, 0}}, {});  // swapped
+    for (const double bad : {-1.0, kInf, std::nan("")}) {
+      rejected({{bad, 1.0, 10.0, 0}}, {});  // arrival
+      rejected({{0.0, bad, 10.0, 0}}, {});  // service
+    }
+    rejected({{0.5, 1.0, 10.0, 0}, {0.25, 1.0, 10.0, 1}}, {});  // unsorted
 
     fault_plan fewer;  // fewer roles than workers: the rest are ok
     fewer.workers.resize(1);
@@ -501,8 +515,8 @@ int main() {
   }
 
   // ------------------------------------------------------------------
-  // Real threads (the TSan target): supervisor retry timers, failover
-  // scan, settled-table CAS races, and the watchdog NOT firing through
+  // Real threads (the TSan target): crash retries and failover requeues
+  // racing fetches, settled-table CAS races, and the watchdog NOT firing through
   // an injected stall window shorter than its timeout. Wall-clock noise
   // means no exact schedule — assert the interleaving-independent
   // invariants.
@@ -550,8 +564,82 @@ int main() {
     check_accounting(crashed, trace, crashy);
   }
 
-  // Without a crash or stall role the realtime runner has no supervisor:
-  // the arrival thread sheds and the workers alone terminate. Every odd
+  // Realtime dead-worker reclaim: the crashed po2 worker drains its own
+  // FIFO into recovery, so with max_retries = 0 at most its one
+  // in-flight request is lost and worker 0 serves everything else.
+  {
+    std::vector<request> trace;
+    for (std::uint64_t i = 0; i < 50; ++i) {
+      trace.push_back({0.0, 2e-3, 1000.0, i});
+    }
+    fault_plan plan;
+    plan.workers.resize(2);
+    plan.workers[1].kind = fault_kind::crash;
+    plan.workers[1].crash_time = 1e-3;
+    po2_dispatcher po2(2, 4242);
+    const service_result result = run_service_realtime(
+        trace, po2, 2, /*stall_timeout_seconds=*/5.0, plan, {});
+    CHECK(!result.stalled);
+    check_accounting(result, trace, plan);
+    CHECK(result.reclaimed >= 1);
+    CHECK(result.lost <= 1);
+    CHECK(result.completed + result.lost == 50);
+    CHECK(result.worker_logs[1].empty());  // 2 ms work, crash at 1 ms
+  }
+
+  // The watchdog still fires when no worker can ever fetch: worker 0 is
+  // dead from the start and worker 1 frozen for 3 s. The run must fail
+  // closed after about stall_timeout, long before the freeze ends.
+  {
+    std::vector<request> trace;
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      trace.push_back({0.0, 1e-3, 1.0, i});
+    }
+    fault_plan plan;
+    plan.workers.resize(2);
+    plan.workers[0].kind = fault_kind::crash;
+    plan.workers[0].crash_time = 0.0;
+    plan.workers[1].kind = fault_kind::stall;
+    plan.workers[1].stall_start = 0.0;
+    plan.workers[1].stall_end = 3.0;
+    auto mq = make_mq_dispatcher(2);
+    const pcq::wall_timer timer;
+    const service_result result = run_service_realtime(
+        trace, mq, 2, /*stall_timeout_seconds=*/0.3, plan, {});
+    CHECK(result.stalled);
+    CHECK(timer.elapsed_seconds() < 1.5);
+  }
+
+  // Forced failover: the only live worker freezes over [20, 100) ms
+  // while serving the one 100 ms request, so 10 ms into the freeze it
+  // requeues a copy of it, exactly once. Nobody is left to run the copy
+  // before the original completes, which then discards it.
+  {
+    const std::vector<request> trace = {{0.0, 0.1, 10.0, 0}};
+    fault_plan plan;
+    plan.workers.resize(2);
+    plan.workers[0].kind = fault_kind::crash;
+    plan.workers[0].crash_time = 0.0;
+    plan.workers[1].kind = fault_kind::stall;
+    plan.workers[1].stall_start = 0.02;
+    plan.workers[1].stall_end = 0.1;
+    degrade_config degrade;
+    degrade.failover_timeout = 0.01;
+    auto mq = make_mq_dispatcher(2);
+    const service_result result = run_service_realtime(
+        trace, mq, 2, /*stall_timeout_seconds=*/5.0, plan, degrade);
+    CHECK(!result.stalled);
+    check_accounting(result, trace, plan);
+    CHECK(result.completed == 1);
+    CHECK(result.failovers <= 1);
+    if (result.worker_logs[1].size() == 1 &&
+        result.worker_logs[1][0].start < 0.02) {
+      CHECK(result.failovers == 1);  // it was mid-service when it froze
+    }
+  }
+
+  // Without a crash or stall role no worker has recovery work: the
+  // arrival thread sheds and the workers alone terminate. Every odd
   // request is due at its own arrival, so admission must shed exactly
   // those on any interleaving; the totals are derived after the join.
   {
