@@ -72,7 +72,7 @@ int main() {
       wl.pairs_per_thread = scaled<std::size_t>(1u << 14, 1u << 18);
       wl.record_events = true;
       const auto result = run_alternating(queue, wl);
-      const auto report = analyze_logs(result.logs);
+      const auto report = replay_ranks(result.logs);
       table.row({static_cast<double>(d), result.mops_per_sec,
                  report.rank_stats.mean(), report.rank_stats.max()});
     }

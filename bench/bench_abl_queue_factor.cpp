@@ -43,7 +43,7 @@ int main() {
     wl.pairs_per_thread = pairs;
     wl.record_events = true;
     const auto result = run_alternating(queue, wl);
-    const auto report = analyze_logs(result.logs);
+    const auto report = replay_ranks(result.logs);
 
     table.row({static_cast<double>(c),
                static_cast<double>(queue.num_queues()), result.mops_per_sec,

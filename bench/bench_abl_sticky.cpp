@@ -45,7 +45,7 @@ int main() {
     wl.pairs_per_thread = pairs;
     wl.record_events = true;
     const auto result = run_alternating(queue, wl);
-    const auto report = analyze_logs(result.logs);
+    const auto report = replay_ranks(result.logs);
 
     table.row({static_cast<double>(s), result.mops_per_sec,
                report.rank_stats.mean(), report.rank_stats.max()});

@@ -71,7 +71,7 @@ int main() {
     wl.pairs_per_thread = pairs * 4 / threads;  // same total ops
     wl.record_events = true;
     const auto result = run_alternating(queue, wl);
-    const auto report = analyze_logs(result.logs);
+    const auto report = replay_ranks(result.logs);
 
     table.row({static_cast<double>(threads), report.rank_stats.mean(),
                seq.costs().mean_rank(),

@@ -54,7 +54,7 @@ int main() {
     wl.pairs_per_thread = pairs;
     wl.record_events = true;
     const auto result = run_alternating(queue, wl);
-    const auto report = analyze_logs(result.logs);
+    const auto report = replay_ranks(result.logs);
 
     table.row({beta, report.rank_stats.mean(), report.rank_stats.max(),
                static_cast<double>(report.inversions) /

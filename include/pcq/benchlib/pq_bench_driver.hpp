@@ -10,7 +10,7 @@
 // pairs_per_thread iterations of push(random key) + try_pop. With
 // record_events set, the timed API is used throughout (including
 // prefill) and the per-thread logs are returned for exact rank replay
-// via analyze_logs().
+// via replay_ranks() (core/rank_recorder.hpp).
 
 #pragma once
 
@@ -23,6 +23,7 @@
 
 #include "core/pq_handle.hpp"
 #include "core/rank_recorder.hpp"
+#include "util/in_flight.hpp"
 #include "util/rng.hpp"
 
 namespace pcq {
@@ -93,11 +94,7 @@ run_result run_timed_workers(Queue& queue, std::size_t threads,
     ends[tid] = clock::now();
   };
 
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(worker, t);
-  worker(0);
-  for (auto& t : pool) t.join();
+  run_workers(threads, worker);
 
   auto first_start = starts[0];
   auto last_end = ends[0];
@@ -235,11 +232,6 @@ run_result run_alternating_batched(Queue& queue,
   return detail::run_timed_workers(
       queue, threads, 2 * static_cast<std::uint64_t>(rounds) * b * threads,
       body);
-}
-
-/// Exact rank statistics from the timed event logs (see rank_recorder.hpp).
-inline replay_report analyze_logs(const std::vector<event_log>& logs) {
-  return replay_ranks(logs);
 }
 
 }  // namespace bench

@@ -9,10 +9,10 @@
 // with the runners in service/server.hpp, which take a fault_plan and a
 // degrade_config. This header only BUILDS plans, deterministically from
 // a (config, seed) pair, so every dispatcher under comparison sees the
-// identical perturbation. The robustness question bench_fault answers
-// with them: does queue-level choice (MultiQueue-EDF) keep its
-// latency/deadline advantage over strict EDF, FCFS, and scheduler-level
-// po2 when the fault intensity rises?
+// identical perturbation. The robustness question bench_service's fault
+// ladder answers with them: does queue-level choice (MultiQueue-EDF)
+// keep its latency/deadline advantage over strict EDF, FCFS, and
+// scheduler-level po2 when the fault intensity rises?
 //
 //   fault_config     — the recipe: role fractions, window placement as
 //                      fractions of the trace span, burst count and

@@ -45,12 +45,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "core/multi_queue.hpp"
 #include "core/rank_recorder.hpp"
 #include "sim/label_process.hpp"
+#include "util/in_flight.hpp"
 #include "util/rng.hpp"
 #include "util/spinlock.hpp"
 #include "util/stats.hpp"
@@ -250,11 +250,7 @@ inline equivalence_result run_equivalence(const equivalence_config& cfg) {
         }
       }
     };
-    std::vector<std::thread> pool;
-    pool.reserve(threads - 1);
-    for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(worker, t);
-    worker(0);
-    for (auto& t : pool) t.join();
+    run_workers(threads, worker);
     result.failed_pops = failed.load(std::memory_order_relaxed);
   }
 

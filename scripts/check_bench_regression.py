@@ -4,7 +4,7 @@
 Usage:
     check_bench_regression.py CURRENT.json BASELINE.json
         [--figure fig1] [--threshold 0.30] [--normalize coarse]
-        [--gate-prefix mq_] [--two-sided]
+        [--gate-prefix mq_]
 
 Works for any BENCH_<figure>.json produced by benchlib/json_writer.hpp
 with the shape {threads: [...], series: [{name, mops: [...]}]} — fig1
@@ -17,11 +17,8 @@ is compared (exec's random_mops and forkjoin_mops next to its mops).
 Compares every gated series (names starting with --gate-prefix, default
 "mq_") in each such array at every thread count present in both files
 and fails (exit 1) if any current cell is more than --threshold below
-the baseline cell.
-With --two-sided a cell more than --threshold ABOVE baseline fails too
-— for deterministic benches (thm3's seeded potential process), any
-movement means the process changed and the baseline must be regenerated
-deliberately, improvements included.
+the baseline cell. Deterministic artifacts (thm3, service, fault) are
+not gated here but byte for byte with cmp against their baselines.
 Non-gated series (the skiplist/k-LSM/coarse competitors) are reported
 but never gate: they exist for comparison, not as a perf contract.
 
@@ -78,10 +75,6 @@ def main():
     parser.add_argument("--gate-prefix", default="mq_",
                         help="series whose names start with this prefix gate; "
                              "the rest are informational")
-    parser.add_argument("--two-sided", action="store_true",
-                        help="also fail on cells moving the other way (for "
-                             "deterministic benches, where any movement "
-                             "means the process changed)")
     args = parser.parse_args()
 
     cur_threads, current = load_series(args.current)
@@ -137,10 +130,8 @@ def main():
                 continue
             ratio = cur / base
             verdict = "ok"
-            bad = ratio < 1.0 - args.threshold
-            drift = args.two_sided and ratio > 1.0 + args.threshold
-            if gated and (bad or drift):
-                verdict = "REGRESSION" if bad else "DRIFT"
+            if gated and ratio < 1.0 - args.threshold:
+                verdict = "REGRESSION"
                 failures.append((name, t, base, cur, ratio))
             print(f"{name:<24}{t:>8}{base:>10.2f}{cur:>10.2f}{ratio:>8.2f}"
                   f"  {verdict if gated else 'info'}")
@@ -153,9 +144,8 @@ def main():
         return 1
 
     if failures:
-        moved = "moved" if args.two_sided else "regressed"
         print(f"\n[{args.figure}] FAIL: {len(failures)} gated cell(s) "
-              f"{moved} more than {args.threshold:.0%}:")
+              f"regressed more than {args.threshold:.0%}:")
         for name, t, base, cur, ratio in failures:
             print(f"  {name} @ {t} threads: {base:.2f} -> {cur:.2f} {unit} "
                   f"({ratio:.2f}x)")

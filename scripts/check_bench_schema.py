@@ -20,9 +20,7 @@ plotting assume:
     poisons a committed baseline or a regression gate); scalar series
     keys (per-series metadata like abl_batch's "batch") must be finite
     numbers, strings, or booleans;
-  - every other top-level number is finite too;
-  - "oversubscribed", where present (bench_service: fewer hardware
-    threads than workers + the arrival thread), is a boolean.
+  - every other top-level number is finite too.
 
 Exits nonzero listing every violation across all files (a malformed
 writer fails CI at the lint step, not mysteriously inside the gate).
@@ -121,10 +119,6 @@ def check_file(errors, path):
                 fail(errors, path,
                      f"{where}.{key} is {value!r}, not a finite number, "
                      f"string, bool, or numeric list")
-
-    oversubscribed = doc.get("oversubscribed", False)
-    if not isinstance(oversubscribed, bool):
-        fail(errors, path, '"oversubscribed" is not a boolean')
 
     for key, value in doc.items():
         if key in ("threads", "series"):

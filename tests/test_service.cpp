@@ -4,8 +4,10 @@
 // earliest-deadline schedule, FCFS is arrival order, a MultiQueue with
 // d = #queues and beta = 1 degenerates to strict and must match EDF
 // trace-for-trace, and any pq-handle queue slots into pq_dispatcher
-// (checked with the lock-free Lindén–Jonsson skiplist). A final
-// real-threads smoke run covers the TSan-exercised dispatch/fetch path.
+// (checked with the lock-free Lindén–Jonsson skiplist). FCFS's mean
+// wait is checked against Erlang C (M/M/8), an oracle from outside the
+// code. A final real-threads smoke run covers the TSan-exercised
+// dispatch/fetch path on all four dispatchers.
 
 #include "service/server.hpp"
 
@@ -59,6 +61,21 @@ std::vector<request> hand_trace() {
 
 const std::uint64_t kHandEdfOrder[4] = {0, 2, 1, 3};
 const std::uint64_t kHandFcfsOrder[4] = {0, 1, 2, 3};
+
+// Mean queueing wait of M/M/k (Erlang C) at per-server load rho:
+// P(wait) · E[S] / (k · (1 − rho)).
+double erlang_c_wait(std::size_t k, double rho, double mean_service) {
+  const double a = rho * static_cast<double>(k);  // offered load, Erlangs
+  double term = 1.0;  // a^n / n!
+  double below_k = 0.0;
+  for (std::size_t n = 0; n < k; ++n) {
+    below_k += term;
+    term *= a / static_cast<double>(n + 1);
+  }
+  const double queued = term / (1.0 - rho);
+  const double p_wait = queued / (below_k + queued);
+  return p_wait * mean_service / (static_cast<double>(k) * (1.0 - rho));
+}
 
 }  // namespace
 
@@ -214,10 +231,42 @@ int main() {
           summarize(rb).sojourn.sorted_samples());
   }
 
+  // Outside oracle for the virtual-time runner: FCFS on Poisson arrivals
+  // and exponential service over 8 workers is M/M/8, whose mean wait is
+  // Erlang C. One 100k-request trace per load; the ratio measured /
+  // Erlang C over 16 seeds (derive_seed(0x45726c61, 0..15)) spread
+  // [0.94, 1.14] at rho 0.5 (sd 0.059), [0.91, 1.13] at 0.8 (sd 0.058),
+  // [0.88, 1.22] at 0.9 (sd 0.082) and [0.78, 1.25] at 0.95 (sd 0.112);
+  // each tolerance is about 3 sd. Seed 0, the one used here, reads 1.06,
+  // 1.04, 1.00 and 0.93. The runner is deterministic, so the cell cannot
+  // flake; it fails on a wrong worker count, clock or wait accounting,
+  // which move the ratio by far more (simulating one worker too many
+  // reads 0.19 to 0.36).
+  {
+    const std::size_t k = 8;
+    const double loads[4] = {0.5, 0.8, 0.9, 0.95};
+    const double tolerance[4] = {0.20, 0.20, 0.25, 0.35};
+    for (std::size_t i = 0; i < 4; ++i) {
+      workload_config mm;
+      mm.num_requests = 100000;
+      mm.service = service_dist::exponential_mean(50e-6);
+      mm.arrival_rate = arrival_rate_for_load(loads[i], k, mm.service);
+      mm.seed = pcq::derive_seed(0x45726c61u, 0);
+      const std::vector<request> mm_trace = make_open_loop_trace(mm);
+      auto fcfs = make_fcfs_dispatcher(k);
+      const service_result result = run_service_virtual(mm_trace, fcfs, k);
+      CHECK(result.completed == mm_trace.size());
+      const double ratio = summarize(result).wait.mean() /
+                           erlang_c_wait(k, loads[i], 50e-6);
+      CHECK_NEAR(ratio, 1.0, tolerance[i]);
+    }
+  }
+
   // Real threads (the TSan target): one arrival thread races worker
-  // fetches through the MultiQueue and the po2 FIFOs. Wall-clock noise
-  // means no exact schedule — assert the invariants that hold under any
-  // interleaving: conservation, wait >= 0, sojourn >= service.
+  // fetches through the MultiQueue, the two coarse shared queues (fcfs,
+  // edf) and the po2 FIFOs. Wall-clock noise means no exact schedule —
+  // assert the invariants that hold under any interleaving:
+  // conservation, wait >= 0, sojourn >= service.
   {
     workload_config rt_cfg;
     rt_cfg.num_requests = 200;
@@ -228,9 +277,14 @@ int main() {
 
     auto mq = make_mq_dispatcher(2);
     const service_result mq_rt = run_service_realtime(rt_trace, mq, 2);
+    auto fcfs = make_fcfs_dispatcher(2);
+    const service_result fcfs_rt = run_service_realtime(rt_trace, fcfs, 2);
+    auto edf = make_edf_dispatcher(2);
+    const service_result edf_rt = run_service_realtime(rt_trace, edf, 2);
     po2_dispatcher po2(2, 777);
     const service_result po2_rt = run_service_realtime(rt_trace, po2, 2);
-    for (const service_result* result : {&mq_rt, &po2_rt}) {
+    for (const service_result* result :
+         {&mq_rt, &fcfs_rt, &edf_rt, &po2_rt}) {
       const std::vector<request_record> recs =
           records_by_seq(*result, rt_trace.size());
       for (const request_record& r : recs) {
