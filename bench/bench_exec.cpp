@@ -108,8 +108,11 @@ double forkjoin_trial(const char* name, const exec::forkjoin_params& params,
 }  // namespace
 
 int main() {
-  const auto grid_side = scaled<std::uint32_t>(48, 192);
-  const auto random_nodes = scaled<std::uint32_t>(3072, 131072);
+  // Smoke cells are sized to last 3-7 ms each (1-2 threads on a
+  // 4-vCPU x86-64 box), so one host stall of a few ms slows at most one
+  // of a series' rotated trials.
+  const auto grid_side = scaled<std::uint32_t>(96, 192);
+  const auto random_nodes = scaled<std::uint32_t>(12288, 131072);
   const auto rounds = scaled<std::uint32_t>(64, 256);
 
   graph::road_network_params grid_params;
@@ -127,7 +130,7 @@ int main() {
       sim::make_dag(graph::make_random_graph(rnd_params));
 
   exec::forkjoin_params fj;
-  fj.items = scaled<std::uint64_t>(1u << 15, 1u << 21);
+  fj.items = scaled<std::uint64_t>(1u << 17, 1u << 21);
   fj.grain = 64;
   fj.rounds = scaled<std::uint32_t>(16, 64);
 
@@ -168,9 +171,9 @@ int main() {
     return std::make_unique<coarse_pq<queue_key, queue_key>>();
   };
 
-  // Smoke cells last about a millisecond, so the median takes five
-  // trials there, dropping up to two slowed by a host stall
-  // (docs/BENCHMARKS.md gives the gate's measured failure rate).
+  // The median takes five trials at smoke scale, dropping up to two
+  // slowed by a host stall (docs/BENCHMARKS.md gives the gate's measured
+  // failure rate).
   const unsigned cell_trials = scaled(5u, trials());
 
   std::vector<std::size_t> thread_counts;

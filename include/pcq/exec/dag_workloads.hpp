@@ -5,6 +5,13 @@
 // value equality, and the DAG runner re-checks graph_process's
 // topological-release invariant inline on every task.
 //
+// The two workloads use the executor's two task forms. A DAG task is an
+// id task: the node id rides in the queue entry and one handler, holding
+// the run state, runs every node, so a release pushes one entry and
+// touches no job record or std::function. The fork-join nodes are
+// closures, because they await children and capture their range and
+// output cell.
+//
 // The task kernels are *commutative over predecessors*: a task's input
 // is the sum (a schedule-independent reduction) of its predecessors'
 // outputs, so any legal parallel schedule produces bit-identical
@@ -18,7 +25,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "exec/executor.hpp"
@@ -43,10 +49,10 @@ inline std::uint64_t task_kernel(std::uint64_t seed, std::uint32_t rounds) {
 }
 
 // ---------------------------------------------------------------------
-// DAG workload: one task per node of a make_dag() DAG. Task v computes
+// DAG workload: one id task per node of a make_dag() DAG. Task v computes
 // out[v] = task_kernel(sum of predecessor outputs + v, rounds) and
-// releases each successor whose last dependency cleared as a detached
-// spawn at its precedence-respecting priority (task_priority).
+// releases each successor whose last dependency cleared as an id task at
+// its precedence-respecting priority (task_priority).
 // ---------------------------------------------------------------------
 
 /// Sequential oracle: id order is a topological order of make_dag DAGs.
@@ -91,14 +97,16 @@ struct dag_run {
   std::atomic<bool> topo_ok{true};
 };
 
-// The task body of node v. Two words and trivially copyable, so job_fn
-// stores it inline: releasing a successor allocates nothing.
+// The id-task handler of one run: the task of node v. It holds only the
+// run state, captured once for the whole run, so a released successor is
+// one tagged queue entry and allocates nothing.
 struct dag_task {
   dag_run* run;
-  graph::csr_graph::node_id v;
 
-  void operator()(job_context& ctx) const {
+  void operator()(job_context& ctx, std::uint64_t /*priority*/,
+                  std::uint64_t id) const {
     dag_run& s = *run;
+    const auto v = static_cast<graph::csr_graph::node_id>(id);
     dag_node& node = s.nodes[v];
     const graph::csr_graph::arc_range succ = s.dag->out(v);
     // The successors' records and priorities are needed right after the
@@ -123,17 +131,10 @@ struct dag_task {
       dag_node& next = s.nodes[a.head];
       next.input.fetch_add(out, std::memory_order_relaxed);
       if (next.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
-        ctx.spawn_detached(sim::task_priority(s.depth[a.head], a.head, s.n),
-                           dag_task{run, a.head});
+        ctx.release(sim::task_priority(s.depth[a.head], a.head, s.n), a.head);
     }
   }
 };
-
-// A capture added here must not push the closure out of job_fn's
-// inline buffer, or every released task would allocate again.
-static_assert(std::is_trivially_copyable<dag_task>::value &&
-                  sizeof(dag_task) <= 2 * sizeof(void*),
-              "dag_task must stay small enough for job_fn to store inline");
 
 }  // namespace detail
 
@@ -157,10 +158,10 @@ dag_exec_result run_dag_executor(const graph::csr_graph& dag,
   detail::dag_run state{&dag, depth.data(), nodes.get(),
                         result.outputs.data(), n, rounds};
 
-  executor<Queue> ex(queue);
+  executor<Queue, detail::dag_task> ex(queue, detail::dag_task{&state});
   for (graph::csr_graph::node_id v = 0; v < n; ++v)
     if (nodes[v].remaining.load(std::memory_order_relaxed) == 0)
-      ex.submit(sim::task_priority(depth[v], v, n), detail::dag_task{&state, v});
+      ex.submit_id(sim::task_priority(depth[v], v, n), v);
   result.stats = ex.run(num_threads);
 
   // Counted after the run rather than by a shared per-task RMW; a

@@ -51,8 +51,8 @@
 // or re-pushes one continuation touches the shared counter not at all.
 //
 // Workers run the shared drain loop of util/in_flight.hpp: each pop
-// takes up to kDrainBatch = 4 ready jobs, the worker prefetches their
-// job records, runs them one after another in key order, and then
+// takes up to kDrainBatch = 4 ready tasks, the worker prefetches the
+// closures' job records, runs them one after another in key order, and then
 // publishes what the whole batch produced with one push_batch. Jobs
 // waiting in a popped batch keep their units, and collected jobs carry
 // theirs until the publish. A job can be overtaken by at most three
@@ -60,6 +60,21 @@
 // child keyed below the rest of its parent's batch runs after that
 // batch; a produced job stays invisible to other workers for at most
 // three further jobs.
+//
+// Two task forms share the ready queue. A CLOSURE task is a job record
+// as above: a job_fn body, spawn/then, hand-off and the free lists. An
+// ID TASK is nothing but a 63-bit id that rides in the queue entry's
+// value as (id << 1) | 1; job records are at least 2-aligned, so their
+// pointers keep bit 0 clear and the drain loop tells the forms apart by
+// that bit alone. An id task runs through the one handler the executor
+// was built with, `handler(ctx, priority, id)`, called directly: no
+// record to fetch, no std::function, nothing to recycle or poison. It is
+// detached by construction (there is no record to await or to continue),
+// so its handler may release() more id tasks and spawn_detached()
+// closures, but not spawn() or then(). Work whose whole state is indexed
+// by the id (a DAG node, an SSSP vertex) is an id task; work that needs
+// captures or awaits is a closure. Both forms settle in the same ledger
+// and are counted in the same exec_stats.
 //
 // Why no `try_pop_any` escape hatch in the pq concept: see the note in
 // core/pq_handle.hpp — the executor never needs "pop from anywhere,
@@ -71,7 +86,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -119,6 +136,16 @@ struct job {
 };
 
 static_assert(sizeof(job) <= 64, "a job must fit one cache line");
+static_assert(alignof(job) >= 2,
+              "job pointers must keep bit 0 clear for the id-task tag");
+
+// An id task's queue value: the id shifted past the tag bit, which is set.
+inline std::uint64_t id_value(std::uint64_t id) {
+  if (id >> 63)
+    throw std::invalid_argument("pcq::exec: an id task's id must be below 2^63");
+  return id << 1 | 1;
+}
+inline bool is_id_value(std::uint64_t v) { return (v & 1) != 0; }
 
 }  // namespace detail
 
@@ -130,32 +157,58 @@ class job_context {
 
   /// Spawn a child awaited by the current job: the continuation
   /// registered with then() runs only after the child (and its own
-  /// continuation chain) completes.
+  /// continuation chain) completes. Throws std::logic_error in an id
+  /// task, which has no job to await it.
   virtual void spawn(std::uint64_t priority, job_fn fn) = 0;
 
-  /// Spawn an independent job (no await edge) — how DAG workloads
-  /// release a successor whose last precedence-dependency cleared.
+  /// Spawn an independent job (no await edge).
   virtual void spawn_detached(std::uint64_t priority, job_fn fn) = 0;
 
   /// Register (or replace) the current job's continuation. It runs at
-  /// the job's priority once every spawned child has completed.
+  /// the job's priority once every spawned child has completed. Throws
+  /// std::logic_error in an id task.
   virtual void then(job_fn fn) = 0;
 
   virtual std::size_t worker_id() const = 0;
+
+  /// Release an id task: `id` runs through the executor's handler at
+  /// `priority`, with no await edge. Throws std::invalid_argument if
+  /// id >= 2^63 (a throw out of a body ends the program).
+  void release(std::uint64_t priority, std::uint64_t id) {
+    products_->emplace_back(priority, detail::id_value(id));
+    ++spawned_;
+  }
+
+ protected:
+  // Where the running batch collects its products; drain() settles and
+  // publishes them.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>>* products_ = nullptr;
+  std::uint64_t spawned_ = 0;  // pushes by this worker: spawns + releases
+};
+
+/// The handler of an executor built without one: id tasks are a
+/// contract violation there.
+struct no_id_tasks {
+  void operator()(job_context&, std::uint64_t, std::uint64_t) const {
+    std::terminate();
+  }
 };
 
 struct exec_stats {
-  std::uint64_t executed = 0;  // bodies + continuations run
+  std::uint64_t executed = 0;  // bodies + continuations + id tasks run
   std::uint64_t spawned = 0;   // pushes: roots + children + continuations
+                               // + released id tasks
   double seconds = 0.0;        // wall time of run(), seeding included
 };
 
 /// The executor. `Queue` must model the pq concept with
 /// entry == pair<uint64_t, uint64_t>: keys are priorities (smaller
 /// pops first on the priority-ordered queues), values carry job
-/// pointers. One executor per run-cycle queue; the queue must be empty
-/// and otherwise unused while run() is active.
-template <typename Queue>
+/// pointers or tagged ids. `Handler` runs the id tasks, called as
+/// handler(job_context&, priority, id). One executor per run-cycle
+/// queue; the queue must be empty and otherwise unused while run() is
+/// active.
+template <typename Queue, typename Handler = no_id_tasks>
 class executor {
   static_assert(is_pq<Queue>::value, "executor requires a pq-concept queue");
   static_assert(
@@ -166,13 +219,15 @@ class executor {
                 "job pointers must fit the value payload");
 
  public:
-  explicit executor(Queue& queue) : queue_(queue) {}
+  explicit executor(Queue& queue, Handler handler = Handler())
+      : queue_(queue), handler_(std::move(handler)) {}
 
   executor(const executor&) = delete;
   executor& operator=(const executor&) = delete;
 
   ~executor() {
-    for (detail::job* j : roots_) delete j;  // submitted but never run
+    for (const entry& r : roots_)  // submitted but never run
+      if (!detail::is_id_value(r.second)) delete from_value(r.second);
   }
 
   /// Queue a root job for the next run(). Not thread-safe.
@@ -180,7 +235,15 @@ class executor {
     detail::job* j = new detail::job;
     j->body = std::move(fn);
     j->priority = priority;
-    roots_.push_back(j);
+    roots_.emplace_back(priority, to_value(j));
+  }
+
+  /// Queue a root id task for the next run(). Not thread-safe. Throws
+  /// std::invalid_argument if id >= 2^63.
+  void submit_id(std::uint64_t priority, std::uint64_t id) {
+    static_assert(!std::is_same<Handler, no_id_tasks>::value,
+                  "submit_id needs an executor built with an id handler");
+    roots_.emplace_back(priority, detail::id_value(id));
   }
 
   /// Run workers until every submitted job — and everything it
@@ -196,8 +259,8 @@ class executor {
       // Scoped seeder handle on id 0; destroyed (and flushed) before
       // the worker with the same id starts, so ids never overlap live.
       auto seeder = queue_.get_handle(0);
-      for (detail::job* j : roots_) {
-        seeder.push(j->priority, to_value(j));
+      for (const entry& r : roots_) {
+        seeder.push(r.first, r.second);
         ++seeded;
       }
       roots_.clear();
@@ -211,9 +274,15 @@ class executor {
       worker_context ctx(this, tid);
       drain<entry>(
           handle, ctx.ledger_,
-          [](const entry& e) { prefetch(from_value(e.second)); },
+          [](const entry& e) {
+            if (!detail::is_id_value(e.second)) prefetch(from_value(e.second));
+          },
           [&ctx](const entry& e, std::vector<entry>& products) {
-            ctx.run_job(from_value(e.second), products);
+            if (detail::is_id_value(e.second)) {
+              ctx.run_id(e.first, e.second >> 1, products);
+            } else {
+              ctx.run_job(from_value(e.second), products);
+            }
           });
       executed_by[tid] = ctx.executed_;
       spawned_by[tid] = ctx.spawned_;
@@ -236,7 +305,7 @@ class executor {
   class worker_context final : public job_context {
    public:
     worker_context(executor* ex, std::size_t wid)
-        : wid_(wid), ledger_(ex->in_flight_) {}
+        : wid_(wid), ledger_(ex->in_flight_), handler_(ex->handler_) {}
 
     worker_context(const worker_context&) = delete;
     worker_context& operator=(const worker_context&) = delete;
@@ -250,6 +319,8 @@ class executor {
     }
 
     void spawn(std::uint64_t priority, job_fn fn) override {
+      if (current_ == nullptr)
+        throw std::logic_error("pcq::exec: an id task cannot spawn()");
       detail::job* child = make_job(priority, std::move(fn));
       child->parent = current_;
       ++children_;  // stored into current_->pending once the body returns
@@ -262,7 +333,11 @@ class executor {
 
     // run_job moved the body out, so the slot holds only what the
     // running body stores here: the last then() wins.
-    void then(job_fn fn) override { current_->body = std::move(fn); }
+    void then(job_fn fn) override {
+      if (current_ == nullptr)
+        throw std::logic_error("pcq::exec: an id task cannot then()");
+      current_->body = std::move(fn);
+    }
 
     std::size_t worker_id() const override { return wid_; }
 
@@ -285,6 +360,15 @@ class executor {
         // whichever worker pops it.
         j->pending.store(children_, std::memory_order_relaxed);
       }
+    }
+
+    // Runs the id task (priority, id); its releases and detached spawns
+    // go to `products`, like a job's.
+    void run_id(std::uint64_t priority, std::uint64_t id,
+                std::vector<entry>& products) {
+      products_ = &products;
+      handler_(*this, priority, id);
+      ++executed_;
     }
 
    private:
@@ -353,12 +437,11 @@ class executor {
     friend class executor;
     std::size_t wid_;
     in_flight_ledger ledger_;           // this worker's share of in_flight_
-    detail::job* current_ = nullptr;
+    Handler& handler_;                  // the executor's, shared read-only
+    detail::job* current_ = nullptr;    // nullptr while an id task runs
     std::uint32_t children_ = 0;        // awaited spawns of current_'s body
-    std::vector<entry>* products_ = nullptr;  // of the running batch
     std::vector<detail::job*> free_;    // finished jobs, reused by spawns
     std::uint64_t executed_ = 0;
-    std::uint64_t spawned_ = 0;
   };
 
   static std::uint64_t to_value(detail::job* j) {
@@ -369,7 +452,8 @@ class executor {
   }
 
   Queue& queue_;
-  std::vector<detail::job*> roots_;
+  Handler handler_;
+  std::vector<entry> roots_;  // job pointers and tagged ids, in submit order
   in_flight_counter in_flight_;
 };
 

@@ -813,18 +813,22 @@ service_result run_service_realtime(const std::vector<request>& trace,
         // Spin out the demand, honoring the role: slow inflates it,
         // stall windows freeze progress (and, after failover_timeout
         // frozen, hand one copy to a live worker), crash abandons
-        // mid-service.
+        // mid-service. The loop ends only on a read outside any stall
+        // window, and that read is the completion instant: a clock read
+        // taken after the loop could fall inside a window that opened in
+        // between.
         const double dur = f.scaled(r.service);
         double progressed = 0.0;
         double last = start;
         bool failed_over = false;
-        while (progressed < dur) {
+        for (;;) {
           const double t = clock.elapsed_seconds();
           if (f.crashed_by(t)) {
             abandoned = seq;
             break;
           }
-          if (!f.stalled_at(t)) {
+          const bool stalled = f.stalled_at(t);
+          if (!stalled) {
             progressed += t - last;
           } else if (!failed_over &&
                      t - std::max(f.stall_start, start) >=
@@ -837,6 +841,7 @@ service_result run_service_realtime(const std::vector<request>& trace,
             }
           }
           last = t;
+          if (!stalled && progressed >= dur) break;
           cpu_relax();
         }
         if (abandoned != kNone) break;
@@ -848,7 +853,7 @@ service_result run_service_realtime(const std::vector<request>& trace,
           rec.seq = seq;
           rec.arrival = r.arrival;
           rec.start = start;
-          rec.completion = clock.elapsed_seconds();
+          rec.completion = last;
           rec.service = r.service;
           log.push_back(rec);
           accounted.fetch_add(1, std::memory_order_release);

@@ -1,13 +1,14 @@
 // Executor conformance over every ready-queue implementation: the five
 // pq-concept queues plus the Chase–Lev steal deque. For each, real-work
-// DAG schedules must reproduce the sequential oracle bit-for-bit (the
-// kernels are commutative over predecessors, so equality is exact), the
-// topological-release invariant must hold inline, and conservation must
-// be perfect: every spawned job runs exactly once (executed == spawned,
-// with known closed-form counts for both workloads). A batch whose one
-// push_batch mixes awaited children, detached spawns and a cascaded
-// continuation re-push is checked on every queue, and on one worker
-// with its exact order and publish sizes.
+// DAG schedules (id tasks) must reproduce the sequential oracle
+// bit-for-bit (the kernels are commutative over predecessors, so
+// equality is exact), the topological-release invariant must hold
+// inline, and conservation must be perfect: every spawned task runs
+// exactly once (executed == spawned, with known closed-form counts for
+// both workloads). A batch whose one push_batch mixes awaited children,
+// detached spawns and a cascaded continuation re-push is checked on
+// every queue, and on one worker with its exact order and publish sizes;
+// so is a run that mixes id tasks with closures.
 
 #include "exec/executor.hpp"
 
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -333,6 +335,126 @@ class publish_log_pq {
   inner_t queue_;
 };
 
+// Id tasks and closures in one run. Two binary trees of id tasks, ids
+// [0, 64) and [64, 128): id i releases its children 2i+1 and 2i+2 (offset
+// within its tree). Tree A's root is submitted; tree B's root is released
+// by the continuation Z of a closure root X that awaits a child Y. Every
+// eighth id of tree A spawns a detached closure W that awaits a child V
+// and continues with U. Each id is released at mixed_prio(id), which its
+// handler checks against the entry it was popped from.
+constexpr std::uint64_t kTreeIds = 64;
+constexpr std::uint64_t kMixedIds = 2 * kTreeIds;
+constexpr std::uint64_t kMixedW = kTreeIds / 8;
+// Ids, X/Y/Z, and three closures per W.
+constexpr std::uint64_t kMixedTasks = kMixedIds + 3 + 3 * kMixedW;
+
+std::uint64_t mixed_prio(std::uint64_t id) { return (id * 37) % 101; }
+
+struct mixed_ids_log {
+  std::atomic<std::uint64_t> id_runs[kMixedIds]{};
+  std::atomic<std::uint64_t> bad_prio{0};
+  std::atomic<std::uint64_t> x{0}, y{0}, z{0}, w{0}, v{0}, u{0};
+  std::atomic<std::uint64_t> early{0};  // a continuation ahead of its child
+};
+
+struct mixed_ids_handler {
+  mixed_ids_log* log;
+
+  void operator()(job_context& ctx, std::uint64_t priority,
+                  std::uint64_t id) const {
+    mixed_ids_log* l = log;
+    if (id >= kMixedIds || priority != mixed_prio(id)) {
+      l->bad_prio.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    l->id_runs[id].fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t base = id < kTreeIds ? 0 : kTreeIds;
+    for (const std::uint64_t c : {2 * (id - base) + 1, 2 * (id - base) + 2})
+      if (c < kTreeIds) ctx.release(mixed_prio(base + c), base + c);
+    if (base == 0 && id % 8 == 0) {
+      ctx.spawn_detached(priority, [l](job_context& c) {
+        l->w.fetch_add(1, std::memory_order_relaxed);
+        std::uint64_t* done = new std::uint64_t(0);
+        c.spawn(1, [l, done](job_context&) {
+          l->v.fetch_add(1, std::memory_order_relaxed);
+          *done = 1;
+        });
+        c.then([l, done](job_context&) {
+          if (*done != 1) l->early.fetch_add(1, std::memory_order_relaxed);
+          l->u.fetch_add(1, std::memory_order_relaxed);
+          delete done;
+        });
+      });
+    }
+  }
+};
+
+template <typename MakeQueue>
+void check_mixed_ids(MakeQueue make) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    auto queue = make(threads);
+    using queue_t = typename decltype(queue)::element_type;
+    mixed_ids_log log;
+    mixed_ids_log* l = &log;
+    pcq::exec::executor<queue_t, mixed_ids_handler> ex(*queue,
+                                                       mixed_ids_handler{l});
+    ex.submit_id(mixed_prio(0), 0);
+    ex.submit(50, [l](job_context& ctx) {
+      l->x.fetch_add(1, std::memory_order_relaxed);
+      std::uint64_t* done = new std::uint64_t(0);
+      ctx.spawn(2, [l, done](job_context&) {
+        l->y.fetch_add(1, std::memory_order_relaxed);
+        *done = 1;
+      });
+      ctx.then([l, done](job_context& c) {
+        if (*done != 1) l->early.fetch_add(1, std::memory_order_relaxed);
+        l->z.fetch_add(1, std::memory_order_relaxed);
+        delete done;
+        c.release(mixed_prio(kTreeIds), kTreeIds);
+      });
+    });
+    const pcq::exec::exec_stats stats = ex.run(threads);
+    for (const auto& r : log.id_runs) CHECK(r.load() == 1);
+    CHECK(log.bad_prio.load() == 0);
+    CHECK(log.x.load() == 1 && log.y.load() == 1 && log.z.load() == 1);
+    CHECK(log.w.load() == kMixedW && log.v.load() == kMixedW &&
+          log.u.load() == kMixedW);
+    CHECK(log.early.load() == 0);
+    CHECK(stats.executed == kMixedTasks);
+    CHECK(stats.spawned == kMixedTasks);
+    CHECK(queue->size() == 0);
+  }
+}
+
+// The handler of the id-range cell: records what it was called with and
+// what the context refused.
+struct id_probe {
+  std::uint64_t* seen_id;
+  std::uint64_t* seen_prio;
+  int* refused;
+
+  void operator()(job_context& ctx, std::uint64_t priority,
+                  std::uint64_t id) const {
+    *seen_id = id;
+    *seen_prio = priority;
+    try {
+      ctx.release(0, std::uint64_t{1} << 63);
+    } catch (const std::invalid_argument&) {
+      ++*refused;
+    }
+    try {
+      ctx.spawn(0, [](job_context&) {});
+    } catch (const std::logic_error&) {
+      ++*refused;
+    }
+    try {
+      ctx.then([](job_context&) {});
+    } catch (const std::logic_error&) {
+      ++*refused;
+    }
+  }
+};
+
 template <typename MakeQueue>
 void check_queue(const fixtures& f, MakeQueue make) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -345,6 +467,7 @@ void check_queue(const fixtures& f, MakeQueue make) {
   check_await_chain(make);
   check_back_to_back(make);
   check_mixed_publish(make);
+  check_mixed_ids(make);
 }
 
 }  // namespace
@@ -447,6 +570,30 @@ int main() {
     CHECK(q.publishes == (std::vector<std::size_t>{3, 3, 1}));
     CHECK(stats.executed == kMixedJobs);
     CHECK(stats.spawned == kMixedJobs);
+    CHECK(q.size() == 0);
+  }
+
+  // Id range: 2^63 is refused by submit_id and by release, and the
+  // largest id, 2^63 - 1, reaches the handler untruncated together with
+  // its entry's priority. An id task has no record to await or continue,
+  // so spawn() and then() refuse too; a refused call queues nothing.
+  {
+    pcq::coarse_pq<std::uint64_t, std::uint64_t> q;
+    std::uint64_t seen_id = 0;
+    std::uint64_t seen_prio = 0;
+    int refused = 0;
+    pcq::exec::executor<pcq::coarse_pq<std::uint64_t, std::uint64_t>, id_probe>
+        ex(q, id_probe{&seen_id, &seen_prio, &refused});
+    CHECK_THROWS(ex.submit_id(7, std::uint64_t{1} << 63), std::invalid_argument);
+    CHECK_THROWS(ex.submit_id(7, ~std::uint64_t{0}), std::invalid_argument);
+    const std::uint64_t top = (std::uint64_t{1} << 63) - 1;
+    ex.submit_id(~std::uint64_t{0} - 1, top);
+    const pcq::exec::exec_stats stats = ex.run(1);
+    CHECK(seen_id == top);
+    CHECK(seen_prio == ~std::uint64_t{0} - 1);
+    CHECK(refused == 3);
+    CHECK(stats.executed == 1);
+    CHECK(stats.spawned == 1);
     CHECK(q.size() == 0);
   }
 
