@@ -36,8 +36,8 @@
 // at any PCQ_MAX_THREADS — so CI gates each with cmp against its
 // committed baseline under bench/baselines/. "mops" is million
 // completed requests per virtual second. Realtime latency is measured
-// by benchmark/'s rpc_open_loop workload; the realtime runner's races
-// are covered by test_service and test_fault.
+// by benchmark/'s rpc_open_loop workload; the realtime runner has no
+// fault model, and its races are covered by test_service.
 //
 // HARD INVARIANT (this binary exits 1 on any violation), in every cell:
 //

@@ -23,10 +23,15 @@
 //                                    // have served (its DEAD-worker
 //                                    // backlog) into out; a shared queue
 //                                    // has none and returns 0. Called by
-//                                    // the runners' recovery path once
-//                                    // worker w is crashed — w no
-//                                    // longer fetches, so this cannot
-//                                    // race the fetch(w, ...) owner.
+//                                    // the virtual runner's recovery
+//                                    // path once worker w is crashed —
+//                                    // w no longer fetches, so this
+//                                    // cannot race the fetch(w, ...)
+//                                    // owner.
+//
+// Only run_service_virtual, the one runner with a fault model, calls
+// backlog() and reclaim(); run_service_realtime uses dispatch(), fetch()
+// and seal() alone.
 //
 // Threading contract: dispatch() is called by exactly one arrival
 // thread; fetch(w, ...) only by worker w; seal() by the arrival thread
@@ -49,7 +54,7 @@
 // queues: "looked empty", never "is empty". Runners terminate on
 // accounting, not on failed fetches.
 //
-// The runners (service/server.hpp) layer graceful degradation
+// run_service_virtual (service/server.hpp) layers graceful degradation
 // AROUND this concept without changing it: admission control decides
 // before dispatch() whether to shed (using backlog() as the load
 // signal), and crash-retry / stall-failover re-dispatches travel
@@ -57,7 +62,7 @@
 // calling fetch() — never through dispatch(), which stays the single
 // arrival thread's (and may already be sealed when a late retry
 // fires). Every dispatcher therefore gets identical recovery
-// semantics, and the fault benches compare policies, not retry paths.
+// semantics, and the fault ladder compares policies, not retry paths.
 
 #pragma once
 

@@ -1,30 +1,34 @@
 // The worker-pool server: runs an open-loop trace through a dispatcher
-// and records per-request wait / service / sojourn times, optionally
-// under an injected fault plan with graceful-degradation policies.
+// and records per-request wait / service / sojourn times.
 //
 // One runner per clock, both over the dispatcher concept
-// (service/dispatch.hpp), both taking an optional fault_plan and
-// degrade_config (empty plan + default policies = a healthy, fail-hard
-// run):
+// (service/dispatch.hpp):
 //
 //   run_service_virtual — single-threaded discrete-event simulation in
-//     VIRTUAL time. Deterministic by construction (event order is a pure
-//     function of the trace, the plan, and the dispatcher's seeded
-//     decisions), so the test suite can assert EXACT completion orders
-//     and EXACT latency summaries: EDF through a strict queue is the
-//     earliest-deadline schedule, FCFS is arrival order, a MultiQueue
-//     with d = #queues degenerates to strict and must match EDF
-//     trace-for-trace; fault runs are byte-stable for a fixed
-//     (config, seed), so bench_fault's artifact is gated exactly.
+//     VIRTUAL time, optionally under an injected fault plan with
+//     graceful-degradation policies (empty plan + default policies = a
+//     healthy, fail-hard run). Deterministic by construction (event
+//     order is a pure function of the trace, the plan, and the
+//     dispatcher's seeded decisions), so the test suite can assert EXACT
+//     completion orders and EXACT latency summaries: EDF through a
+//     strict queue is the earliest-deadline schedule, FCFS is arrival
+//     order, a MultiQueue with d = #queues degenerates to strict and
+//     must match EDF trace-for-trace; fault runs are byte-stable for a
+//     fixed (config, seed), so bench_service's BENCH_fault.json is gated
+//     exactly.
 //
-//   run_service_realtime — real threads against the wall clock. One
-//     arrival thread paces the trace (open-loop: it never waits for
-//     completions), worker threads fetch and "execute" requests by
-//     spinning out the service demand, and every record lands in a
-//     per-worker log — plain vectors with no sharing, the lock-free way
-//     to log when each writer owns its shard. This is the measured path
-//     of bench_service and the TSan target (dispatch/fetch race by
-//     design).
+//   run_service_realtime — real threads against the wall clock, with no
+//     faults. One arrival thread paces the trace (open-loop: it never
+//     waits for completions), worker threads fetch and "execute"
+//     requests by spinning out the service demand, and every record
+//     lands in a per-worker log — plain vectors with no sharing, the
+//     lock-free way to log when each writer owns its shard. It is
+//     measured end to end by benchmark/'s rpc_open_loop workload and
+//     raced under TSan by test_service (dispatch/fetch race by design).
+//
+// The fault model, the degradation policies and the conservation
+// invariant below are virtual-time only; bench_service enforces them in
+// every cell it runs.
 //
 // Fault model — one role per worker (fault_plan), windows in trace
 // seconds; service/fault.hpp builds seeded plans:
@@ -69,16 +73,18 @@
 // through the dispatcher itself: the dispatcher concept gives dispatch()
 // to the single arrival thread (and seal() has already destroyed the
 // dispatch handle by the time late retries fire), and one recovery path
-// for every dispatcher means the benches compare POLICIES, not four
+// for every dispatcher means the bench compares POLICIES, not four
 // retry paths.
 //
-// THE conservation invariant (bench_fault exits nonzero on violation):
+// THE conservation invariant (bench_service exits nonzero on violation):
 //
 //   completed + shed + lost == dispatched (== trace size)
 //
 // Every request is accounted exactly once: served (completed, possibly
 // past deadline — counted in `missed`), shed at admission, or lost to a
 // crash with retries exhausted. Duplicates settle to one completion.
+// The realtime runner neither sheds nor loses, so for it the invariant
+// reduces to completed == dispatched on any run that did not stall.
 //
 // Virtual-time event rules (the determinism contract the tests pin):
 //   1. Events are processed in time order. At equal times: finishes
@@ -103,29 +109,21 @@
 // that loses a request would leave it short forever, so both runners
 // fail closed instead of hanging: the virtual runner breaks when no
 // event is runnable, and the realtime runner carries a stall watchdog
-// (no fetch, completion, shed, loss, or discarded duplicate anywhere
-// for stall_timeout seconds → stop the workers and return short,
-// result.stalled = true). Callers then fail on the completion count in
-// bounded time instead of wedging CI.
+// (no fetch or completion anywhere for stall_timeout seconds → stop
+// the workers and return short, result.stalled = true). Callers then
+// fail on the completion count in bounded time instead of wedging CI.
 //
-// Realtime threads: the arrival thread and one thread per worker, for
-// every plan. Workers check termination and the watchdog only in their
-// idle path (after a failed fetch, or every round while frozen), keyed
-// on one `accounted` counter — the only counter RMW per completion. The
-// completed, shed, lost, and missed totals are derived after the join
-// from the logs and the settled table. Each fault's recovery runs on the
-// worker whose fault caused it, as in the virtual runner: a stalled
-// worker requeues its own in-flight request from its service spin once
-// failover_timeout has passed frozen; a crashed worker's thread stays
-// alive on a 200 µs tick to retry or lose the request it abandoned,
-// reclaim its own dispatcher backlog, and run the watchdog, so the
-// watchdog still fires when every worker is dead or frozen.
+// Realtime threads: the arrival thread and one thread per worker. The
+// only shared RMWs per request are one `started` add at fetch and one
+// `accounted` add at completion. Workers check termination (on
+// `accounted`) and the watchdog only in their idle path, after a failed
+// fetch. The completed and missed totals are derived after the join
+// from the logs.
 
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -158,6 +156,8 @@ struct service_result {
   /// Requests presented to the dispatch layer (= trace size); see the
   /// conservation invariant in the header comment.
   std::uint64_t dispatched = 0;
+  // shed, lost, retries, failovers and reclaimed stay 0 in the realtime
+  // runner: faults and degradation policies are virtual-time only.
   std::uint64_t shed = 0;    ///< dropped by admission control at dispatch
   std::uint64_t lost = 0;    ///< crash-abandoned with retries exhausted
   std::uint64_t missed = 0;  ///< completions that finished past deadline
@@ -255,9 +255,9 @@ struct burst_window {
 };
 
 /// Per-worker roles (missing entries are ok) plus the burst windows the
-/// trace was perturbed with. Both runners reject a plan with more
-/// entries than workers, stall_end < stall_start, or a slow_factor that
-/// is not finite and positive.
+/// trace was perturbed with. run_service_virtual rejects a plan with
+/// more entries than workers, stall_end < stall_start, or a slow_factor
+/// that is not finite and positive.
 struct fault_plan {
   std::vector<worker_fault> workers;
   std::vector<burst_window> bursts;
@@ -344,8 +344,8 @@ inline std::vector<worker_fault> roles_for(const fault_plan& plan,
 }
 
 /// Throws std::invalid_argument unless trace[i].seq == i (both runners
-/// index their per-request tables by seq), every arrival and service is
-/// finite and non-negative, and arrivals never decrease.
+/// look requests up by seq), every arrival and service is finite and
+/// non-negative, and arrivals never decrease.
 inline void check_trace(const std::vector<request>& trace) {
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const request& r = trace[i];
@@ -656,84 +656,35 @@ service_result run_service_virtual(const std::vector<request>& trace,
   return result;
 }
 
-/// Real-time open-loop run: one arrival thread paces (and, with
-/// admission control armed, sheds) the trace against the wall clock,
-/// yielding while far from the next arrival and spinning the last
-/// stretch; `workers` worker threads honor their roles (slow spin,
-/// frozen windows, crash recovery) and spin out each request's demand.
-/// Trace times are wall seconds — generate traces whose span fits the
-/// time you are willing to measure.
+/// Real-time open-loop run: one arrival thread paces the trace against
+/// the wall clock, yielding while far from the next arrival and spinning
+/// the last stretch; `workers` worker threads fetch and spin out each
+/// request's demand. Trace times are wall seconds — generate traces
+/// whose span fits the time you are willing to measure. Faults are
+/// injected only in virtual time (run_service_virtual).
 ///
 /// `stall_timeout_seconds` arms the watchdog (the realtime twin of the
 /// virtual runner's no-runnable-event break): if nothing progresses —
-/// no successful fetch, completion, shed, loss, or discarded duplicate
-/// anywhere — for that long while requests are unaccounted for, every
-/// worker stops and the short result comes back with `stalled` set.
-/// Progress counts fetches as well as completions, so the timeout only
-/// needs to exceed the longest dispatch gap, not the trace makespan.
-/// Pick it comfortably above the largest single service demand and the
-/// longest interval in which every surviving worker can be frozen at
-/// once, or a healthy run can be failed closed spuriously.
+/// no successful fetch or completion anywhere — for that long while
+/// requests are unaccounted for, every worker stops and the short result
+/// comes back with `stalled` set. Progress counts fetches as well as
+/// completions, so the timeout only needs to exceed the longest dispatch
+/// gap and the largest single service demand, not the trace makespan.
 template <typename Dispatcher>
 service_result run_service_realtime(const std::vector<request>& trace,
                                     Dispatcher& dispatcher,
                                     std::size_t workers,
-                                    double stall_timeout_seconds = 5.0,
-                                    const fault_plan& plan = {},
-                                    const degrade_config& degrade = {}) {
-  constexpr double kNever = std::numeric_limits<double>::infinity();
-  constexpr std::uint64_t kNone = std::numeric_limits<std::uint64_t>::max();
-
+                                    double stall_timeout_seconds = 5.0) {
   detail::check_trace(trace);
-  const std::vector<worker_fault> faults = detail::roles_for(plan, workers);
 
   service_result result;
   result.worker_logs.resize(workers);
   result.dispatched = trace.size();
 
   const std::uint64_t total = trace.size();
-  std::atomic<std::uint64_t> accounted{0};  // completed + shed + lost
+  std::atomic<std::uint64_t> accounted{0};  // completions
   std::atomic<std::uint64_t> started{0};    // successful fetches
-  std::atomic<std::uint64_t> dropped{0};    // settled duplicates discarded
-  std::atomic<bool> stop{false};
-  std::atomic<bool> stalled{false};
-  const auto progress = [&] {
-    return accounted.load(std::memory_order_relaxed) +
-           started.load(std::memory_order_relaxed) +
-           dropped.load(std::memory_order_relaxed);
-  };
-  // The watchdog, run by every worker that is idle, frozen, or dead.
-  const auto fail_closed = [&](detail::stall_watch& watch, double now) {
-    if (!watch.expired(progress(), now)) return false;
-    stalled.store(true, std::memory_order_release);
-    stop.store(true, std::memory_order_release);
-    return true;
-  };
-
-  // Crash-retry attempts are shared (value-initialized to 0): a failover
-  // copy can be abandoned by a second crashing worker.
-  std::vector<std::atomic<std::uint8_t>> settled(total), attempts(total);
-  for (auto& s : settled) s.store(detail::kLive, std::memory_order_relaxed);
-
-  // Ready-to-refetch duplicates. `recovery_size` mirrors the deque so
-  // workers skip the lock with one relaxed load while it is empty.
-  spinlock recovery_lock;
-  std::deque<std::uint64_t> recovery;
-  std::atomic<std::size_t> recovery_size{0};
-  const auto requeue = [&](std::uint64_t seq) {
-    recovery_lock.lock();
-    recovery.push_back(seq);
-    recovery_size.store(recovery.size(), std::memory_order_relaxed);
-    recovery_lock.unlock();
-  };
-
-  // Recovery work each faulty worker issued, summed after the join.
-  struct fault_tally {
-    std::uint64_t retries = 0, failovers = 0, reclaimed = 0;
-  };
-  std::vector<fault_tally> tallies(workers);
-
-  const bool admission = degrade.admission_armed();
+  std::atomic<bool> stalled{false};  // set by the watchdog; stops workers
   wall_timer clock;  // the one epoch every thread measures against
 
   std::thread arrivals([&] {
@@ -747,17 +698,7 @@ service_result run_service_realtime(const std::vector<request>& trace,
           cpu_relax();
         }
       }
-      if (admission &&
-          detail::admission_sheds(
-              r, clock.elapsed_seconds(),
-              dispatcher.backlog() +
-                  recovery_size.load(std::memory_order_relaxed),
-              workers, degrade)) {
-        settled[r.seq].store(detail::kShed, std::memory_order_release);
-        accounted.fetch_add(1, std::memory_order_release);
-      } else {
-        dispatcher.dispatch(r);
-      }
+      dispatcher.dispatch(r);
     }
     dispatcher.seal();
   });
@@ -766,139 +707,46 @@ service_result run_service_realtime(const std::vector<request>& trace,
   pool.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     pool.emplace_back([&, w] {
-      const worker_fault& f = faults[w];
-      const bool faulty =
-          f.kind == fault_kind::crash || f.kind == fault_kind::stall;
       auto& log = result.worker_logs[w];
-      fault_tally& tally = tallies[w];
       backoff bo;
       detail::stall_watch watch(stall_timeout_seconds);
-      std::uint64_t abandoned = kNone;  // in flight at the crash
-      while (!stop.load(std::memory_order_acquire)) {
-        bool frozen = false;
-        if (faulty) {
-          const double t = clock.elapsed_seconds();
-          if (f.crashed_by(t)) break;
-          frozen = f.stalled_at(t);  // no fetches while frozen
-        }
-        std::uint64_t seq = kNone;
-        if (!frozen && recovery_size.load(std::memory_order_relaxed) != 0) {
-          recovery_lock.lock();
-          if (!recovery.empty()) {
-            seq = recovery.front();
-            recovery.pop_front();
-            recovery_size.store(recovery.size(), std::memory_order_relaxed);
-          }
-          recovery_lock.unlock();
-        }
-        if (seq == kNone && (frozen || !dispatcher.fetch(w, seq))) {
+      while (!stalled.load(std::memory_order_acquire)) {
+        std::uint64_t seq = 0;
+        if (!dispatcher.fetch(w, seq)) {
           // Idle path: terminate on full accounting; otherwise, if
           // nothing moved anywhere for stall_timeout_seconds, the
           // dispatcher lost a request — fail closed.
           if (accounted.load(std::memory_order_acquire) >= total) break;
-          if (fail_closed(watch, clock.elapsed_seconds())) break;
+          const std::uint64_t progress =
+              accounted.load(std::memory_order_relaxed) +
+              started.load(std::memory_order_relaxed);
+          if (watch.expired(progress, clock.elapsed_seconds())) {
+            stalled.store(true, std::memory_order_release);
+            break;
+          }
           bo.pause();
           continue;
         }
         bo.reset();
         watch.reset();
-        if (settled[seq].load(std::memory_order_acquire) != detail::kLive) {
-          dropped.fetch_add(1, std::memory_order_relaxed);
-          continue;  // stale duplicate (failover loser / late retry)
-        }
         started.fetch_add(1, std::memory_order_relaxed);
         const request& r = trace[seq];
         const double start = clock.elapsed_seconds();
-
-        // Spin out the demand, honoring the role: slow inflates it,
-        // stall windows freeze progress (and, after failover_timeout
-        // frozen, hand one copy to a live worker), crash abandons
-        // mid-service. The loop ends only on a read outside any stall
-        // window, and that read is the completion instant: a clock read
-        // taken after the loop could fall inside a window that opened in
-        // between.
-        const double dur = f.scaled(r.service);
-        double progressed = 0.0;
-        double last = start;
-        bool failed_over = false;
-        for (;;) {
-          const double t = clock.elapsed_seconds();
-          if (f.crashed_by(t)) {
-            abandoned = seq;
-            break;
-          }
-          const bool stalled = f.stalled_at(t);
-          if (!stalled) {
-            progressed += t - last;
-          } else if (!failed_over &&
-                     t - std::max(f.stall_start, start) >=
-                         degrade.failover_timeout) {
-            failed_over = true;
-            if (settled[seq].load(std::memory_order_acquire) ==
-                detail::kLive) {
-              requeue(seq);
-              ++tally.failovers;
-            }
-          }
-          last = t;
-          if (!stalled && progressed >= dur) break;
+        // Spin out the demand; the loop's last clock read is the
+        // completion instant.
+        double done = clock.elapsed_seconds();
+        while (done - start < r.service) {
           cpu_relax();
+          done = clock.elapsed_seconds();
         }
-        if (abandoned != kNone) break;
-        // The settled-table CAS makes the first completion win.
-        std::uint8_t expect = detail::kLive;
-        if (settled[seq].compare_exchange_strong(
-                expect, detail::kDone, std::memory_order_acq_rel)) {
-          request_record rec;
-          rec.seq = seq;
-          rec.arrival = r.arrival;
-          rec.start = start;
-          rec.completion = last;
-          rec.service = r.service;
-          log.push_back(rec);
-          accounted.fetch_add(1, std::memory_order_release);
-        } else {
-          dropped.fetch_add(1, std::memory_order_relaxed);  // lost the race
-        }
-      }
-      if (!f.crashed_by(clock.elapsed_seconds())) return;
-
-      // Dead: this thread now only cleans up after its own crash, once
-      // every 200 µs. It retries (after backoff) or loses the request it
-      // abandoned, drains its dispatcher backlog into recovery on every
-      // tick (a dead po2 worker's empty FIFO keeps attracting arrivals),
-      // and runs the watchdog, until everything is accounted.
-      double retry_at = kNever;
-      if (abandoned != kNone &&
-          settled[abandoned].load(std::memory_order_acquire) ==
-              detail::kLive) {
-        const std::size_t attempt =
-            attempts[abandoned].fetch_add(1, std::memory_order_relaxed) + 1u;
-        std::uint8_t expect = detail::kLive;
-        if (attempt <= degrade.max_retries) {
-          retry_at = clock.elapsed_seconds() +
-                     degrade.retry_backoff * detail::backoff_factor(attempt);
-        } else if (settled[abandoned].compare_exchange_strong(
-                       expect, detail::kLost, std::memory_order_acq_rel)) {
-          accounted.fetch_add(1, std::memory_order_release);
-        }
-      }
-      std::vector<std::uint64_t> reclaim_buf;
-      watch.reset();
-      while (!stop.load(std::memory_order_acquire)) {
-        const double t = clock.elapsed_seconds();
-        if (t >= retry_at) {
-          requeue(abandoned);
-          ++tally.retries;
-          retry_at = kNever;
-        }
-        reclaim_buf.clear();
-        dispatcher.reclaim(w, reclaim_buf);
-        for (const std::uint64_t seq : reclaim_buf) requeue(seq);
-        tally.reclaimed += reclaim_buf.size();
-        if (accounted.load(std::memory_order_acquire) >= total) break;
-        if (fail_closed(watch, t)) break;
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        request_record rec;
+        rec.seq = seq;
+        rec.arrival = r.arrival;
+        rec.start = start;
+        rec.completion = done;
+        rec.service = r.service;
+        log.push_back(rec);
+        accounted.fetch_add(1, std::memory_order_release);
       }
     });
   }
@@ -907,21 +755,11 @@ service_result run_service_realtime(const std::vector<request>& trace,
   for (auto& t : pool) t.join();
   result.seconds = clock.elapsed_seconds();
   result.stalled = stalled.load();
-  for (const fault_tally& tally : tallies) {
-    result.retries += tally.retries;
-    result.failovers += tally.failovers;
-    result.reclaimed += tally.reclaimed;
-  }
   for (const auto& log : result.worker_logs) {
     result.completed += log.size();
     for (const request_record& rec : log) {
       if (rec.completion > trace[rec.seq].deadline) ++result.missed;
     }
-  }
-  for (const auto& s : settled) {
-    const std::uint8_t state = s.load(std::memory_order_relaxed);
-    if (state == detail::kShed) ++result.shed;
-    if (state == detail::kLost) ++result.lost;
   }
   return result;
 }

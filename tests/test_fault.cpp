@@ -1,5 +1,6 @@
 // Fault-injection + graceful-degradation tests: service/fault.hpp's
-// seeded plans through service/server.hpp's runners.
+// seeded plans through service/server.hpp's virtual-time runner, the
+// only runner with a fault model. No cell starts a thread.
 //
 // The virtual-time runner is deterministic by construction, so the
 // interesting protocols are pinned EXACTLY on hand-built traces: stall
@@ -11,11 +12,8 @@
 // EVERY policy combination × dispatcher, byte-stability for a fixed
 // (config, seed), and that retry and failover are inert without
 // faults; a seeded property sweep repeats those checks over random
-// intensities and worker counts. Both runners must reject plans and
-// traces no run can honor. A final real-threads section covers the
-// per-worker recovery paths (crash retry and reclaim, stall failover,
-// the watchdog with every worker dead or frozen) under TSan, and shed
-// accounting with no faulty role.
+// intensities and worker counts. The runner must reject plans and
+// traces no run can honor.
 
 #include "service/fault.hpp"
 
@@ -32,7 +30,6 @@
 #include "service/workload.hpp"
 #include "test_macros.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 using namespace pcq::service;
 
@@ -401,17 +398,15 @@ int main() {
   }
 
   // ------------------------------------------------------------------
-  // Both runners reject plans and traces no run can honor, before
-  // starting work.
+  // The virtual runner rejects plans and traces no run can honor,
+  // before starting work (test_service covers the realtime runner's
+  // trace checks).
   {
     const std::vector<request> trace = {{0.0, 1.0, 10.0, 0}};
     const auto rejected = [](const std::vector<request>& bad_trace,
                              const fault_plan& bad) {
       auto fcfs = make_fcfs_dispatcher(2);
       CHECK_THROWS(run_service_virtual(bad_trace, fcfs, 2, bad),
-                   std::invalid_argument);
-      auto mq = make_mq_dispatcher(2);
-      CHECK_THROWS(run_service_realtime(bad_trace, mq, 2, 5.0, bad),
                    std::invalid_argument);
     };
     fault_plan too_many;  // three roles for two workers
@@ -433,8 +428,7 @@ int main() {
       rejected(trace, bad_slow);
     }
 
-    // Malformed traces: both runners index their tables by seq, and an
-    // infinite demand would spin a realtime worker forever.
+    // Malformed traces: the runner indexes its tables by seq.
     rejected({{0.0, 1.0, 10.0, 1}}, {});  // seq out of range
     rejected({{0.0, 1.0, 10.0, 1}, {0.0, 1.0, 10.0, 0}}, {});  // swapped
     for (const double bad : {-1.0, kInf, std::nan("")}) {
@@ -512,161 +506,6 @@ int main() {
       CHECK(f.kind == fault_kind::ok);
     }
     CHECK(calm.bursts.empty());
-  }
-
-  // ------------------------------------------------------------------
-  // Real threads (the TSan target): crash retries and failover requeues
-  // racing fetches, settled-table CAS races, and the watchdog NOT firing through
-  // an injected stall window shorter than its timeout. Wall-clock noise
-  // means no exact schedule — assert the interleaving-independent
-  // invariants.
-  {
-    workload_config cfg;
-    cfg.num_requests = 200;
-    cfg.service = service_dist::exponential_mean(20e-6);
-    cfg.arrival_rate = arrival_rate_for_load(0.6, 2, cfg.service);
-    cfg.seed = 31338;
-    const std::vector<request> trace = make_open_loop_trace(cfg);
-    const double span = trace_span(trace);
-
-    fault_plan plan;
-    plan.workers.resize(2);
-    plan.workers[0].kind = fault_kind::slow;
-    plan.workers[0].slow_factor = 2.0;
-    plan.workers[1].kind = fault_kind::stall;
-    plan.workers[1].stall_start = 0.3 * span;
-    plan.workers[1].stall_end = 0.3 * span + 0.05;  // 50 ms freeze
-
-    degrade_config degrade;
-    degrade.admission_control = true;
-    degrade.est_service = trace_mean_service(trace);
-    degrade.max_retries = 2;
-    degrade.retry_backoff = 1e-3;
-    degrade.failover_timeout = 5e-3;  // well inside the 50 ms window
-
-    auto mq = make_mq_dispatcher(2);
-    const service_result result = run_service_realtime(
-        trace, mq, 2, /*stall_timeout_seconds=*/5.0, plan, degrade);
-    CHECK(!result.stalled);  // injected stall must not trip the watchdog
-    check_accounting(result, trace, plan);
-    CHECK(result.lost == 0);  // no crashes in this plan
-
-    // Crash + retry over real threads: the survivor absorbs the
-    // abandoned work; a crashed worker starts nothing after its tick.
-    fault_plan crashy;
-    crashy.workers.resize(2);
-    crashy.workers[1].kind = fault_kind::crash;
-    crashy.workers[1].crash_time = 0.4 * span;
-    auto po2 = po2_dispatcher(2, 99);
-    const service_result crashed = run_service_realtime(
-        trace, po2, 2, /*stall_timeout_seconds=*/5.0, crashy, degrade);
-    CHECK(!crashed.stalled);
-    check_accounting(crashed, trace, crashy);
-  }
-
-  // Realtime dead-worker reclaim: the crashed po2 worker drains its own
-  // FIFO into recovery, so with max_retries = 0 at most its one
-  // in-flight request is lost and worker 0 serves everything else.
-  {
-    std::vector<request> trace;
-    for (std::uint64_t i = 0; i < 50; ++i) {
-      trace.push_back({0.0, 2e-3, 1000.0, i});
-    }
-    fault_plan plan;
-    plan.workers.resize(2);
-    plan.workers[1].kind = fault_kind::crash;
-    plan.workers[1].crash_time = 1e-3;
-    po2_dispatcher po2(2, 4242);
-    const service_result result = run_service_realtime(
-        trace, po2, 2, /*stall_timeout_seconds=*/5.0, plan, {});
-    CHECK(!result.stalled);
-    check_accounting(result, trace, plan);
-    CHECK(result.reclaimed >= 1);
-    CHECK(result.lost <= 1);
-    CHECK(result.completed + result.lost == 50);
-    CHECK(result.worker_logs[1].empty());  // 2 ms work, crash at 1 ms
-  }
-
-  // The watchdog still fires when no worker can ever fetch: worker 0 is
-  // dead from the start and worker 1 frozen for 3 s. The run must fail
-  // closed after about stall_timeout, long before the freeze ends.
-  {
-    std::vector<request> trace;
-    for (std::uint64_t i = 0; i < 4; ++i) {
-      trace.push_back({0.0, 1e-3, 1.0, i});
-    }
-    fault_plan plan;
-    plan.workers.resize(2);
-    plan.workers[0].kind = fault_kind::crash;
-    plan.workers[0].crash_time = 0.0;
-    plan.workers[1].kind = fault_kind::stall;
-    plan.workers[1].stall_start = 0.0;
-    plan.workers[1].stall_end = 3.0;
-    auto mq = make_mq_dispatcher(2);
-    const pcq::wall_timer timer;
-    const service_result result = run_service_realtime(
-        trace, mq, 2, /*stall_timeout_seconds=*/0.3, plan, {});
-    CHECK(result.stalled);
-    CHECK(timer.elapsed_seconds() < 1.5);
-  }
-
-  // Forced failover: the only live worker freezes over [20, 100) ms
-  // while serving the one 100 ms request, so 10 ms into the freeze it
-  // requeues a copy of it, exactly once. Nobody is left to run the copy
-  // before the original completes, which then discards it.
-  {
-    const std::vector<request> trace = {{0.0, 0.1, 10.0, 0}};
-    fault_plan plan;
-    plan.workers.resize(2);
-    plan.workers[0].kind = fault_kind::crash;
-    plan.workers[0].crash_time = 0.0;
-    plan.workers[1].kind = fault_kind::stall;
-    plan.workers[1].stall_start = 0.02;
-    plan.workers[1].stall_end = 0.1;
-    degrade_config degrade;
-    degrade.failover_timeout = 0.01;
-    auto mq = make_mq_dispatcher(2);
-    const service_result result = run_service_realtime(
-        trace, mq, 2, /*stall_timeout_seconds=*/5.0, plan, degrade);
-    CHECK(!result.stalled);
-    check_accounting(result, trace, plan);
-    CHECK(result.completed == 1);
-    CHECK(result.failovers <= 1);
-    if (result.worker_logs[1].size() == 1 &&
-        result.worker_logs[1][0].start < 0.02) {
-      CHECK(result.failovers == 1);  // it was mid-service when it froze
-    }
-  }
-
-  // Without a crash or stall role no worker has recovery work: the
-  // arrival thread sheds and the workers alone terminate. Every odd
-  // request is due at its own arrival, so admission must shed exactly
-  // those on any interleaving; the totals are derived after the join.
-  {
-    std::vector<request> trace;
-    for (std::uint64_t i = 0; i < 100; ++i) {
-      const double arrival = 50e-6 * static_cast<double>(i);
-      trace.push_back(
-          {arrival, 10e-6, i % 2 == 1 ? arrival : arrival + 1.0, i});
-    }
-    fault_plan plan;
-    plan.workers.resize(2);
-    plan.workers[0].kind = fault_kind::slow;
-    plan.workers[0].slow_factor = 2.0;
-    degrade_config degrade;
-    degrade.admission_control = true;
-    degrade.est_service = 10e-6;
-
-    auto mq = make_mq_dispatcher(2);
-    const service_result result = run_service_realtime(
-        trace, mq, 2, /*stall_timeout_seconds=*/5.0, plan, degrade);
-    CHECK(!result.stalled);
-    const std::vector<bool> seen = check_accounting(result, trace, plan);
-    CHECK(result.shed == 50 && result.completed == 50 && result.lost == 0);
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      CHECK(seen[i] == (i % 2 == 0));
-    }
-    CHECK(result.missed == 0);
   }
 
   std::printf("test_fault OK\n");

@@ -6,16 +6,21 @@
 // trace-for-trace, and any pq-handle queue slots into pq_dispatcher
 // (checked with the lock-free Lindén–Jonsson skiplist). FCFS's mean
 // wait is checked against Erlang C (M/M/8), an oracle from outside the
-// code. A final real-threads smoke run covers the TSan-exercised
-// dispatch/fetch path on all four dispatchers.
+// code. A final real-threads section covers the TSan-exercised
+// dispatch/fetch path on all four dispatchers, the realtime runner's
+// trace checks, and its stall watchdog.
 
 #include "service/server.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "core/baselines/lj_skiplist_pq.hpp"
@@ -265,8 +270,10 @@ int main() {
   // Real threads (the TSan target): one arrival thread races worker
   // fetches through the MultiQueue, the two coarse shared queues (fcfs,
   // edf) and the po2 FIFOs. Wall-clock noise means no exact schedule —
-  // assert the invariants that hold under any interleaving:
-  // conservation, wait >= 0, sojourn >= service.
+  // assert the invariants that hold under any interleaving: no stall,
+  // every seq logged exactly once (completed == dispatched), wait >= 0,
+  // sojourn >= service, and no fault ledger moves (the realtime runner
+  // has no fault model).
   {
     workload_config rt_cfg;
     rt_cfg.num_requests = 200;
@@ -285,14 +292,53 @@ int main() {
     const service_result po2_rt = run_service_realtime(rt_trace, po2, 2);
     for (const service_result* result :
          {&mq_rt, &fcfs_rt, &edf_rt, &po2_rt}) {
+      CHECK(!result->stalled);
       const std::vector<request_record> recs =
           records_by_seq(*result, rt_trace.size());
+      CHECK(result->completed == result->dispatched);
+      std::uint64_t missed = 0;
       for (const request_record& r : recs) {
         CHECK(r.start >= r.arrival);
         CHECK(r.completion - r.start >= r.service);
+        if (r.completion > rt_trace[r.seq].deadline) ++missed;
       }
+      CHECK(missed == result->missed);
       CHECK(summarize(*result).sojourn.count() == rt_trace.size());
+      CHECK(result->shed == 0 && result->lost == 0);
+      CHECK(result->retries == 0 && result->failovers == 0 &&
+            result->reclaimed == 0);
     }
+  }
+
+  // The realtime runner rejects a malformed trace before it starts a
+  // thread: it looks requests up by seq, an infinite demand would spin
+  // a worker forever, and the arrival thread paces arrivals in order.
+  // The dispatcher records any call, so a throw after the threads
+  // started would show.
+  {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    struct probe_dispatcher {
+      std::atomic<bool> touched{false};
+      void dispatch(const request&) { touched = true; }
+      bool fetch(std::size_t, std::uint64_t&) {
+        touched = true;
+        return false;
+      }
+      void seal() { touched = true; }
+    };
+    const auto rejected = [](const std::vector<request>& bad_trace) {
+      probe_dispatcher probe;
+      CHECK_THROWS(run_service_realtime(bad_trace, probe, 2),
+                   std::invalid_argument);
+      CHECK(!probe.touched);
+    };
+    rejected({{0.0, 1.0, 10.0, 1}});                        // seq out of range
+    rejected({{0.0, 1.0, 10.0, 1}, {0.0, 1.0, 10.0, 0}});  // swapped seqs
+    for (const double bad : {-1.0, kInf, std::nan("")}) {
+      rejected({{bad, 1.0, 10.0, 0}});  // arrival
+      rejected({{0.0, bad, 10.0, 0}});  // service
+    }
+    rejected({{0.5, 1.0, 10.0, 0}, {0.25, 1.0, 10.0, 1}});  // decreasing
   }
 
   // Stall-watchdog regression: a NONCONFORMING dispatcher that silently
@@ -302,7 +348,9 @@ int main() {
   // of failing it.
   {
     // Drops every third dispatch on the floor; otherwise a plain
-    // locked FIFO honoring the dispatcher threading contract.
+    // locked FIFO honoring the dispatcher threading contract. It has
+    // only dispatch, fetch and seal: the realtime runner calls nothing
+    // else.
     class lossy_dispatcher {
      public:
       void dispatch(const request& r) {
@@ -322,20 +370,10 @@ int main() {
         return ok;
       }
       void seal() {}
-      std::size_t backlog() const {
-        lock_.lock();
-        const std::size_t n = fifo_.size();
-        lock_.unlock();
-        return n;
-      }
-      // One shared FIFO: nothing is ever stranded on a dead worker.
-      std::size_t reclaim(std::size_t, std::vector<std::uint64_t>&) {
-        return 0;
-      }
 
      private:
       std::uint64_t dispatched_ = 0;
-      mutable pcq::spinlock lock_;
+      pcq::spinlock lock_;
       std::deque<std::uint64_t> fifo_;
     };
 
