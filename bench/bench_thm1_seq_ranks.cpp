@@ -4,6 +4,9 @@
 //   (C) mean rank = O(n/beta^2):   behavior across beta at fixed n
 //   (D) robustness to bias gamma (Section 3): bounded for beta = Omega(gamma)
 //   (E) flatness in t: windowed mean does not grow with time
+//   (F) the power of choice: mean rank vs d at n = 64 falls steeply from
+//       1 to 2 choices and mildly after; the Karp-Zhang own-queue
+//       policy [20], the no-choice ancestor, for contrast
 //
 // The paper proves these bounds hold for ANY time t; the tables make the
 // constants visible.
@@ -23,12 +26,15 @@ using namespace pcq::sim;
 
 cost_trace run_process(std::size_t n, double beta, double gamma,
                        std::size_t removals, std::uint64_t seed,
-                       std::size_t window = 0) {
+                       std::size_t window = 0, std::size_t choices = 2,
+                       removal_policy removal = removal_policy::choice) {
   process_config cfg;
   cfg.num_bins = n;
   cfg.beta = beta;
   cfg.gamma = gamma;
   cfg.bias = gamma > 0 ? bias_kind::linear_ramp : bias_kind::none;
+  cfg.choices = choices;
+  cfg.removal = removal;
   cfg.num_labels = 2 * removals;
   cfg.num_removals = removals;
   cfg.seed = seed;
@@ -97,6 +103,27 @@ int main() {
       table.row({static_cast<double>(w.first_step), w.mean_rank,
                  static_cast<double>(w.max_rank)});
     }
+  }
+
+  print_header("THM1-F: d-choice in the sequential process (n = 64)",
+               "mean rank vs number of choices; Karp-Zhang own-queue row "
+               "for contrast");
+  {
+    const std::size_t choice_removals =
+        scaled<std::size_t>(1u << 17, 1u << 20);
+    table_printer table({"choices", "mean_rank", "mean/n"});
+    for (const std::size_t d : {1u, 2u, 3u, 4u, 8u, 16u}) {
+      const double mean =
+          run_process(64, 1.0, 0.0, choice_removals, 40 + d, 0, d)
+              .mean_rank();
+      table.row({static_cast<double>(d), mean, mean / 64.0});
+    }
+    const double kz =
+        run_process(64, 1.0, 0.0, choice_removals, 60, 0, 2,
+                    removal_policy::own_queue_round_robin)
+            .mean_rank();
+    std::printf("[karp-zhang own-queue round-robin]\n");
+    table.row({0.0, kz, kz / 64.0});
   }
   return 0;
 }

@@ -97,7 +97,7 @@ struct mq_config {
   std::size_t queue_factor = 2;
   /// An insert reuses its sampled queue for this many consecutive
   /// inserts. 1 is the paper's algorithm; larger values are the locality
-  /// extension ablated in bench_abl_sticky.
+  /// extension ablated in bench_rank's s sweep.
   std::size_t stickiness = 1;
   /// Expected number of live elements across the whole queue; when
   /// nonzero, each slot heap reserves its uniform share (plus

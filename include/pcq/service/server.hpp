@@ -261,13 +261,6 @@ struct burst_window {
 struct fault_plan {
   std::vector<worker_fault> workers;
   std::vector<burst_window> bursts;
-
-  bool any(fault_kind kind) const {
-    for (const worker_fault& w : workers) {
-      if (w.kind == kind) return true;
-    }
-    return false;
-  }
 };
 
 /// Graceful-degradation policy knobs. Defaults are fail-hard (no

@@ -408,6 +408,16 @@ int main() {
   // 1-thread degeneration.
   pcq::testing::run_standard_suite(make_mq, /*drain_exact=*/true);
 
+  // Insertion stickiness: each handle reuses its sampled slot for 4
+  // pushes and abandons it early when its try_lock fails.
+  pcq::testing::run_standard_suite(
+      [](std::size_t threads) {
+        pcq::mq_config cfg;
+        cfg.stickiness = 4;
+        return std::make_unique<mq>(cfg, threads);
+      },
+      /*drain_exact=*/false, 0x571c);
+
   std::printf("test_multi_queue OK\n");
   return 0;
 }
