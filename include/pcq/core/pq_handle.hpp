@@ -40,8 +40,8 @@
 // Emptiness is relaxed everywhere: a false try_pop means "looked empty
 // during the attempt", not "was empty at a linearization point". Callers
 // that need a termination guarantee combine it with in-flight accounting
-// (util/in_flight.hpp, used by parallel_sssp, the graph task process and
-// the executor) or quiesce first.
+// (util/in_flight.hpp, used by parallel_sssp and the executor) or
+// quiesce first.
 //
 // Why there is no `try_pop_any` escape hatch ("pop from anywhere,
 // ignoring priority — just prove non-emptiness"): every consumer that

@@ -1,9 +1,11 @@
-// Real-work workloads for the executor — sim/graph_process's precedence
-// DAGs promoted from simulated settles to actual per-task compute, plus
-// a fork-join reduction exercising spawn/await. Every workload has a
-// deterministic sequential oracle, so a parallel run is verified by
-// value equality, and the DAG runner re-checks graph_process's
-// topological-release invariant inline on every task.
+// Real-work workloads for the executor — the graph task process of
+// sim/graph_process.hpp run as actual per-task compute, plus a fork-join
+// reduction exercising spawn/await. Every workload has a deterministic
+// sequential oracle, so a parallel run is verified by value equality,
+// and the DAG runner checks the topological-release invariant inline on
+// every task. The DAG runner is also the rank simulator: with
+// record_order it pops one task per call and records the order in which
+// tasks start, which sim::settle_ranks replays offline.
 //
 // The two workloads use the executor's two task forms. A DAG task is an
 // id task: the node id rides in the queue entry and one handler, holding
@@ -72,6 +74,9 @@ struct dag_exec_result {
   std::uint64_t settled = 0;           // tasks that ran
   bool topo_ok = true;  // no premature or duplicate settle observed
   exec_stats stats;
+  // Node ids in the order their tasks started; filled only when the run
+  // records it (sim::settle_ranks replays it).
+  std::vector<graph::csr_graph::node_id> settle_order;
 };
 
 namespace detail {
@@ -94,7 +99,9 @@ struct dag_run {
   std::uint64_t* outputs;
   std::size_t n;
   std::uint32_t rounds;
+  graph::csr_graph::node_id* order;  // settle order; nullptr: not recorded
   std::atomic<bool> topo_ok{true};
+  std::atomic<std::uint64_t> tickets{0};  // settles drawn so far
 };
 
 // The id-task handler of one run: the task of node v. It holds only the
@@ -108,6 +115,14 @@ struct dag_task {
     dag_run& s = *run;
     const auto v = static_cast<graph::csr_graph::node_id>(id);
     dag_node& node = s.nodes[v];
+    if (s.order != nullptr) {
+      // One ticket per settle; a ticket past n is a duplicate settle.
+      const std::uint64_t t = s.tickets.fetch_add(1, std::memory_order_relaxed);
+      if (t < s.n)
+        s.order[t] = v;
+      else
+        s.topo_ok.store(false, std::memory_order_relaxed);
+    }
     const graph::csr_graph::arc_range succ = s.dag->out(v);
     // The successors' records and priorities are needed right after the
     // kernel; start loading them now.
@@ -115,8 +130,8 @@ struct dag_task {
       prefetch(&s.nodes[a.head]);
       prefetch(&s.depth[a.head]);
     }
-    // Topological-release invariant (graph_process's oracle): all
-    // dependencies cleared, and this is the node's first settle.
+    // Topological-release invariant: all dependencies cleared, and this
+    // is the node's first settle.
     if (node.remaining.load(std::memory_order_acquire) != 0 ||
         node.settled.exchange(true, std::memory_order_acq_rel))
       s.topo_ok.store(false, std::memory_order_relaxed);
@@ -140,11 +155,15 @@ struct dag_task {
 
 /// Runs the DAG as real executor work over `queue` (passed in empty).
 /// Correct iff result.topo_ok, result.settled == num_nodes, and
-/// result.outputs == sequential_dag_outputs(dag, rounds).
+/// result.outputs == sequential_dag_outputs(dag, rounds). With
+/// `record_order` each pop takes one task and result.settle_order lists
+/// the nodes in the order their tasks started, for sim::settle_ranks;
+/// otherwise each pop takes kDrainBatch tasks.
 template <typename Queue>
 dag_exec_result run_dag_executor(const graph::csr_graph& dag,
                                  std::size_t num_threads, Queue& queue,
-                                 std::uint32_t rounds) {
+                                 std::uint32_t rounds,
+                                 bool record_order = false) {
   const std::size_t n = dag.num_nodes();
   const std::vector<std::uint32_t> depth = sim::dag_depths(dag);
 
@@ -155,14 +174,20 @@ dag_exec_result run_dag_executor(const graph::csr_graph& dag,
 
   dag_exec_result result;
   result.outputs.assign(n, 0);
-  detail::dag_run state{&dag, depth.data(), nodes.get(),
-                        result.outputs.data(), n, rounds};
+  if (record_order) result.settle_order.assign(n, 0);
+  detail::dag_run state{&dag, depth.data(), nodes.get(), result.outputs.data(),
+                        n, rounds,
+                        record_order ? result.settle_order.data() : nullptr};
 
   executor<Queue, detail::dag_task> ex(queue, detail::dag_task{&state});
   for (graph::csr_graph::node_id v = 0; v < n; ++v)
     if (nodes[v].remaining.load(std::memory_order_relaxed) == 0)
       ex.submit_id(sim::task_priority(depth[v], v, n), v);
-  result.stats = ex.run(num_threads);
+  result.stats = ex.run(num_threads, record_order ? 1 : kDrainBatch);
+  if (record_order) {
+    const std::uint64_t drawn = state.tickets.load(std::memory_order_relaxed);
+    if (drawn < n) result.settle_order.resize(drawn);
+  }
 
   // Counted after the run rather than by a shared per-task RMW; a
   // duplicate settle already cleared topo_ok through the exchange.

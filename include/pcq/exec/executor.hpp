@@ -39,8 +39,8 @@
 // finished job still reports, as a use-after-poison.
 //
 // Termination uses the in-flight protocol of util/in_flight.hpp, the
-// one parallel_sssp and the graph task process use: a job's unit passes
-// to the entries it produces. run_job only COLLECTS a job's spawns and
+// one parallel_sssp uses: a job's unit passes to the entries it
+// produces. run_job only COLLECTS a job's spawns and
 // its (or a cascaded ancestor's) continuation re-push in the drain
 // loop's products vector; after it returns drain() settles their count
 // once in the worker's ledger, and only after the batch's last job does
@@ -51,11 +51,12 @@
 // or re-pushes one continuation touches the shared counter not at all.
 //
 // Workers run the shared drain loop of util/in_flight.hpp: each pop
-// takes up to kDrainBatch = 4 ready tasks, the worker prefetches the
-// closures' job records, runs them one after another in key order, and then
-// publishes what the whole batch produced with one push_batch. Jobs
-// waiting in a popped batch keep their units, and collected jobs carry
-// theirs until the publish. A job can be overtaken by at most three
+// takes up to run()'s `batch` ready tasks (by default kDrainBatch = 4;
+// the DAG runner takes 1 when it records its settle order), the worker
+// prefetches the closures' job records, runs them one after another in
+// key order, and then publishes what the whole batch produced with one
+// push_batch. Jobs waiting in a popped batch keep their units, and
+// collected jobs carry theirs until the publish. A job can be overtaken by at most three
 // jobs of its own batch plus whatever is pushed while it waits, so a
 // child keyed below the rest of its parent's batch runs after that
 // batch; a produced job stays invisible to other workers for at most
@@ -247,8 +248,9 @@ class executor {
   }
 
   /// Run workers until every submitted job — and everything it
-  /// transitively spawned — has completed. Returns aggregate stats.
-  exec_stats run(std::size_t num_threads) {
+  /// transitively spawned — has completed. Each pop takes up to `batch`
+  /// ready tasks (clamped to [1, kDrainBatch]). Returns aggregate stats.
+  exec_stats run(std::size_t num_threads, std::size_t batch = kDrainBatch) {
     const std::size_t threads = num_threads == 0 ? 1 : num_threads;
     wall_timer timer;
 
@@ -273,7 +275,7 @@ class executor {
       auto handle = queue_.get_handle(tid);
       worker_context ctx(this, tid);
       drain<entry>(
-          handle, ctx.ledger_,
+          handle, ctx.ledger_, batch,
           [](const entry& e) {
             if (!detail::is_id_value(e.second)) prefetch(from_value(e.second));
           },

@@ -113,7 +113,7 @@ sssp_result parallel_sssp(const csr_graph& g, csr_graph::node_id source,
       prefetch(&dist[u]);
       prefetch(g.out(u).begin());
     };
-    drain<entry>(handle, ledger, touch,
+    drain<entry>(handle, ledger, kDrainBatch, touch,
                  [&](const entry& e, std::vector<entry>& products) {
       const auto d = static_cast<std::uint64_t>(e.first);
       const auto u = static_cast<csr_graph::node_id>(e.second);

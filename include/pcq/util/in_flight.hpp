@@ -1,8 +1,8 @@
 // In-flight termination counter shared by every worker loop that drains
-// a relaxed queue: parallel_sssp, the graph task process and the
-// executor. The queues' emptiness is relaxed (a failed try_pop means
-// "looked empty"), so a failed pop alone cannot end a loop; this counter
-// is the proof that nothing is left.
+// a relaxed queue: parallel_sssp and the executor (whose DAG runner is
+// also the graph task process). The queues' emptiness is relaxed (a
+// failed try_pop means "looked empty"), so a failed pop alone cannot end
+// a loop; this counter is the proof that nothing is left.
 //
 // The counter holds one UNIT per queued entry plus one per entry a
 // worker has popped and not yet finished, plus any CREDIT a worker's
@@ -39,14 +39,15 @@
 // are ordered before it by the queue push that published their
 // products.
 //
-// drain() below is the one worker loop of the batch runners
-// (parallel_sssp and executor::run), and run_workers() is the thread
-// pool of every loop here, the graph task process's included. drain()
+// drain() below is the one worker loop of both (parallel_sssp and
+// executor::run), and run_workers() is their thread pool. drain()
 // applies rule 2 itself, so settle-before-publish holds by construction.
 // The queue is not reconfigured for it: each pop makes the same sampling
 // decision as a scalar pop and only takes more entries from the slot it
 // chose, and each publish goes to one sampled slot like any push_batch.
-// A batch of K = kDrainBatch entries relaxes each of them by at most
+// The caller picks K <= kDrainBatch: kDrainBatch for throughput, 1 for
+// the DAG runner's settle-order recording, which must rank each pop on
+// its own. A batch of K entries relaxes each of them by at most
 // K - 1 entries of its batch plus arrivals: nothing else can overtake an
 // entry while it waits in the batch. A product stays invisible until its
 // batch's last body finishes, at most K - 1 further bodies
@@ -147,32 +148,34 @@ inline void prefetch(const void* p) {
 #endif
 }
 
-/// The worker loop of the batch runners: pops up to kDrainBatch entries
-/// per call, runs touch(entry) over all of them, then body(entry,
-/// products) over each in the order popped. The body appends the
-/// entries it produced to `products` and nothing else; drain() settles
+/// The worker loop of the batch runners: pops up to `batch` entries per
+/// call (clamped to [1, kDrainBatch]), runs touch(entry) over all of
+/// them, then body(entry, products) over each in the order popped. The
+/// body appends the entries it produced to `products` and nothing else; drain() settles
 /// each entry in `ledger` right after its body (rule 2) and publishes
 /// the batch's products with one push_batch after the last body. A pop
 /// that returns nothing ends the loop iff ledger.drained() (rule 3);
 /// otherwise the worker backs off and retries.
 template <typename Entry, typename Handle, typename Touch, typename Body>
-void drain(Handle& handle, in_flight_ledger& ledger, Touch&& touch,
-           Body&& body) {
-  Entry batch[kDrainBatch];
+void drain(Handle& handle, in_flight_ledger& ledger, std::size_t batch,
+           Touch&& touch, Body&& body) {
+  if (batch == 0) batch = 1;
+  if (batch > kDrainBatch) batch = kDrainBatch;
+  Entry popped[kDrainBatch];
   std::vector<Entry> products;
   backoff bo;
   for (;;) {
-    const std::size_t got = handle.try_pop_batch(batch, kDrainBatch);
+    const std::size_t got = handle.try_pop_batch(popped, batch);
     if (got == 0) {
       if (ledger.drained()) return;
       bo.pause();
       continue;
     }
     bo.reset();
-    for (std::size_t i = 0; i < got; ++i) touch(batch[i]);
+    for (std::size_t i = 0; i < got; ++i) touch(popped[i]);
     for (std::size_t i = 0; i < got; ++i) {
       const std::size_t before = products.size();
-      body(batch[i], products);
+      body(popped[i], products);
       ledger.settle(products.size() - before);
     }
     if (!products.empty()) {

@@ -1,13 +1,16 @@
 // The DAG task process: make_dag orientation and dag_depths on
-// hand-checked graphs, and the headline invariant — for every one of
-// the five queue types, single- and multi-threaded, every task settles
-// exactly once, never before its predecessors (re-verified offline
-// against reverse edges, not just the process's own inline check), the
-// replay matches every settle, and the strict coarse queue driven by
-// one thread is a zero-inversion exact scheduler. TSan-friendly scales.
+// hand-checked graphs, settle_ranks on hand-ranked settle orders, and the
+// headline invariant — for every one of the five queue types, single-
+// and multi-threaded, run_dag_executor recording its settle order
+// settles every task exactly once, never before its predecessors
+// (re-verified offline against the arcs, not just the run's own inline
+// check), with the sequential oracle's outputs; the replay matches every
+// settle; and a strict queue driven by one thread is a zero-inversion
+// exact scheduler. TSan-friendly scales.
 
 #include "sim/graph_process.hpp"
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -20,6 +23,7 @@
 #include "core/baselines/lj_skiplist_pq.hpp"
 #include "core/baselines/spray_pq.hpp"
 #include "core/multi_queue.hpp"
+#include "exec/dag_workloads.hpp"
 #include "graph/generators.hpp"
 
 namespace {
@@ -58,15 +62,45 @@ void check_topological(const csr_graph& dag,
 template <typename MakeQueue>
 void check_process(const csr_graph& dag, std::size_t threads,
                    MakeQueue make) {
+  const std::size_t n = dag.num_nodes();
   auto queue = make(threads);
-  const auto res = run_graph_process(dag, threads, *queue);
+  const auto res = exec::run_dag_executor(dag, threads, *queue, 0, true);
   CHECK(res.topo_ok);
-  CHECK(res.settled == dag.num_nodes());
-  CHECK(res.released == dag.num_nodes());  // every task released once
-  CHECK(res.ranks.deletions == dag.num_nodes());
-  CHECK(res.ranks.unmatched == 0);
+  CHECK(res.settled == n);
+  CHECK(res.stats.executed == n);
+  CHECK(res.stats.spawned == n);  // every task released once
+  CHECK(res.outputs == exec::sequential_dag_outputs(dag, 0));
   CHECK(queue->size() == 0);  // termination drained everything
   check_topological(dag, res.settle_order);
+  const replay_report ranks = settle_ranks(dag, res.settle_order);
+  CHECK(ranks.deletions == n);
+  CHECK(ranks.unmatched == 0);
+}
+
+/// One thread on a strict queue is an EXACT scheduler: every pop is the
+/// true minimum of the ready set, which is the minimum of all unsettled
+/// tasks (their predecessors have smaller priority), so the settle order
+/// is the priority order, the replay sees zero inversions, and a second
+/// run settles in the same order.
+template <typename MakeQueue>
+void check_exact_scheduler(const csr_graph& dag, MakeQueue make) {
+  const std::vector<std::uint32_t> depth = dag_depths(dag);
+  auto queue = make(1);
+  const auto res = exec::run_dag_executor(dag, 1, *queue, 0, true);
+  check_topological(dag, res.settle_order);
+  for (std::size_t i = 1; i < res.settle_order.size(); ++i) {
+    const csr_graph::node_id a = res.settle_order[i - 1];
+    const csr_graph::node_id b = res.settle_order[i];
+    CHECK(task_priority(depth[a], a, dag.num_nodes()) <
+          task_priority(depth[b], b, dag.num_nodes()));
+  }
+  const replay_report ranks = settle_ranks(dag, res.settle_order);
+  CHECK(ranks.unmatched == 0);
+  CHECK(ranks.inversions == 0);
+  CHECK(ranks.rank_stats.max() == 0.0);
+  auto queue2 = make(1);
+  const auto res2 = exec::run_dag_executor(dag, 1, *queue2, 0, true);
+  CHECK(res.settle_order == res2.settle_order);
 }
 
 template <typename MakeQueue>
@@ -125,6 +159,30 @@ int main() {
     }
   }
 
+  // settle_ranks on hand-ranked orders of the double diamond. Labels in
+  // priority order: 0, 5 (depth 0), 1, 2 (depth 1), 3, 4.
+  {
+    const csr_graph dag = double_diamond();
+    // Exact order: every settle is the ready minimum.
+    replay_report r = settle_ranks(dag, {0, 5, 1, 2, 3, 4});
+    CHECK(r.deletions == 6 && r.unmatched == 0 && r.inversions == 0);
+    // After 0: ready {5, 1, 2}; 2 passes 5 and 1 (rank 2), then 1 passes
+    // 5 (rank 1); 5, 3 and 4 are then each the only ready task.
+    r = settle_ranks(dag, {0, 2, 1, 5, 3, 4});
+    CHECK(r.deletions == 6 && r.unmatched == 0 && r.inversions == 2);
+    CHECK(r.rank_stats.max() == 2.0);
+    CHECK(r.rank_stats.mean() == 0.5);
+    // 3 settles before its predecessor 2.
+    r = settle_ranks(dag, {0, 1, 3, 2, 4, 5});
+    CHECK(r.unmatched > 0);
+    // 4 settles twice.
+    r = settle_ranks(dag, {0, 5, 1, 2, 3, 4, 4});
+    CHECK(r.unmatched == 1 && r.deletions == 6);
+    // An id past the last node.
+    r = settle_ranks(dag, {6});
+    CHECK(r.unmatched == 1 && r.deletions == 0);
+  }
+
   const auto make_mq = [](std::size_t threads) {
     mq_config cfg;
     return std::make_unique<multi_queue<std::uint64_t, std::uint64_t>>(
@@ -159,22 +217,21 @@ int main() {
   check_all_workloads(make_spray);
   check_all_workloads(make_klsm);
 
-  // A strict queue driven by one thread is an EXACT scheduler: every pop
-  // is the true minimum of the ready set, so the replay sees zero
-  // inversions and the settle order is the deterministic priority order.
+  // Strict queues driven by one thread are exact schedulers. The fan has
+  // more roots than one batched pop takes: a pop of four would run task
+  // 6 before task 5, which its last root releases.
   {
+    std::vector<csr_graph::edge> edges{{0, 6, 1}, {4, 5, 1}};
+    const csr_graph fan = csr_graph::from_edges(7, edges);
+    check_exact_scheduler(fan, make_coarse);
+    check_exact_scheduler(fan, make_lj);
     graph::random_graph_params params;
     params.nodes = 800;
     params.avg_degree = 3.0;
     params.seed = 0x63u;
     const csr_graph dag = make_dag(make_random_graph(params));
-    auto queue = make_coarse(1);
-    const auto res = run_graph_process(dag, 1, *queue);
-    CHECK(res.ranks.inversions == 0);
-    CHECK(res.ranks.rank_stats.max() == 0.0);
-    auto queue2 = make_coarse(1);
-    const auto res2 = run_graph_process(dag, 1, *queue2);
-    CHECK(res.settle_order == res2.settle_order);
+    check_exact_scheduler(dag, make_coarse);
+    check_exact_scheduler(dag, make_lj);
   }
 
   std::printf("test_graph_process: OK\n");

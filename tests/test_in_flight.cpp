@@ -4,9 +4,9 @@
 // exact shadow count, a 4-thread drain() cell in which one worker holds
 // a popped batch while the others keep failing pops, and a 4-thread
 // drain() cell that checks on every push_batch that each product being
-// published is already counted, and that a batch publishes once. test_graph,
-// test_exec and test_graph_process run the protocol under real
-// workloads, whose oracles fail on an early exit.
+// published is already counted, and that a batch publishes once. test_graph
+// (parallel_sssp) and test_exec and test_graph_process (the executor) run
+// the protocol under real workloads, whose oracles fail on an early exit.
 
 #include "util/in_flight.hpp"
 
@@ -241,7 +241,7 @@ void held_batch_keeps_workers(std::size_t rounds) {
       while (ready.load(std::memory_order_acquire) < kThreads) {
         std::this_thread::yield();
       }
-      pcq::drain<entry>(handle, ledger, [](const entry&) {},
+      pcq::drain<entry>(handle, ledger, pcq::kDrainBatch, [](const entry&) {},
                         [&](const entry&, std::vector<entry>&) {
         // Bounded wait: a worker that never fails a pop fails the check
         // on held_fails below instead of hanging the test.
@@ -377,7 +377,7 @@ void publish_after_settle(std::uint64_t seed, std::size_t episodes) {
       pcq::xoshiro256ss rng(pcq::derive_seed(seed, e * kThreads + tid));
       std::uint64_t mine_processed = 0, mine_produced = 0;
       pcq::drain<entry>(
-          handle, ledger, [](const entry&) {},
+          handle, ledger, pcq::kDrainBatch, [](const entry&) {},
           [&](const entry&, std::vector<entry>& products) {
             ++mine_processed;
             // k = 0 with probability 1/8, 1 with 3/8, 2 and 3 with 2/8.
