@@ -5,10 +5,10 @@
 // count), a coarse-locked heap, and — beyond the paper — the batched
 // MultiQueue (push_batch + try_pop_batch, batch = 16), which
 // amortizes the per-element lock/publish cost, plus a substrate A/B:
-// mq_b1.0 runs on the default slot heap (buffered_heap<16>: deletion and
-// insertion buffers over the cache-aware 4-ary heap) while
-// mq_b1.0_binary is the identical configuration on the binary heap, so
-// the column pair isolates what the inner-heap layout buys end-to-end
+// mq_b1.0 runs on the default slot substrate (buffered_heap<16>:
+// deletion and insertion buffers over sorted runs) while mq_b1.0_binary
+// is the identical configuration on the binary heap, so the column pair
+// isolates what the slot substrate buys end-to-end
 // (the decision procedure and RNG streams are substrate-independent).
 //
 // Paper shape to verify: MultiQueue variants scale near-linearly and the
@@ -205,9 +205,10 @@ int main() {
       "expected shape (paper): MultiQueues scale; beta<1 up to ~20%% above "
       "beta=1 at high threads;\nbatch=16 above scalar beta=1 everywhere; LJ "
       "flattens from deleteMin contention; kLSM\nbelow MultiQueues; coarse "
-      "collapses. Substrate A/B: mq_b1.0 (4-ary) vs mq_b1.0_binary\nis a "
-      "near-tie at smoke prefill (slot depth ~2^14, cache-resident); the "
-      "4-ary layout\npays off once slot depth passes L2 — PCQ_BENCH_FULL "
-      "prefill, or BENCH_micro for the\nisolated substrate effect.\n");
+      "collapses. Substrate A/B: mq_b1.0 (sorted runs) vs "
+      "mq_b1.0_binary:\nbinary can lead at one thread, since each slot's "
+      "first refill sorts its\nwhole prefill inside the timed loop; the "
+      "runs lead once threads share the\nslots. BENCH_micro has the "
+      "isolated substrate effect.\n");
   return 0;
 }

@@ -4,8 +4,8 @@
 // Structure: n = queue_factor * num_threads sequential priority queues
 // (the Heap substrate parameter — any selector modeling
 // heap/heap_concept.hpp; default is buffered_heap<16>, a sorted deletion
-// buffer and an insertion buffer in front of the cache-aware 4-ary
-// heap), each guarded by its own spinlock, each publishing its current
+// buffer and an insertion buffer in front of a store of sorted runs),
+// each guarded by its own spinlock, each publishing its current
 // minimum key in an atomic "top" cell so deleteMin can compare
 // candidates without locking. The substrate choice never touches the
 // decision procedure: which queue an op samples, how many RNG draws it
@@ -15,9 +15,10 @@
 // columns).
 //
 // Slot layout: lock, top and count come first, then the substrate. The
-// default substrate's counts and inner-heap header fill the rest of
-// that first line, and its buffers follow on their own lines, so an
-// operation on a slot of at most B entries stays inside the slot (see
+// default substrate's counts and run-store pointer fill the rest of
+// that first line, and its buffers follow on their own lines, so a slot
+// that never holds more than 2B entries stays inside its own lines, and
+// only a buffer flush or refill reaches the run store (see
 // heap/buffered_heap.hpp for the line budget).
 //
 // insert(key):   sample one queue uniformly (optionally sticky for s

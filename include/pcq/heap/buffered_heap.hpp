@@ -1,9 +1,11 @@
 // Buffered heap: a sorted deletion buffer and an unsorted insertion
-// buffer in front of a dary_heap_t<..., 4> — the MultiQueue's default
-// slot substrate. The buffered half of Williams, Sanders & Dementiev,
-// "Engineering MultiQueues" (ESA 2021, arXiv:2107.01350), without its
-// sticky operations: the structure still pops the exact minimum, so a
-// MultiQueue slot publishes the same top, and every sample, RNG draw
+// buffer in front of a store of ascending sorted runs — the MultiQueue's
+// default slot substrate. The buffers are the buffered half of Williams,
+// Sanders & Dementiev, "Engineering MultiQueues" (ESA 2021,
+// arXiv:2107.01350), without its sticky operations; the run store is the
+// merged sorted runs of Sanders' sequence heap ("Fast Priority Queues for
+// Cached Memory", JEA 2000). The structure still pops the exact minimum,
+// so a MultiQueue slot publishes the same top, and every sample, RNG draw
 // and popped key of the paper's process is unchanged.
 //
 // Parts and invariant (B = buffer capacity):
@@ -11,27 +13,49 @@
 //   del_[0..nd)  the slot's nd least entries, sorted DESCENDING, so the
 //                minimum sits at del_[nd-1] and a pop is one read;
 //   ins_[0..ni)  recent inserts, unsorted;
-//   inner_       everything else.
+//   runs         everything else: ascending sorted runs in one arena,
+//                oldest first, each consumed from its head.
 //
-//   Every entry in ins_ or inner_ is >= del_[0] (the deletion buffer's
+//   Every entry in ins_ or a run is >= del_[0] (the deletion buffer's
 //   max), and nd > 0 iff the structure is non-empty. So top() is always
 //   del_[nd-1], and a pop that empties del_ refills it at once.
 //
 // push: below the deletion buffer's max -> sorted insert into del_ (a
 // full del_ evicts its max into ins_); otherwise into del_ while it has
 // room and nothing lives outside it, else into ins_. A full ins_ is
-// flushed into inner_, B pushes at a time.
-// pop: take del_[nd-1]; on empty del_, refill with the B least entries
-// of ins_ and inner_ (ins_ alone is sorted straight into del_; otherwise
-// ins_ is flushed and B entries are popped from inner_).
+// sorted into a new run at the arena's tail; a push never merges runs.
 //
-// Line budget: with 16-byte entries the header (two 32-bit counts and
-// inner_'s 32-byte header; the comparators are empty bases) is 40 bytes,
-// so behind a MultiQueue slot's 24 bytes of lock, top and count it ends
-// exactly on the lock line, and del_ starts on the next line. A slot
-// holding at most 4 entries touches the lock line and one buffer line —
-// what a dary_heap slot touched (its header plus the root's line) —
-// and up to B entries never leave the slot's own lines.
+// pop: take del_[nd-1]; a pop that empties del_ refills it:
+//   1. fold: the runs appended since the last refill join a size ladder
+//      one by one, the two newest runs merging while the newer holds at
+//      least half as many entries as the older. A flush makes B entries
+//      and each run was built less than half as long as the older one
+//      beside it, so a fold leaves at most log2(p/B) + 1 runs, p being
+//      the most entries the structure has held;
+//   2. take the B least run entries by comparing run heads; a run that
+//      runs out is dropped;
+//   3. move in every entry of ins_ below del_'s max, the max moving out
+//      to its place (with no runs, ins_ moves in whole).
+// A refill reads each run's head line in order instead of walking B
+// root-to-leaf paths of a heap, and leaves ins_ in place.
+//
+// Arena: the runs tile it oldest first; a run's live entries follow its
+// consumed ones. A merge writes over its two inputs from the older one's
+// head: the older entries up to the newer run's least stay put (all of
+// them when the runs do not overlap) and the rest are copied to a reused
+// scratch buffer first. A flush into a full arena compacts it when at
+// least half of what the runs span is consumed, else doubles it, so the
+// arena allocates no memory per flush; reserve(n) sizes it and the run
+// list for n entries, so a sized prefill never reallocates.
+//
+// Line budget: with 16-byte entries the header (two 32-bit buffer
+// counts, the runs' entry count, the run store's pointer and padding;
+// the comparators are empty bases) is 40 bytes, so behind a MultiQueue
+// slot's 24 bytes of lock, top and count it ends exactly on the lock
+// line, and del_ starts on the next line. A slot holding at most 4
+// entries touches the lock line and one buffer line, a slot that never
+// holds more than 2B entries never leaves its own lines, and only a
+// flush or a refill reaches the run store.
 
 #pragma once
 
@@ -39,7 +63,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "heap/dary_heap.hpp"
 
@@ -55,45 +81,38 @@ class buffered_heap_t : private heap_detail::compare_holder<Compare> {
   using entry = std::pair<Key, Value>;
 
   explicit buffered_heap_t(Compare compare = Compare())
-      : heap_detail::compare_holder<Compare>(compare), inner_(compare) {}
+      : heap_detail::compare_holder<Compare>(compare) {}
 
   bool empty() const { return nd_ == 0; }
-  std::size_t size() const { return nd_ + ni_ + inner_.size(); }
-  void reserve(std::size_t n) { inner_.reserve(n); }
+  std::size_t size() const { return nd_ + ni_ + stored_; }
+  void reserve(std::size_t n) {
+    if (n == 0) return;
+    run_store& s = store();
+    if (s.arena.size() < n) s.arena.resize(n);
+    s.runs.reserve(n / B + 1);
+  }
 
   const Key& top_key() const { return del_[nd_ - 1].first; }
   const entry& top() const { return del_[nd_ - 1]; }
 
-  /// Entries in the deletion and insertion buffers (for tests).
+  /// Entries in the deletion and insertion buffers, and sorted runs in
+  /// the store (for tests).
   std::size_t deletion_size() const { return nd_; }
   std::size_t insertion_size() const { return ni_; }
+  std::size_t run_count() const { return store_ ? store_->runs.size() : 0; }
 
   void push(const Key& key, const Value& value) {
     const Compare& less = this->comp();
     // nd_ == 0 means the structure is empty, so the first test holds and
     // del_[0] is never read uninitialized.
-    const bool belongs_in_del =
-        (ni_ == 0 && inner_.empty()) || less(key, del_[0].first);
-    if (nd_ < B && belongs_in_del) {
-      // Room: shift the smaller entries one toward the back.
-      std::size_t j = nd_++;
-      while (j > 0 && less(del_[j - 1].first, key)) {
-        del_[j] = del_[j - 1];
-        --j;
-      }
-      del_[j] = entry(key, value);
+    const entry e(key, value);
+    if (nd_ < B &&
+        ((ni_ == 0 && stored_ == 0) || less(key, del_[0].first))) {
+      insert_with_room(e);
     } else if (less(key, del_[0].first)) {
-      // Full and below the max: the max moves out, the larger entries
-      // shift one toward the front into its place.
-      spill(del_[0]);
-      std::size_t j = 0;
-      while (j + 1 < B && less(key, del_[j + 1].first)) {
-        del_[j] = del_[j + 1];
-        ++j;
-      }
-      del_[j] = entry(key, value);
+      spill(replace_max(e));
     } else {
-      spill(entry(key, value));
+      spill(e);
     }
   }
 
@@ -104,52 +123,203 @@ class buffered_heap_t : private heap_detail::compare_holder<Compare> {
   }
 
  private:
+  // An ascending run: its live entries are arena[head, end). The arena
+  // slots from the previous run's end (0 for the first run) up to head
+  // are consumed, so the runs tile the arena up to the last run's end.
+  struct run {
+    std::size_t head, end;
+  };
+
+  struct run_store {
+    std::vector<entry> arena;
+    std::vector<run> runs;       // oldest first
+    std::vector<entry> scratch;  // a merge's copy of its older input
+    std::size_t fresh = 0;       // runs[fresh..) were appended since the
+                                 // last refill and are not yet folded
+  };
+
+  static std::size_t length(const run& r) { return r.end - r.head; }
+
+  run_store& store() {
+    if (!store_) store_.reset(new run_store);
+    return *store_;
+  }
+
+  // del_ has room: shift the smaller entries one toward the back.
+  void insert_with_room(const entry& e) {
+    const Compare& less = this->comp();
+    std::size_t j = nd_++;
+    while (j > 0 && less(del_[j - 1].first, e.first)) {
+      del_[j] = del_[j - 1];
+      --j;
+    }
+    del_[j] = e;
+  }
+
+  // del_ is full and e is below its max: the max moves out, the larger
+  // entries shift one toward the front into its place.
+  entry replace_max(const entry& e) {
+    const Compare& less = this->comp();
+    const entry max = del_[0];
+    std::size_t j = 0;
+    while (j + 1 < B && less(e.first, del_[j + 1].first)) {
+      del_[j] = del_[j + 1];
+      ++j;
+    }
+    del_[j] = e;
+    return max;
+  }
+
   void spill(const entry& e) {
     if (ni_ == B) flush_insertions();
     ins_[ni_++] = e;
   }
 
+  // Sorts ins_ into a new run at the arena's tail.
   void flush_insertions() {
-    for (std::uint32_t i = 0; i < ni_; ++i) {
-      inner_.push(ins_[i].first, ins_[i].second);
+    run_store& s = store();
+    std::size_t tail = s.runs.empty() ? 0 : s.runs.back().end;
+    if (tail + ni_ > s.arena.size()) {
+      if (tail - stored_ >= stored_) tail = compact(s);
+      if (tail + ni_ > s.arena.size()) {
+        s.arena.resize(std::max(2 * s.arena.size(), tail + 4 * B));
+      }
     }
+    entry* out = s.arena.data() + tail;
+    std::copy(ins_, ins_ + ni_, out);
+    std::sort(out, out + ni_, key_less());
+    s.runs.push_back(run{tail, tail + ni_});
+    stored_ += ni_;
     ni_ = 0;
   }
 
-  // Called with del_ empty: restores "nd > 0 iff non-empty".
-  void refill() {
-    if (inner_.empty()) {
-      // Only ins_ is left: insertion-sort it into del_, descending.
-      // ni_ <= B always; the bounds only let the compiler see it.
-      const Compare& less = this->comp();
-      const std::uint32_t n = std::min<std::uint32_t>(ni_, B);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        std::uint32_t j = i;
-        while (j > 0 && j < B && less(del_[j - 1].first, ins_[i].first)) {
-          del_[j] = del_[j - 1];
-          --j;
-        }
-        del_[j] = ins_[i];
+  // Slides every run's live entries down over the consumed slots;
+  // returns the new tail (== stored_).
+  static std::size_t compact(run_store& s) {
+    entry* arena = s.arena.data();
+    std::size_t tail = 0;
+    for (run& r : s.runs) {
+      const std::size_t n = length(r);
+      if (tail != r.head) {
+        std::copy(arena + r.head, arena + r.end, arena + tail);
       }
-      nd_ = n;
-      ni_ = 0;
-      return;
+      r = run{tail, tail + n};
+      tail += n;
     }
-    flush_insertions();
-    const std::size_t k = inner_.size() < B ? inner_.size() : B;
-    for (std::size_t j = k; j > 0;) del_[--j] = inner_.pop();
-    nd_ = static_cast<std::uint32_t>(k);
+    return tail;
   }
 
-  std::uint32_t nd_ = 0;  // entries in del_
-  std::uint32_t ni_ = 0;  // entries in ins_
-  dary_heap_t<Key, Value, Compare, 4> inner_;
+  // Merges runs[x + 1] into runs[x], in place from runs[x]'s head. The
+  // entries of runs[x] up to runs[x + 1]'s least stay where they are
+  // (all of them when the runs do not overlap); the rest are copied to
+  // scratch. The write position never passes the next unread entry of
+  // runs[x + 1], and once scratch runs out what is left of runs[x + 1]
+  // is already in place unless consumed slots lay between the two.
+  void merge(run_store& s, std::size_t x) {
+    run& a = s.runs[x];
+    const run b = s.runs[x + 1];
+    entry* arena = s.arena.data();
+    const Compare& less = this->comp();
+    entry* w = arena + a.end;
+    if (less(arena[b.head].first, arena[a.end - 1].first)) {
+      w = std::upper_bound(arena + a.head, w, arena[b.head], key_less());
+    }
+    const std::size_t na = static_cast<std::size_t>(arena + a.end - w);
+    if (s.scratch.size() < na) {
+      s.scratch.resize(std::max(na, 2 * s.scratch.size()));
+    }
+    const entry* sp = s.scratch.data();
+    const entry* se = std::copy(w, arena + a.end, s.scratch.data());
+    const entry* bp = arena + b.head;
+    const entry* be = arena + b.end;
+    while (sp != se && bp != be) {
+      // Branch-free: the comparison picks a source through a mask, since
+      // a branch on data-random keys mispredicts half the time.
+      const bool take_b = less(bp->first, sp->first);
+      const std::uintptr_t mask = 0 - static_cast<std::uintptr_t>(take_b);
+      *w++ = *reinterpret_cast<const entry*>(
+          (reinterpret_cast<std::uintptr_t>(bp) & mask) |
+          (reinterpret_cast<std::uintptr_t>(sp) & ~mask));
+      bp += take_b;
+      sp += !take_b;
+    }
+    w = std::copy(sp, se, w);
+    w = w == bp ? arena + b.end : std::copy(bp, be, w);
+    a.end = static_cast<std::size_t>(w - arena);
+  }
+
+  // Folds the fresh runs into the ladder, one at a time.
+  void fold(run_store& s) {
+    std::size_t top = s.fresh;  // runs[0..top) is the ladder
+    for (std::size_t i = s.fresh; i < s.runs.size(); ++i) {
+      s.runs[top++] = s.runs[i];
+      while (top >= 2 &&
+             2 * length(s.runs[top - 1]) >= length(s.runs[top - 2])) {
+        merge(s, top - 2);
+        --top;
+      }
+    }
+    s.runs.resize(top);
+  }
+
+  // Called with del_ empty: restores "nd > 0 iff non-empty". Takes the
+  // B least run entries, then moves in every entry of ins_ that belongs
+  // among the B least; del_[0] only falls meanwhile, so what stays in
+  // ins_ stays >= it.
+  void refill() {
+    const Compare& less = this->comp();
+    if (stored_ > 0) {
+      run_store& s = *store_;
+      fold(s);
+      const entry* arena = s.arena.data();
+      const std::size_t k = stored_ < B ? stored_ : B;
+      for (std::size_t j = k; j > 0;) {
+        std::size_t best = 0;
+        for (std::size_t r = 1; r < s.runs.size(); ++r) {
+          if (less(arena[s.runs[r].head].first,
+                   arena[s.runs[best].head].first)) {
+            best = r;
+          }
+        }
+        run& r = s.runs[best];
+        del_[--j] = arena[r.head++];
+        if (r.head == r.end) s.runs.erase(s.runs.begin() + best);
+      }
+      s.fresh = s.runs.size();
+      stored_ -= k;
+      nd_ = static_cast<std::uint32_t>(k);
+    }
+    for (std::uint32_t i = 0; i < ni_;) {
+      if (nd_ < B) {
+        insert_with_room(ins_[i]);
+        ins_[i] = ins_[--ni_];
+      } else {
+        if (less(ins_[i].first, del_[0].first)) ins_[i] = replace_max(ins_[i]);
+        ++i;
+      }
+    }
+  }
+
+  auto key_less() const {
+    const Compare& less = this->comp();
+    return [&less](const entry& a, const entry& b) {
+      return less(a.first, b.first);
+    };
+  }
+
+  std::uint32_t nd_ = 0;    // entries in del_
+  std::uint32_t ni_ = 0;    // entries in ins_
+  std::size_t stored_ = 0;  // live entries in the runs
+  std::unique_ptr<run_store> store_;  // made by the first flush or reserve
+  // Ends the header on a slot's lock line (see the line budget above).
+  unsigned char pad_[40 - 2 * sizeof(std::uint32_t) - sizeof(std::size_t) -
+                     sizeof(std::unique_ptr<run_store>)] = {};
   entry del_[B];
   entry ins_[B];
 };
 
-/// Selector: buffered 4-ary heap with B-entry deletion and insertion
-/// buffers (the MultiQueue default, B = 16).
+/// Selector: B-entry deletion and insertion buffers over a sorted-run
+/// store (the MultiQueue default, B = 16).
 template <std::size_t B = 16>
 struct buffered_heap {
   template <typename Key, typename Value, typename Compare>

@@ -1,6 +1,6 @@
-// Cache-aware flat d-ary min-heap — coarse_pq's default substrate and
-// the inner heap under the MultiQueue's default buffered_heap
-// (heap/buffered_heap.hpp).
+// Cache-aware flat d-ary min-heap — coarse_pq's substrate, and a slot
+// substrate the MultiQueue can take (dary_heap<A>; its default is
+// heap/buffered_heap.hpp).
 //
 // Why arity beats binary for deleteMin-heavy workloads: a sift-down
 // touches O(log_d n) levels instead of O(log_2 n), and at each level the

@@ -43,13 +43,15 @@
 //   heap/dary_heap.hpp     dary_heap<Arity=4>  cache-aware flat d-ary
 //                                              (coarse_pq's heap)
 //   heap/buffered_heap.hpp buffered_heap<B=16> deletion + insertion
-//                                              buffers over dary_heap<4>
+//                                              buffers over sorted runs
 //                                              (multi_queue default)
 //
-// All three are flat arrays: under the hold model (bench_micro_substrates)
-// they sit within run-to-run noise of each other at depths 2^8..2^20,
-// while pointer-based substrates (a pairing heap, a sequential skiplist)
-// cost 1.6-10x as much per pair at every depth.
+// All three keep their entries in flat arrays. Under the hold model
+// (bench_micro_substrates) the two heaps sit within run-to-run noise of
+// each other at depths 2^8..2^20, buffered_heap<16> runs 1.4-1.7x their
+// pairs per second up to 2^16 and 3.3-4.3x at 2^20, and pointer-based
+// substrates (a pairing heap, a sequential skiplist) cost 1.6-10x as
+// much per pair as the heaps at every depth.
 //
 // Like core/pq_handle.hpp, C++17 forces the detection idiom:
 // `is_heap_substrate<S>` for SFINAE, `PCQ_ASSERT_HEAP_CONCEPT(S)` for

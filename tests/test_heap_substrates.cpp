@@ -12,9 +12,11 @@
 // the handle-concept level.
 //
 // buffered_heap: named edge cases for each path between its three parts
-// (deletion buffer, insertion buffer, inner heap), checked against a
-// sorted oracle and against the part sizes the path must leave, plus the
-// header size the MultiQueue lock-line budget rests on.
+// (deletion buffer, insertion buffer, sorted-run store), checked against
+// a sorted oracle and against the part sizes the path must leave, plus the
+// header size the MultiQueue lock-line budget rests on; and a randomized
+// differential test against a std::multiset that also bounds the run
+// ladder after every refill.
 
 #include "heap/binary_heap.hpp"
 #include "heap/buffered_heap.hpp"
@@ -27,6 +29,7 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -196,9 +199,9 @@ void substrate_suite(std::uint64_t seed) {
 template <std::size_t B>
 using buffered_t = pcq::buffered_heap_t<u64, u64, std::less<u64>, B>;
 
-// Line budget: two 32-bit counts plus the inner heap's 32-byte header
-// (vector + size, empty comparators), so behind a slot's lock, top and
-// count (24 bytes) the header ends exactly on the lock line.
+// Line budget: two 32-bit counts, the runs' entry count, the run store's
+// pointer and padding (empty comparators), so behind a slot's lock, top
+// and count (24 bytes) the header ends exactly on the lock line.
 static_assert(sizeof(void*) != 8 ||
                   sizeof(buffered_t<16>) ==
                       40 + 2 * 16 * sizeof(std::pair<u64, u64>),
@@ -241,7 +244,7 @@ void buffered_push_below_full_deletion() {
 }
 
 /// A pop that empties the deletion buffer while the insertion buffer is
-/// non-empty (inner heap empty) sorts the insertion buffer into it.
+/// non-empty (no runs) sorts the insertion buffer into it.
 template <std::size_t B>
 void buffered_pop_refills_from_insertions() {
   buffered_t<B> h;
@@ -266,10 +269,11 @@ void buffered_pop_refills_from_insertions() {
   drain_matches(h, pushed);
 }
 
-/// A refill from an inner heap holding fewer than B entries takes them
-/// all (B >= 2; at B = 1 "fewer" is only empty).
+/// A refill takes the B least run entries, then moves an insertion below
+/// them into the deletion buffer, whose max moves out to the insertion
+/// buffer.
 template <std::size_t B>
-void buffered_refill_from_short_inner() {
+void buffered_refill_absorbs_insertions() {
   buffered_t<B> h;
   std::vector<std::pair<u64, u64>> pushed;
   for (u64 i = 0; i < B; ++i) {
@@ -277,16 +281,17 @@ void buffered_refill_from_short_inner() {
     pushed.emplace_back(i, i);
   }
   // B + 1 keys past the deletion buffer: B fill the insertion buffer,
-  // the last flushes them into the inner heap.
+  // the last flushes them into a run and waits in the insertion buffer.
   for (u64 i = 0; i <= B; ++i) {
     h.push(2000 - i, i);
     pushed.emplace_back(2000 - i, i);
   }
   CHECK(h.deletion_size() == B && h.insertion_size() == 1);
-  CHECK(h.size() == 2 * B + 1);
+  CHECK(h.size() == 2 * B + 1 && h.run_count() == 1);
   for (u64 i = 0; i < B; ++i) CHECK(h.pop().first == i);
-  CHECK(h.deletion_size() == B && h.insertion_size() == 0);
-  CHECK(h.size() == B + 1);  // inner heap: 1 entry
+  CHECK(h.deletion_size() == B && h.insertion_size() == 1);
+  CHECK(h.run_count() == 0 && h.top_key() == 2000 - B);
+  CHECK(h.size() == B + 1);  // the insertion buffer holds 2000
   for (u64 i = 0; i < B; ++i) h.pop();
   CHECK(h.deletion_size() == 1 && h.size() == 1);
   CHECK(h.top_key() == 2000);
@@ -297,7 +302,7 @@ void buffered_refill_from_short_inner() {
 }
 
 /// Duplicate keys spread across the deletion buffer, the insertion
-/// buffer and the inner heap: every (key, value) pair comes out once.
+/// buffer and the runs: every (key, value) pair comes out once.
 template <std::size_t B>
 void buffered_duplicates_across_parts() {
   buffered_t<B> h;
@@ -350,6 +355,104 @@ void buffered_reserve_then_ascending_batch(std::size_t n) {
   CHECK(queue.size() == 0);
 }
 
+/// Randomized differential test against a std::multiset of (key, value)
+/// pairs. Values are unique, so a popped pair found in (and erased from)
+/// the model came out exactly once. After every operation size() and
+/// top_key() match the model; after every refill the runs form a size
+/// ladder (a flush makes B entries, and each run was built less than half
+/// as long as the older one beside it), so there are at most
+/// floor(log2(peak size / B)) + 1 of them.
+template <std::size_t B>
+class buffered_differential {
+ public:
+  explicit buffered_differential(std::uint64_t seed) : rng_(seed) {}
+
+  void push(u64 key) {
+    h_.push(key, next_value_);
+    model_.emplace(key, next_value_++);
+    peak_ = std::max(peak_, model_.size());
+    check_front();
+  }
+
+  void pop() {
+    const bool refills = h_.deletion_size() == 1;
+    const auto e = h_.pop();
+    CHECK(e.first == model_.begin()->first);
+    const auto it = model_.find(e);
+    CHECK(it != model_.end());
+    if (it != model_.end()) model_.erase(it);
+    if (refills && !h_.empty()) {
+      std::size_t ladder = 1;
+      for (std::size_t q = peak_ / B; q > 1; q >>= 1) ++ladder;
+      CHECK(h_.run_count() <= ladder);
+    }
+    check_front();
+  }
+
+  /// Random pushes (probability push_pct/100, keys from key()) and pops.
+  template <typename KeyFn>
+  void mix(std::size_t ops, std::uint64_t push_pct, KeyFn key) {
+    for (std::size_t i = 0; i < ops; ++i) {
+      if (model_.empty() || rng_.bounded(100) < push_pct) {
+        push(key(rng_));
+      } else {
+        pop();
+      }
+    }
+  }
+
+  void drain() {
+    while (!model_.empty()) pop();
+    CHECK(h_.empty() && h_.size() == 0);
+  }
+
+ private:
+  void check_front() {
+    CHECK(h_.size() == model_.size());
+    CHECK(h_.empty() == model_.empty());
+    if (!model_.empty()) CHECK(h_.top_key() == model_.begin()->first);
+  }
+
+  buffered_t<B> h_;
+  std::multiset<std::pair<u64, u64>> model_;
+  pcq::xoshiro256ss rng_;
+  u64 next_value_ = 0;
+  std::size_t peak_ = 0;
+};
+
+template <std::size_t B>
+void buffered_differential_phases(std::uint64_t seed) {
+  {  // random keys over a wide range, growing then shrinking
+    buffered_differential<B> d(seed);
+    const auto wide = [](pcq::xoshiro256ss& rng) { return rng() >> 1; };
+    d.mix(20000, 60, wide);
+    d.mix(20000, 40, wide);
+    d.drain();
+  }
+  {  // ascending keys: every push lands behind everything held
+    buffered_differential<B> d(seed + 1);
+    u64 next = 0;
+    d.mix(20000, 60, [&next](pcq::xoshiro256ss& rng) {
+      return next += rng.bounded(4);
+    });
+    d.drain();
+  }
+  {  // a narrow key range: runs full of duplicates
+    buffered_differential<B> d(seed + 2);
+    const auto narrow = [](pcq::xoshiro256ss& rng) { return rng.bounded(8); };
+    d.mix(20000, 55, narrow);
+    d.drain();
+  }
+  {  // bulk prefill, then a full drain: the first refill folds every run
+    buffered_differential<B> d(seed + 3);
+    pcq::xoshiro256ss keys(seed + 4);
+    for (std::size_t i = 0; i < (std::size_t{1} << 16); ++i) {
+      d.push(keys.bounded(1u << 30));
+    }
+    d.drain();
+  }
+}
+
 template <std::size_t B>
 void buffered_edge_cases() {
   buffered_push_below_full_deletion<B>();
@@ -384,8 +487,11 @@ int main() {
 
   buffered_edge_cases<16>();
   buffered_edge_cases<1>();
-  buffered_refill_from_short_inner<16>();
-  buffered_refill_from_short_inner<4>();
+  buffered_refill_absorbs_insertions<16>();
+  buffered_refill_absorbs_insertions<4>();
+  buffered_differential_phases<1>(0xd1f1);
+  buffered_differential_phases<3>(0xd1f3);
+  buffered_differential_phases<16>(0xd1f16);
 
   mq_suite_with<pcq::dary_heap<4>>(0x310);  // the previous default
   mq_suite_with<pcq::binary_heap>(0x311);

@@ -1,5 +1,6 @@
 #include "core/rank_recorder.hpp"
 
+#include <cstddef>
 #include <cstdint>
 
 #include "test_macros.hpp"
@@ -44,6 +45,38 @@ int main() {
     CHECK(split.deletions == 3);
     CHECK(split.inversions == 2);
     CHECK_NEAR(split.rank_stats.mean(), 2.0 / 3.0, 1e-12);
+
+    // Four logs, one empty, and three (an odd count, so a pairwise merge
+    // round leaves one over): the same history, in timestamp order.
+    event_log c{{3, 30, event_kind::insert}, {7, 30, event_kind::remove}};
+    event_log d{{1, 10, event_kind::insert}, {5, 10, event_kind::remove}};
+    const auto merged = pcq::merge_events({a, event_log{}, c, d});
+    CHECK(merged.size() == 7);
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+      CHECK(merged[i].timestamp == i + 1);
+    }
+    const auto three = pcq::replay_ranks({a, c, d});
+    CHECK(three.deletions == 3);
+    CHECK(three.inversions == 2);
+    CHECK_NEAR(three.rank_stats.mean(), 2.0 / 3.0, 1e-12);
+  }
+
+  // Keys that differ in high and low bits at once (several radix passes,
+  // some skipped) rank like the small keys they stand for.
+  {
+    const std::uint64_t k10 = std::uint64_t{10} << 44, k20 = k10 | 1,
+                        k30 = std::uint64_t{30} << 44, k5 = 5;
+    event_log log{
+        {1, k10, event_kind::insert}, {2, k20, event_kind::insert},
+        {3, k30, event_kind::insert}, {4, k20, event_kind::remove},
+        {5, k10, event_kind::remove}, {6, k5, event_kind::insert},
+        {7, k30, event_kind::remove},
+    };
+    const auto report = pcq::replay_ranks({log});
+    CHECK(report.deletions == 3);
+    CHECK(report.inversions == 2);
+    CHECK(report.unmatched == 0);
+    CHECK_NEAR(report.rank_stats.mean(), 2.0 / 3.0, 1e-12);
   }
 
   // Strict FIFO-of-min history: zero inversions.
