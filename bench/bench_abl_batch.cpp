@@ -38,7 +38,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "benchlib/bench_env.hpp"
@@ -47,6 +46,7 @@
 #include "benchlib/table_printer.hpp"
 #include "core/multi_queue.hpp"
 #include "util/fenwick.hpp"
+#include "util/in_flight.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
@@ -100,22 +100,18 @@ double measure_drain(std::size_t threads, std::size_t prefill,
       }
     }
     std::atomic<std::uint64_t> delivered{0};
+    auto worker = [&](std::size_t tid) {
+      auto handle = queue.get_handle(tid);
+      std::vector<entry> out(batch);
+      // The loop ends on the delivered count, not on a pop's relaxed
+      // emptiness verdict.
+      while (delivered.load(std::memory_order_acquire) < prefill) {
+        const std::size_t got = handle.try_pop_batch(out.data(), batch);
+        if (got > 0) delivered.fetch_add(got, std::memory_order_acq_rel);
+      }
+    };
     wall_timer timer;
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t] {
-        auto handle = queue.get_handle(t);
-        std::vector<entry> out(batch);
-        // The loop ends on the delivered count, not on a pop's relaxed
-        // emptiness verdict.
-        while (delivered.load(std::memory_order_acquire) < prefill) {
-          const std::size_t got = handle.try_pop_batch(out.data(), batch);
-          if (got > 0) delivered.fetch_add(got, std::memory_order_acq_rel);
-        }
-      });
-    }
-    for (auto& th : pool) th.join();
+    run_workers(threads, worker);
     mops.push_back(static_cast<double>(prefill) / timer.elapsed_seconds() /
                    1e6);
   }

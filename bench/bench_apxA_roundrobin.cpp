@@ -6,8 +6,11 @@
 // We run both processes for the same number of steps and compare the
 // max-above-average gap of (a) the label process's per-queue REMOVAL
 // COUNTS against (b) the classic process's bin loads: the gaps should
-// match statistically (both O(log n), flat in t). The single-choice
-// columns show the contrasting sqrt(t) growth in both worlds.
+// match statistically (both O(log n), flat in t). The classic process is
+// exponential_process with no bias (gamma = 0): each ball goes to the
+// less loaded of d = 2 distinct bins with probability beta, to one
+// uniform bin otherwise. The single-choice columns show the contrasting
+// sqrt(t) growth in both worlds.
 
 #include <algorithm>
 #include <cstdio>
@@ -15,7 +18,7 @@
 
 #include "benchlib/bench_env.hpp"
 #include "benchlib/table_printer.hpp"
-#include "sim/balls_into_bins.hpp"
+#include "sim/exponential_process.hpp"
 #include "sim/label_process.hpp"
 
 namespace {
@@ -45,11 +48,21 @@ double label_process_gap(std::size_t n, double beta, std::size_t removals,
          static_cast<double>(removals) / static_cast<double>(n);
 }
 
+/// Max-above-average of the bin loads of the (1+beta)-choice
+/// balls-into-bins process after `balls` balls.
 double balls_gap(std::size_t n, double beta, std::uint64_t balls,
                  std::uint64_t seed) {
-  balls_into_bins b(n, beta, seed);
-  b.run(balls);
-  return b.current_gap().max_minus_avg;
+  exp_process_config cfg;
+  cfg.num_bins = n;
+  cfg.beta = beta;
+  cfg.num_steps = balls;
+  cfg.sample_every = 0;
+  cfg.seed = seed;
+  exponential_process p(cfg);
+  p.run();
+  const auto& loads = p.loads();
+  return static_cast<double>(*std::max_element(loads.begin(), loads.end())) -
+         static_cast<double>(balls) / static_cast<double>(n);
 }
 
 }  // namespace

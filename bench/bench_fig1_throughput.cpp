@@ -4,12 +4,7 @@
 // k-LSM (k = 256), the SprayList (`spraylist`, sized for the thread
 // count), a coarse-locked heap, and — beyond the paper — the batched
 // MultiQueue (push_batch + try_pop_batch, batch = 16), which
-// amortizes the per-element lock/publish cost, plus a substrate A/B:
-// mq_b1.0 runs on the default slot substrate (buffered_heap<16>:
-// deletion and insertion buffers over sorted runs) while mq_b1.0_binary
-// is the identical configuration on the binary heap, so the column pair
-// isolates what the slot substrate buys end-to-end
-// (the decision procedure and RNG streams are substrate-independent).
+// amortizes the per-element lock/publish cost.
 //
 // Paper shape to verify: MultiQueue variants scale near-linearly and the
 // beta < 1 variants beat beta = 1 by up to ~20%; LJ and kLSM flatten or
@@ -21,12 +16,21 @@
 // CI uploads it as an artifact and fails on >30% multi_queue regressions
 // against the committed baseline (scripts/check_bench_regression.py).
 //
+// Each cell is the median of `trials()` runs on a fresh queue (paper: 10
+// trials). At each thread count the trials rotate through the series, so
+// a burst of interference (a neighbour on a shared box, the process's
+// cold first trial) costs each series one trial, which the median drops,
+// instead of every trial of one cell — the coarse anchor the CI gate
+// divides by included.
+//
 // Default parameters finish in seconds; PCQ_BENCH_FULL=1 uses a
 // 10M-element prefill (paper scale).
 
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchlib/bench_env.hpp"
@@ -38,7 +42,6 @@
 #include "core/baselines/lj_skiplist_pq.hpp"
 #include "core/baselines/spray_pq.hpp"
 #include "core/multi_queue.hpp"
-#include "heap/binary_heap.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -48,41 +51,40 @@ using namespace pcq::bench;
 
 constexpr std::size_t kFig1Batch = 16;
 
-template <typename Queue, typename Make>
-double measure(Make make, std::size_t threads, std::size_t prefill,
-               std::size_t pairs) {
-  // Median of `trials()` runs, each on a fresh queue (paper: 10 trials).
-  std::vector<double> mops;
-  for (unsigned trial = 0; trial < trials(); ++trial) {
-    auto queue = make(threads);
-    workload_config cfg;
-    cfg.num_threads = threads;
-    cfg.prefill = prefill;
-    cfg.pairs_per_thread = pairs;
-    cfg.seed = 7 + trial;
-    const auto result = run_alternating(*queue, cfg);
-    mops.push_back(result.mops_per_sec);
-  }
-  return percentile(mops, 0.5);
+/// One series: Mops/s of a single trial at a thread count.
+struct series_def {
+  std::string name;
+  std::function<double(std::size_t threads, unsigned trial)> trial;
+};
+
+workload_config alternating_config(std::size_t threads, std::size_t prefill,
+                                   std::size_t pairs, unsigned trial) {
+  workload_config cfg;
+  cfg.num_threads = threads;
+  cfg.prefill = prefill;
+  cfg.pairs_per_thread = pairs;
+  cfg.seed = 7 + trial;
+  return cfg;
 }
 
-double measure_batched(std::size_t threads, std::size_t prefill,
-                       std::size_t pairs, std::size_t batch) {
-  std::vector<double> mops;
-  for (unsigned trial = 0; trial < trials(); ++trial) {
-    mq_config qcfg;
-    qcfg.beta = 1.0;
-    qcfg.queue_factor = 2;
-    multi_queue<std::uint64_t, std::uint64_t> queue(qcfg, threads);
-    workload_config cfg;
-    cfg.num_threads = threads;
-    cfg.prefill = prefill;
-    cfg.pairs_per_thread = pairs;
-    cfg.seed = 7 + trial;
-    const auto result = run_alternating_batched(queue, cfg, batch);
-    mops.push_back(result.mops_per_sec);
-  }
-  return percentile(mops, 0.5);
+/// A scalar series: run_alternating on a fresh make(threads).
+template <typename Make>
+series_def scalar(std::string name, Make make, std::size_t prefill,
+                  std::size_t pairs) {
+  return {std::move(name), [=](std::size_t threads, unsigned trial) {
+            auto queue = make(threads);
+            return run_alternating(
+                       *queue,
+                       alternating_config(threads, prefill, pairs, trial))
+                .mops_per_sec;
+          }};
+}
+
+mq_config mq_with_beta(double beta) {
+  mq_config cfg;
+  cfg.beta = beta;
+  cfg.queue_factor = 2;
+  return cfg;
 }
 
 }  // namespace
@@ -97,14 +99,53 @@ int main() {
   std::printf("prefill=%zu pairs/thread=%zu (PCQ_BENCH_FULL=%d)\n", prefill,
               pairs, full_scale() ? 1 : 0);
 
-  const std::vector<std::string> series_names{
-      "mq_b1.0",         "mq_b1.0_binary", "mq_b0.75",
-      "mq_b0.5",         "mq_b1.0_batch16", "lj_skiplist",
-      "klsm256",         "spraylist",       "coarse"};
+  using mq = multi_queue<std::uint64_t, std::uint64_t>;
+  const auto make_mq = [](double beta) {
+    return [beta](std::size_t threads) {
+      return std::make_unique<mq>(mq_with_beta(beta), threads);
+    };
+  };
+  const std::vector<series_def> series_defs{
+      scalar("mq_b1.0", make_mq(1.0), prefill, pairs),
+      scalar("mq_b0.75", make_mq(0.75), prefill, pairs),
+      scalar("mq_b0.5", make_mq(0.5), prefill, pairs),
+      {"mq_b1.0_batch16",
+       [=](std::size_t threads, unsigned trial) {
+         mq queue(mq_with_beta(1.0), threads);
+         return run_alternating_batched(
+                    queue, alternating_config(threads, prefill, pairs, trial),
+                    kFig1Batch)
+             .mops_per_sec;
+       }},
+      scalar("lj_skiplist",
+             [](std::size_t) {
+               return std::make_unique<
+                   lj_skiplist_pq<std::uint64_t, std::uint64_t>>();
+             },
+             prefill, pairs),
+      scalar("klsm256",
+             [](std::size_t) {
+               return std::make_unique<klsm_pq<std::uint64_t, std::uint64_t>>(
+                   256);
+             },
+             prefill, pairs),
+      scalar("spraylist",
+             [](std::size_t threads) {
+               return std::make_unique<
+                   spray_pq<std::uint64_t, std::uint64_t>>(threads);
+             },
+             prefill, pairs),
+      scalar("coarse",
+             [](std::size_t) {
+               return std::make_unique<
+                   coarse_pq<std::uint64_t, std::uint64_t>>();
+             },
+             prefill, pairs),
+  };
 
   table_printer table([&] {
     std::vector<std::string> columns{"threads"};
-    columns.insert(columns.end(), series_names.begin(), series_names.end());
+    for (const auto& def : series_defs) columns.push_back(def.name);
     return columns;
   }());
 
@@ -113,67 +154,21 @@ int main() {
     thread_counts.push_back(t);
   }
 
-  const auto make_mq = [](double beta) {
-    return [beta](std::size_t threads) {
-      mq_config cfg;
-      cfg.beta = beta;
-      cfg.queue_factor = 2;
-      return std::make_unique<multi_queue<std::uint64_t, std::uint64_t>>(
-          cfg, threads);
-    };
-  };
-
-  // series[s][i] = Mops/s of series_names[s] at thread_counts[i].
-  std::vector<std::vector<double>> series(series_names.size());
+  // series[s][i] = Mops/s of series_defs[s] at thread_counts[i].
+  std::vector<std::vector<double>> series(series_defs.size());
 
   for (const std::size_t t : thread_counts) {
+    std::vector<std::vector<double>> mops(series_defs.size());
+    for (unsigned trial = 0; trial < trials(); ++trial) {
+      for (std::size_t s = 0; s < series_defs.size(); ++s) {
+        mops[s].push_back(series_defs[s].trial(t, trial));
+      }
+    }
     std::vector<double> row{static_cast<double>(t)};
-    std::size_t s = 0;
-    const auto record = [&](double mops) {
-      series[s++].push_back(mops);
-      row.push_back(mops);
-    };
-    record(measure<multi_queue<std::uint64_t, std::uint64_t>>(
-        make_mq(1.0), t, prefill, pairs));
-    // Same scalar beta=1 configuration on the binary-heap substrate: the
-    // delta against mq_b1.0 (default buffered_heap<16>) is the substrate's
-    // end-to-end contribution.
-    using mq_binary = multi_queue<std::uint64_t, std::uint64_t,
-                                  std::less<std::uint64_t>, binary_heap>;
-    record(measure<mq_binary>(
-        [](std::size_t threads) {
-          mq_config cfg;
-          cfg.beta = 1.0;
-          cfg.queue_factor = 2;
-          return std::make_unique<mq_binary>(cfg, threads);
-        },
-        t, prefill, pairs));
-    record(measure<multi_queue<std::uint64_t, std::uint64_t>>(
-        make_mq(0.75), t, prefill, pairs));
-    record(measure<multi_queue<std::uint64_t, std::uint64_t>>(
-        make_mq(0.5), t, prefill, pairs));
-    record(measure_batched(t, prefill, pairs, kFig1Batch));
-    record(measure<lj_skiplist_pq<std::uint64_t, std::uint64_t>>(
-        [](std::size_t) {
-          return std::make_unique<lj_skiplist_pq<std::uint64_t, std::uint64_t>>();
-        },
-        t, prefill, pairs));
-    record(measure<klsm_pq<std::uint64_t, std::uint64_t>>(
-        [](std::size_t) {
-          return std::make_unique<klsm_pq<std::uint64_t, std::uint64_t>>(256);
-        },
-        t, prefill, pairs));
-    record(measure<spray_pq<std::uint64_t, std::uint64_t>>(
-        [](std::size_t threads) {
-          return std::make_unique<spray_pq<std::uint64_t, std::uint64_t>>(
-              threads);
-        },
-        t, prefill, pairs));
-    record(measure<coarse_pq<std::uint64_t, std::uint64_t>>(
-        [](std::size_t) {
-          return std::make_unique<coarse_pq<std::uint64_t, std::uint64_t>>();
-        },
-        t, prefill, pairs));
+    for (std::size_t s = 0; s < series_defs.size(); ++s) {
+      series[s].push_back(percentile(mops[s], 0.5));
+      row.push_back(series[s].back());
+    }
     table.row(row);
   }
 
@@ -191,8 +186,8 @@ int main() {
   for (const std::size_t t : thread_counts) json.value(t);
   json.end_array();
   json.key("series").begin_array();
-  for (std::size_t s = 0; s < series_names.size(); ++s) {
-    json.begin_object().kv("name", series_names[s]);
+  for (std::size_t s = 0; s < series_defs.size(); ++s) {
+    json.begin_object().kv("name", series_defs[s].name);
     json.key("mops").begin_array();
     for (const double m : series[s]) json.value(m);
     json.end_array().end_object();
@@ -205,10 +200,6 @@ int main() {
       "expected shape (paper): MultiQueues scale; beta<1 up to ~20%% above "
       "beta=1 at high threads;\nbatch=16 above scalar beta=1 everywhere; LJ "
       "flattens from deleteMin contention; kLSM\nbelow MultiQueues; coarse "
-      "collapses. Substrate A/B: mq_b1.0 (sorted runs) vs "
-      "mq_b1.0_binary:\nbinary can lead at one thread, since each slot's "
-      "first refill sorts its\nwhole prefill inside the timed loop; the "
-      "runs lead once threads share the\nslots. BENCH_micro has the "
-      "isolated substrate effect.\n");
+      "collapses.\n");
   return 0;
 }

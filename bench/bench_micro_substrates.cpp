@@ -1,10 +1,12 @@
-// MICRO — single-threaded microbenchmarks of the sequential substrates
-// (the MultiQueue's per-slot queue choice) plus the scalar utility costs
-// every hot-path operation pays (RNG draws, alias sampling, Fenwick
-// updates, uncontended spinlock acquisition). These numbers compare the
-// substrates a slot can hold (the MultiQueue's default buffered_heap<16>,
-// buffers over sorted runs, is the buffered16 series) and document what
-// a d-choice probe costs before it ever touches a heap.
+// MICRO — single-threaded microbenchmarks of the sequential heaps plus
+// the scalar utility costs every hot-path operation pays (RNG draws,
+// alias sampling, Fenwick updates, uncontended spinlock acquisition).
+// The buffered16 series is the heap every MultiQueue slot holds
+// (buffered_heap<16>, buffers over sorted runs); the d-ary heaps
+// (dary4 is coarse_pq's heap and the CI gate's anchor) and
+// std::priority_queue are the plain array heaps it is measured against.
+// The utility table documents what a d-choice probe costs before it ever
+// touches a heap.
 //
 // Substrate table: hold-model pairs at fixed heap depth — the regime a
 // MultiQueue slot actually lives in (its depth hovers around
@@ -18,11 +20,11 @@
 // Each (substrate, depth) cell prefills once and reuses the structure
 // across trials: steady state is the point, not construction.
 //
-// Expected shape: the heaps (binary, dary*, std_pq) sit within a few tens
+// Expected shape: the array heaps (dary*, std_pq) sit within a few tens
 // of percent of each other at every depth and trade places from run to
 // run; cost per pair grows with depth as the comparison tree leaves L1,
-// then L2. buffered16 leads them all, by 1.3-1.7x up to 2^16 and 3-4x
-// at 2^20: a refill reads its sorted runs in order where a heap pop
+// then L2. buffered16 leads them all, by 1.4-1.7x dary4 up to 2^16 and
+// 3-4x at 2^20: a refill reads its sorted runs in order where a heap pop
 // walks a root-to-leaf path.
 //
 // Emits BENCH_micro.json (gated in CI against a committed baseline).
@@ -39,10 +41,8 @@
 #include "benchlib/bench_env.hpp"
 #include "benchlib/json_writer.hpp"
 #include "benchlib/table_printer.hpp"
-#include "heap/binary_heap.hpp"
 #include "heap/buffered_heap.hpp"
 #include "heap/dary_heap.hpp"
-#include "heap/heap_concept.hpp"
 #include "util/discrete_distribution.hpp"
 #include "util/fenwick.hpp"
 #include "util/rng.hpp"
@@ -139,7 +139,6 @@ struct series_def {
 };
 
 const series_def kSeries[] = {
-    {"binary", &make_cell<sub_t<binary_heap>>},
     {"dary2", &make_cell<sub_t<dary_heap<2>>>},
     {"dary4", &make_cell<sub_t<dary_heap<4>>>},
     {"buffered16", &make_cell<sub_t<buffered_heap<16>>>},

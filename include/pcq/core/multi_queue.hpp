@@ -2,24 +2,21 @@
 // Nadiradze, "The Power of Choice in Priority Scheduling" (PODC 2017).
 //
 // Structure: n = queue_factor * num_threads sequential priority queues
-// (the Heap substrate parameter — any selector modeling
-// heap/heap_concept.hpp; default is buffered_heap<16>, a sorted deletion
-// buffer and an insertion buffer in front of a store of sorted runs),
+// (each a buffered_heap<16>: a sorted deletion buffer and an insertion
+// buffer in front of a store of sorted runs, popping the exact minimum),
 // each guarded by its own spinlock, each publishing its current
 // minimum key in an atomic "top" cell so deleteMin can compare
-// candidates without locking. The substrate choice never touches the
-// decision procedure: which queue an op samples, how many RNG draws it
-// makes, and which published tops it compares are identical for every
-// Heap — only the per-op constant factor inside the lock changes
-// (measured head-to-head by bench_micro_substrates and fig1's substrate
-// columns).
+// candidates without locking. The paper never opens these queues: which
+// queue an op samples, how many RNG draws it makes, and which published
+// tops it compares depend only on the tops, never on how a slot stores
+// its entries.
 //
-// Slot layout: lock, top and count come first, then the substrate. The
-// default substrate's counts and run-store pointer fill the rest of
-// that first line, and its buffers follow on their own lines, so a slot
-// that never holds more than 2B entries stays inside its own lines, and
-// only a buffer flush or refill reaches the run store (see
-// heap/buffered_heap.hpp for the line budget).
+// Slot layout: lock, top and count come first, then the heap. Its
+// counts and run-store pointer fill the rest of that first line, and its
+// buffers follow on their own lines, so a slot that never holds more
+// than 32 entries stays inside its own lines, and only a buffer flush
+// or refill reaches the run store (see heap/buffered_heap.hpp for the
+// line budget).
 //
 // insert(key):   sample one queue uniformly (optionally sticky for s
 //                consecutive inserts), lock it, push.
@@ -78,7 +75,6 @@
 #include <vector>
 
 #include "heap/buffered_heap.hpp"
-#include "heap/heap_concept.hpp"
 #include "util/rng.hpp"
 #include "util/spinlock.hpp"
 #include "util/striped_counter.hpp"
@@ -110,15 +106,13 @@ struct mq_config {
   std::uint64_t seed = 0x706371u;  // "pcq"
 };
 
-template <typename Key, typename Value, typename Compare = std::less<Key>,
-          typename Heap = buffered_heap<16>>
+template <typename Key, typename Value, typename Compare = std::less<Key>>
 class multi_queue {
   static_assert(std::is_trivially_copyable<Key>::value,
                 "multi_queue keys must be trivially copyable (they are "
                 "published through std::atomic)");
 
-  using slot_heap = heap_substrate_t<Heap, Key, Value, Compare>;
-  PCQ_ASSERT_HEAP_CONCEPT(slot_heap);
+  using slot_heap = buffered_heap_t<Key, Value, Compare, 16>;
 
  public:
   using entry = std::pair<Key, Value>;

@@ -2,7 +2,7 @@
 // against (every fig3 cell and the ctest equality suite assert
 // distance-for-distance equality).
 //
-// Lazy-deletion variant over the repo's binary_heap: decrease-key is
+// Lazy-deletion variant over the repo's 4-ary heap: decrease-key is
 // re-push, stale heap entries are skipped when their recorded distance
 // has already improved — the same stale-entry elision rule the parallel
 // loop applies after a relaxed pop, so the two implementations differ
@@ -14,8 +14,8 @@
 #include <limits>
 #include <vector>
 
-#include "heap/binary_heap.hpp"
 #include "graph/csr_graph.hpp"
+#include "heap/dary_heap.hpp"
 
 namespace pcq {
 namespace graph {
@@ -32,7 +32,7 @@ inline dijkstra_result dijkstra(const csr_graph& g,
                                 csr_graph::node_id source) {
   dijkstra_result result;
   result.distance.assign(g.num_nodes(), kUnreachable);
-  binary_heap_t<std::uint64_t, csr_graph::node_id> frontier;
+  dary_heap_t<std::uint64_t, csr_graph::node_id> frontier;
   result.distance[source] = 0;
   frontier.push(0, source);
   while (!frontier.empty()) {

@@ -1,12 +1,13 @@
 // Buffered heap: a sorted deletion buffer and an unsorted insertion
-// buffer in front of a store of ascending sorted runs — the MultiQueue's
-// default slot substrate. The buffers are the buffered half of Williams,
-// Sanders & Dementiev, "Engineering MultiQueues" (ESA 2021,
+// buffer in front of a store of ascending sorted runs — the heap every
+// MultiQueue slot holds, at B = 16. The buffers are the buffered half of
+// Williams, Sanders & Dementiev, "Engineering MultiQueues" (ESA 2021,
 // arXiv:2107.01350), without its sticky operations; the run store is the
 // merged sorted runs of Sanders' sequence heap ("Fast Priority Queues for
-// Cached Memory", JEA 2000). The structure still pops the exact minimum,
-// so a MultiQueue slot publishes the same top, and every sample, RNG draw
-// and popped key of the paper's process is unchanged.
+// Cached Memory", JEA 2000). The structure pops the exact minimum, so a
+// MultiQueue slot publishes its true least key, and every sample, RNG
+// draw and popped key of the paper's process is what any exact heap
+// would give.
 //
 // Parts and invariant (B = buffer capacity):
 //
@@ -319,7 +320,7 @@ class buffered_heap_t : private heap_detail::compare_holder<Compare> {
 };
 
 /// Selector: B-entry deletion and insertion buffers over a sorted-run
-/// store (the MultiQueue default, B = 16).
+/// store (a MultiQueue slot's heap at B = 16).
 template <std::size_t B = 16>
 struct buffered_heap {
   template <typename Key, typename Value, typename Compare>

@@ -1,6 +1,5 @@
-// Cache-aware flat d-ary min-heap — coarse_pq's substrate, and a slot
-// substrate the MultiQueue can take (dary_heap<A>; its default is
-// heap/buffered_heap.hpp).
+// Cache-aware flat d-ary min-heap — coarse_pq's heap and the frontier of
+// graph/dijkstra.hpp. A MultiQueue slot holds heap/buffered_heap.hpp.
 //
 // Why arity beats binary for deleteMin-heavy workloads: a sift-down
 // touches O(log_d n) levels instead of O(log_2 n), and at each level the
@@ -18,11 +17,22 @@
 // at physical d-1). The d-1 wasted leading slots are the entire space
 // cost.
 //
-// pop uses the same bottom-up "bounce" deletion as heap/binary_heap.hpp:
-// the hole walks the min-child path to a leaf (d-1 sibling compares per
-// level, never comparing the moving tail entry), the tail entry drops
-// into the leaf hole and sifts up — O(1) expected correction, so the
-// per-pop compare count is ~(d-1)·log_d n instead of d·log_d n.
+// pop uses bottom-up "bounce" deletion (Wegener 1993): the hole walks the
+// min-child path to a leaf (d-1 sibling compares per level, never
+// comparing the moving tail entry), the tail entry drops into the leaf
+// hole and sifts up — O(1) expected correction, since the tail came from
+// the deepest layer, so the per-pop compare count is ~(d-1)·log_d n
+// instead of d·log_d n.
+//
+// Heap surface, shared with buffered_heap_t (entry = std::pair<Key,
+// Value>; "least" is under Compare, so std::less pops the minimum):
+// empty(), size(), reserve(n) (a capacity hint), top_key() and top() (the
+// least entry), push(key, value) and pop() (removes and returns the least
+// entry); top, top_key and pop need a non-empty heap. Neither heap is
+// thread-safe: a MultiQueue slot's spinlock serializes its heap. Each
+// header also defines a selector, a tag struct (dary_heap<A>,
+// buffered_heap<B>) whose nested `substrate` alias heap_substrate_t
+// rebinds, so tests and benches name a heap by its compile-time knob.
 
 #pragma once
 
@@ -33,9 +43,12 @@
 #include <utility>
 #include <vector>
 
-#include "heap/heap_concept.hpp"
-
 namespace pcq {
+
+/// Rebind a heap selector to a concrete heap type.
+template <typename Selector, typename Key, typename Value, typename Compare>
+using heap_substrate_t =
+    typename Selector::template substrate<Key, Value, Compare>;
 
 namespace heap_detail {
 

@@ -3,11 +3,15 @@
 // perfectly balanced at every sample; the two-choice run keeps the
 // potential O(q) while the no-choice run diverges past it; bias loses to
 // choice when beta dominates gamma; traces are pure functions of the
-// seed; the sampling cadence tiles num_steps.
+// seed; the sampling cadence tiles num_steps; and, read as classic
+// balls into bins (gamma = 0), two choices keep the max load far closer
+// to the average than one.
 
 #include "sim/exponential_process.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 #include "test_macros.hpp"
@@ -30,6 +34,16 @@ double final_potential(const exp_process_config& cfg) {
   exponential_process p(cfg);
   p.run();
   return p.samples().back().potential;
+}
+
+/// Max load minus the average after the run, read from loads().
+double max_above_average(const exp_process_config& cfg) {
+  exponential_process p(cfg);
+  p.run();
+  const auto& loads = p.loads();
+  return static_cast<double>(*std::max_element(loads.begin(), loads.end())) -
+         static_cast<double>(cfg.num_steps) /
+             static_cast<double>(cfg.num_bins);
 }
 
 }  // namespace
@@ -142,6 +156,23 @@ int main() {
     r.run();
     CHECK(r.samples().size() == 1);
     CHECK(r.samples().back().step == 1000);
+  }
+
+  // Balls into bins: at 64 bins and 2^18 balls the two-choice gap is
+  // far below the one-choice gap, and still above zero.
+  {
+    exp_process_config cfg;
+    cfg.num_bins = 64;
+    cfg.num_steps = std::uint64_t{1} << 18;
+    cfg.sample_every = 0;
+    cfg.beta = 1.0;
+    cfg.seed = 41;
+    const double two = max_above_average(cfg);
+    cfg.beta = 0.0;
+    cfg.seed = 42;
+    const double one = max_above_average(cfg);
+    CHECK(two < 0.25 * one);
+    CHECK(two > 0.0);
   }
 
   std::printf("test_exponential_process: OK\n");

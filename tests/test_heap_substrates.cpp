@@ -1,40 +1,32 @@
-// heap/ substrate family — concept conformance and behavioral equivalence
-// for every sequential substrate, plus the queues they plug into.
+// heap/ — behavioral equivalence for every sequential heap, dary_heap<A>
+// and buffered_heap<B>, the heap every MultiQueue slot holds.
 //
-// Per substrate: the granular PCQ_ASSERT_HEAP_CONCEPT asserts; randomized
-// interleaved push/pop against a std::priority_queue oracle (bounded key
-// range, so duplicate keys are constantly exercised); a full ordered
-// drain; move-construction mid-stream; reserve under later growth; and a
-// std::greater instantiation (max-heap semantics).
-//
-// Per queue: the shared conformance suite over multi_queue instantiated
-// with each substrate selector — the substrate knob must be invisible at
-// the handle-concept level.
+// Per heap: randomized interleaved push/pop against a std::priority_queue
+// oracle (bounded key range, so duplicate keys are constantly exercised);
+// a full ordered drain; move-construction mid-stream; reserve under later
+// growth; and a std::greater instantiation (max-heap semantics).
 //
 // buffered_heap: named edge cases for each path between its three parts
 // (deletion buffer, insertion buffer, sorted-run store), checked against
 // a sorted oracle and against the part sizes the path must leave, plus the
-// header size the MultiQueue lock-line budget rests on; and a randomized
-// differential test against a std::multiset that also bounds the run
-// ladder after every refill.
+// header size the MultiQueue lock-line budget rests on; a sized prefill
+// through the MultiQueue itself; and a randomized differential test
+// against a std::multiset that also bounds the run ladder after every
+// refill.
 
-#include "heap/binary_heap.hpp"
 #include "heap/buffered_heap.hpp"
 #include "heap/dary_heap.hpp"
-#include "heap/heap_concept.hpp"
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "core/multi_queue.hpp"
-#include "pq_test_harness.hpp"
 #include "test_macros.hpp"
 #include "util/rng.hpp"
 
@@ -46,18 +38,6 @@ template <typename Selector>
 using sub_t = pcq::heap_substrate_t<Selector, u64, u64, std::less<u64>>;
 template <typename Selector>
 using max_sub_t = pcq::heap_substrate_t<Selector, u64, u64, std::greater<u64>>;
-
-// Concept conformance, min- and max-heap instantiations of every selector.
-#define ASSERT_BOTH(Selector)                  \
-  PCQ_ASSERT_HEAP_CONCEPT(sub_t<Selector>);    \
-  PCQ_ASSERT_HEAP_CONCEPT(max_sub_t<Selector>)
-ASSERT_BOTH(pcq::binary_heap);
-ASSERT_BOTH(pcq::dary_heap<2>);
-ASSERT_BOTH(pcq::dary_heap<4>);
-ASSERT_BOTH(pcq::dary_heap<8>);
-ASSERT_BOTH(pcq::buffered_heap<16>);
-ASSERT_BOTH(pcq::buffered_heap<1>);
-#undef ASSERT_BOTH
 
 constexpr u64 kValueMix = 0x9E3779B97F4A7C15ull;
 u64 value_of(u64 key) { return key * kValueMix + 1; }
@@ -323,27 +303,31 @@ void buffered_duplicates_across_parts() {
   drain_matches(h, pushed);
 }
 
+std::vector<std::pair<u64, u64>> ascending_batch(std::size_t n) {
+  std::vector<std::pair<u64, u64>> batch;
+  for (std::size_t i = 0; i < n; ++i) batch.emplace_back(3 * i, i);
+  return batch;
+}
+
 /// reserve followed by an ascending batch of the reserved size — what
-/// multi_queue's push_batch does to a slot during a sized prefill — and
-/// the same through the queue itself.
+/// multi_queue's push_batch does to a slot during a sized prefill.
 template <std::size_t B>
 void buffered_reserve_then_ascending_batch(std::size_t n) {
   buffered_t<B> h;
   h.reserve(n);
-  std::vector<std::pair<u64, u64>> pushed;
-  for (std::size_t i = 0; i < n; ++i) {
-    h.push(3 * i, i);
-    pushed.emplace_back(3 * i, i);
-  }
+  const auto pushed = ascending_batch(n);
+  for (const auto& e : pushed) h.push(e.first, e.second);
   CHECK(h.size() == n && h.deletion_size() == std::min(n, B));
   CHECK(h.top_key() == 0);
   drain_matches(h, pushed);
+}
 
-  using queue_t =
-      pcq::multi_queue<u64, u64, std::less<u64>, pcq::buffered_heap<B>>;
+/// The same sized prefill through the MultiQueue itself.
+void queue_reserve_then_ascending_batch(std::size_t n) {
+  const auto pushed = ascending_batch(n);
   pcq::mq_config cfg;
   cfg.expected_capacity = n;
-  queue_t queue(cfg, 2);
+  pcq::multi_queue<u64, u64> queue(cfg, 2);
   auto handle = queue.get_handle(0);
   handle.push_batch(pushed.data(), pushed.size());
   CHECK(queue.size() == n);
@@ -461,24 +445,9 @@ void buffered_edge_cases() {
   buffered_reserve_then_ascending_batch<B>(std::size_t{1} << 16);
 }
 
-// ---- queues parameterized by substrate ----
-
-template <typename Selector>
-void mq_suite_with(std::uint64_t seed) {
-  using queue_t = pcq::multi_queue<u64, u64, std::less<u64>, Selector>;
-  pcq::testing::run_standard_suite(
-      [](std::size_t threads) {
-        pcq::mq_config cfg;
-        cfg.expected_capacity = 4096;
-        return std::make_unique<queue_t>(cfg, threads);
-      },
-      /*drain_exact=*/false, seed);
-}
-
 }  // namespace
 
 int main() {
-  substrate_suite<pcq::binary_heap>(0x5b1);
   substrate_suite<pcq::dary_heap<2>>(0x5d2);
   substrate_suite<pcq::dary_heap<4>>(0x5d4);
   substrate_suite<pcq::dary_heap<8>>(0x5d8);
@@ -492,10 +461,7 @@ int main() {
   buffered_differential_phases<1>(0xd1f1);
   buffered_differential_phases<3>(0xd1f3);
   buffered_differential_phases<16>(0xd1f16);
-
-  mq_suite_with<pcq::dary_heap<4>>(0x310);  // the previous default
-  mq_suite_with<pcq::binary_heap>(0x311);
-  mq_suite_with<pcq::dary_heap<8>>(0x312);
+  queue_reserve_then_ascending_batch(std::size_t{1} << 16);
 
   std::printf("test_heap_substrates OK\n");
   return 0;

@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "test_macros.hpp"
-#include "sim/balls_into_bins.hpp"
 
 namespace {
 
@@ -150,17 +149,6 @@ int main() {
     p.run_streaming(1u << 12, 1u << 14);
     CHECK(p.costs().num_removals() == (1u << 14));
     CHECK(p.costs().mean_rank() < 4.0 * 8.0);
-  }
-
-  // balls_into_bins: two-choice gap is far smaller than single-choice.
-  {
-    balls_into_bins two(64, 1.0, 41);
-    balls_into_bins one(64, 0.0, 42);
-    two.run(1u << 18);
-    one.run(1u << 18);
-    CHECK(two.current_gap().max_minus_avg <
-          0.25 * one.current_gap().max_minus_avg);
-    CHECK(two.current_gap().max_minus_avg > 0.0);
   }
 
   std::printf("test_label_process OK\n");
