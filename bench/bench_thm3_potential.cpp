@@ -14,9 +14,8 @@
 // Emits BENCH_thm3.json: x-axis = checkpoint index, one series per
 // case, "mops" = balance = 2q / Gamma in (0, 1] (higher is better,
 // 1.0 = perfectly balanced; finite even when Gamma overflows). The
-// process is a pure function of its seed, so CI gates the pot_* series
-// against bench/baselines/BENCH_thm3.baseline.json exactly —
-// scripts/check_bench_regression.py --figure thm3 --gate-prefix pot_.
+// process is a pure function of its seed, so CI gates the whole file
+// byte for byte: cmp against bench/baselines/BENCH_thm3.baseline.json.
 
 #include <cmath>
 #include <cstddef>
@@ -36,7 +35,7 @@ using namespace pcq::bench;
 using namespace pcq::sim;
 
 struct case_def {
-  const char* name;  ///< pot_* series gate in CI; single_* are contrast
+  const char* name;  ///< pot_*: bounded cases; single_*: divergent contrast
   double beta;
   double gamma;
   bias_kind bias;

@@ -136,7 +136,7 @@ class pq_dispatcher {
 };
 
 /// FCFS: one strict shared queue keyed by arrival sequence — the single
-/// MPMC queue baseline (a binary heap on seq IS a FIFO).
+/// MPMC queue baseline (a dary_heap on seq IS a FIFO).
 inline pq_dispatcher<coarse_pq<std::uint64_t, std::uint64_t>>
 make_fcfs_dispatcher(std::size_t workers) {
   return {std::unique_ptr<coarse_pq<std::uint64_t, std::uint64_t>>(

@@ -16,7 +16,7 @@
 //            process's pick_removal_bin, and the emptiness sweep /
 //            backoff consume no randomness;
 //   state:   keys are labels inserted in increasing order, so each
-//            binary heap's minimum IS its bin's FIFO front;
+//            buffered_heap's exact minimum IS its bin's FIFO front;
 //
 // and both sides draw from identical xoshiro streams: the label process
 // is seeded with derive_seed(mq_seed, 0), which is exactly how handle 0
