@@ -1,7 +1,7 @@
 // A thread-pool job system scheduled by relaxed priority — the layer
 // that turns the pcq queues from data structures into an application
-// runtime (ROADMAP direction 3). Tasks carry a priority key, may
-// `spawn` children and await them, and the *ready queue is pluggable
+// runtime. Tasks carry a priority key, may `spawn` children and await
+// them, and the *ready queue is pluggable
 // behind the pq handle concept*: the MultiQueue (the paper's pop-time
 // choice), any strict baseline, or the Chase–Lev steal-deque pool
 // (scheduler-level choice, no priority order at all).

@@ -18,12 +18,12 @@
 // diameter, duplicate arcs possible — the structural opposite of the
 // grid, so the test pair covers both shapes.
 //
-// Both are deterministic in their seed.
+// Both are deterministic in their seed, and neither builds an edge
+// list: csr_graph::build runs the seeded stream once per pass.
 
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "graph/csr_graph.hpp"
 #include "util/rng.hpp"
@@ -46,34 +46,32 @@ struct road_network_params {
 inline csr_graph make_road_network(const road_network_params& params) {
   const std::uint64_t w = params.width > 0 ? params.width : 1;
   const std::uint64_t h = params.height > 0 ? params.height : 1;
-  const std::uint64_t n = w * h;
-  xoshiro256ss rng(params.seed);
+  const auto n = static_cast<csr_graph::node_id>(w * h);
   const std::uint64_t weight_span =
       params.max_weight >= params.min_weight
           ? params.max_weight - params.min_weight + 1
           : 1;
 
-  std::vector<csr_graph::edge> edges;
-  edges.reserve(static_cast<std::size_t>(4 * n));
-  const auto add_road = [&](std::uint64_t a, std::uint64_t b) {
-    if (params.knockout > 0.0 && rng.bernoulli(params.knockout)) return;
-    const auto weight = static_cast<csr_graph::weight_t>(
-        params.min_weight + rng.bounded(weight_span));
-    edges.push_back(csr_graph::edge{static_cast<csr_graph::node_id>(a),
-                                    static_cast<csr_graph::node_id>(b),
-                                    weight});
-    edges.push_back(csr_graph::edge{static_cast<csr_graph::node_id>(b),
-                                    static_cast<csr_graph::node_id>(a),
-                                    weight});
-  };
-  for (std::uint64_t y = 0; y < h; ++y) {
-    for (std::uint64_t x = 0; x < w; ++x) {
-      const std::uint64_t u = y * w + x;
-      if (x + 1 < w) add_road(u, u + 1);
-      if (y + 1 < h) add_road(u, u + w);
+  // Each build pass replays the same seeded stream.
+  return csr_graph::build(n, [&](auto&& sink) {
+    xoshiro256ss rng(params.seed);
+    const auto add_road = [&](std::uint64_t a, std::uint64_t b) {
+      if (params.knockout > 0.0 && rng.bernoulli(params.knockout)) return;
+      const auto weight = static_cast<csr_graph::weight_t>(
+          params.min_weight + rng.bounded(weight_span));
+      sink(static_cast<csr_graph::node_id>(a),
+           static_cast<csr_graph::node_id>(b), weight);
+      sink(static_cast<csr_graph::node_id>(b),
+           static_cast<csr_graph::node_id>(a), weight);
+    };
+    for (std::uint64_t y = 0; y < h; ++y) {
+      for (std::uint64_t x = 0; x < w; ++x) {
+        const std::uint64_t u = y * w + x;
+        if (x + 1 < w) add_road(u, u + 1);
+        if (y + 1 < h) add_road(u, u + w);
+      }
     }
-  }
-  return csr_graph::from_edges(static_cast<csr_graph::node_id>(n), edges);
+  });
 }
 
 struct random_graph_params {
@@ -90,24 +88,26 @@ inline csr_graph make_random_graph(const random_graph_params& params) {
       static_cast<double>(n) * (params.avg_degree > 0.0 ? params.avg_degree
                                                         : 0.0) +
       0.999);
-  xoshiro256ss rng(params.seed);
   const std::uint64_t weight_span =
       params.max_weight >= params.min_weight
           ? params.max_weight - params.min_weight + 1
           : 1;
 
-  std::vector<csr_graph::edge> edges;
-  if (n < 2) return csr_graph::from_edges(n, edges);  // only self-loops exist
-  edges.reserve(m);
-  while (edges.size() < m) {
-    const auto tail = static_cast<csr_graph::node_id>(rng.bounded(n));
-    const auto head = static_cast<csr_graph::node_id>(rng.bounded(n));
-    if (tail == head) continue;
-    const auto weight = static_cast<csr_graph::weight_t>(
-        params.min_weight + rng.bounded(weight_span));
-    edges.push_back(csr_graph::edge{tail, head, weight});
-  }
-  return csr_graph::from_edges(n, edges);
+  // Only self-loops exist below two nodes: no arcs (and no endless
+  // rejection loop).
+  const std::uint64_t arcs = n < 2 ? 0 : m;
+  return csr_graph::build(n, [&](auto&& sink) {
+    xoshiro256ss rng(params.seed);
+    for (std::uint64_t made = 0; made < arcs;) {
+      const auto tail = static_cast<csr_graph::node_id>(rng.bounded(n));
+      const auto head = static_cast<csr_graph::node_id>(rng.bounded(n));
+      if (tail == head) continue;
+      const auto weight = static_cast<csr_graph::weight_t>(
+          params.min_weight + rng.bounded(weight_span));
+      sink(tail, head, weight);
+      ++made;
+    }
+  });
 }
 
 }  // namespace graph

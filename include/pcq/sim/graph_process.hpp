@@ -38,17 +38,14 @@ namespace sim {
 /// order being the id order. Parallel arcs are kept; the dependency
 /// counting below treats them as multi-edges consistently.
 inline graph::csr_graph make_dag(const graph::csr_graph& g) {
-  std::vector<graph::csr_graph::edge> edges;
-  edges.reserve(g.num_edges());
-  for (graph::csr_graph::node_id u = 0; u < g.num_nodes(); ++u) {
-    for (const graph::csr_graph::arc& a : g.out(u)) {
-      if (a.head == u) continue;
-      const auto lo = u < a.head ? u : a.head;
-      const auto hi = u < a.head ? a.head : u;
-      edges.push_back(graph::csr_graph::edge{lo, hi, a.weight});
+  return graph::csr_graph::build(g.num_nodes(), [&g](auto&& sink) {
+    for (graph::csr_graph::node_id u = 0; u < g.num_nodes(); ++u) {
+      for (const graph::csr_graph::arc& a : g.out(u)) {
+        if (a.head == u) continue;
+        sink(u < a.head ? u : a.head, u < a.head ? a.head : u, a.weight);
+      }
     }
-  }
-  return graph::csr_graph::from_edges(g.num_nodes(), edges);
+  });
 }
 
 /// Longest-path depth of every node of a low->high oriented DAG. One

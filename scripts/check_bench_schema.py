@@ -20,7 +20,9 @@ plotting assume:
     poisons a committed baseline or a regression gate); scalar series
     keys (per-series metadata like abl_batch's "batch") must be finite
     numbers, strings, or booleans;
-  - every other top-level number is finite too.
+  - every other number in the file, at any depth (the gated nested
+    objects such as "tables", "one_thread", "rank_cost" and
+    "sequential" included), is finite, and no value anywhere is null.
 
 Exits nonzero listing every violation across all files (a malformed
 writer fails CI at the lint step, not mysteriously inside the gate).
@@ -121,11 +123,22 @@ def check_file(errors, path):
                      f"string, bool, or numeric list")
 
     for key, value in doc.items():
-        if key in ("threads", "series"):
-            continue
-        if isinstance(value, (int, float)) and not isinstance(value, bool) \
-                and not math.isfinite(value):
-            fail(errors, path, f'top-level "{key}" is not finite')
+        if key not in ("threads", "series"):
+            check_nested(errors, path, f'"{key}"', value)
+
+
+def check_nested(errors, path, where, value):
+    """Every number under `value`, at any depth, is finite; no null."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            check_nested(errors, path, f"{where}.{key}", item)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            check_nested(errors, path, f"{where}[{i}]", item)
+    elif value is None or (isinstance(value, float)
+                           and not math.isfinite(value)):
+        fail(errors, path, f"{where} is {value!r}, not a finite number "
+                           f"(null = the writer saw inf/nan)")
 
 
 def main():

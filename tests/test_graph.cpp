@@ -1,5 +1,7 @@
-// Graph layer: CSR construction, DIMACS parsing, generators, sequential
-// Dijkstra on hand-checked graphs, and the headline invariant —
+// Graph layer: CSR construction (differential against a stable sort,
+// golden checksums of the generators, rejection of bad input and of
+// replays that change between passes), DIMACS parsing, generators,
+// sequential Dijkstra on hand-checked graphs, and the headline invariant —
 // parallel_sssp produces distances EXACTLY equal to sequential Dijkstra
 // for every one of the five queue types, on both generator families,
 // single- and multi-threaded. Scales are TSan-friendly; build with
@@ -7,6 +9,7 @@
 
 #include "graph/csr_graph.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -26,6 +29,8 @@
 #include "graph/dimacs.hpp"
 #include "graph/generators.hpp"
 #include "graph/parallel_sssp.hpp"
+#include "sim/graph_process.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -93,6 +98,89 @@ csr_graph shared_head_graph(std::uint32_t m) {
   return csr_graph::from_edges(h + 3, edges);
 }
 
+// FNV-1a over a whole CSR: the node count, then each row's length and
+// its arcs' heads and weights, little-endian.
+std::uint64_t fnv1a(const csr_graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(g.num_nodes(), 4);
+  for (csr_graph::node_id u = 0; u < g.num_nodes(); ++u) {
+    mix(g.degree(u), 8);
+    for (const csr_graph::arc& a : g.out(u)) {
+      mix(a.head, 4);
+      mix(a.weight, 4);
+    }
+  }
+  return h;
+}
+
+// Differential cell: from_edges (the counting sort of csr_graph::build)
+// against the definition of the CSR, a stable sort of the edge list by
+// tail: rows in tail order, each row's arcs in input order.
+void check_against_stable_sort(std::uint32_t n,
+                               std::vector<csr_graph::edge> edges) {
+  const csr_graph g = csr_graph::from_edges(n, edges);
+  std::stable_sort(edges.begin(), edges.end(),
+                   [](const csr_graph::edge& a, const csr_graph::edge& b) {
+                     return a.tail < b.tail;
+                   });
+  CHECK(g.num_nodes() == n);
+  CHECK(g.num_edges() == edges.size());
+  std::size_t i = 0;
+  for (csr_graph::node_id u = 0; u < n; ++u) {
+    for (const csr_graph::arc& a : g.out(u)) {
+      CHECK(i < edges.size());
+      CHECK(edges[i].tail == u);
+      CHECK(edges[i].head == a.head && edges[i].weight == a.weight);
+      ++i;
+    }
+  }
+  CHECK(i == edges.size());
+}
+
+// m edges over n nodes in seeded random order. Tails are drawn from the
+// first `tails` nodes only, so the rest of the rows stay empty; heads
+// range over all n, so self-loops and parallel arcs occur.
+std::vector<csr_graph::edge> random_edges(std::uint32_t n, std::uint32_t tails,
+                                          std::size_t m, std::uint64_t seed) {
+  pcq::xoshiro256ss rng(seed);
+  std::vector<csr_graph::edge> edges(m);
+  for (csr_graph::edge& e : edges) {
+    e.tail = static_cast<csr_graph::node_id>(rng.bounded(tails));
+    e.head = static_cast<csr_graph::node_id>(rng.bounded(n));
+    e.weight = static_cast<csr_graph::weight_t>(rng.bounded(4));
+  }
+  return edges;
+}
+
+template <typename Build>
+bool throws_invalid_argument(Build build) {
+  try {
+    build();
+  } catch (const std::invalid_argument&) {
+    return true;
+  }
+  return false;
+}
+
+// build() over a replay that emits `first` in pass 1 and `second` in
+// every later pass.
+csr_graph build_changing(std::uint32_t n,
+                         const std::vector<csr_graph::edge>& first,
+                         const std::vector<csr_graph::edge>& second) {
+  int passes = 0;
+  return csr_graph::build(n, [&](auto&& sink) {
+    for (const csr_graph::edge& e : ++passes == 1 ? first : second) {
+      sink(e.tail, e.head, e.weight);
+    }
+  });
+}
+
 template <typename MakeQueue>
 void check_all_graphs(MakeQueue make) {
   using queue_t = typename std::decay<decltype(*make(1))>::type;
@@ -154,6 +242,96 @@ int main() {
     CHECK(row.size() == 2);
     CHECK(row.begin()[0].head == 1 && row.begin()[0].weight == 2);
     CHECK(row.begin()[1].head == 2 && row.begin()[1].weight == 5);
+  }
+
+  // Counting sort == stable sort by tail: shuffled order, parallel
+  // arcs, self-loops, empty rows, one node, no edges, and edge counts
+  // below, at and just past the build's 64-edge prefetch window.
+  {
+    check_against_stable_sort(1, {});
+    check_against_stable_sort(5, {});
+    check_against_stable_sort(1, {{0, 0, 7}, {0, 0, 3}, {0, 0, 7}});
+    check_against_stable_sort(3, {{2, 1, 1}, {2, 1, 1}, {0, 0, 5},
+                                  {2, 2, 0}, {0, 2, 9}});
+    std::uint64_t seed = 0x5eed;
+    for (const std::size_t m : {std::size_t{1}, std::size_t{31},
+                                std::size_t{63}, std::size_t{64},
+                                std::size_t{65}, std::size_t{97}}) {
+      check_against_stable_sort(7, random_edges(7, 7, m, ++seed));
+    }
+    check_against_stable_sort(300, random_edges(300, 40, 100, ++seed));
+    check_against_stable_sort(40, random_edges(40, 40, 2000, ++seed));
+    // A tail-sorted list in shuffled order.
+    std::vector<csr_graph::edge> sorted =
+        random_edges(1000, 1000, 5000, ++seed);
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const csr_graph::edge& a, const csr_graph::edge& b) {
+                       return a.tail < b.tail;
+                     });
+    pcq::xoshiro256ss rng(++seed);
+    for (std::size_t i = sorted.size(); i > 1; --i) {
+      std::swap(sorted[i - 1], sorted[rng.bounded(i)]);
+    }
+    check_against_stable_sort(1000, sorted);
+  }
+
+  // Every generated graph is byte-identical to the one the edge-list
+  // construction built (checksums taken before build() replaced it).
+  {
+    road_network_params road;
+    road.width = road.height = 64;
+    const csr_graph grid = make_road_network(road);
+    CHECK(grid.num_edges() == 15676);
+    CHECK(fnv1a(grid) == 0xc048d931fccd4ca0ull);
+    random_graph_params rnd;
+    rnd.nodes = 4096;
+    const csr_graph g = make_random_graph(rnd);
+    CHECK(g.num_edges() == 16384);
+    CHECK(fnv1a(g) == 0x97d2431163af3901ull);
+    const csr_graph dag = pcq::sim::make_dag(g);
+    CHECK(dag.num_edges() == 16384);
+    CHECK(fnv1a(dag) == 0xeeb659e6f3b1c0fcull);
+  }
+
+  // build() rejects an endpoint >= num_nodes, and a replay whose second
+  // pass differs from its first, before writing outside the graph.
+  {
+    using edges = std::vector<csr_graph::edge>;
+    CHECK(throws_invalid_argument(
+        [] { csr_graph::from_edges(3, edges{{0, 1, 1}, {3, 0, 1}}); }));
+    CHECK(throws_invalid_argument(
+        [] { csr_graph::from_edges(3, edges{{0xffffffffu, 0, 1}}); }));
+    CHECK(throws_invalid_argument(
+        [] { csr_graph::from_edges(3, edges{{0, 3, 1}}); }));
+    CHECK(throws_invalid_argument(
+        [] { csr_graph::from_edges(0, edges{{0, 0, 1}}); }));
+
+    const edges base{{0, 1, 1}, {2, 1, 4}, {1, 0, 2}};
+    int passes = 0;
+    const csr_graph same = csr_graph::build(3, [&](auto&& sink) {
+      ++passes;
+      for (const auto& e : base) sink(e.tail, e.head, e.weight);
+    });
+    CHECK(passes == 2);
+    CHECK(fnv1a(same) == fnv1a(csr_graph::from_edges(3, base)));
+    CHECK(fnv1a(build_changing(3, base, base)) == fnv1a(same));
+
+    const edges changed[] = {
+        {{0, 1, 1}, {2, 1, 4}, {1, 0, 2}, {2, 0, 1}},  // one more, last row:
+                                                       // its cursor hits m
+        {{0, 0, 1}, {0, 1, 1}, {2, 1, 4}, {1, 0, 2}},  // one more, first row
+        {{0, 1, 1}, {2, 1, 4}},                        // one fewer
+        {},                                            // none
+        {{0, 1, 1}, {1, 1, 4}, {1, 0, 2}},             // a tail moved
+        {{0, 1, 1}, {2, 2, 4}, {1, 0, 2}},             // a head changed
+        {{0, 1, 1}, {2, 1, 5}, {1, 0, 2}},             // a weight changed
+        {{2, 1, 4}, {0, 1, 1}, {1, 0, 2}},             // reordered
+        {{0, 1, 1}, {3, 1, 4}, {1, 0, 2}},             // a tail out of range
+    };
+    for (const edges& second : changed) {
+      CHECK(throws_invalid_argument(
+          [&] { build_changing(3, base, second); }));
+    }
   }
 
   // Sequential Dijkstra on the hand-checked diamond.
