@@ -18,7 +18,8 @@
 // Workloads: grid DAG (long chains, narrow ready set — scheduling
 // quality barely matters, raw pop cost dominates), random DAG (wide
 // ready set — priority order controls the frontier), fork-join
-// reduction (spawn/await churn through the hand-off path).
+// reduction (a binary tree of tasks whose joins cascade inline; one task
+// per tree node).
 //
 // Each cell is the median of verified trials that rotate through the
 // four series after one untimed warm-up round: five at smoke scale,
@@ -93,7 +94,7 @@ double forkjoin_trial(const char* name, const exec::forkjoin_params& params,
       res.stats.spawned != oracle_jobs) {
     std::fprintf(stderr,
                  "EXEC VIOLATION (%s forkjoin, %zu threads): sum %s "
-                 "oracle, executed=%llu spawned=%llu of %llu jobs\n",
+                 "oracle, executed=%llu spawned=%llu of %llu tasks\n",
                  name, threads, res.sum == oracle_sum ? "match" : "MISMATCH",
                  static_cast<unsigned long long>(res.stats.executed),
                  static_cast<unsigned long long>(res.stats.spawned),
@@ -147,7 +148,7 @@ int main() {
       "million executed tasks/s; every cell verified against the "
       "sequential oracle (outputs, topo invariant, conservation)");
   std::printf("grid DAG: %u tasks; random DAG: %u tasks; fork-join: "
-              "%llu jobs; kernel rounds=%u (PCQ_BENCH_FULL=%d)\n",
+              "%llu tasks; kernel rounds=%u (PCQ_BENCH_FULL=%d)\n",
               grid_dag.num_nodes(), rnd_dag.num_nodes(),
               static_cast<unsigned long long>(fj_jobs), rounds,
               full_scale() ? 1 : 0);

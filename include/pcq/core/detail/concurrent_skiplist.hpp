@@ -158,8 +158,7 @@ class concurrent_skiplist {
   /// insert body; caller holds a pin() guard for rh. The key is copied
   /// first: the upper-level linking below runs after the level-0 splice
   /// has published the element, and a caller's key may live in memory
-  /// that a consumer frees as soon as it pops the element (the executor
-  /// pushes a job's own priority field).
+  /// that a consumer frees as soon as it pops the element.
   void insert_pinned(reclaim_handle& rh, xoshiro256ss& rng, const Key& key_in,
                      const Value& value) {
     const Key key = key_in;

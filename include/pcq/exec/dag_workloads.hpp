@@ -1,18 +1,17 @@
 // Real-work workloads for the executor — the graph task process of
 // sim/graph_process.hpp run as actual per-task compute, plus a fork-join
-// reduction exercising spawn/await. Every workload has a deterministic
-// sequential oracle, so a parallel run is verified by value equality,
-// and the DAG runner checks the topological-release invariant inline on
-// every task. The DAG runner is also the rank simulator: with
-// record_order it pops one task per call and records the order in which
-// tasks start, which sim::settle_ranks replays offline.
+// range reduction. Every workload has a deterministic sequential oracle,
+// so a parallel run is verified by value equality, and the DAG runner
+// checks the topological-release invariant inline on every task. The
+// DAG runner is also the rank simulator: with record_order it pops one
+// task per call and records the order in which tasks start, which
+// sim::settle_ranks replays offline.
 //
-// The two workloads use the executor's two task forms. A DAG task is an
-// id task: the node id rides in the queue entry and one handler, holding
-// the run state, runs every node, so a release pushes one entry and
-// touches no job record or std::function. The fork-join nodes are
-// closures, because they await children and capture their range and
-// output cell.
+// Both workloads are executor tasks: the task id indexes the run's
+// state, held by one handler per run, so a release pushes one entry and
+// allocates nothing. A DAG task's id is its node, and a fork-join task's
+// id is its node's index in the implicit midpoint-split tree, whose
+// inner nodes join their two children through per-run counters.
 //
 // The task kernels are *commutative over predecessors*: a task's input
 // is the sum (a schedule-independent reduction) of its predecessors'
@@ -25,7 +24,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -51,10 +49,10 @@ inline std::uint64_t task_kernel(std::uint64_t seed, std::uint32_t rounds) {
 }
 
 // ---------------------------------------------------------------------
-// DAG workload: one id task per node of a make_dag() DAG. Task v computes
+// DAG workload: one task per node of a make_dag() DAG. Task v computes
 // out[v] = task_kernel(sum of predecessor outputs + v, rounds) and
-// releases each successor whose last dependency cleared as an id task at
-// its precedence-respecting priority (task_priority).
+// releases each successor whose last dependency cleared at its
+// precedence-respecting priority (task_priority).
 // ---------------------------------------------------------------------
 
 /// Sequential oracle: id order is a topological order of make_dag DAGs.
@@ -104,9 +102,9 @@ struct dag_run {
   std::atomic<std::uint64_t> tickets{0};  // settles drawn so far
 };
 
-// The id-task handler of one run: the task of node v. It holds only the
-// run state, captured once for the whole run, so a released successor is
-// one tagged queue entry and allocates nothing.
+// The handler of one run: the task of node v. It holds only the run
+// state, captured once for the whole run, so a released successor is one
+// queue entry and allocates nothing.
 struct dag_task {
   dag_run* run;
 
@@ -182,7 +180,7 @@ dag_exec_result run_dag_executor(const graph::csr_graph& dag,
   executor<Queue, detail::dag_task> ex(queue, detail::dag_task{&state});
   for (graph::csr_graph::node_id v = 0; v < n; ++v)
     if (nodes[v].remaining.load(std::memory_order_relaxed) == 0)
-      ex.submit_id(sim::task_priority(depth[v], v, n), v);
+      ex.submit(sim::task_priority(depth[v], v, n), v);
   result.stats = ex.run(num_threads, record_order ? 1 : kDrainBatch);
   if (record_order) {
     const std::uint64_t drawn = state.tickets.load(std::memory_order_relaxed);
@@ -198,15 +196,21 @@ dag_exec_result run_dag_executor(const graph::csr_graph& dag,
 }
 
 // ---------------------------------------------------------------------
-// Fork-join workload: recursive range reduction via spawn + then. A
-// node splits its range, spawns the two halves as awaited children
-// writing into a heap cell, and its continuation combines and frees
-// the cell — exactly the continuation-lifetime pattern ASan watches.
+// Fork-join workload: a range reduction over a fixed binary tree. The
+// root covers [0, items); a node whose range is longer than the grain
+// splits it at the midpoint and releases its two halves, and a leaf sums
+// the kernel over its range. Task id i is the node at heap position
+// i + 1 (root 1, children 2p and 2p + 1), so the bits of the position
+// below its top one spell the path from the root and the handler
+// recovers the node's range from the id alone. Each inner node has a
+// join record in a per-run array: the child that finishes last combines
+// the two halves and carries the sum up in place, without a queue trip,
+// so the tree runs exactly one task per node.
 // ---------------------------------------------------------------------
 
 struct forkjoin_params {
   std::uint64_t items = 1 << 15;
-  std::uint64_t grain = 64;  // ranges at most this long compute inline
+  std::uint64_t grain = 64;  // ranges at most this long are leaves
   std::uint32_t rounds = 16;
 };
 
@@ -217,13 +221,13 @@ inline std::uint64_t sequential_forkjoin_sum(const forkjoin_params& p) {
   return sum;
 }
 
-/// Jobs the deterministic splitting tree executes: one leaf body per
-/// grain-sized range, plus a body and a continuation per inner node.
+/// Tasks the splitting tree of [lo, hi) runs: one per node. A grain of
+/// 0 counts as 1, as in run_forkjoin_executor.
 inline std::uint64_t forkjoin_job_count(std::uint64_t lo, std::uint64_t hi,
                                         std::uint64_t grain) {
-  if (hi - lo <= grain) return 1;
+  if (hi - lo <= grain || hi - lo == 1) return 1;
   const std::uint64_t mid = lo + (hi - lo) / 2;
-  return 2 + forkjoin_job_count(lo, mid, grain) +
+  return 1 + forkjoin_job_count(lo, mid, grain) +
          forkjoin_job_count(mid, hi, grain);
 }
 
@@ -232,52 +236,94 @@ struct forkjoin_result {
   exec_stats stats;
 };
 
+namespace detail {
+
+// An inner node's join: its children's sums, and how many of them are
+// still to finish. Each child writes its own half and then decrements;
+// the decrement that reaches zero (acq_rel, so it sees the other half)
+// owns the node.
+struct fj_join {
+  std::atomic<std::uint32_t> pending{2};
+  std::uint64_t half[2] = {};
+};
+
+// Shared by every task of one run_forkjoin_executor call.
+struct fj_run {
+  std::uint64_t items;
+  std::uint64_t grain;
+  std::uint32_t rounds;
+  fj_join* joins;        // indexed by inner node id
+  std::uint64_t* total;  // the root's sum
+};
+
+// Deeper nodes get smaller keys, so priority-ordered queues work
+// depth-first (a bounded tree frontier); correctness is independent.
+inline std::uint64_t fj_priority(std::uint64_t tree_depth) {
+  return tree_depth < 64 ? 64 - tree_depth : 0;
+}
+
+// The handler of one run: the task of tree node `id`.
+struct fj_task {
+  const fj_run* run;
+
+  void operator()(job_context& ctx, std::uint64_t /*priority*/,
+                  std::uint64_t id) const {
+    const fj_run& s = *run;
+    const std::uint64_t pos = id + 1;
+    std::uint64_t depth = 0;
+    while ((pos >> 1 >> depth) != 0) ++depth;
+    // The walk is branch-free: its turns are data-random, and a
+    // mispredicted branch per level cost more than the rest of a task.
+    std::uint64_t lo = 0;
+    std::uint64_t len = s.items;
+    for (std::uint64_t b = depth; b-- > 0;) {
+      const std::uint64_t right = (pos >> b) & 1;
+      const std::uint64_t half = len / 2;
+      lo += half & (0 - right);   // the right half starts at the midpoint
+      len = half + (len & right);  // and holds the odd entry
+    }
+    const std::uint64_t hi = lo + len;
+    if (len > s.grain) {
+      ctx.release(fj_priority(depth + 1), 2 * id + 1);
+      ctx.release(fj_priority(depth + 1), 2 * id + 2);
+      return;
+    }
+    std::uint64_t sum = 0;
+    for (std::uint64_t i = lo; i < hi; ++i) sum += task_kernel(i, s.rounds);
+    // Join upward while this node's sibling has already finished.
+    while (id != 0) {
+      const std::uint64_t parent = (id - 1) / 2;
+      fj_join& join = s.joins[parent];
+      join.half[(id - 1) & 1] = sum;
+      if (join.pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+      sum = join.half[0] + join.half[1];
+      id = parent;
+    }
+    *s.total = sum;
+  }
+};
+
+}  // namespace detail
+
+/// Runs the reduction over `queue` (passed in empty). Correct iff
+/// result.sum == sequential_forkjoin_sum(p) and executed == spawned ==
+/// forkjoin_job_count(0, p.items, p.grain).
 template <typename Queue>
 forkjoin_result run_forkjoin_executor(std::size_t num_threads, Queue& queue,
                                       const forkjoin_params& p) {
   const std::uint64_t grain = p.grain > 0 ? p.grain : 1;
-  // Deeper nodes get smaller keys so priority-ordered queues work
-  // depth-first (bounded tree frontier); correctness is independent.
-  const auto prio = [](std::uint64_t tree_depth) {
-    return tree_depth < 64 ? 64 - tree_depth : 0;
-  };
-
-  struct fj_cell {
-    std::uint64_t left = 0;
-    std::uint64_t right = 0;
-  };
-
-  std::function<job_fn(std::uint64_t, std::uint64_t, std::uint64_t,
-                       std::uint64_t*)>
-      make = [&](std::uint64_t lo, std::uint64_t hi, std::uint64_t tree_depth,
-                 std::uint64_t* out) -> job_fn {
-    return [&, lo, hi, tree_depth, out](job_context& ctx) {
-      if (hi - lo <= grain) {
-        std::uint64_t sum = 0;
-        for (std::uint64_t i = lo; i < hi; ++i)
-          sum += task_kernel(i, p.rounds);
-        *out = sum;  // published to the awaiting continuation by the
-        return;      // pending-count decrement + queue hand-off
-      }
-      const std::uint64_t mid = lo + (hi - lo) / 2;
-      fj_cell* cell = new fj_cell;
-      ctx.spawn(prio(tree_depth + 1),
-                make(lo, mid, tree_depth + 1, &cell->left));
-      ctx.spawn(prio(tree_depth + 1),
-                make(mid, hi, tree_depth + 1, &cell->right));
-      ctx.then([out, cell](job_context&) {
-        *out = cell->left + cell->right;
-        delete cell;
-      });
-    };
-  };
+  // Every inner node's id is below the node count: the tree is complete
+  // down to the first depth that holds a leaf, and only inner nodes of
+  // that depth have children.
+  const std::uint64_t nodes = forkjoin_job_count(0, p.items, grain);
+  std::unique_ptr<detail::fj_join[]> joins(new detail::fj_join[nodes]);
 
   forkjoin_result result;
-  std::uint64_t total = 0;
-  executor<Queue> ex(queue);
-  ex.submit(prio(0), make(0, p.items, 0, &total));
+  const detail::fj_run state{p.items, grain, p.rounds, joins.get(),
+                             &result.sum};
+  executor<Queue, detail::fj_task> ex(queue, detail::fj_task{&state});
+  ex.submit(detail::fj_priority(0), 0);
   result.stats = ex.run(num_threads);
-  result.sum = total;
   return result;
 }
 

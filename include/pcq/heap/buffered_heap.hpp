@@ -44,10 +44,12 @@
 // consumed ones. A merge writes over its two inputs from the older one's
 // head: the older entries up to the newer run's least stay put (all of
 // them when the runs do not overlap) and the rest are copied to a reused
-// scratch buffer first. A flush into a full arena compacts it when at
-// least half of what the runs span is consumed, else doubles it, so the
-// arena allocates no memory per flush; reserve(n) sizes it and the run
-// list for n entries, so a sized prefill never reallocates.
+// scratch buffer first. The arena's size is the last run's end and its
+// capacity is what it may fill: a flush into a full arena compacts it
+// when at least half of what the runs span is consumed, else doubles its
+// capacity, so the arena allocates no memory per flush. reserve(n)
+// reserves capacity (it writes no entry) and the run list for n
+// entries, so a sized prefill never reallocates.
 //
 // Line budget: with 16-byte entries the header (two 32-bit buffer
 // counts, the runs' entry count, the run store's pointer and padding;
@@ -89,7 +91,7 @@ class buffered_heap_t : private heap_detail::compare_holder<Compare> {
   void reserve(std::size_t n) {
     if (n == 0) return;
     run_store& s = store();
-    if (s.arena.size() < n) s.arena.resize(n);
+    s.arena.reserve(n);
     s.runs.reserve(n / B + 1);
   }
 
@@ -179,15 +181,19 @@ class buffered_heap_t : private heap_detail::compare_holder<Compare> {
   // Sorts ins_ into a new run at the arena's tail.
   void flush_insertions() {
     run_store& s = store();
-    std::size_t tail = s.runs.empty() ? 0 : s.runs.back().end;
-    if (tail + ni_ > s.arena.size()) {
-      if (tail - stored_ >= stored_) tail = compact(s);
-      if (tail + ni_ > s.arena.size()) {
-        s.arena.resize(std::max(2 * s.arena.size(), tail + 4 * B));
+    // Nothing lives past the last run's end; a refill may have dropped
+    // the run that ended there.
+    s.arena.resize(s.runs.empty() ? 0 : s.runs.back().end);
+    if (s.arena.size() + ni_ > s.arena.capacity()) {
+      if (s.arena.size() - stored_ >= stored_) s.arena.resize(compact(s));
+      if (s.arena.size() + ni_ > s.arena.capacity()) {
+        s.arena.reserve(
+            std::max(2 * s.arena.capacity(), s.arena.size() + 4 * B));
       }
     }
+    const std::size_t tail = s.arena.size();
+    s.arena.insert(s.arena.end(), ins_, ins_ + ni_);
     entry* out = s.arena.data() + tail;
-    std::copy(ins_, ins_ + ni_, out);
     std::sort(out, out + ni_, key_less());
     s.runs.push_back(run{tail, tail + ni_});
     stored_ += ni_;

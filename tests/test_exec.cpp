@@ -1,22 +1,21 @@
 // Executor conformance over every ready-queue implementation: the five
 // pq-concept queues plus the Chase–Lev steal deque. For each, real-work
-// DAG schedules (id tasks) must reproduce the sequential oracle
-// bit-for-bit (the kernels are commutative over predecessors, so
-// equality is exact), the topological-release invariant must hold
-// inline, and conservation must be perfect: every spawned task runs
-// exactly once (executed == spawned, with known closed-form counts for
-// both workloads). A batch whose one push_batch mixes awaited children,
-// detached spawns and a cascaded continuation re-push is checked on
-// every queue, and on one worker with its exact order and publish sizes;
-// so is a run that mixes id tasks with closures.
+// DAG schedules must reproduce the sequential oracle bit-for-bit (the
+// kernels are commutative over predecessors, so equality is exact), the
+// topological-release invariant must hold inline, and conservation must
+// be perfect: every released task runs exactly once (executed ==
+// spawned, with known closed-form counts for both workloads). The
+// fork-join reduction must match the sequential sum and run exactly one
+// task per tree node over a table of (items, grain) shapes. A batch
+// whose one push_batch mixes tasks releasing zero, one and two tasks is
+// checked on every queue, and on one worker with its exact order and
+// publish sizes; so is the full 64-bit id range.
 
 #include "exec/executor.hpp"
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -34,7 +33,23 @@
 namespace {
 
 using pcq::exec::job_context;
-using pcq::exec::job_fn;
+
+// A fork-join shape and its node count, counted by hand from the
+// midpoint splits (not by forkjoin_job_count).
+struct forkjoin_case {
+  std::uint64_t items;
+  std::uint64_t grain;
+  std::uint64_t nodes;
+};
+
+// Empty, single-leaf and exactly-one-grain ranges, odd splits, a grain of
+// one (a full tree of 2^16 - 1 nodes), a range that is not a power of
+// two times the grain, and a grain of 0, which splits like a grain of 1.
+const forkjoin_case kForkjoinCases[] = {
+    {0, 64, 1},          {1, 64, 1},         {63, 64, 1},
+    {64, 64, 1},         {1000, 7, 463},     {1u << 15, 1, 65535},
+    {(1u << 17) + 3, 64, 4101},              {5, 0, 9},
+};
 
 struct fixtures {
   pcq::graph::csr_graph grid_dag;
@@ -45,9 +60,8 @@ struct fixtures {
   std::vector<std::uint64_t> rnd_oracle;
   std::vector<std::uint64_t> path_oracle;
   std::vector<std::uint64_t> star_oracle;
-  pcq::exec::forkjoin_params fj;
-  std::uint64_t fj_oracle = 0;
-  std::uint64_t fj_jobs = 0;
+  std::vector<pcq::exec::forkjoin_params> fj;  // one per kForkjoinCases entry
+  std::vector<std::uint64_t> fj_oracle;
   std::uint32_t rounds = 8;
 };
 
@@ -74,11 +88,15 @@ fixtures make_fixtures() {
   f.rnd_oracle = pcq::exec::sequential_dag_outputs(f.rnd_dag, f.rounds);
   f.path_oracle = pcq::exec::sequential_dag_outputs(f.path_dag, f.rounds);
   f.star_oracle = pcq::exec::sequential_dag_outputs(f.star_dag, f.rounds);
-  f.fj.items = 4096;
-  f.fj.grain = 64;
-  f.fj.rounds = 4;
-  f.fj_oracle = pcq::exec::sequential_forkjoin_sum(f.fj);
-  f.fj_jobs = pcq::exec::forkjoin_job_count(0, f.fj.items, f.fj.grain);
+  for (const forkjoin_case& c : kForkjoinCases) {
+    pcq::exec::forkjoin_params p;
+    p.items = c.items;
+    p.grain = c.grain;
+    p.rounds = 2;
+    f.fj.push_back(p);
+    f.fj_oracle.push_back(pcq::exec::sequential_forkjoin_sum(p));
+    CHECK(pcq::exec::forkjoin_job_count(0, c.items, c.grain) == c.nodes);
+  }
   return f;
 }
 
@@ -93,7 +111,7 @@ void check_dag(const fixtures& f, const pcq::graph::csr_graph& dag,
   CHECK(r.settled == dag.num_nodes());
   CHECK(r.outputs == oracle);
   // Conservation: each node is spawned exactly once (root or release)
-  // and every spawned job ran exactly once.
+  // and every spawned task ran exactly once.
   CHECK(r.stats.spawned == dag.num_nodes());
   CHECK(r.stats.executed == dag.num_nodes());
   CHECK(queue->size() == 0);
@@ -101,178 +119,80 @@ void check_dag(const fixtures& f, const pcq::graph::csr_graph& dag,
 
 template <typename MakeQueue>
 void check_forkjoin(const fixtures& f, MakeQueue make, std::size_t threads) {
-  auto queue = make(threads);
-  const pcq::exec::forkjoin_result r =
-      pcq::exec::run_forkjoin_executor(threads, *queue, f.fj);
-  CHECK(r.sum == f.fj_oracle);
-  // The splitting tree is deterministic: the exact job count is known,
-  // and hand-off means continuations count as their own executions.
-  CHECK(r.stats.spawned == f.fj_jobs);
-  CHECK(r.stats.executed == f.fj_jobs);
-  CHECK(queue->size() == 0);
-}
-
-// An await chain three generations deep: every inner node spawns a
-// batch of children, and its continuation checks that batch, spawns a
-// second one and calls then() again; the second continuation checks it
-// too and reports the subtree's leaf count. Children report through
-// plain (non-atomic) cells, so a continuation that ran before one of its
-// children finished is a wrong count here and a data race under TSan.
-constexpr int kChainGens = 3;
-constexpr std::uint64_t kChainFanout = 2;  // children per batch
-
-std::uint64_t chain_leaves(int gen) {
-  return gen == kChainGens ? 1 : 2 * kChainFanout * chain_leaves(gen + 1);
-}
-
-// Jobs the chain runs (and pushes): three per inner node, one per leaf.
-std::uint64_t chain_jobs(int gen) {
-  return gen == kChainGens ? 1 : 3 + 2 * kChainFanout * chain_jobs(gen + 1);
-}
-
-template <typename MakeQueue>
-void check_await_chain(MakeQueue make) {
-  constexpr std::size_t threads = 4;
-  auto queue = make(threads);
-  pcq::exec::executor<typename decltype(queue)::element_type> ex(*queue);
-  std::atomic<std::uint64_t> early{0};  // continuations that ran too soon
-  std::function<job_fn(int, std::uint64_t*)> make_node =
-      [&](int gen, std::uint64_t* out) -> job_fn {
-    const std::uint64_t prio = static_cast<std::uint64_t>(kChainGens - gen);
-    if (gen == kChainGens) return [out](job_context&) { *out = 1; };
-    return [&, gen, out, prio](job_context& ctx) {
-      std::uint64_t* cells = new std::uint64_t[2 * kChainFanout]();
-      const std::uint64_t want = chain_leaves(gen + 1);
-      const auto check = [&early, cells, want](std::uint64_t from) {
-        for (std::uint64_t i = from; i < from + kChainFanout; ++i)
-          if (cells[i] != want) early.fetch_add(1, std::memory_order_relaxed);
-      };
-      for (std::uint64_t i = 0; i < kChainFanout; ++i)
-        ctx.spawn(prio, make_node(gen + 1, &cells[i]));
-      ctx.then([&, gen, out, prio, cells, check](job_context& c1) {
-        check(0);
-        for (std::uint64_t i = kChainFanout; i < 2 * kChainFanout; ++i)
-          c1.spawn(prio, make_node(gen + 1, &cells[i]));
-        c1.then([out, cells, check](job_context&) {
-          check(kChainFanout);
-          std::uint64_t sum = 0;
-          for (std::uint64_t i = 0; i < 2 * kChainFanout; ++i) sum += cells[i];
-          *out = sum;
-          delete[] cells;
-        });
-      });
-    };
-  };
-  std::uint64_t total = 0;
-  ex.submit(0, make_node(0, &total));
-  const pcq::exec::exec_stats stats = ex.run(threads);
-  CHECK(early.load() == 0);
-  CHECK(total == chain_leaves(0));
-  CHECK(stats.executed == chain_jobs(0));
-  CHECK(stats.spawned == chain_jobs(0));
-  CHECK(queue->size() == 0);
-}
-
-// Two run() cycles on one executor and queue: each conserves its own
-// counts, and jobs recycled in the first run do not leak into or
-// corrupt the second (LSan checks the former under ASan).
-template <typename MakeQueue>
-void check_back_to_back(MakeQueue make) {
-  constexpr std::size_t threads = 4;
-  constexpr std::uint64_t roots = 64;
-  auto queue = make(threads);
-  pcq::exec::executor<typename decltype(queue)::element_type> ex(*queue);
-  for (int cycle = 0; cycle < 2; ++cycle) {
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> early{0};
-    for (std::uint64_t r = 0; r < roots; ++r) {
-      ex.submit(r, [&, r](job_context& ctx) {
-        hits.fetch_add(1, std::memory_order_relaxed);
-        std::uint64_t* done = new std::uint64_t[2]();
-        ctx.spawn(r, [done](job_context&) { done[0] = 1; });
-        ctx.spawn(r + 1, [done](job_context&) { done[1] = 1; });
-        ctx.spawn_detached(r, [&](job_context&) {
-          hits.fetch_add(1, std::memory_order_relaxed);
-        });
-        ctx.then([&, done](job_context&) {
-          if (done[0] + done[1] != 2)
-            early.fetch_add(1, std::memory_order_relaxed);
-          delete[] done;
-        });
-      });
-    }
-    const pcq::exec::exec_stats stats = ex.run(threads);
-    // Per root: body, two children, one detached job, one continuation.
-    CHECK(hits.load() == 2 * roots);
-    CHECK(early.load() == 0);
-    CHECK(stats.executed == 5 * roots);
-    CHECK(stats.spawned == 5 * roots);
+  for (std::size_t i = 0; i < f.fj.size(); ++i) {
+    auto queue = make(threads);
+    const pcq::exec::forkjoin_result r =
+        pcq::exec::run_forkjoin_executor(threads, *queue, f.fj[i]);
+    CHECK(r.sum == f.fj_oracle[i]);
+    // One task per tree node: joins cascade inline, never through the
+    // queue.
+    CHECK(r.stats.spawned == kForkjoinCases[i].nodes);
+    CHECK(r.stats.executed == kForkjoinCases[i].nodes);
     CHECK(queue->size() == 0);
   }
 }
 
-// One batch whose publish mixes all three kinds of product. Roots P, Q,
-// R, S and T are keyed 0, 20, 21, 22 and 23. One worker on a strict
-// queue pops them four at a time:
-//   - batch 1 (P, Q, R, S) publishes C (P's awaited child), D (Q's
-//     detached spawn) and E (R's awaited child);
-//   - batch 2 (C, D, E, T) publishes P again (C completes it: a cascaded
-//     continuation re-push), G (D's detached spawn) and F (E's awaited
-//     child);
-//   - batch 3 (P's continuation, F, G) publishes R again (F completes E,
-//     which completes R), and batch 4 runs R's continuation.
-enum mixed_job { kP, kQ, kR, kS, kT, kC, kD, kE, kF, kG, kP2, kR2, kMixedJobs };
+// One batch whose publish mixes tasks that release zero, one and two
+// tasks. Roots P, Q, R, S and T are keyed 0, 20, 21, 22 and 23. One
+// worker on a strict queue pops them four at a time:
+//   - batch 1 (P, Q, R, S) publishes C, D and E (one each from P, Q, R);
+//   - batch 2 (C, D, E, T) publishes H and I (C's two), G (D's) and F
+//     (E's);
+//   - batch 3 (F, G, H, I) publishes nothing.
+enum mixed_task { kP, kQ, kR, kS, kT, kC, kD, kE, kF, kG, kH, kI, kMixedTasks };
+
+constexpr std::uint64_t kMixedPrio[kMixedTasks] = {0,  20, 21, 22, 23, 1,
+                                                   2,  3,  4,  5,  6,  7};
 
 struct mixed_log {
   std::atomic<std::uint64_t> step{0};
-  std::atomic<std::uint64_t> runs[kMixedJobs]{};
-  std::atomic<std::uint64_t> seq[kMixedJobs]{};  // step at which it ran
-  std::vector<int>* order = nullptr;             // one worker only
+  std::atomic<std::uint64_t> runs[kMixedTasks]{};
+  std::atomic<std::uint64_t> seq[kMixedTasks]{};  // step at which it ran
+  std::atomic<std::uint64_t> bad_prio{0};
+  std::vector<int>* order = nullptr;              // one worker only
 
-  void run(mixed_job j) {
-    seq[j].store(step.fetch_add(1, std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-    runs[j].fetch_add(1, std::memory_order_relaxed);
-    if (order != nullptr) order->push_back(j);
-  }
-  bool before(mixed_job a, mixed_job b) const {
+  bool before(mixed_task a, mixed_task b) const {
     return seq[a].load() < seq[b].load();
+  }
+};
+
+struct mixed_handler {
+  mixed_log* log;
+
+  void operator()(job_context& ctx, std::uint64_t priority,
+                  std::uint64_t id) const {
+    mixed_log& l = *log;
+    if (id >= kMixedTasks || priority != kMixedPrio[id]) {
+      l.bad_prio.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    l.seq[id].store(l.step.fetch_add(1, std::memory_order_relaxed),
+                    std::memory_order_relaxed);
+    l.runs[id].fetch_add(1, std::memory_order_relaxed);
+    if (l.order != nullptr) l.order->push_back(static_cast<int>(id));
+    const auto release = [&ctx](mixed_task t) { ctx.release(kMixedPrio[t], t); };
+    switch (id) {
+      case kP: release(kC); break;
+      case kQ: release(kD); break;
+      case kR: release(kE); break;
+      case kC: release(kH); release(kI); break;
+      case kD: release(kG); break;
+      case kE: release(kF); break;
+      default: break;
+    }
   }
 };
 
 template <typename Queue>
 pcq::exec::exec_stats run_mixed_publish(Queue& queue, std::size_t threads,
                                         mixed_log& log) {
-  pcq::exec::executor<Queue> ex(queue);
-  mixed_log* l = &log;
-  ex.submit(0, [l](job_context& ctx) {
-    l->run(kP);
-    ctx.spawn(1, [l](job_context&) { l->run(kC); });
-    ctx.then([l](job_context&) { l->run(kP2); });
-  });
-  ex.submit(20, [l](job_context& ctx) {
-    l->run(kQ);
-    ctx.spawn_detached(2, [l](job_context& c) {
-      l->run(kD);
-      c.spawn_detached(5, [l](job_context&) { l->run(kG); });
-    });
-  });
-  ex.submit(21, [l](job_context& ctx) {
-    l->run(kR);
-    ctx.spawn(3, [l](job_context& c) {
-      l->run(kE);
-      c.spawn(4, [l](job_context&) { l->run(kF); });
-    });
-    ctx.then([l](job_context&) { l->run(kR2); });
-  });
-  ex.submit(22, [l](job_context&) { l->run(kS); });
-  ex.submit(23, [l](job_context&) { l->run(kT); });
+  pcq::exec::executor<Queue, mixed_handler> ex(queue, mixed_handler{&log});
+  for (const mixed_task t : {kP, kQ, kR, kS, kT}) ex.submit(kMixedPrio[t], t);
   return ex.run(threads);
 }
 
-// Any queue, any worker count: every job runs once, after what it
-// awaits, and the counts are exact (five roots, five spawns and two
-// continuation re-pushes).
+// Any queue, any worker count: every task runs once, after its releaser,
+// at the priority it was released with, and the counts are exact.
 template <typename MakeQueue>
 void check_mixed_publish(MakeQueue make) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -280,12 +200,13 @@ void check_mixed_publish(MakeQueue make) {
     mixed_log log;
     const pcq::exec::exec_stats stats =
         run_mixed_publish(*queue, threads, log);
-    CHECK(stats.executed == kMixedJobs);
-    CHECK(stats.spawned == kMixedJobs);
+    CHECK(stats.executed == kMixedTasks);
+    CHECK(stats.spawned == kMixedTasks);
+    CHECK(log.bad_prio.load() == 0);
     for (const auto& r : log.runs) CHECK(r.load() == 1);
-    CHECK(log.before(kP, kC) && log.before(kC, kP2));
+    CHECK(log.before(kP, kC) && log.before(kC, kH) && log.before(kC, kI));
     CHECK(log.before(kQ, kD) && log.before(kD, kG));
-    CHECK(log.before(kR, kE) && log.before(kE, kF) && log.before(kF, kR2));
+    CHECK(log.before(kR, kE) && log.before(kE, kF));
     CHECK(queue->size() == 0);
   }
 }
@@ -335,125 +256,99 @@ class publish_log_pq {
   inner_t queue_;
 };
 
-// Id tasks and closures in one run. Two binary trees of id tasks, ids
-// [0, 64) and [64, 128): id i releases its children 2i+1 and 2i+2 (offset
-// within its tree). Tree A's root is submitted; tree B's root is released
-// by the continuation Z of a closure root X that awaits a child Y. Every
-// eighth id of tree A spawns a detached closure W that awaits a child V
-// and continues with U. Each id is released at mixed_prio(id), which its
-// handler checks against the entry it was popped from.
+// Two binary trees of tasks, ids [0, 64) and [64, 128): id i releases
+// its children 2i+1 and 2i+2 (offset within its tree). Tree A's root is
+// submitted; tree B's root is released by A's last id, so B runs only
+// after a chain through A. Each id is released at tree_prio(id), which
+// its handler checks against the entry it was popped from. Two run()
+// cycles on one executor and queue each conserve their own counts.
 constexpr std::uint64_t kTreeIds = 64;
-constexpr std::uint64_t kMixedIds = 2 * kTreeIds;
-constexpr std::uint64_t kMixedW = kTreeIds / 8;
-// Ids, X/Y/Z, and three closures per W.
-constexpr std::uint64_t kMixedTasks = kMixedIds + 3 + 3 * kMixedW;
+constexpr std::uint64_t kTreeTasks = 2 * kTreeIds;
 
-std::uint64_t mixed_prio(std::uint64_t id) { return (id * 37) % 101; }
+std::uint64_t tree_prio(std::uint64_t id) { return (id * 37) % 101; }
 
-struct mixed_ids_log {
-  std::atomic<std::uint64_t> id_runs[kMixedIds]{};
+struct tree_log {
+  std::atomic<std::uint64_t> runs[kTreeTasks]{};
   std::atomic<std::uint64_t> bad_prio{0};
-  std::atomic<std::uint64_t> x{0}, y{0}, z{0}, w{0}, v{0}, u{0};
-  std::atomic<std::uint64_t> early{0};  // a continuation ahead of its child
 };
 
-struct mixed_ids_handler {
-  mixed_ids_log* log;
+struct tree_handler {
+  tree_log* log;
 
   void operator()(job_context& ctx, std::uint64_t priority,
                   std::uint64_t id) const {
-    mixed_ids_log* l = log;
-    if (id >= kMixedIds || priority != mixed_prio(id)) {
-      l->bad_prio.fetch_add(1, std::memory_order_relaxed);
+    if (id >= kTreeTasks || priority != tree_prio(id)) {
+      log->bad_prio.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    l->id_runs[id].fetch_add(1, std::memory_order_relaxed);
+    log->runs[id].fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t base = id < kTreeIds ? 0 : kTreeIds;
     for (const std::uint64_t c : {2 * (id - base) + 1, 2 * (id - base) + 2})
-      if (c < kTreeIds) ctx.release(mixed_prio(base + c), base + c);
-    if (base == 0 && id % 8 == 0) {
-      ctx.spawn_detached(priority, [l](job_context& c) {
-        l->w.fetch_add(1, std::memory_order_relaxed);
-        std::uint64_t* done = new std::uint64_t(0);
-        c.spawn(1, [l, done](job_context&) {
-          l->v.fetch_add(1, std::memory_order_relaxed);
-          *done = 1;
-        });
-        c.then([l, done](job_context&) {
-          if (*done != 1) l->early.fetch_add(1, std::memory_order_relaxed);
-          l->u.fetch_add(1, std::memory_order_relaxed);
-          delete done;
-        });
-      });
+      if (c < kTreeIds) ctx.release(tree_prio(base + c), base + c);
+    if (id == kTreeIds - 1) ctx.release(tree_prio(kTreeIds), kTreeIds);
+  }
+};
+
+template <typename MakeQueue>
+void check_trees(MakeQueue make) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    auto queue = make(threads);
+    using queue_t = typename decltype(queue)::element_type;
+    tree_log log;
+    pcq::exec::executor<queue_t, tree_handler> ex(*queue, tree_handler{&log});
+    for (std::uint64_t cycle = 1; cycle <= 2; ++cycle) {
+      ex.submit(tree_prio(0), 0);
+      const pcq::exec::exec_stats stats = ex.run(threads);
+      for (const auto& r : log.runs) CHECK(r.load() == cycle);
+      CHECK(log.bad_prio.load() == 0);
+      CHECK(stats.executed == kTreeTasks);
+      CHECK(stats.spawned == kTreeTasks);
+      CHECK(queue->size() == 0);
+    }
+  }
+}
+
+// The id range: every 64-bit id reaches the handler untruncated. The
+// root ~0 releases 2^63 and 0; each of the three runs exactly once, at
+// the priority it was released with.
+constexpr std::uint64_t kTopId = ~std::uint64_t{0};
+constexpr std::uint64_t kHighBit = std::uint64_t{1} << 63;
+
+struct id_probe {
+  std::atomic<std::uint64_t>* seen;  // [top, high bit, zero, anything else]
+
+  void operator()(job_context& ctx, std::uint64_t priority,
+                  std::uint64_t id) const {
+    if (id == kTopId && priority == kTopId - 1) {
+      seen[0].fetch_add(1, std::memory_order_relaxed);
+      ctx.release(2, kHighBit);
+      ctx.release(1, 0);
+    } else if (id == kHighBit && priority == 2) {
+      seen[1].fetch_add(1, std::memory_order_relaxed);
+    } else if (id == 0 && priority == 1) {
+      seen[2].fetch_add(1, std::memory_order_relaxed);
+    } else {
+      seen[3].fetch_add(1, std::memory_order_relaxed);
     }
   }
 };
 
 template <typename MakeQueue>
-void check_mixed_ids(MakeQueue make) {
+void check_id_range(MakeQueue make) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     auto queue = make(threads);
     using queue_t = typename decltype(queue)::element_type;
-    mixed_ids_log log;
-    mixed_ids_log* l = &log;
-    pcq::exec::executor<queue_t, mixed_ids_handler> ex(*queue,
-                                                       mixed_ids_handler{l});
-    ex.submit_id(mixed_prio(0), 0);
-    ex.submit(50, [l](job_context& ctx) {
-      l->x.fetch_add(1, std::memory_order_relaxed);
-      std::uint64_t* done = new std::uint64_t(0);
-      ctx.spawn(2, [l, done](job_context&) {
-        l->y.fetch_add(1, std::memory_order_relaxed);
-        *done = 1;
-      });
-      ctx.then([l, done](job_context& c) {
-        if (*done != 1) l->early.fetch_add(1, std::memory_order_relaxed);
-        l->z.fetch_add(1, std::memory_order_relaxed);
-        delete done;
-        c.release(mixed_prio(kTreeIds), kTreeIds);
-      });
-    });
+    std::atomic<std::uint64_t> seen[4]{};
+    pcq::exec::executor<queue_t, id_probe> ex(*queue, id_probe{seen});
+    ex.submit(kTopId - 1, kTopId);
     const pcq::exec::exec_stats stats = ex.run(threads);
-    for (const auto& r : log.id_runs) CHECK(r.load() == 1);
-    CHECK(log.bad_prio.load() == 0);
-    CHECK(log.x.load() == 1 && log.y.load() == 1 && log.z.load() == 1);
-    CHECK(log.w.load() == kMixedW && log.v.load() == kMixedW &&
-          log.u.load() == kMixedW);
-    CHECK(log.early.load() == 0);
-    CHECK(stats.executed == kMixedTasks);
-    CHECK(stats.spawned == kMixedTasks);
+    CHECK(seen[0].load() == 1 && seen[1].load() == 1 && seen[2].load() == 1);
+    CHECK(seen[3].load() == 0);
+    CHECK(stats.executed == 3);
+    CHECK(stats.spawned == 3);
     CHECK(queue->size() == 0);
   }
 }
-
-// The handler of the id-range cell: records what it was called with and
-// what the context refused.
-struct id_probe {
-  std::uint64_t* seen_id;
-  std::uint64_t* seen_prio;
-  int* refused;
-
-  void operator()(job_context& ctx, std::uint64_t priority,
-                  std::uint64_t id) const {
-    *seen_id = id;
-    *seen_prio = priority;
-    try {
-      ctx.release(0, std::uint64_t{1} << 63);
-    } catch (const std::invalid_argument&) {
-      ++*refused;
-    }
-    try {
-      ctx.spawn(0, [](job_context&) {});
-    } catch (const std::logic_error&) {
-      ++*refused;
-    }
-    try {
-      ctx.then([](job_context&) {});
-    } catch (const std::logic_error&) {
-      ++*refused;
-    }
-  }
-};
 
 template <typename MakeQueue>
 void check_queue(const fixtures& f, MakeQueue make) {
@@ -464,11 +359,24 @@ void check_queue(const fixtures& f, MakeQueue make) {
   }
   check_dag(f, f.path_dag, f.path_oracle, make, 4);
   check_dag(f, f.star_dag, f.star_oracle, make, 4);
-  check_await_chain(make);
-  check_back_to_back(make);
   check_mixed_publish(make);
-  check_mixed_ids(make);
+  check_trees(make);
+  check_id_range(make);
 }
+
+// Records the order in which one worker runs the tasks: roots 10..13
+// each release child id - 10, keyed by its id.
+struct batch_order {
+  std::vector<int>* order;
+
+  void operator()(job_context& ctx, std::uint64_t priority,
+                  std::uint64_t id) const {
+    CHECK(ctx.worker_id() == 0);
+    CHECK(priority == id);
+    order->push_back(static_cast<int>(id));
+    if (id >= 10) ctx.release(id - 10, id - 10);
+  }
+};
 
 }  // namespace
 
@@ -511,30 +419,6 @@ int main() {
         pcq::exec::steal_deque_pool<std::uint64_t, std::uint64_t>>(threads);
   });
 
-  // Chained awaits through one strict queue, single worker: the hand-off
-  // order is fully deterministic, so assert the exact sequence — body,
-  // children by priority, continuation, its child, final continuation.
-  {
-    pcq::coarse_pq<std::uint64_t, std::uint64_t> q;
-    pcq::exec::executor<pcq::coarse_pq<std::uint64_t, std::uint64_t>> ex(q);
-    std::vector<int> order;
-    ex.submit(10, [&](job_context& ctx) {
-      CHECK(ctx.worker_id() == 0);
-      order.push_back(0);
-      ctx.spawn(1, [&](job_context&) { order.push_back(1); });
-      ctx.spawn(2, [&](job_context&) { order.push_back(2); });
-      ctx.then([&](job_context& cont) {
-        order.push_back(3);
-        cont.spawn(1, [&](job_context&) { order.push_back(4); });
-        cont.then([&](job_context&) { order.push_back(5); });
-      });
-    });
-    const pcq::exec::exec_stats stats = ex.run(1);
-    CHECK(order == (std::vector<int>{0, 1, 2, 3, 4, 5}));
-    CHECK(stats.executed == 6);
-    CHECK(stats.spawned == 6);
-  }
-
   // One worker, one batch: the drain loop pops four roots under one
   // lock and runs all of them before it pops again, so a child keyed
   // below the rest of the batch still waits for the batch to finish. The
@@ -542,14 +426,11 @@ int main() {
   {
     static_assert(pcq::kDrainBatch == 4, "the batch below holds 4 roots");
     pcq::coarse_pq<std::uint64_t, std::uint64_t> q;
-    pcq::exec::executor<pcq::coarse_pq<std::uint64_t, std::uint64_t>> ex(q);
     std::vector<int> order;
-    for (int r = 0; r < 4; ++r) {
-      ex.submit(10 + r, [&, r](job_context& ctx) {
-        order.push_back(10 + r);
-        ctx.spawn(r, [&, r](job_context&) { order.push_back(r); });
-      });
-    }
+    pcq::exec::executor<pcq::coarse_pq<std::uint64_t, std::uint64_t>,
+                        batch_order>
+        ex(q, batch_order{&order});
+    for (std::uint64_t r = 10; r < 14; ++r) ex.submit(r, r);
     const pcq::exec::exec_stats stats = ex.run(1);
     CHECK(order == (std::vector<int>{10, 11, 12, 13, 0, 1, 2, 3}));
     CHECK(stats.executed == 8);
@@ -558,97 +439,19 @@ int main() {
   }
 
   // The mixed batches above on one worker: the exact order, and one
-  // push_batch per batch that produced anything, of 3, 3 and 1 jobs.
+  // push_batch per batch that produced anything, of 3 and 4 tasks.
   {
     publish_log_pq q;
     mixed_log log;
     std::vector<int> order;
     log.order = &order;
     const pcq::exec::exec_stats stats = run_mixed_publish(q, 1, log);
-    CHECK(order == (std::vector<int>{kP, kQ, kR, kS, kC, kD, kE, kT, kP2, kF,
-                                     kG, kR2}));
-    CHECK(q.publishes == (std::vector<std::size_t>{3, 3, 1}));
-    CHECK(stats.executed == kMixedJobs);
-    CHECK(stats.spawned == kMixedJobs);
+    CHECK(order == (std::vector<int>{kP, kQ, kR, kS, kC, kD, kE, kT, kF, kG,
+                                     kH, kI}));
+    CHECK(q.publishes == (std::vector<std::size_t>{3, 4}));
+    CHECK(stats.executed == kMixedTasks);
+    CHECK(stats.spawned == kMixedTasks);
     CHECK(q.size() == 0);
-  }
-
-  // Id range: 2^63 is refused by submit_id and by release, and the
-  // largest id, 2^63 - 1, reaches the handler untruncated together with
-  // its entry's priority. An id task has no record to await or continue,
-  // so spawn() and then() refuse too; a refused call queues nothing.
-  {
-    pcq::coarse_pq<std::uint64_t, std::uint64_t> q;
-    std::uint64_t seen_id = 0;
-    std::uint64_t seen_prio = 0;
-    int refused = 0;
-    pcq::exec::executor<pcq::coarse_pq<std::uint64_t, std::uint64_t>, id_probe>
-        ex(q, id_probe{&seen_id, &seen_prio, &refused});
-    CHECK_THROWS(ex.submit_id(7, std::uint64_t{1} << 63), std::invalid_argument);
-    CHECK_THROWS(ex.submit_id(7, ~std::uint64_t{0}), std::invalid_argument);
-    const std::uint64_t top = (std::uint64_t{1} << 63) - 1;
-    ex.submit_id(~std::uint64_t{0} - 1, top);
-    const pcq::exec::exec_stats stats = ex.run(1);
-    CHECK(seen_id == top);
-    CHECK(seen_prio == ~std::uint64_t{0} - 1);
-    CHECK(refused == 3);
-    CHECK(stats.executed == 1);
-    CHECK(stats.spawned == 1);
-    CHECK(q.size() == 0);
-  }
-
-  // A job with children but no continuation, and detached spawns from a
-  // running body: both complete and conserve counts.
-  {
-    pcq::coarse_pq<std::uint64_t, std::uint64_t> q;
-    pcq::exec::executor<pcq::coarse_pq<std::uint64_t, std::uint64_t>> ex(q);
-    int hits = 0;
-    ex.submit(1, [&](job_context& ctx) {
-      ++hits;
-      ctx.spawn(1, [&](job_context&) { ++hits; });        // awaited, no then
-      ctx.spawn_detached(2, [&](job_context&) { ++hits; });  // independent
-    });
-    const pcq::exec::exec_stats stats = ex.run(1);
-    CHECK(hits == 3);
-    CHECK(stats.executed == 3);
-    CHECK(stats.spawned == 3);
-  }
-
-  // then() in a body that spawned no children: the job finishes at once
-  // and the continuation is re-pushed and runs exactly once.
-  {
-    pcq::coarse_pq<std::uint64_t, std::uint64_t> q;
-    pcq::exec::executor<pcq::coarse_pq<std::uint64_t, std::uint64_t>> ex(q);
-    int body = 0;
-    int cont = 0;
-    ex.submit(1, [&](job_context& ctx) {
-      ++body;
-      ctx.then([&](job_context&) { ++cont; });
-    });
-    const pcq::exec::exec_stats stats = ex.run(1);
-    CHECK(body == 1);
-    CHECK(cont == 1);
-    CHECK(stats.executed == 2);
-    CHECK(stats.spawned == 2);
-  }
-
-  // then() twice in one body: the second call replaces the first, with
-  // and without awaited children.
-  for (const bool with_child : {false, true}) {
-    pcq::coarse_pq<std::uint64_t, std::uint64_t> q;
-    pcq::exec::executor<pcq::coarse_pq<std::uint64_t, std::uint64_t>> ex(q);
-    int first = 0;
-    int second = 0;
-    ex.submit(1, [&](job_context& ctx) {
-      if (with_child) ctx.spawn(1, [](job_context&) {});
-      ctx.then([&](job_context&) { ++first; });
-      ctx.then([&](job_context&) { ++second; });
-    });
-    const pcq::exec::exec_stats stats = ex.run(1);
-    CHECK(first == 0);
-    CHECK(second == 1);
-    CHECK(stats.executed == (with_child ? 3u : 2u));
-    CHECK(stats.spawned == (with_child ? 3u : 2u));
   }
 
   std::printf("test_exec OK\n");
