@@ -23,24 +23,41 @@
 //
 // Each cell is the median of verified trials that rotate through the
 // four series after one untimed warm-up round: five at smoke scale,
-// trials() at full scale.
+// trials() at full scale. Fork-join rounds also time the sequential sum;
+// each fork-join cell's time per reduction is printed over its median
+// (forkjoin_seq_ms, ungated).
+//
+// The rank pass runs the DAG task process (sim/graph_process.hpp) on
+// smaller DAGs through six queues, the k-LSM, SprayList and LJ skiplist
+// in place of the steal pool: one verified run_dag_executor per cell,
+// zero-round kernels and one task per pop, whose recorded settle order
+// sim::settle_ranks replays (an unmatched settle exits nonzero). The
+// rank of a settle is the number of READY tasks of smaller priority.
 //
 // Emits BENCH_exec.json: threads sweep, one series per scheduler;
 // "mops" = million grid-DAG tasks per second (the gated headline),
-// plus random_mops and forkjoin_mops arrays.
+// plus random_mops and forkjoin_mops arrays. One thread makes a rank
+// cell a pure function of the seeds, so the "one_thread" object is the
+// same at any PCQ_MAX_THREADS and CI gates it exactly; "rank_sweep"
+// holds every thread count's ranks, ungated.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchlib/bench_env.hpp"
 #include "benchlib/json_writer.hpp"
 #include "benchlib/table_printer.hpp"
 #include "core/baselines/coarse_pq.hpp"
+#include "core/baselines/klsm_pq.hpp"
+#include "core/baselines/lj_skiplist_pq.hpp"
+#include "core/baselines/spray_pq.hpp"
 #include "core/multi_queue.hpp"
 #include "exec/dag_workloads.hpp"
 #include "exec/executor.hpp"
@@ -48,6 +65,7 @@
 #include "graph/generators.hpp"
 #include "sim/graph_process.hpp"
 #include "util/stats.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -55,37 +73,88 @@ using namespace pcq;
 using namespace pcq::bench;
 using pcq::graph::csr_graph;
 
-// One verified run of the DAG executor on a fresh queue; million executed
-// tasks per second.
-template <typename Queue>
-double dag_trial(const char* name, const csr_graph& dag,
-                 const std::vector<std::uint64_t>& oracle,
-                 std::uint32_t rounds, std::size_t threads, Queue& queue) {
-  const exec::dag_exec_result res =
-      exec::run_dag_executor(dag, threads, queue, rounds);
-  if (!res.topo_ok || res.settled != dag.num_nodes() ||
-      res.outputs != oracle || res.stats.executed != dag.num_nodes() ||
-      res.stats.spawned != dag.num_nodes()) {
-    std::fprintf(stderr,
-                 "EXEC VIOLATION (%s, %zu threads): topo_ok=%d "
-                 "settled=%llu executed=%llu spawned=%llu of %u, "
-                 "outputs %s oracle\n",
-                 name, threads, res.topo_ok ? 1 : 0,
-                 static_cast<unsigned long long>(res.settled),
-                 static_cast<unsigned long long>(res.stats.executed),
-                 static_cast<unsigned long long>(res.stats.spawned),
-                 dag.num_nodes(),
-                 res.outputs == oracle ? "match" : "MISMATCH");
-    std::exit(1);
+constexpr const char* kUngated =
+    "rank_sweep entries at threads > 1 are ungated: their rank depends on "
+    "how the OS interleaves the threads";
+
+struct dag_workload {
+  const char* name;
+  csr_graph dag;
+  std::vector<std::uint64_t> oracle;  // the sequential outputs
+  std::uint32_t rounds;
+};
+
+dag_workload make_workload(const char* name, const csr_graph& g,
+                           std::uint32_t rounds) {
+  dag_workload w{name, sim::make_dag(g), {}, rounds};
+  w.oracle = exec::sequential_dag_outputs(w.dag, rounds);
+  return w;
+}
+
+// Calls f on a fresh queue of the named series, sized for `threads`.
+template <typename F>
+auto with_queue(const std::string& name, std::size_t threads, F&& f) {
+  using key = std::uint64_t;
+  if (name == "mq_b1.0" || name == "mq_b0.5") {
+    mq_config cfg;
+    cfg.beta = name == "mq_b1.0" ? 1.0 : 0.5;
+    return f(*std::make_unique<multi_queue<key, key>>(cfg, threads));
   }
+  if (name == "steal") {
+    return f(*std::make_unique<exec::steal_deque_pool<key, key>>(threads));
+  }
+  if (name == "klsm256") {
+    return f(*std::make_unique<klsm_pq<key, key>>(256));
+  }
+  if (name == "spraylist") {
+    return f(*std::make_unique<spray_pq<key, key>>(threads));
+  }
+  if (name == "lj_skiplist") {
+    return f(*std::make_unique<lj_skiplist_pq<key, key>>());
+  }
+  return f(*std::make_unique<coarse_pq<key, key>>());
+}
+
+// Exits 1 unless a DAG run settled and executed every task exactly once,
+// in topological order, with the oracle's outputs, and its replay (if
+// any) matched every settle.
+void verify_dag(const std::string& queue, const dag_workload& w,
+                std::size_t threads, const exec::dag_exec_result& res,
+                std::uint64_t unmatched = 0) {
+  const std::size_t n = w.dag.num_nodes();
+  if (res.topo_ok && res.settled == n && res.stats.executed == n &&
+      res.stats.spawned == n && unmatched == 0 && res.outputs == w.oracle) {
+    return;
+  }
+  std::fprintf(stderr,
+               "EXEC VIOLATION (%s, %s DAG, %zu threads): topo_ok=%d "
+               "settled=%llu executed=%llu spawned=%llu of %zu, "
+               "unmatched=%llu, outputs %s oracle\n",
+               queue.c_str(), w.name, threads, res.topo_ok ? 1 : 0,
+               static_cast<unsigned long long>(res.settled),
+               static_cast<unsigned long long>(res.stats.executed),
+               static_cast<unsigned long long>(res.stats.spawned), n,
+               static_cast<unsigned long long>(unmatched),
+               res.outputs == w.oracle ? "match" : "MISMATCH");
+  std::exit(1);
+}
+
+// One verified run of the DAG executor; million executed tasks per second.
+template <typename Queue>
+double dag_trial(const std::string& name, const dag_workload& w,
+                 std::size_t threads, Queue& queue) {
+  const exec::dag_exec_result res =
+      exec::run_dag_executor(w.dag, threads, queue, w.rounds);
+  verify_dag(name, w, threads, res);
   return res.stats.seconds > 0.0 ? static_cast<double>(res.settled) /
                                        res.stats.seconds / 1e6
                                  : 0.0;
 }
 
-// One verified run of the fork-join reduction on a fresh queue.
+// One verified run of the fork-join reduction.
 template <typename Queue>
-double forkjoin_trial(const char* name, const exec::forkjoin_params& params,
+double forkjoin_trial(const std::string& name,
+                      const exec::forkjoin_params& params,
                       std::uint64_t oracle_sum, std::uint64_t oracle_jobs,
                       std::size_t threads, Queue& queue) {
   const exec::forkjoin_result res =
@@ -95,7 +164,8 @@ double forkjoin_trial(const char* name, const exec::forkjoin_params& params,
     std::fprintf(stderr,
                  "EXEC VIOLATION (%s forkjoin, %zu threads): sum %s "
                  "oracle, executed=%llu spawned=%llu of %llu tasks\n",
-                 name, threads, res.sum == oracle_sum ? "match" : "MISMATCH",
+                 name.c_str(), threads,
+                 res.sum == oracle_sum ? "match" : "MISMATCH",
                  static_cast<unsigned long long>(res.stats.executed),
                  static_cast<unsigned long long>(res.stats.spawned),
                  static_cast<unsigned long long>(oracle_jobs));
@@ -104,6 +174,32 @@ double forkjoin_trial(const char* name, const exec::forkjoin_params& params,
   return res.stats.seconds > 0.0 ? static_cast<double>(res.stats.executed) /
                                        res.stats.seconds / 1e6
                                  : 0.0;
+}
+
+// The artifact's rank fields, each prefixed by its DAG's name, in the
+// order of a rank_cell.
+const char* const kRankFields[] = {"mean_rank", "max_rank",
+                                   "inversion_frac"};
+using rank_cell = std::array<double, 3>;
+
+// One verified recording run and its replayed settle ranks.
+template <typename Queue>
+rank_cell rank_trial(const std::string& name, const dag_workload& w,
+                     std::size_t threads, Queue& queue) {
+  const auto res = exec::run_dag_executor(w.dag, threads, queue, 0, true);
+  const replay_report ranks = sim::settle_ranks(w.dag, res.settle_order);
+  verify_dag(name, w, threads, res, ranks.unmatched);
+  return {ranks.rank_stats.mean(), ranks.rank_stats.max(),
+          ranks.deletions > 0 ? static_cast<double>(ranks.inversions) /
+                                    static_cast<double>(ranks.deletions)
+                              : 0.0};
+}
+
+// A table whose columns are `columns` followed by one per series.
+table_printer series_table(std::vector<std::string> columns,
+                           const std::vector<std::string>& series) {
+  columns.insert(columns.end(), series.begin(), series.end());
+  return table_printer(std::move(columns));
 }
 
 }  // namespace
@@ -120,25 +216,32 @@ int main() {
   grid_params.width = grid_side;
   grid_params.height = grid_side;
   grid_params.seed = 0x65786563u;  // "exec"
-  const csr_graph grid_dag =
-      sim::make_dag(graph::make_road_network(grid_params));
-
   graph::random_graph_params rnd_params;
   rnd_params.nodes = random_nodes;
   rnd_params.avg_degree = 4.0;
   rnd_params.seed = 0x65786564u;
-  const csr_graph rnd_dag =
-      sim::make_dag(graph::make_random_graph(rnd_params));
+  const dag_workload timed_dags[2] = {
+      make_workload("grid", graph::make_road_network(grid_params), rounds),
+      make_workload("random", graph::make_random_graph(rnd_params), rounds)};
+
+  // The rank pass's DAGs: smaller, and zero-round kernels, since only the
+  // settle order is measured.
+  graph::road_network_params rank_grid_params;
+  rank_grid_params.width = scaled<std::uint32_t>(64, 256);
+  rank_grid_params.height = rank_grid_params.width;
+  rank_grid_params.seed = 0x657874u;  // "ext"
+  graph::random_graph_params rank_rnd_params;
+  rank_rnd_params.nodes = scaled<std::uint32_t>(4096, 262144);
+  rank_rnd_params.avg_degree = 4.0;
+  rank_rnd_params.seed = 0x657875u;
+  const dag_workload rank_dags[2] = {
+      make_workload("grid", graph::make_road_network(rank_grid_params), 0),
+      make_workload("random", graph::make_random_graph(rank_rnd_params), 0)};
 
   exec::forkjoin_params fj;
   fj.items = scaled<std::uint64_t>(1u << 17, 1u << 21);
   fj.grain = 64;
   fj.rounds = scaled<std::uint32_t>(16, 64);
-
-  const std::vector<std::uint64_t> grid_oracle =
-      exec::sequential_dag_outputs(grid_dag, rounds);
-  const std::vector<std::uint64_t> rnd_oracle =
-      exec::sequential_dag_outputs(rnd_dag, rounds);
   const std::uint64_t fj_oracle = exec::sequential_forkjoin_sum(fj);
   const std::uint64_t fj_jobs =
       exec::forkjoin_job_count(0, fj.items, fj.grain);
@@ -149,28 +252,12 @@ int main() {
       "sequential oracle (outputs, topo invariant, conservation)");
   std::printf("grid DAG: %u tasks; random DAG: %u tasks; fork-join: "
               "%llu tasks; kernel rounds=%u (PCQ_BENCH_FULL=%d)\n",
-              grid_dag.num_nodes(), rnd_dag.num_nodes(),
+              timed_dags[0].dag.num_nodes(), timed_dags[1].dag.num_nodes(),
               static_cast<unsigned long long>(fj_jobs), rounds,
               full_scale() ? 1 : 0);
 
-  using queue_key = std::uint64_t;
   const std::vector<std::string> series_names{"mq_b1.0", "mq_b0.5", "steal",
                                               "coarse"};
-  const auto make_mq = [](double beta) {
-    return [beta](std::size_t threads) {
-      mq_config cfg;
-      cfg.beta = beta;
-      return std::make_unique<multi_queue<queue_key, queue_key>>(cfg,
-                                                                 threads);
-    };
-  };
-  const auto make_steal = [](std::size_t threads) {
-    return std::make_unique<exec::steal_deque_pool<queue_key, queue_key>>(
-        threads);
-  };
-  const auto make_coarse = [](std::size_t) {
-    return std::make_unique<coarse_pq<queue_key, queue_key>>();
-  };
 
   // The median takes five trials at smoke scale, dropping up to two
   // slowed by a host stall (docs/BENCHMARKS.md gives the gate's measured
@@ -187,46 +274,39 @@ int main() {
   std::vector<std::vector<std::vector<double>>> results(
       3, std::vector<std::vector<double>>(series_names.size()));
   const char* workload_names[3] = {"grid", "random", "forkjoin"};
+  std::vector<double> seq_ms;  // timed sequential fork-join sums
 
   for (std::size_t w = 0; w < 3; ++w) {
     print_header(std::string("EXEC: ") + workload_names[w] + " workload",
                  "million executed tasks per second, higher is better");
-    table_printer table([&] {
-      std::vector<std::string> columns{"threads"};
-      columns.insert(columns.end(), series_names.begin(),
-                     series_names.end());
-      return columns;
-    }());
+    table_printer table = series_table({"threads"}, series_names);
     for (const std::size_t t : thread_counts) {
       // One verified trial of series s on a fresh queue.
       const auto trial = [&](std::size_t s) {
-        const auto run = [&](auto make) {
-          const char* name = series_names[s].c_str();
-          auto queue = make(t);
-          if (w == 0) {
-            return dag_trial(name, grid_dag, grid_oracle, rounds, t, *queue);
-          }
-          if (w == 1) {
-            return dag_trial(name, rnd_dag, rnd_oracle, rounds, t, *queue);
-          }
-          return forkjoin_trial(name, fj, fj_oracle, fj_jobs, t, *queue);
-        };
-        switch (s) {
-          case 0: return run(make_mq(1.0));
-          case 1: return run(make_mq(0.5));
-          case 2: return run(make_steal);
-          default: return run(make_coarse);
-        }
+        return with_queue(series_names[s], t, [&](auto& queue) {
+          return w < 2 ? dag_trial(series_names[s], timed_dags[w], t, queue)
+                       : forkjoin_trial(series_names[s], fj, fj_oracle,
+                                        fj_jobs, t, queue);
+        });
       };
       // Trials rotate through the series, so a burst of interference
       // costs each series one trial, which the median drops, instead of
       // setting one cell. Round 0 is an untimed warm-up of every series.
+      // Fork-join rounds end with the sequential sum.
       std::vector<std::vector<double>> mops(series_names.size());
       for (unsigned round = 0; round <= cell_trials; ++round) {
         for (std::size_t s = 0; s < series_names.size(); ++s) {
           const double m = trial(s);
           if (round > 0) mops[s].push_back(m);
         }
+        if (w < 2) continue;
+        const wall_timer timer;
+        if (exec::sequential_forkjoin_sum(fj) != fj_oracle) {
+          std::fprintf(stderr, "EXEC VIOLATION: sequential fork-join sum "
+                               "differs from its first run\n");
+          return 1;
+        }
+        if (round > 0) seq_ms.push_back(timer.elapsed_seconds() * 1e3);
       }
       std::vector<double> row{static_cast<double>(t)};
       for (std::size_t s = 0; s < series_names.size(); ++s) {
@@ -237,17 +317,109 @@ int main() {
     }
   }
 
+  // Time per reduction of each fork-join cell over the sequential sum's:
+  // the leaf kernels' speed moves with where the compiler places their
+  // loop, and the sequential sum shows how much of a cell that is.
+  const double forkjoin_seq_ms = percentile(seq_ms, 0.5);
+  print_header("EXEC: fork-join time per reduction / sequential sum",
+               "sequential sum median " + std::to_string(forkjoin_seq_ms) +
+                   " ms over every timed round; ungated");
+  table_printer fj_table = series_table({"threads"}, series_names);
+  for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+    std::vector<double> row{static_cast<double>(thread_counts[i])};
+    for (std::size_t s = 0; s < series_names.size(); ++s) {
+      const double m = results[2][s][i];
+      row.push_back(m > 0.0 ? static_cast<double>(fj_jobs) / (m * 1e3) /
+                                  forkjoin_seq_ms
+                            : 0.0);
+    }
+    fj_table.row(row);
+  }
+
+  // The rank pass: rank_results[dag][queue][thread index].
+  const std::vector<std::string> rank_names{
+      "mq_b1.0", "mq_b0.5", "klsm256", "spraylist", "lj_skiplist",
+      "coarse"};
+  std::vector<std::vector<std::vector<rank_cell>>> rank_results(
+      2, std::vector<std::vector<rank_cell>>(rank_names.size()));
+  for (std::size_t w = 0; w < 2; ++w) {
+    print_header(
+        std::string("EXEC: settle ranks on the ") + rank_dags[w].name +
+            " DAG (" + std::to_string(rank_dags[w].dag.num_nodes()) +
+            " tasks, " + std::to_string(rank_dags[w].dag.num_edges()) +
+            " deps)",
+        "per thread count: mean rank (0) | max rank (1) | inversion "
+        "fraction (2); one task per pop");
+    table_printer table = series_table({"threads", "metric"}, rank_names);
+    for (const std::size_t t : thread_counts) {
+      if (t == 2) std::printf("-- %s\n", kUngated);
+      for (std::size_t s = 0; s < rank_names.size(); ++s) {
+        rank_results[w][s].push_back(
+            with_queue(rank_names[s], t, [&](auto& queue) {
+              return rank_trial(rank_names[s], rank_dags[w], t, queue);
+            }));
+      }
+      for (std::size_t m = 0; m < 3; ++m) {
+        std::vector<double> row{static_cast<double>(t),
+                                static_cast<double>(m)};
+        for (std::size_t s = 0; s < rank_names.size(); ++s) {
+          row.push_back(rank_results[w][s].back()[m]);
+        }
+        table.row(row);
+      }
+    }
+  }
+
   const std::string json_path = json_artifact_path("BENCH_exec.json");
   json_writer json(json_path);
   json.begin_object()
       .kv("bench", "exec")
       .kv("unit", "mops = million executed tasks per second on the grid DAG")
       .kv("full_scale", full_scale())
-      .kv("grid_tasks", static_cast<std::size_t>(grid_dag.num_nodes()))
-      .kv("random_tasks", static_cast<std::size_t>(rnd_dag.num_nodes()))
+      .kv("grid_tasks",
+          static_cast<std::size_t>(timed_dags[0].dag.num_nodes()))
+      .kv("random_tasks",
+          static_cast<std::size_t>(timed_dags[1].dag.num_nodes()))
       .kv("forkjoin_jobs", static_cast<std::size_t>(fj_jobs))
       .kv("kernel_rounds", static_cast<std::size_t>(rounds))
-      .kv("trials", static_cast<std::size_t>(cell_trials));
+      .kv("trials", static_cast<std::size_t>(cell_trials))
+      .kv("forkjoin_seq_ms", forkjoin_seq_ms);
+  // rank_results[w][s] as "<dag>_<field>" keys: each cell's one-thread
+  // value, or its array over the thread sweep.
+  const auto emit_ranks = [&](std::size_t s, bool sweep) {
+    for (std::size_t w = 0; w < 2; ++w) {
+      for (std::size_t m = 0; m < 3; ++m) {
+        const std::string name =
+            std::string(rank_dags[w].name) + "_" + kRankFields[m];
+        if (!sweep) {
+          json.kv(name.c_str(), rank_results[w][s].front()[m]);
+          continue;
+        }
+        json.key(name.c_str()).begin_array();
+        for (const rank_cell& c : rank_results[w][s]) json.value(c[m]);
+        json.end_array();
+      }
+    }
+  };
+  json.key("one_thread").begin_object()
+      .kv("grid_tasks", static_cast<std::size_t>(rank_dags[0].dag.num_nodes()))
+      .kv("random_tasks",
+          static_cast<std::size_t>(rank_dags[1].dag.num_nodes()));
+  json.key("rows").begin_array();
+  for (std::size_t s = 0; s < rank_names.size(); ++s) {
+    json.begin_object().kv("name", rank_names[s]);
+    emit_ranks(s, false);
+    json.end_object();
+  }
+  json.end_array().end_object();
+  json.key("rank_sweep").begin_object().kv("ungated", kUngated);
+  json.key("series").begin_array();
+  for (std::size_t s = 0; s < rank_names.size(); ++s) {
+    json.begin_object().kv("name", rank_names[s]);
+    emit_ranks(s, true);
+    json.end_object();
+  }
+  json.end_array().end_object();
   json.key("threads").begin_array();
   for (const std::size_t t : thread_counts) json.value(t);
   json.end_array();
@@ -273,6 +445,8 @@ int main() {
       "expected: the steal deque wins raw task churn (no comparisons, no "
       "shared order) while the MultiQueue\nkeeps the frontier "
       "priority-shaped on the wide random DAG at a small cost; coarse "
-      "bounds the contention floor.\n");
+      "bounds the contention floor.\nAt 1 thread every rank-pass queue but "
+      "mq_b0.5 reads 0 inversions on both rank DAGs (mq_b1.0's two choices "
+      "cover both of its slots).\n");
   return 0;
 }

@@ -16,9 +16,9 @@
 // per node). With record_order set the run pops one task per call and
 // returns the order in which the tasks started; settle_ranks below
 // replays that order offline and yields the rank of every settle among
-// the tasks that were ready at that point. bench_ext_graph_process
-// compares these inversions across all five queues on road-grid and
-// random-DAG workloads.
+// the tasks that were ready at that point. bench_exec's rank pass
+// compares these inversions across all five queue types on road-grid
+// and random-DAG workloads.
 
 #pragma once
 

@@ -5,14 +5,15 @@
 // settles every task exactly once, never before its predecessors
 // (re-verified offline against the arcs, not just the run's own inline
 // check), with the sequential oracle's outputs; the replay matches every
-// settle; and a strict queue driven by one thread is a zero-inversion
-// exact scheduler. TSan-friendly scales.
+// settle; and every queue driven by one thread is a zero-inversion exact
+// scheduler. TSan-friendly scales.
 
 #include "sim/graph_process.hpp"
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -77,11 +78,11 @@ void check_process(const csr_graph& dag, std::size_t threads,
   CHECK(ranks.unmatched == 0);
 }
 
-/// One thread on a strict queue is an EXACT scheduler: every pop is the
-/// true minimum of the ready set, which is the minimum of all unsettled
-/// tasks (their predecessors have smaller priority), so the settle order
-/// is the priority order, the replay sees zero inversions, and a second
-/// run settles in the same order.
+/// One thread on a queue whose pops are exact is an EXACT scheduler:
+/// every pop is the true minimum of the ready set, which is the minimum
+/// of all unsettled tasks (their predecessors have smaller priority), so
+/// the settle order is the priority order, the replay sees zero
+/// inversions, and a second run settles in the same order.
 template <typename MakeQueue>
 void check_exact_scheduler(const csr_graph& dag, MakeQueue make) {
   const std::vector<std::uint32_t> depth = dag_depths(dag);
@@ -217,21 +218,27 @@ int main() {
   check_all_workloads(make_spray);
   check_all_workloads(make_klsm);
 
-  // Strict queues driven by one thread are exact schedulers. The fan has
+  // Every queue driven by one thread is an exact scheduler: the strict
+  // ones by construction, the k-LSM and the SprayList because one handle
+  // sees all of their entries, and the default MultiQueue because at one
+  // thread it holds 2 slots and its d = 2 choices cover both. The fan has
   // more roots than one batched pop takes: a pop of four would run task
   // 6 before task 5, which its last root releases.
   {
     std::vector<csr_graph::edge> edges{{0, 6, 1}, {4, 5, 1}};
     const csr_graph fan = csr_graph::from_edges(7, edges);
-    check_exact_scheduler(fan, make_coarse);
-    check_exact_scheduler(fan, make_lj);
     graph::random_graph_params params;
     params.nodes = 800;
     params.avg_degree = 3.0;
     params.seed = 0x63u;
     const csr_graph dag = make_dag(make_random_graph(params));
-    check_exact_scheduler(dag, make_coarse);
-    check_exact_scheduler(dag, make_lj);
+    for (const csr_graph* g : {&fan, &dag}) {
+      check_exact_scheduler(*g, make_coarse);
+      check_exact_scheduler(*g, make_lj);
+      check_exact_scheduler(*g, make_mq);
+      check_exact_scheduler(*g, make_klsm);
+      check_exact_scheduler(*g, make_spray);
+    }
   }
 
   std::printf("test_graph_process: OK\n");
