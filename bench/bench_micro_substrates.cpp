@@ -27,7 +27,20 @@
 // 3-4x at 2^20: a refill reads its sorted runs in order where a heap pop
 // walks a root-to-leaf path.
 //
+// Sized-prefill row: one hold_deep slot's share of a deep prefill —
+// reserve(2^18) on a fresh buffered16, then 2^18 pushes of bounded(2^30)
+// keys — as ns per entry, with the process's minor page faults across
+// the same span (getrusage). It runs before the table, and every trial's
+// heap lives until the last trial ends, so each trial reserves memory no
+// earlier trial touched, as each slot of a new queue does. Nearly every
+// push lands in the insertion buffer, so the row times the flush: the
+// sorting network and the first writes into the arena. It is written to
+// BENCH_micro.json as the top-level "sized_prefill" object, outside the
+// gated series.
+//
 // Emits BENCH_micro.json (gated in CI against a committed baseline).
+
+#include <sys/resource.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -120,6 +133,39 @@ std::unique_ptr<pair_cell> make_cell(std::size_t depth) {
   return std::make_unique<hold_cell<Heap>>(depth);
 }
 
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+struct prefill_cost {
+  double ns_per_entry, minor_faults;  // medians over the trials
+};
+
+/// reserve(n) plus n pushes of bounded(2^30) keys into a fresh
+/// buffered16, per trial.
+prefill_cost sized_prefill(std::size_t n) {
+  using heap_t = sub_t<buffered_heap<16>>;
+  xoshiro256ss rng(0x5f1u);
+  std::vector<u64> keys(n);
+  for (u64& k : keys) k = rng.bounded(1u << 30);
+  std::vector<std::unique_ptr<heap_t>> heaps;  // kept until the last trial
+  std::vector<double> ns, faults;
+  for (unsigned trial = 0; trial < trials() + 2; ++trial) {
+    heaps.push_back(std::make_unique<heap_t>());
+    heap_t& heap = *heaps.back();
+    const long faults_before = minor_faults();
+    wall_timer timer;
+    heap.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) heap.push(keys[i], i);
+    ns.push_back(timer.elapsed_seconds() / static_cast<double>(n) * 1e9);
+    faults.push_back(static_cast<double>(minor_faults() - faults_before));
+    g_sink += heap.top_key();
+  }
+  return {percentile(ns, 0.5), percentile(faults, 0.5)};
+}
+
 /// Median ns/op of a scalar utility operation (body invoked `iters`
 /// times per trial).
 template <typename Body>
@@ -157,6 +203,14 @@ int main() {
                                                             16, 18, 20}
                                          : std::vector<int>{8, 12, 16, 20};
   const std::size_t iters = scaled<std::size_t>(1u << 15, 1u << 18);
+
+  const std::size_t prefill_entries = std::size_t{1} << 18;
+  const prefill_cost prefill = sized_prefill(prefill_entries);
+  print_header("MICRO sized prefill: buffered16, reserve + pushes",
+               "one hold_deep slot's share; minor faults over the same span");
+  table_printer prefill_table({"entries", "ns_per_entry", "minor_faults"});
+  prefill_table.row({static_cast<double>(prefill_entries),
+                     prefill.ns_per_entry, prefill.minor_faults});
 
   print_header(
       "MICRO substrates: hold-model pop+push pairs at fixed depth "
@@ -252,6 +306,13 @@ int main() {
       .kv("ns_alias_sample", ns_alias_sample)
       .kv("ns_fenwick_toggle", ns_fenwick_toggle)
       .kv("ns_spinlock_uncontended", ns_spinlock);
+  json.key("sized_prefill").begin_object()
+      .kv("ungated", "median over the trials of one fresh buffered16 each")
+      .kv("heap", "buffered16")
+      .kv("entries", prefill_entries)
+      .kv("ns_per_entry", prefill.ns_per_entry)
+      .kv("minor_faults", prefill.minor_faults)
+      .end_object();
   json.key("threads").begin_array();
   for (const int e : exponents) json.value(static_cast<unsigned>(e));
   json.end_array();

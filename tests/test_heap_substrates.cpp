@@ -9,8 +9,10 @@
 // buffered_heap: named edge cases for each path between its three parts
 // (deletion buffer, insertion buffer, sorted-run store), checked against
 // a sorted oracle and against the part sizes the path must leave, plus the
-// header size the MultiQueue lock-line budget rests on; a sized prefill
-// through the MultiQueue itself; and a randomized differential test
+// header size the MultiQueue lock-line budget rests on; the flush's
+// sorting network, checked on every 0/1 input; sized prefills (ascending
+// and random keys, some past the 2 MiB huge-page span) through the heap
+// and through the MultiQueue itself; and a randomized differential test
 // against a std::multiset that also bounds the run ladder after every
 // refill.
 
@@ -322,21 +324,110 @@ void buffered_reserve_then_ascending_batch(std::size_t n) {
   drain_matches(h, pushed);
 }
 
-/// The same sized prefill through the MultiQueue itself.
-void queue_reserve_then_ascending_batch(std::size_t n) {
-  const auto pushed = ascending_batch(n);
+std::vector<std::pair<u64, u64>> random_batch(std::size_t n,
+                                              std::uint64_t seed) {
+  pcq::xoshiro256ss rng(seed);
+  std::vector<std::pair<u64, u64>> batch;
+  for (std::size_t i = 0; i < n; ++i) {
+    batch.emplace_back(rng.bounded(1u << 30), i);
+  }
+  return batch;
+}
+
+/// reserve followed by random keys of the reserved size, the share of one
+/// MultiQueue slot in a deep prefill. At n = 2^18 the arena spans 4 MiB,
+/// so reserve advises its huge-page interior before the flushes fill it.
+template <std::size_t B>
+void buffered_reserve_then_random_batch(std::size_t n, std::uint64_t seed) {
+  buffered_t<B> h;
+  h.reserve(n);
+  const auto pushed = random_batch(n, seed);
+  for (const auto& e : pushed) h.push(e.first, e.second);
+  CHECK(h.size() == n);
+  drain_matches(h, pushed);
+}
+
+/// A sized prefill through the MultiQueue itself, with
+/// expected_capacity = the batch's size, at 2 threads (4 slots), pushed
+/// in push_batch calls of `chunk` entries (each lands in one slot).
+void queue_reserve_then_batch(const std::vector<std::pair<u64, u64>>& pushed,
+                              std::size_t chunk) {
+  const std::size_t n = pushed.size();
   pcq::mq_config cfg;
   cfg.expected_capacity = n;
   pcq::multi_queue<u64, u64> queue(cfg, 2);
   auto handle = queue.get_handle(0);
-  handle.push_batch(pushed.data(), pushed.size());
+  for (std::size_t i = 0; i < n; i += chunk) {
+    handle.push_batch(pushed.data() + i, std::min(chunk, n - i));
+  }
   CHECK(queue.size() == n);
   std::vector<std::pair<u64, u64>> popped;
   u64 key = 0, value = 0;
   while (handle.try_pop(key, value)) popped.emplace_back(key, value);
   std::sort(popped.begin(), popped.end());
-  CHECK(popped == pushed);
+  auto expected = pushed;
+  std::sort(expected.begin(), expected.end());
+  CHECK(popped == expected);
   CHECK(queue.size() == 0);
+}
+
+// ---- the flush's sorting network ----
+
+template <std::size_t B>
+using network_t = pcq::heap_detail::sorting_network<B>;
+
+/// By the 0-1 principle a comparator network sorts every input iff it
+/// sorts every 0/1 input: all 2^B of them, each value (the input index)
+/// coming out exactly once.
+template <std::size_t B>
+void network_sorts_zero_one_inputs() {
+  static_assert(B <= 20, "2^B inputs");
+  for (u64 bits = 0; bits < (u64{1} << B); ++bits) {
+    std::pair<u64, u64> a[B];
+    for (std::size_t i = 0; i < B; ++i) a[i] = {(bits >> i) & 1, i};
+    network_t<B>::sort(a, std::less<u64>());
+    bool seen[B] = {};
+    for (std::size_t i = 0; i < B; ++i) {
+      CHECK(i == 0 || a[i - 1].first <= a[i].first);
+      CHECK(a[i].first == ((bits >> a[i].second) & 1));
+      CHECK(!seen[a[i].second]);
+      seen[a[i].second] = true;
+    }
+  }
+}
+
+/// B equal keys with distinct values: the exchanges move whole pairs, so
+/// every pair comes out exactly once.
+template <std::size_t B>
+void network_keeps_equal_key_pairs() {
+  std::pair<u64, u64> a[B];
+  for (std::size_t i = 0; i < B; ++i) a[i] = {42, value_of(i)};
+  network_t<B>::sort(a, std::less<u64>());
+  std::vector<std::pair<u64, u64>> out(a, a + B), want;
+  for (std::size_t i = 0; i < B; ++i) want.emplace_back(42, value_of(i));
+  std::sort(out.begin(), out.end());
+  std::sort(want.begin(), want.end());
+  CHECK(out == want);
+}
+
+/// Random keys through many flushes (every push past the deletion buffer
+/// lands in the insertion buffer), drained against the sorted oracle.
+template <std::size_t B>
+void network_flushes_random_keys(std::uint64_t seed) {
+  buffered_t<B> h;
+  const auto pushed = random_batch(512 * B, seed);
+  for (const auto& e : pushed) h.push(e.first, e.second);
+  // Every push past the first B spills one entry, and the last B spills
+  // still wait in the insertion buffer.
+  CHECK(h.run_count() == 510 && h.insertion_size() == B);
+  drain_matches(h, pushed);
+}
+
+template <std::size_t B>
+void network_cases(std::uint64_t seed) {
+  network_sorts_zero_one_inputs<B>();
+  network_keeps_equal_key_pairs<B>();
+  network_flushes_random_keys<B>(seed);
 }
 
 /// Randomized differential test against a std::multiset of (key, value)
@@ -461,7 +552,17 @@ int main() {
   buffered_differential_phases<1>(0xd1f1);
   buffered_differential_phases<3>(0xd1f3);
   buffered_differential_phases<16>(0xd1f16);
-  queue_reserve_then_ascending_batch(std::size_t{1} << 16);
+  network_cases<1>(0x7e01);
+  network_cases<3>(0x7e03);
+  network_cases<4>(0x7e04);
+  network_cases<16>(0x7e16);
+  queue_reserve_then_batch(ascending_batch(std::size_t{1} << 16),
+                           std::size_t{1} << 16);
+  // Past the 2 MiB huge-page span: a 4 MiB heap arena, and about
+  // 2.6 MiB reserved per queue slot, filled in hold_deep's 4096-entry
+  // batches.
+  buffered_reserve_then_random_batch<16>(std::size_t{1} << 18, 0x4a6e);
+  queue_reserve_then_batch(random_batch(std::size_t{1} << 19, 0x4a6f), 4096);
 
   std::printf("test_heap_substrates OK\n");
   return 0;
