@@ -17,12 +17,13 @@
 // cell; the sweep is now strictly every-32nd-attempt).
 //
 // A third table puts the cost on record: the rank of every entry taken
-// by try_pop_batch(K), K in {1, 2, 4, 8, 16}, the call the drain loop of
-// parallel_sssp and the executor makes with K = kDrainBatch. One handle
-// drives the default 8-slot queue through the hold model (2^16 prefill,
-// 2^19 deliveries, each followed by a push of the next increasing label),
-// and a Fenwick oracle ranks each key when it is delivered: the number of
-// smaller keys still in the queue or still waiting in the batch. Each K
+// by try_pop_batch(K), K in {1, 2, 4, 8, 16}, the call the executor's
+// drain loop (and so parallel_sssp's) makes with K = kDrainBatch. One
+// handle drives the default 8-slot queue through the hold model (2^16
+// prefill, 2^19 deliveries, each followed by a push of the next
+// increasing label), and a Fenwick oracle ranks each key when it is
+// delivered: the number of smaller keys still in the queue or still
+// waiting in the batch. Each K
 // has two rows: replacements pushed one by one as each entry is
 // delivered, and the drain loop's publish, where the K replacements of a
 // batch go in with one push_batch after the batch (into one sampled

@@ -25,7 +25,10 @@
 // four series after one untimed warm-up round: five at smoke scale,
 // trials() at full scale. Fork-join rounds also time the sequential sum;
 // each fork-join cell's time per reduction is printed over its median
-// (forkjoin_seq_ms, ungated).
+// (forkjoin_seq_ms, ungated). Each fork-join trial is followed by a
+// kernel-free one (rounds = 0) of the same series, whose ns per task is
+// the executor's own cost without the leaf loop (forkjoin0_mops,
+// ungated).
 //
 // The rank pass runs the DAG task process (sim/graph_process.hpp) on
 // smaller DAGs through six queues, the k-LSM, SprayList and LJ skiplist
@@ -36,10 +39,10 @@
 //
 // Emits BENCH_exec.json: threads sweep, one series per scheduler;
 // "mops" = million grid-DAG tasks per second (the gated headline),
-// plus random_mops and forkjoin_mops arrays. One thread makes a rank
-// cell a pure function of the seeds, so the "one_thread" object is the
-// same at any PCQ_MAX_THREADS and CI gates it exactly; "rank_sweep"
-// holds every thread count's ranks, ungated.
+// plus random_mops, forkjoin_mops and forkjoin0_mops arrays. One thread
+// makes a rank cell a pure function of the seeds, so the "one_thread"
+// object is the same at any PCQ_MAX_THREADS and CI gates it exactly;
+// "rank_sweep" holds every thread count's ranks, ungated.
 
 #include <array>
 #include <cstddef>
@@ -245,6 +248,9 @@ int main() {
   const std::uint64_t fj_oracle = exec::sequential_forkjoin_sum(fj);
   const std::uint64_t fj_jobs =
       exec::forkjoin_job_count(0, fj.items, fj.grain);
+  exec::forkjoin_params fj0 = fj;  // the same tree, kernel-free leaves
+  fj0.rounds = 0;
+  const std::uint64_t fj0_oracle = exec::sequential_forkjoin_sum(fj0);
 
   print_header(
       "EXEC: executor layer — queue-level vs scheduler-level choice",
@@ -275,29 +281,40 @@ int main() {
       3, std::vector<std::vector<double>>(series_names.size()));
   const char* workload_names[3] = {"grid", "random", "forkjoin"};
   std::vector<double> seq_ms;  // timed sequential fork-join sums
+  // forkjoin0[series][thread index] = median Mops/s, kernel-free.
+  std::vector<std::vector<double>> forkjoin0(series_names.size());
 
   for (std::size_t w = 0; w < 3; ++w) {
     print_header(std::string("EXEC: ") + workload_names[w] + " workload",
                  "million executed tasks per second, higher is better");
     table_printer table = series_table({"threads"}, series_names);
     for (const std::size_t t : thread_counts) {
-      // One verified trial of series s on a fresh queue.
-      const auto trial = [&](std::size_t s) {
+      // One verified trial of series s on a fresh queue; kernel_free
+      // picks the zero-round fork-join tree.
+      const auto trial = [&](std::size_t s, bool kernel_free) {
         return with_queue(series_names[s], t, [&](auto& queue) {
-          return w < 2 ? dag_trial(series_names[s], timed_dags[w], t, queue)
-                       : forkjoin_trial(series_names[s], fj, fj_oracle,
-                                        fj_jobs, t, queue);
+          if (w < 2)
+            return dag_trial(series_names[s], timed_dags[w], t, queue);
+          return kernel_free ? forkjoin_trial(series_names[s], fj0,
+                                              fj0_oracle, fj_jobs, t, queue)
+                             : forkjoin_trial(series_names[s], fj, fj_oracle,
+                                              fj_jobs, t, queue);
         });
       };
       // Trials rotate through the series, so a burst of interference
       // costs each series one trial, which the median drops, instead of
       // setting one cell. Round 0 is an untimed warm-up of every series.
-      // Fork-join rounds end with the sequential sum.
+      // Each fork-join trial is followed by its kernel-free twin, and
+      // fork-join rounds end with the sequential sum.
       std::vector<std::vector<double>> mops(series_names.size());
+      std::vector<std::vector<double>> mops0(series_names.size());
       for (unsigned round = 0; round <= cell_trials; ++round) {
         for (std::size_t s = 0; s < series_names.size(); ++s) {
-          const double m = trial(s);
+          const double m = trial(s, false);
           if (round > 0) mops[s].push_back(m);
+          if (w < 2) continue;
+          const double m0 = trial(s, true);
+          if (round > 0) mops0[s].push_back(m0);
         }
         if (w < 2) continue;
         const wall_timer timer;
@@ -312,6 +329,7 @@ int main() {
       for (std::size_t s = 0; s < series_names.size(); ++s) {
         results[w][s].push_back(percentile(mops[s], 0.5));
         row.push_back(results[w][s].back());
+        if (w == 2) forkjoin0[s].push_back(percentile(mops0[s], 0.5));
       }
       table.row(row);
     }
@@ -334,6 +352,21 @@ int main() {
                             : 0.0);
     }
     fj_table.row(row);
+  }
+
+  // The executor's cost per task with the leaf loop gone: what an
+  // executor change moves, at any thread count.
+  print_header("EXEC: kernel-free fork-join (rounds = 0), ns per task",
+               "the same tree as the fork-join cells; lower is better; "
+               "ungated");
+  table_printer fj0_table = series_table({"threads"}, series_names);
+  for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+    std::vector<double> row{static_cast<double>(thread_counts[i])};
+    for (std::size_t s = 0; s < series_names.size(); ++s) {
+      const double m = forkjoin0[s][i];
+      row.push_back(m > 0.0 ? 1e3 / m : 0.0);
+    }
+    fj0_table.row(row);
   }
 
   // The rank pass: rank_results[dag][queue][thread index].
@@ -435,6 +468,7 @@ int main() {
     emit("mops", results[0][i]);
     emit("random_mops", results[1][i]);
     emit("forkjoin_mops", results[2][i]);
+    emit("forkjoin0_mops", forkjoin0[i]);
     json.end_object();
   }
   json.end_array().end_object();

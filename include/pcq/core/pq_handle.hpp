@@ -1,7 +1,7 @@
 // The uniform handle concept every pcq priority queue exposes — the one
 // API surface `benchlib/pq_bench_driver.hpp`, `tests/pq_test_harness.hpp`,
-// and `graph/parallel_sssp.hpp` are written against. A queue models the
-// concept iff:
+// and `exec/executor.hpp` (which runs `graph/parallel_sssp.hpp`) are
+// written against. A queue models the concept iff:
 //
 //   using entry = std::pair<Key, Value>;           // Queue::entry
 //   auto h = queue.get_handle(thread_id);          // one handle per thread
@@ -40,17 +40,18 @@
 // Emptiness is relaxed everywhere: a false try_pop means "looked empty
 // during the attempt", not "was empty at a linearization point". Callers
 // that need a termination guarantee combine it with in-flight accounting
-// (util/in_flight.hpp, used by parallel_sssp and the executor) or
+// (util/in_flight.hpp, whose drain loop the executor runs) or
 // quiesce first.
 //
 // Why there is no `try_pop_any` escape hatch ("pop from anywhere,
 // ignoring priority — just prove non-emptiness"): every consumer that
 // looked like it needed one turns out to be covered by the two
-// guarantees above. The executor (exec/executor.hpp) and parallel_sssp
-// terminate on failed pop + drained in-flight counter, so a false negative
-// costs one backoff round, never liveness; drains terminate because
-// flush-on-destruction plus relaxed emptiness make a fresh handle able
-// to empty any quiescent queue completely. A try_pop_any would also be
+// guarantees above. The executor (exec/executor.hpp), and so every
+// workload it runs, parallel_sssp included, terminates on failed pop +
+// drained in-flight counter, so a false negative costs one backoff
+// round, never liveness; drains terminate because flush-on-destruction
+// plus relaxed emptiness make a fresh handle able to empty any
+// quiescent queue completely. A try_pop_any would also be
 // unimplementable honestly on the strict queues (it IS try_pop there)
 // while licensing relaxed callers to bypass the ordered path — the
 // whole quantity this repo measures. Absent a consumer whose liveness

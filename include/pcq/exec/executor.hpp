@@ -17,8 +17,8 @@
 // order*, which keeps the scheduling policy under test in authority over
 // the whole schedule.
 //
-// Termination uses the in-flight protocol of util/in_flight.hpp, the
-// one parallel_sssp uses: a task's unit passes to the tasks it releases.
+// Termination uses the in-flight protocol of util/in_flight.hpp: a
+// task's unit passes to the tasks it releases.
 // release() only COLLECTS a task in the drain loop's products vector;
 // after the handler returns drain() settles their count once in the
 // worker's ledger, and only after the batch's last task does it publish
@@ -27,11 +27,13 @@
 // queues' relaxed emptiness cannot give on its own — and a task that
 // releases none or one touches the shared counter not at all.
 //
-// Workers run the shared drain loop of util/in_flight.hpp: each pop
-// takes up to run()'s `batch` ready tasks (by default kDrainBatch = 4;
-// the DAG runner takes 1 when it records its settle order), runs them
-// one after another in key order, and then publishes what the whole
-// batch released with one push_batch. Tasks waiting in a popped batch
+// Workers run the drain loop of util/in_flight.hpp: each pop takes up
+// to run()'s `batch` ready tasks (by default kDrainBatch = 4; the DAG
+// runner takes 1 when it records its settle order), calls the handler's
+// touch(id) over all of them if it declares one (parallel_sssp's
+// prefetch of each task's distance cell and arc list), runs them one
+// after another in key order, and then publishes what the whole batch
+// released with one push_batch. Tasks waiting in a popped batch
 // keep their units, and released tasks carry theirs until the publish.
 // A task can be overtaken by at most three tasks of its own batch plus
 // whatever is pushed while it waits, so a task keyed below the rest of
@@ -88,6 +90,16 @@ class job_context {
   std::size_t wid_;
 };
 
+// True iff `Handler` declares touch(id), a hint run over every task of a
+// popped batch before the first of them runs.
+template <typename Handler, typename = void>
+struct has_touch : std::false_type {};
+
+template <typename Handler>
+struct has_touch<Handler, std::void_t<decltype(std::declval<const Handler&>()
+                                                   .touch(std::uint64_t{}))>>
+    : std::true_type {};
+
 struct exec_stats {
   std::uint64_t executed = 0;  // tasks run
   std::uint64_t spawned = 0;   // pushes: roots + released tasks
@@ -98,7 +110,8 @@ struct exec_stats {
 /// entry == pair<uint64_t, uint64_t>: keys are priorities (smaller
 /// pops first on the priority-ordered queues), values are task ids.
 /// `Handler` runs every task, called as handler(job_context&, priority,
-/// id) from all workers at once. One executor per run-cycle queue; the
+/// id) from all workers at once, and, if it declares touch(id), over
+/// each popped batch first. One executor per run-cycle queue; the
 /// queue must be empty and otherwise unused while run() is active.
 template <typename Queue, typename Handler>
 class executor {
@@ -145,7 +158,10 @@ class executor {
       const Handler& handler = handler_;
       std::uint64_t executed = 0;
       drain<entry>(
-          handle, ledger, batch, [](const entry&) {},
+          handle, ledger, batch,
+          [&handler](const entry& e) {
+            if constexpr (has_touch<Handler>::value) handler.touch(e.second);
+          },
           [&](const entry& e, std::vector<entry>& products) {
             ctx.products_ = &products;
             handler(ctx, e.first, e.second);

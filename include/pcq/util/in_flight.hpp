@@ -1,8 +1,9 @@
-// In-flight termination counter shared by every worker loop that drains
-// a relaxed queue: parallel_sssp and the executor (whose DAG runner is
-// also the graph task process). The queues' emptiness is relaxed (a
-// failed try_pop means "looked empty"), so a failed pop alone cannot end
-// a loop; this counter is the proof that nothing is left.
+// In-flight termination counter of the worker loop that drains a relaxed
+// queue: the executor's, which runs parallel_sssp, the DAG runner (also
+// the graph task process) and the fork-join reduction. The queues'
+// emptiness is relaxed (a failed try_pop means "looked empty"), so a
+// failed pop alone cannot end a loop; this counter is the proof that
+// nothing is left.
 //
 // The counter holds one UNIT per queued entry plus one per entry a
 // worker has popped and not yet finished, plus any CREDIT a worker's
@@ -39,9 +40,9 @@
 // are ordered before it by the queue push that published their
 // products.
 //
-// drain() below is the one worker loop of both (parallel_sssp and
-// executor::run), and run_workers() is their thread pool. drain()
-// applies rule 2 itself, so settle-before-publish holds by construction.
+// drain() below is executor::run's worker loop, and run_workers() its
+// thread pool. drain() applies rule 2 itself, so settle-before-publish
+// holds by construction.
 // The queue is not reconfigured for it: each pop makes the same sampling
 // decision as a scalar pop and only takes more entries from the slot it
 // chose, and each publish goes to one sampled slot like any push_batch.
@@ -133,8 +134,8 @@ class in_flight_ledger {
   std::uint64_t credit_ = 0;
 };
 
-/// Entries a batch runner takes per pop. Four takes most of the batch
-/// runners' gain at about half the rank cost of eight (see "The drain
+/// Entries the drain loop takes per pop. Four takes most of the
+/// batching gain at about half the rank cost of eight (see "The drain
 /// loop" in docs/ARCHITECTURE.md).
 constexpr std::size_t kDrainBatch = 4;
 
@@ -148,14 +149,15 @@ inline void prefetch(const void* p) {
 #endif
 }
 
-/// The worker loop of the batch runners: pops up to `batch` entries per
-/// call (clamped to [1, kDrainBatch]), runs touch(entry) over all of
-/// them, then body(entry, products) over each in the order popped. The
-/// body appends the entries it produced to `products` and nothing else; drain() settles
-/// each entry in `ledger` right after its body (rule 2) and publishes
-/// the batch's products with one push_batch after the last body. A pop
-/// that returns nothing ends the loop iff ledger.drained() (rule 3);
-/// otherwise the worker backs off and retries.
+/// The executor's worker loop: pops up to `batch` entries per call
+/// (clamped to [1, kDrainBatch]), runs touch(entry) over all of them,
+/// then body(entry, products) over each in the order popped. The body
+/// appends the entries it produced to `products` and nothing else;
+/// drain() settles each entry in `ledger` right after its body (rule 2)
+/// and publishes the batch's products with one push_batch after the
+/// last body. A pop that returns nothing ends the loop iff
+/// ledger.drained() (rule 3); otherwise the worker backs off and
+/// retries.
 template <typename Entry, typename Handle, typename Touch, typename Body>
 void drain(Handle& handle, in_flight_ledger& ledger, std::size_t batch,
            Touch&& touch, Body&& body) {

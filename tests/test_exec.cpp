@@ -9,7 +9,9 @@
 // task per tree node over a table of (items, grain) shapes. A batch
 // whose one push_batch mixes tasks releasing zero, one and two tasks is
 // checked on every queue, and on one worker with its exact order and
-// publish sizes; so is the full 64-bit id range.
+// publish sizes; so is the full 64-bit id range. On one worker, a
+// handler's touch hook must see every task of a popped batch before the
+// batch's first task runs, and each task exactly once.
 
 #include "exec/executor.hpp"
 
@@ -378,6 +380,26 @@ struct batch_order {
   }
 };
 
+// Logs every touch and every run on one worker: the kDrainBatch roots
+// 0, 1, ... each release child id + kDrainBatch, keyed by its id, so
+// the worker pops two full batches.
+struct touch_probe {
+  std::vector<std::pair<char, std::uint64_t>>* log;
+
+  void touch(std::uint64_t id) const { log->emplace_back('t', id); }
+
+  void operator()(job_context& ctx, std::uint64_t /*priority*/,
+                  std::uint64_t id) const {
+    log->emplace_back('r', id);
+    constexpr std::uint64_t k = pcq::kDrainBatch;
+    if (id < k) ctx.release(id + k, id + k);
+  }
+};
+
+static_assert(pcq::exec::has_touch<touch_probe>::value, "touch is detected");
+static_assert(!pcq::exec::has_touch<batch_order>::value,
+              "a handler without touch gets the no-op");
+
 }  // namespace
 
 int main() {
@@ -435,6 +457,29 @@ int main() {
     CHECK(order == (std::vector<int>{10, 11, 12, 13, 0, 1, 2, 3}));
     CHECK(stats.executed == 8);
     CHECK(stats.spawned == 8);
+    CHECK(q.size() == 0);
+  }
+
+  // The touch hook: every task of a popped batch is touched before the
+  // batch's first task runs, and every task is touched exactly once; the
+  // exact log pins both.
+  {
+    pcq::coarse_pq<std::uint64_t, std::uint64_t> q;
+    std::vector<std::pair<char, std::uint64_t>> log;
+    pcq::exec::executor<pcq::coarse_pq<std::uint64_t, std::uint64_t>,
+                        touch_probe>
+        ex(q, touch_probe{&log});
+    for (std::uint64_t r = 0; r < pcq::kDrainBatch; ++r) ex.submit(r, r);
+    const pcq::exec::exec_stats stats = ex.run(1);
+    constexpr std::uint64_t k = pcq::kDrainBatch;
+    std::vector<std::pair<char, std::uint64_t>> expected;
+    for (const std::uint64_t base : {std::uint64_t{0}, k}) {
+      for (std::uint64_t i = 0; i < k; ++i) expected.emplace_back('t', base + i);
+      for (std::uint64_t i = 0; i < k; ++i) expected.emplace_back('r', base + i);
+    }
+    CHECK(log == expected);
+    CHECK(stats.executed == 2 * k);
+    CHECK(stats.spawned == 2 * k);
     CHECK(q.size() == 0);
   }
 

@@ -3,9 +3,10 @@
 // replays that change between passes), DIMACS parsing, generators,
 // sequential Dijkstra on hand-checked graphs, and the headline invariant —
 // parallel_sssp produces distances EXACTLY equal to sequential Dijkstra
-// for every one of the five queue types, on both generator families,
-// single- and multi-threaded. Scales are TSan-friendly; build with
-// -DPCQ_SANITIZE=thread to make the equality runs real race checks.
+// for every one of the five queue types and the steal-deque pool, on
+// both generator families, single- and multi-threaded. Scales are
+// TSan-friendly; build with -DPCQ_SANITIZE=thread to make the equality
+// runs real race checks.
 
 #include "graph/csr_graph.hpp"
 
@@ -25,6 +26,7 @@
 #include "core/baselines/lj_skiplist_pq.hpp"
 #include "core/baselines/spray_pq.hpp"
 #include "core/multi_queue.hpp"
+#include "exec/steal_deque.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/dimacs.hpp"
 #include "graph/generators.hpp"
@@ -55,6 +57,13 @@ void check_sssp_equality(const csr_graph& g, std::size_t threads,
     CHECK(stats.distance[i] == reference.distance[i]);
   }
   CHECK(queue->size() == 0);  // termination drained every entry
+  // Every push (the seed and one per relaxation) is popped once, and
+  // each reachable node's final-distance entry is popped and not stale,
+  // so the stale pops leave room for at least that many.
+  const auto reachable = static_cast<std::uint64_t>(
+      std::count_if(reference.distance.begin(), reference.distance.end(),
+                    [](std::uint64_t d) { return d != kUnreachable; }));
+  CHECK(stats.stale_pops + reachable <= stats.relaxations + 1);
 }
 
 // The two shapes that pin each branch of the in-flight settle rule:
@@ -431,7 +440,8 @@ int main() {
     CHECK(make_random_graph(params).num_edges() == 0);
   }
 
-  // parallel_sssp == sequential Dijkstra, for all five queue types.
+  // parallel_sssp == sequential Dijkstra, for all five queue types and
+  // the steal-deque pool.
   check_all_graphs([](std::size_t threads) {
     pcq::mq_config cfg;  // beta = 1, the classic MultiQueue
     return std::make_unique<pcq::multi_queue<std::uint64_t, std::uint64_t>>(
@@ -456,6 +466,12 @@ int main() {
   });
   check_all_graphs([](std::size_t) {
     return std::make_unique<pcq::coarse_pq<std::uint64_t, std::uint64_t>>();
+  });
+  // The steal-deque pool keeps no priority order at all; the fixpoint
+  // must still be Dijkstra's.
+  check_all_graphs([](std::size_t threads) {
+    return std::make_unique<
+        pcq::exec::steal_deque_pool<std::uint64_t, std::uint64_t>>(threads);
   });
 
   // The shared head under a strict queue and one worker: every one of

@@ -4,9 +4,10 @@
 // exact shadow count, a 4-thread drain() cell in which one worker holds
 // a popped batch while the others keep failing pops, and a 4-thread
 // drain() cell that checks on every push_batch that each product being
-// published is already counted, and that a batch publishes once. test_graph
-// (parallel_sssp) and test_exec and test_graph_process (the executor) run
-// the protocol under real workloads, whose oracles fail on an early exit.
+// published is already counted, and that a batch publishes once.
+// test_exec, test_graph (parallel_sssp) and test_graph_process run the
+// protocol under real executor workloads, whose oracles fail on an early
+// exit.
 
 #include "util/in_flight.hpp"
 
