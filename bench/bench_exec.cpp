@@ -56,12 +56,8 @@
 
 #include "benchlib/bench_env.hpp"
 #include "benchlib/json_writer.hpp"
+#include "benchlib/queue_roster.hpp"
 #include "benchlib/table_printer.hpp"
-#include "core/baselines/coarse_pq.hpp"
-#include "core/baselines/klsm_pq.hpp"
-#include "core/baselines/lj_skiplist_pq.hpp"
-#include "core/baselines/spray_pq.hpp"
-#include "core/multi_queue.hpp"
 #include "exec/dag_workloads.hpp"
 #include "exec/executor.hpp"
 #include "exec/steal_deque.hpp"
@@ -94,28 +90,16 @@ dag_workload make_workload(const char* name, const csr_graph& g,
   return w;
 }
 
-// Calls f on a fresh queue of the named series, sized for `threads`.
+// Calls f on a fresh queue of the named series, sized for `threads`:
+// the steal-deque pool, a scheduler with no priority order and so no
+// timed API, or a queue of the roster.
 template <typename F>
-auto with_queue(const std::string& name, std::size_t threads, F&& f) {
-  using key = std::uint64_t;
-  if (name == "mq_b1.0" || name == "mq_b0.5") {
-    mq_config cfg;
-    cfg.beta = name == "mq_b1.0" ? 1.0 : 0.5;
-    return f(*std::make_unique<multi_queue<key, key>>(cfg, threads));
-  }
+auto with_scheduler(const std::string& name, std::size_t threads, F&& f) {
   if (name == "steal") {
-    return f(*std::make_unique<exec::steal_deque_pool<key, key>>(threads));
+    return f(*std::make_unique<
+             exec::steal_deque_pool<std::uint64_t, std::uint64_t>>(threads));
   }
-  if (name == "klsm256") {
-    return f(*std::make_unique<klsm_pq<key, key>>(256));
-  }
-  if (name == "spraylist") {
-    return f(*std::make_unique<spray_pq<key, key>>(threads));
-  }
-  if (name == "lj_skiplist") {
-    return f(*std::make_unique<lj_skiplist_pq<key, key>>());
-  }
-  return f(*std::make_unique<coarse_pq<key, key>>());
+  return with_queue(name, threads, f);
 }
 
 // Exits 1 unless a DAG run settled and executed every task exactly once,
@@ -292,7 +276,7 @@ int main() {
       // One verified trial of series s on a fresh queue; kernel_free
       // picks the zero-round fork-join tree.
       const auto trial = [&](std::size_t s, bool kernel_free) {
-        return with_queue(series_names[s], t, [&](auto& queue) {
+        return with_scheduler(series_names[s], t, [&](auto& queue) {
           if (w < 2)
             return dag_trial(series_names[s], timed_dags[w], t, queue);
           return kernel_free ? forkjoin_trial(series_names[s], fj0,

@@ -26,18 +26,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "benchlib/bench_env.hpp"
 #include "benchlib/json_writer.hpp"
+#include "benchlib/queue_roster.hpp"
 #include "benchlib/table_printer.hpp"
-#include "core/baselines/coarse_pq.hpp"
-#include "core/baselines/klsm_pq.hpp"
-#include "core/baselines/lj_skiplist_pq.hpp"
-#include "core/baselines/spray_pq.hpp"
-#include "core/multi_queue.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/dimacs.hpp"
 #include "graph/generators.hpp"
@@ -51,15 +46,17 @@ using namespace pcq;
 using namespace pcq::bench;
 using namespace pcq::graph;
 
-/// Median-of-trials runtime; every trial's distances are checked exactly
-/// against the sequential reference (a mismatch aborts the bench).
-template <typename MakeQueue>
-double measure(const csr_graph& g, std::size_t threads, MakeQueue make,
+/// Median-of-trials runtime of the named roster queue; every trial's
+/// distances are checked exactly against the sequential reference (a
+/// mismatch aborts the bench).
+double measure(const csr_graph& g, std::size_t threads,
+               const std::string& queue_name,
                const dijkstra_result& reference) {
   std::vector<double> seconds;
   for (unsigned trial = 0; trial < trials(); ++trial) {
-    auto queue = make(threads);
-    const auto stats = parallel_sssp(g, 0, threads, *queue);
+    const auto stats = with_queue(queue_name, threads, [&](auto& queue) {
+      return parallel_sssp(g, 0, threads, queue);
+    });
     for (std::size_t i = 0; i < stats.distance.size(); ++i) {
       if (stats.distance[i] != reference.distance[i]) {
         std::fprintf(stderr, "DISTANCE MISMATCH at node %zu!\n", i);
@@ -106,7 +103,6 @@ int main() {
   const std::vector<std::string> series_names{
       "mq_b1.0", "mq_b0.75", "mq_b0.5", "klsm256",
       "spraylist", "lj_skiplist", "coarse"};
-  using queue_key = std::uint64_t;
 
   table_printer table([&] {
     std::vector<std::string> columns{"threads"};
@@ -119,53 +115,16 @@ int main() {
     thread_counts.push_back(t);
   }
 
-  const auto make_mq = [](double beta) {
-    return [beta](std::size_t threads) {
-      mq_config cfg;
-      cfg.beta = beta;
-      return std::make_unique<multi_queue<queue_key, queue_key>>(cfg,
-                                                                 threads);
-    };
-  };
-
   // seconds_by[s][i] = median seconds of series_names[s] at
   // thread_counts[i].
   std::vector<std::vector<double>> seconds_by(series_names.size());
 
   for (const std::size_t t : thread_counts) {
     std::vector<double> row{static_cast<double>(t)};
-    std::size_t s = 0;
-    const auto record = [&](double secs) {
-      seconds_by[s++].push_back(secs);
-      row.push_back(secs);
-    };
-    record(measure(graph, t, make_mq(1.0), reference));
-    record(measure(graph, t, make_mq(0.75), reference));
-    record(measure(graph, t, make_mq(0.5), reference));
-    record(measure(
-        graph, t,
-        [](std::size_t) {
-          return std::make_unique<klsm_pq<queue_key, queue_key>>(256);
-        },
-        reference));
-    record(measure(
-        graph, t,
-        [](std::size_t threads) {
-          return std::make_unique<spray_pq<queue_key, queue_key>>(threads);
-        },
-        reference));
-    record(measure(
-        graph, t,
-        [](std::size_t) {
-          return std::make_unique<lj_skiplist_pq<queue_key, queue_key>>();
-        },
-        reference));
-    record(measure(
-        graph, t,
-        [](std::size_t) {
-          return std::make_unique<coarse_pq<queue_key, queue_key>>();
-        },
-        reference));
+    for (std::size_t s = 0; s < series_names.size(); ++s) {
+      seconds_by[s].push_back(measure(graph, t, series_names[s], reference));
+      row.push_back(seconds_by[s].back());
+    }
     table.row(row);
   }
 

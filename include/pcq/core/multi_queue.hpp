@@ -341,8 +341,8 @@ class multi_queue {
   /// on every attempt whose SAMPLE found no candidate — but near-empty
   /// queues are exactly where samples fail, so a many-thread drain
   /// degenerated into every pop thrashing the full O(#queues) array of
-  /// published top+count cells on every attempt (see bench_abl_batch's
-  /// drain phase). The cadence depends on the attempt counter alone.
+  /// published top+count cells on every attempt (see fig1's drain
+  /// table). The cadence depends on the attempt counter alone.
   /// A failed sample retries at once, without backing off (it touched
   /// only d top cells and no lock), so a truly-empty verdict costs 31
   /// sample attempts and one sweep (about 0.6 us on one thread), not

@@ -21,8 +21,8 @@
 // improved one head publish it twice, and the stale check, which runs
 // when a task runs, drops the worse copy. The batch relaxes order by at
 // most three entries of its own plus arrivals, and hides a new entry for
-// at most three further arc scans (bench_abl_batch records the rank
-// cost). Termination is the executor's; run() joins its workers, so
+// at most three further arc scans (bench_rank's rank_cost table records
+// the rank cost). Termination is the executor's; run() joins its workers, so
 // reading the final distances out of the atomics is race-free.
 
 #pragma once

@@ -26,7 +26,7 @@
 // rank_recorder replay on the other — must be EQUAL, element for
 // element. Any divergence pinpoints a drift between the implementation
 // and the model the theorems reason about (a changed sampling order, an
-// extra draw, a heap/FIFO mismatch). bench_thm2_equivalence and
+// extra draw, a heap/FIFO mismatch). bench_rank's coupling table and
 // test_rank_equivalence assert this match; the coupling is the repo's
 // cross-validation oracle in the simulate-then-verify sense.
 //

@@ -52,7 +52,7 @@
 // K - 1 entries of its batch plus arrivals: nothing else can overtake an
 // entry while it waits in the batch. A product stays invisible until its
 // batch's last body finishes, at most K - 1 further bodies
-// (bench_abl_batch records the rank cost of both per K).
+// (bench_rank's rank_cost table records the rank cost of both per K).
 
 #pragma once
 

@@ -18,7 +18,7 @@ plotting assume:
     entry finite (json_writer turns inf/nan into null — a null here
     means a bench computed garbage and must fail fast, BEFORE it
     poisons a committed baseline or a regression gate); scalar series
-    keys (per-series metadata like abl_batch's "batch") must be finite
+    keys (per-series metadata like fig1's "batch") must be finite
     numbers, strings, or booleans;
   - every other number in the file, at any depth (the gated nested
     objects such as "tables", "one_thread", "rank_cost" and

@@ -3,6 +3,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "benchlib/pq_bench_driver.hpp"
+#include "core/multi_queue.hpp"
 #include "test_macros.hpp"
 
 namespace {
@@ -122,6 +124,48 @@ int main() {
     const auto report = pcq::replay_ranks(recorder.logs());
     CHECK(report.deletions == 1);
     CHECK(report.unmatched == 0);
+  }
+
+  // run_alternating's recording mode: every push and every successful
+  // pop is logged at its linearization point, so the replay matches each
+  // deletion to an insert, and a prefilled alternating run never finds
+  // the queue empty.
+  {
+    using pcq::bench::workload_config;
+    for (const std::size_t threads : {1, 2}) {
+      pcq::multi_queue<std::uint64_t, std::uint64_t> queue(pcq::mq_config{},
+                                                           threads);
+      workload_config cfg;
+      cfg.num_threads = threads;
+      cfg.prefill = 64;
+      cfg.pairs_per_thread = 500;
+      cfg.record_events = true;
+      const auto result = pcq::bench::run_alternating(queue, cfg);
+      CHECK(result.total_ops == 2 * cfg.pairs_per_thread * threads);
+      CHECK(result.logs.size() == threads);
+      const auto report = pcq::replay_ranks(result.logs);
+      CHECK(report.unmatched == 0);
+      CHECK(report.deletions + result.failed_pops ==
+            cfg.pairs_per_thread * threads);
+      if (threads == 1) {
+        CHECK(result.failed_pops == 0);
+        CHECK(queue.size() == cfg.prefill);
+      }
+    }
+  }
+
+  // run_alternating_batched rounds pairs down to whole batches: 100 pairs in
+  // batches of 16 run 6 rounds, and at one thread every round takes back
+  // what it pushed.
+  {
+    pcq::multi_queue<std::uint64_t, std::uint64_t> queue(pcq::mq_config{}, 1);
+    pcq::bench::workload_config cfg;
+    cfg.prefill = 40;
+    cfg.pairs_per_thread = 100;
+    const auto result = pcq::bench::run_alternating_batched(queue, cfg, 16);
+    CHECK(result.total_ops == 2 * 96);
+    CHECK(result.failed_pops == 0);
+    CHECK(queue.size() == cfg.prefill);
   }
 
   std::printf("test_rank_recorder OK\n");
