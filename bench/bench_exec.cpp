@@ -49,7 +49,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,7 +59,6 @@
 #include "benchlib/table_printer.hpp"
 #include "exec/dag_workloads.hpp"
 #include "exec/executor.hpp"
-#include "exec/steal_deque.hpp"
 #include "graph/generators.hpp"
 #include "sim/graph_process.hpp"
 #include "util/stats.hpp"
@@ -88,18 +86,6 @@ dag_workload make_workload(const char* name, const csr_graph& g,
   dag_workload w{name, sim::make_dag(g), {}, rounds};
   w.oracle = exec::sequential_dag_outputs(w.dag, rounds);
   return w;
-}
-
-// Calls f on a fresh queue of the named series, sized for `threads`:
-// the steal-deque pool, a scheduler with no priority order and so no
-// timed API, or a queue of the roster.
-template <typename F>
-auto with_scheduler(const std::string& name, std::size_t threads, F&& f) {
-  if (name == "steal") {
-    return f(*std::make_unique<
-             exec::steal_deque_pool<std::uint64_t, std::uint64_t>>(threads));
-  }
-  return with_queue(name, threads, f);
 }
 
 // Exits 1 unless a DAG run settled and executed every task exactly once,
@@ -276,7 +262,7 @@ int main() {
       // One verified trial of series s on a fresh queue; kernel_free
       // picks the zero-round fork-join tree.
       const auto trial = [&](std::size_t s, bool kernel_free) {
-        return with_scheduler(series_names[s], t, [&](auto& queue) {
+        return with_queue(series_names[s], t, [&](auto& queue) {
           if (w < 2)
             return dag_trial(series_names[s], timed_dags[w], t, queue);
           return kernel_free ? forkjoin_trial(series_names[s], fj0,

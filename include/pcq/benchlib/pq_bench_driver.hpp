@@ -1,8 +1,9 @@
 // Structure-agnostic throughput driver: the paper's alternating
 // insert/deleteMin workload (Section 5). Written purely against the
 // handle concept of core/pq_handle.hpp (statically asserted — no
-// per-queue special cases): run_alternating additionally requires the
-// timed extension for its record_events mode, run_alternating_batched
+// per-queue special cases): run_alternating's record_events mode
+// additionally needs the timed extension (it throws
+// std::invalid_argument on a queue without it), run_alternating_batched
 // pushes with push_batch and pops with try_pop_batch, so the one-lock-
 // per-batch amortization is the caller's and works on every queue.
 //
@@ -14,11 +15,10 @@
 
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <thread>
+#include <stdexcept>
 #include <vector>
 
 #include "core/pq_handle.hpp"
@@ -46,30 +46,6 @@ struct run_result {
 };
 
 namespace detail {
-
-/// Sense-reversing spin barrier; yields so it stays correct (if slow)
-/// when threads outnumber cores.
-class spin_barrier {
- public:
-  explicit spin_barrier(std::size_t parties) : parties_(parties) {}
-
-  void arrive_and_wait() {
-    const std::uint64_t generation = generation_.load(std::memory_order_acquire);
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
-      arrived_.store(0, std::memory_order_relaxed);
-      generation_.fetch_add(1, std::memory_order_release);
-      return;
-    }
-    while (generation_.load(std::memory_order_acquire) == generation) {
-      std::this_thread::yield();
-    }
-  }
-
- private:
-  const std::size_t parties_;
-  std::atomic<std::size_t> arrived_{0};
-  std::atomic<std::uint64_t> generation_{0};
-};
 
 /// The timing frame both drivers share: one thread per worker, each with
 /// its own handle, and a barrier between the untimed prefill and the
@@ -119,9 +95,12 @@ run_result run_timed_workers(Queue& queue, std::size_t threads,
 template <typename Queue>
 run_result run_alternating(Queue& queue, const workload_config& config) {
   PCQ_ASSERT_PQ_CONCEPT(Queue);
-  static_assert(has_timed_api<Queue>::value,
-                "run_alternating's record_events mode needs the timed "
-                "extension (push_timed / try_pop_timed)");
+  constexpr bool timed = has_timed_api<Queue>::value;
+  if (config.record_events && !timed) {
+    throw std::invalid_argument(
+        "run_alternating's record_events mode needs the timed extension "
+        "(push_timed / try_pop_timed)");
+  }
   const std::size_t threads = config.num_threads ? config.num_threads : 1;
   rank_recorder recorder(threads);
 
@@ -132,39 +111,42 @@ run_result run_alternating(Queue& queue, const workload_config& config) {
       log.reserve(2 * config.pairs_per_thread +
                   config.prefill / threads + 1);
     }
-    // Keys stay below the queue's empty sentinel (numeric_limits::max).
-    const auto next_key = [&keys] { return keys() >> 1; };
+    // Pushes a fresh key (below the queue's empty sentinel,
+    // numeric_limits::max) and attempts one pop, through the timed API
+    // when recording.
+    const auto push = [&] {
+      const std::uint64_t key = keys() >> 1;
+      if constexpr (timed) {
+        if (config.record_events) {
+          log.push_back(
+              mq_event{handle.push_timed(key, key), key, event_kind::insert});
+          return;
+        }
+      }
+      handle.push(key, key);
+    };
+    const auto pop = [&] {
+      std::uint64_t key = 0, value = 0;
+      if constexpr (timed) {
+        std::uint64_t ts = 0;
+        if (config.record_events) {
+          if (!handle.try_pop_timed(key, value, ts)) return false;
+          log.push_back(mq_event{ts, key, event_kind::remove});
+          return true;
+        }
+      }
+      return handle.try_pop(key, value);
+    };
 
     std::size_t my_prefill = config.prefill / threads;
     if (tid < config.prefill % threads) ++my_prefill;
-    for (std::size_t i = 0; i < my_prefill; ++i) {
-      const std::uint64_t key = next_key();
-      if (config.record_events) {
-        const std::uint64_t ts = handle.push_timed(key, key);
-        log.push_back(mq_event{ts, key, event_kind::insert});
-      } else {
-        handle.push(key, key);
-      }
-    }
+    for (std::size_t i = 0; i < my_prefill; ++i) push();
 
     start();
     std::uint64_t failed = 0;
     for (std::size_t i = 0; i < config.pairs_per_thread; ++i) {
-      const std::uint64_t key = next_key();
-      std::uint64_t popped_key = 0, popped_value = 0;
-      if (config.record_events) {
-        const std::uint64_t ts = handle.push_timed(key, key);
-        log.push_back(mq_event{ts, key, event_kind::insert});
-        std::uint64_t pop_ts = 0;
-        if (handle.try_pop_timed(popped_key, popped_value, pop_ts)) {
-          log.push_back(mq_event{pop_ts, popped_key, event_kind::remove});
-        } else {
-          ++failed;
-        }
-      } else {
-        handle.push(key, key);
-        if (!handle.try_pop(popped_key, popped_value)) ++failed;
-      }
+      push();
+      if (!pop()) ++failed;
     }
     return failed;
   };

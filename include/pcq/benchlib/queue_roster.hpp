@@ -1,6 +1,6 @@
-// The priority-queue competitor set of the throughput, SSSP and executor
-// benches, named once: the paper's MultiQueue at three betas and its
-// four comparison queues.
+// The competitor set of the throughput, SSSP and executor benches and
+// of the executor and graph tests, named once: the paper's MultiQueue at
+// three betas, its four comparison queues, and the steal-deque pool.
 //
 //   mq_b1.0, mq_b0.75, mq_b0.5   default MultiQueue (2 x threads slots,
 //                                d = 2) at that beta
@@ -8,6 +8,8 @@
 //   spraylist                    SprayList sized for the thread count
 //   lj_skiplist                  Lindén–Jonsson skiplist
 //   coarse                       one lock over one d-ary heap
+//   steal                        Chase–Lev steal-deque pool: no
+//                                priority order, no timed API
 
 #pragma once
 
@@ -22,6 +24,7 @@
 #include "core/baselines/lj_skiplist_pq.hpp"
 #include "core/baselines/spray_pq.hpp"
 #include "core/multi_queue.hpp"
+#include "exec/steal_deque.hpp"
 
 namespace pcq {
 namespace bench {
@@ -48,6 +51,9 @@ auto with_queue(const std::string& name, std::size_t threads, F&& f) {
   }
   if (name == "coarse") {
     return f(*std::make_unique<coarse_pq<key, key>>());
+  }
+  if (name == "steal") {
+    return f(*std::make_unique<exec::steal_deque_pool<key, key>>(threads));
   }
   throw std::invalid_argument("no queue named " + name);
 }

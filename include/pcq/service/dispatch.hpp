@@ -163,29 +163,24 @@ make_mq_dispatcher(std::size_t workers, const mq_config& cfg = mq_config{}) {
           workers, priority_policy::deadline};
 }
 
-/// Power-of-d-choices at DISPATCH time (the scheduler-level baseline,
+/// Power-of-two-choices at DISPATCH time (the scheduler-level baseline,
 /// cf. the po2_scheduler exemplar): per-worker FIFO queues, each arrival
-/// samples d distinct workers and joins the shortest queue (by queued
-/// count — the load signal join-shortest-queue-of-d uses). Workers pop
-/// only their own FIFO, so a routing mistake is paid in full — under
-/// heavy-tailed service times one long job ahead in the chosen FIFO
-/// stalls everything behind it, which is precisely the effect the
-/// queue-level-choice comparison is after.
+/// samples d = min(2, workers) distinct workers and joins the shortest
+/// queue (by queued count — the load signal join-shortest-queue-of-d
+/// uses). Workers pop only their own FIFO, so a routing mistake is paid
+/// in full — under heavy-tailed service times one long job ahead in the
+/// chosen FIFO stalls everything behind it, which is precisely the
+/// effect the queue-level-choice comparison is after.
 class po2_dispatcher {
  public:
-  po2_dispatcher(std::size_t workers, std::uint64_t seed,
-                 std::size_t choices = 2)
+  po2_dispatcher(std::size_t workers, std::uint64_t seed)
       : queues_(new worker_queue[workers]),
         num_workers_(workers),
-        choices_(choices < 1 ? 1
-                             : choices > kMaxChoices ? kMaxChoices
-                                                     : choices),
         rng_(seed) {}
 
   void dispatch(const request& r) {
-    const std::size_t d =
-        choices_ < num_workers_ ? choices_ : num_workers_;
-    std::size_t picks[kMaxChoices];
+    const std::size_t d = num_workers_ < 2 ? num_workers_ : 2;
+    std::size_t picks[2];
     sample_distinct(rng_, num_workers_, d, picks);
     std::size_t best = picks[0];
     std::size_t best_len =
@@ -247,9 +242,6 @@ class po2_dispatcher {
   }
 
  private:
-  static constexpr std::size_t kMaxChoices = 8;
-  static_assert(kMaxChoices >= 2, "po2 needs at least two probes");
-
   struct alignas(64) worker_queue {
     spinlock lock;
     std::deque<std::uint64_t> fifo;
@@ -258,7 +250,6 @@ class po2_dispatcher {
 
   std::unique_ptr<worker_queue[]> queues_;
   std::size_t num_workers_;
-  std::size_t choices_;
   xoshiro256ss rng_;
 };
 

@@ -113,12 +113,12 @@
 // the workers and return short, result.stalled = true). Callers then
 // fail on the completion count in bounded time instead of wedging CI.
 //
-// Realtime threads: the arrival thread and one thread per worker. The
-// only shared RMWs per request are one `started` add at fetch and one
-// `accounted` add at completion. Workers check termination (on
-// `accounted`) and the watchdog only in their idle path, after a failed
-// fetch. The completed and missed totals are derived after the join
-// from the logs.
+// Realtime threads: the arrival thread (the caller) and one thread per
+// worker, all started by one run_workers call. The only shared RMWs per
+// request are one `started` add at fetch and one `accounted` add at
+// completion. Workers check termination (on `accounted`) and the
+// watchdog only in their idle path, after a failed fetch. The completed
+// and missed totals are derived after the join from the logs.
 
 #pragma once
 
@@ -135,6 +135,7 @@
 #include <vector>
 
 #include "service/workload.hpp"
+#include "util/in_flight.hpp"
 #include "util/spinlock.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
@@ -652,9 +653,10 @@ service_result run_service_virtual(const std::vector<request>& trace,
 /// Real-time open-loop run: one arrival thread paces the trace against
 /// the wall clock, yielding while far from the next arrival and spinning
 /// the last stretch; `workers` worker threads fetch and spin out each
-/// request's demand. Trace times are wall seconds — generate traces
-/// whose span fits the time you are willing to measure. Faults are
-/// injected only in virtual time (run_service_virtual).
+/// request's demand; one run_workers call starts them all, with the
+/// caller as the arrival thread. Trace times are wall seconds — generate
+/// traces whose span fits the time you are willing to measure. Faults
+/// are injected only in virtual time (run_service_virtual).
 ///
 /// `stall_timeout_seconds` arms the watchdog (the realtime twin of the
 /// virtual runner's no-runnable-event break): if nothing progresses —
@@ -680,72 +682,69 @@ service_result run_service_realtime(const std::vector<request>& trace,
   std::atomic<bool> stalled{false};  // set by the watchdog; stops workers
   wall_timer clock;  // the one epoch every thread measures against
 
-  std::thread arrivals([&] {
-    for (const request& r : trace) {
-      while (true) {
-        const double gap = r.arrival - clock.elapsed_seconds();
-        if (gap <= 0.0) break;
-        if (gap > 100e-6) {
-          std::this_thread::yield();
-        } else {
-          cpu_relax();
-        }
-      }
-      dispatcher.dispatch(r);
-    }
-    dispatcher.seal();
-  });
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      auto& log = result.worker_logs[w];
-      backoff bo;
-      detail::stall_watch watch(stall_timeout_seconds);
-      while (!stalled.load(std::memory_order_acquire)) {
-        std::uint64_t seq = 0;
-        if (!dispatcher.fetch(w, seq)) {
-          // Idle path: terminate on full accounting; otherwise, if
-          // nothing moved anywhere for stall_timeout_seconds, the
-          // dispatcher lost a request — fail closed.
-          if (accounted.load(std::memory_order_acquire) >= total) break;
-          const std::uint64_t progress =
-              accounted.load(std::memory_order_relaxed) +
-              started.load(std::memory_order_relaxed);
-          if (watch.expired(progress, clock.elapsed_seconds())) {
-            stalled.store(true, std::memory_order_release);
-            break;
+  // Thread 0 (the caller) paces the arrivals; thread w + 1 is worker w.
+  auto thread_body = [&](std::size_t tid) {
+    if (tid == 0) {
+      for (const request& r : trace) {
+        while (true) {
+          const double gap = r.arrival - clock.elapsed_seconds();
+          if (gap <= 0.0) break;
+          if (gap > 100e-6) {
+            std::this_thread::yield();
+          } else {
+            cpu_relax();
           }
-          bo.pause();
-          continue;
         }
-        bo.reset();
-        watch.reset();
-        started.fetch_add(1, std::memory_order_relaxed);
-        const request& r = trace[seq];
-        const double start = clock.elapsed_seconds();
-        // Spin out the demand; the loop's last clock read is the
-        // completion instant.
-        double done = clock.elapsed_seconds();
-        while (done - start < r.service) {
-          cpu_relax();
-          done = clock.elapsed_seconds();
-        }
-        request_record rec;
-        rec.seq = seq;
-        rec.arrival = r.arrival;
-        rec.start = start;
-        rec.completion = done;
-        rec.service = r.service;
-        log.push_back(rec);
-        accounted.fetch_add(1, std::memory_order_release);
+        dispatcher.dispatch(r);
       }
-    });
-  }
+      dispatcher.seal();
+      return;
+    }
+    const std::size_t w = tid - 1;
+    auto& log = result.worker_logs[w];
+    backoff bo;
+    detail::stall_watch watch(stall_timeout_seconds);
+    while (!stalled.load(std::memory_order_acquire)) {
+      std::uint64_t seq = 0;
+      if (!dispatcher.fetch(w, seq)) {
+        // Idle path: terminate on full accounting; otherwise, if
+        // nothing moved anywhere for stall_timeout_seconds, the
+        // dispatcher lost a request — fail closed.
+        if (accounted.load(std::memory_order_acquire) >= total) break;
+        const std::uint64_t progress =
+            accounted.load(std::memory_order_relaxed) +
+            started.load(std::memory_order_relaxed);
+        if (watch.expired(progress, clock.elapsed_seconds())) {
+          stalled.store(true, std::memory_order_release);
+          break;
+        }
+        bo.pause();
+        continue;
+      }
+      bo.reset();
+      watch.reset();
+      started.fetch_add(1, std::memory_order_relaxed);
+      const request& r = trace[seq];
+      const double start = clock.elapsed_seconds();
+      // Spin out the demand; the loop's last clock read is the
+      // completion instant.
+      double done = clock.elapsed_seconds();
+      while (done - start < r.service) {
+        cpu_relax();
+        done = clock.elapsed_seconds();
+      }
+      request_record rec;
+      rec.seq = seq;
+      rec.arrival = r.arrival;
+      rec.start = start;
+      rec.completion = done;
+      rec.service = r.service;
+      log.push_back(rec);
+      accounted.fetch_add(1, std::memory_order_release);
+    }
+  };
+  run_workers(workers + 1, thread_body);
 
-  arrivals.join();
-  for (auto& t : pool) t.join();
   result.seconds = clock.elapsed_seconds();
   result.stalled = stalled.load();
   for (const auto& log : result.worker_logs) {

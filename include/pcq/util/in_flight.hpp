@@ -41,8 +41,8 @@
 // products.
 //
 // drain() below is executor::run's worker loop, and run_workers() its
-// thread pool. drain() applies rule 2 itself, so settle-before-publish
-// holds by construction.
+// thread pool (and every other one). drain() applies rule 2 itself, so
+// settle-before-publish holds by construction.
 // The queue is not reconfigured for it: each pop makes the same sampling
 // decision as a scalar pop and only takes more entries from the slot it
 // chose, and each publish goes to one sampled slot like any push_batch.
@@ -187,11 +187,32 @@ void drain(Handle& handle, in_flight_ledger& ledger, std::size_t batch,
   }
 }
 
+/// One-shot spin barrier for the workers of one run_workers call: each
+/// of `parties` arrives once and waits for the rest. Yields so it stays
+/// correct (if slow) when threads outnumber cores.
+class spin_barrier {
+ public:
+  explicit spin_barrier(std::size_t parties) : parties_(parties) {}
+
+  void arrive_and_wait() {
+    arrived_.fetch_add(1, std::memory_order_acq_rel);
+    while (arrived_.load(std::memory_order_acquire) < parties_) {
+      std::this_thread::yield();
+    }
+  }
+
+ private:
+  const std::size_t parties_;
+  std::atomic<std::size_t> arrived_{0};
+};
+
 /// Runs worker(tid) for every tid in [0, threads): tid 0 on the calling
 /// thread, the rest on threads of their own, all joined before it
-/// returns.
+/// returns. The one place in the library, the benches and the tests
+/// that starts a thread. Runs nothing when threads is 0.
 template <typename Worker>
 void run_workers(std::size_t threads, Worker& worker) {
+  if (threads == 0) return;
   std::vector<std::thread> pool;
   pool.reserve(threads);
   for (std::size_t t = 1; t < threads; ++t) {

@@ -28,8 +28,14 @@
 //   timed replay        — push_timed/try_pop_timed tickets strictly
 //     increase in program order and the merged log replays with every
 //     operation accounted for (rank 0 throughout when the 1-thread
-//     queue is strict) — the contract the service layer's deadline
-//     priorities and every rank table stand on.
+//     queue is strict) — the contract bench_rank's tables (through
+//     run_alternating's record_events), sim/rank_equivalence.hpp and
+//     benchmark/'s hold_deep rank pass stand on.
+//
+// Every thread a check starts is a run_workers worker. kRosterQueues
+// names the queues that the executor and graph tests drive through
+// benchlib/queue_roster.hpp's with_queue; check_churn_memory is the
+// reclamation bound the two skiplist baselines share.
 
 #pragma once
 
@@ -45,10 +51,19 @@
 #include "test_macros.hpp"
 #include "core/pq_handle.hpp"
 #include "core/rank_recorder.hpp"
+#include "util/in_flight.hpp"
 #include "util/rng.hpp"
 
 namespace pcq {
 namespace testing {
+
+/// The roster queues (benchlib/queue_roster.hpp) that test_exec,
+/// test_graph and test_graph_process run every executor workload on:
+/// the MultiQueue at the paper's two relaxations, the four baselines and
+/// the steal-deque pool.
+const char* const kRosterQueues[] = {
+    "mq_b1.0", "mq_b0.5", "klsm256", "spraylist", "lj_skiplist", "coarse",
+    "steal"};
 
 /// Handle-concept conformance: the compile-time surface (entry typedef,
 /// move-only handles, scalar + batch ops, size) and the runtime contract
@@ -145,27 +160,22 @@ void check_element_conservation(MakeQueue make, std::size_t threads,
   auto queue = make(threads);
   std::vector<std::uint64_t> pushed(threads, 0), popped(threads, 0);
   std::vector<std::uint64_t> pops_ok(threads, 0);
-  {
-    std::vector<std::thread> pool;
-    for (std::size_t t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t] {
-        auto handle = queue->get_handle(t);
-        xoshiro256ss rng(derive_seed(seed, t));
-        for (std::size_t i = 0; i < pairs; ++i) {
-          const std::uint64_t key = rng() >> 1;
-          pushed[t] += key;
-          handle.push(key, key);
-          std::uint64_t k = 0, v = 0;
-          if (handle.try_pop(k, v)) {
-            CHECK(k == v);
-            popped[t] += k;
-            ++pops_ok[t];
-          }
-        }
-      });
+  auto worker = [&](std::size_t t) {
+    auto handle = queue->get_handle(t);
+    xoshiro256ss rng(derive_seed(seed, t));
+    for (std::size_t i = 0; i < pairs; ++i) {
+      const std::uint64_t key = rng() >> 1;
+      pushed[t] += key;
+      handle.push(key, key);
+      std::uint64_t k = 0, v = 0;
+      if (handle.try_pop(k, v)) {
+        CHECK(k == v);
+        popped[t] += k;
+        ++pops_ok[t];
+      }
     }
-    for (auto& t : pool) t.join();
-  }
+  };
+  run_workers(threads, worker);
 
   std::uint64_t pushed_sum = 0, popped_sum = 0, pop_count = 0;
   for (std::size_t t = 0; t < threads; ++t) {
@@ -203,38 +213,33 @@ void check_no_lost_wakeups(MakeQueue make, std::size_t producers,
   std::atomic<std::uint64_t> pushed_sum{0}, popped_sum{0};
   std::atomic<std::uint64_t> remaining{total};
 
-  std::vector<std::thread> pool;
-  for (std::size_t p = 0; p < producers; ++p) {
-    pool.emplace_back([&, p] {
-      auto handle = queue->get_handle(p);
-      xoshiro256ss rng(derive_seed(seed, p));
-      std::uint64_t sum = 0;
+  // Workers [0, producers) produce, the rest consume.
+  auto worker = [&](std::size_t t) {
+    auto handle = queue->get_handle(t);
+    std::uint64_t sum = 0;
+    if (t < producers) {
+      xoshiro256ss rng(derive_seed(seed, t));
       for (std::size_t i = 0; i < items_per_producer; ++i) {
         const std::uint64_t key = rng() >> 1;
         sum += key;
         handle.push(key, key);
       }
       pushed_sum.fetch_add(sum, std::memory_order_relaxed);
-    });
-  }
-  for (std::size_t c = 0; c < consumers; ++c) {
-    pool.emplace_back([&, c] {
-      auto handle = queue->get_handle(producers + c);
-      std::uint64_t sum = 0;
-      while (remaining.load(std::memory_order_acquire) > 0) {
-        std::uint64_t k = 0, v = 0;
-        if (handle.try_pop(k, v)) {
-          CHECK(k == v);
-          sum += k;
-          remaining.fetch_sub(1, std::memory_order_acq_rel);
-        } else {
-          std::this_thread::yield();
-        }
+      return;
+    }
+    while (remaining.load(std::memory_order_acquire) > 0) {
+      std::uint64_t k = 0, v = 0;
+      if (handle.try_pop(k, v)) {
+        CHECK(k == v);
+        sum += k;
+        remaining.fetch_sub(1, std::memory_order_acq_rel);
+      } else {
+        std::this_thread::yield();
       }
-      popped_sum.fetch_add(sum, std::memory_order_relaxed);
-    });
-  }
-  for (auto& t : pool) t.join();
+    }
+    popped_sum.fetch_add(sum, std::memory_order_relaxed);
+  };
+  run_workers(producers + consumers, worker);
 
   CHECK(remaining.load() == 0);
   CHECK(popped_sum.load() == pushed_sum.load());
@@ -296,32 +301,27 @@ void check_batched_conservation(MakeQueue make, std::size_t threads,
   using entry = typename queue_type::entry;
   std::vector<std::uint64_t> pushed(threads, 0), popped(threads, 0);
   std::vector<std::uint64_t> pops_ok(threads, 0);
-  {
-    std::vector<std::thread> pool;
-    for (std::size_t t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t] {
-        auto handle = queue->get_handle(t);
-        xoshiro256ss rng(derive_seed(seed, t));
-        std::vector<entry> block(batch);
-        for (std::size_t r = 0; r < rounds; ++r) {
-          for (std::size_t i = 0; i < batch; ++i) {
-            const std::uint64_t key = rng() >> 1;
-            pushed[t] += key;
-            block[i] = {key, key};
-          }
-          handle.push_batch(block.data(), batch);
-          const std::size_t got = handle.try_pop_batch(block.data(), batch);
-          CHECK(got <= batch);
-          for (std::size_t i = 0; i < got; ++i) {
-            CHECK(block[i].first == block[i].second);
-            popped[t] += block[i].first;
-          }
-          pops_ok[t] += got;
-        }
-      });
+  auto worker = [&](std::size_t t) {
+    auto handle = queue->get_handle(t);
+    xoshiro256ss rng(derive_seed(seed, t));
+    std::vector<entry> block(batch);
+    for (std::size_t r = 0; r < rounds; ++r) {
+      for (std::size_t i = 0; i < batch; ++i) {
+        const std::uint64_t key = rng() >> 1;
+        pushed[t] += key;
+        block[i] = {key, key};
+      }
+      handle.push_batch(block.data(), batch);
+      const std::size_t got = handle.try_pop_batch(block.data(), batch);
+      CHECK(got <= batch);
+      for (std::size_t i = 0; i < got; ++i) {
+        CHECK(block[i].first == block[i].second);
+        popped[t] += block[i].first;
+      }
+      pops_ok[t] += got;
     }
-    for (auto& t : pool) t.join();
-  }
+  };
+  run_workers(threads, worker);
 
   std::uint64_t pushed_sum = 0, popped_sum = 0, pop_count = 0;
   for (std::size_t t = 0; t < threads; ++t) {
@@ -396,15 +396,15 @@ void check_batched_drain(MakeQueue make, std::size_t n, std::size_t batch,
 /// Timed-API conformance (queues modeling the timed extension — all five
 /// in-tree queues; a no-op otherwise via if constexpr): single-threaded
 /// push_timed / try_pop_timed with deadline-shaped keys (a monotone base
-/// plus jitter — the shape the service layer's EDF priorities have), the
-/// tickets must strictly increase in program order (they are drawn at the
-/// linearization point, and one thread's operations linearize in program
-/// order), and replaying the merged log through the rank oracle must
-/// account for every operation: no unmatched removes, every pop matched,
-/// and — when the single-threaded queue is (or degenerates to) strict —
-/// zero inversions with mean rank exactly 0. This is what makes the
-/// timestamp→replay pipeline trustworthy for the service layer's
-/// deadline priorities without each bench re-deriving it.
+/// plus jitter), the tickets must strictly increase in program order
+/// (they are drawn at the linearization point, and one thread's
+/// operations linearize in program order), and replaying the merged log
+/// through the rank oracle must account for every operation: no
+/// unmatched removes, every pop matched, and — when the single-threaded
+/// queue is (or degenerates to) strict — zero inversions with mean rank
+/// exactly 0. This is what makes the timestamp→replay pipeline
+/// trustworthy for bench_rank, sim/rank_equivalence.hpp and
+/// benchmark/'s hold_deep rank pass without each re-deriving it.
 template <typename MakeQueue>
 void check_timed_replay(MakeQueue make, bool exact, std::uint64_t seed) {
   auto queue = make(1);
@@ -455,6 +455,46 @@ void check_timed_replay(MakeQueue make, bool exact, std::uint64_t seed) {
     (void)exact;
     (void)seed;
   }
+}
+
+/// Churn memory bound of the epoch-reclaimed skiplist queues: 4 threads
+/// each push a share of 512 live elements, then push/pop 20000 more, far
+/// more than ever live at once; a single surviving handle then pumps
+/// 4000 pairs (every other record idle, so each reclamation scan advances
+/// the epoch and drains dead handles' orphaned limbo). Unfreed nodes must
+/// be O(live + limbo residue), not O(total inserts). Workers draw from
+/// derive_seed(seed, tid), the pump from seed + 1.
+template <typename MakeQueue>
+void check_churn_memory(MakeQueue make, std::uint64_t seed) {
+  const std::size_t threads = 4, churn = 20000, live = 512;
+  const std::size_t total = live + threads * churn;
+  auto queue = make(threads);
+  auto worker = [&](std::size_t t) {
+    auto handle = queue->get_handle(t);
+    xoshiro256ss rng(derive_seed(seed, t));
+    for (std::size_t i = 0; i < live / threads; ++i) {
+      handle.push(rng() >> 1, 0);
+    }
+    for (std::size_t i = 0; i < churn; ++i) {
+      handle.push(rng() >> 1, 0);
+      std::uint64_t k = 0, v = 0;
+      CHECK(handle.try_pop(k, v));
+    }
+  };
+  run_workers(threads, worker);
+  CHECK(queue->size() == live);
+  {
+    auto handle = queue->get_handle(threads);
+    xoshiro256ss rng(seed + 1);
+    for (std::size_t i = 0; i < 4000; ++i) {
+      handle.push(rng() >> 1, 0);
+      std::uint64_t k = 0, v = 0;
+      CHECK(handle.try_pop(k, v));
+    }
+  }
+  CHECK(queue->size() == live);
+  CHECK(queue->allocated_nodes() <= live + 4096);
+  CHECK(queue->allocated_nodes() < total / 4);
 }
 
 /// The full suite at TSan-friendly scales — the conformance gate every

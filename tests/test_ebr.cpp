@@ -19,10 +19,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "test_macros.hpp"
+#include "util/in_flight.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -129,11 +129,11 @@ void test_concurrent_canary() {
       slots[i].store(make_cnode(i), std::memory_order_release);
     }
 
-    std::vector<std::thread> pool;
-    for (std::size_t w = 0; w < kWriters; ++w) {
-      pool.emplace_back([&, w] {
-        auto handle = domain.get_handle();
-        pcq::xoshiro256ss rng(pcq::derive_seed(0xeb, w));
+    // Workers [0, kWriters) swap slots and retire, the rest read.
+    auto worker = [&](std::size_t t) {
+      auto handle = domain.get_handle();
+      if (t < kWriters) {
+        pcq::xoshiro256ss rng(pcq::derive_seed(0xeb, t));
         for (std::size_t i = 0; i < kOpsPerWriter; ++i) {
           cnode* fresh = make_cnode(i);
           auto guard = handle.pin();
@@ -144,26 +144,22 @@ void test_concurrent_canary() {
           CHECK(old->magic == kAlive);
           handle.retire(old);
         }
-      });
-    }
-    for (std::size_t r = 0; r < kReaders; ++r) {
-      pool.emplace_back([&, r] {
-        auto handle = domain.get_handle();
-        pcq::xoshiro256ss rng(pcq::derive_seed(0xeb00, r));
-        cnode* held[8];
-        for (std::size_t i = 0; i < kOpsPerReader; ++i) {
-          auto guard = handle.pin();
-          (void)guard;
-          // Hold several pointers across further loads to widen the
-          // window in which a premature free would be caught.
-          for (auto& p : held) {
-            p = slots[rng.bounded(kSlots)].load(std::memory_order_acquire);
-          }
-          for (const cnode* p : held) CHECK(p->magic == kAlive);
+        return;
+      }
+      pcq::xoshiro256ss rng(pcq::derive_seed(0xeb00, t - kWriters));
+      cnode* held[8];
+      for (std::size_t i = 0; i < kOpsPerReader; ++i) {
+        auto guard = handle.pin();
+        (void)guard;
+        // Hold several pointers across further loads to widen the
+        // window in which a premature free would be caught.
+        for (auto& p : held) {
+          p = slots[rng.bounded(kSlots)].load(std::memory_order_acquire);
         }
-      });
-    }
-    for (auto& t : pool) t.join();
+        for (const cnode* p : held) CHECK(p->magic == kAlive);
+      }
+    };
+    pcq::run_workers(kWriters + kReaders, worker);
 
     // Reclamation happened at all (an advance-never-happens bug leaves
     // EVERY retire unfreed — exactly total). No tighter mid-run bound is

@@ -1,5 +1,7 @@
-// Executor conformance over every ready-queue implementation: the five
-// pq-concept queues plus the Chase–Lev steal deque. For each, real-work
+// Executor conformance over every ready queue of kRosterQueues
+// (pq_test_harness.hpp), each built by name through
+// benchlib/queue_roster.hpp: the MultiQueue at beta = 1 and 0.5, the four
+// baselines and the Chase–Lev steal deque. For each, real-work
 // DAG schedules must reproduce the sequential oracle bit-for-bit (the
 // kernels are commutative over predecessors, so equality is exact), the
 // topological-release invariant must hold inline, and conservation must
@@ -17,18 +19,16 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "test_macros.hpp"
+#include "pq_test_harness.hpp"
+#include "benchlib/queue_roster.hpp"
 #include "core/baselines/coarse_pq.hpp"
-#include "core/baselines/klsm_pq.hpp"
-#include "core/baselines/lj_skiplist_pq.hpp"
-#include "core/baselines/spray_pq.hpp"
-#include "core/multi_queue.hpp"
 #include "exec/dag_workloads.hpp"
-#include "exec/steal_deque.hpp"
 #include "graph/generators.hpp"
 #include "sim/graph_process.hpp"
 
@@ -102,35 +102,36 @@ fixtures make_fixtures() {
   return f;
 }
 
-template <typename MakeQueue>
 void check_dag(const fixtures& f, const pcq::graph::csr_graph& dag,
-               const std::vector<std::uint64_t>& oracle, MakeQueue make,
-               std::size_t threads) {
-  auto queue = make(threads);
-  const pcq::exec::dag_exec_result r =
-      pcq::exec::run_dag_executor(dag, threads, *queue, f.rounds);
-  CHECK(r.topo_ok);
-  CHECK(r.settled == dag.num_nodes());
-  CHECK(r.outputs == oracle);
-  // Conservation: each node is spawned exactly once (root or release)
-  // and every spawned task ran exactly once.
-  CHECK(r.stats.spawned == dag.num_nodes());
-  CHECK(r.stats.executed == dag.num_nodes());
-  CHECK(queue->size() == 0);
+               const std::vector<std::uint64_t>& oracle,
+               const std::string& queue_name, std::size_t threads) {
+  pcq::bench::with_queue(queue_name, threads, [&](auto& queue) {
+    const pcq::exec::dag_exec_result r =
+        pcq::exec::run_dag_executor(dag, threads, queue, f.rounds);
+    CHECK(r.topo_ok);
+    CHECK(r.settled == dag.num_nodes());
+    CHECK(r.outputs == oracle);
+    // Conservation: each node is spawned exactly once (root or release)
+    // and every spawned task ran exactly once.
+    CHECK(r.stats.spawned == dag.num_nodes());
+    CHECK(r.stats.executed == dag.num_nodes());
+    CHECK(queue.size() == 0);
+  });
 }
 
-template <typename MakeQueue>
-void check_forkjoin(const fixtures& f, MakeQueue make, std::size_t threads) {
+void check_forkjoin(const fixtures& f, const std::string& queue_name,
+                    std::size_t threads) {
   for (std::size_t i = 0; i < f.fj.size(); ++i) {
-    auto queue = make(threads);
-    const pcq::exec::forkjoin_result r =
-        pcq::exec::run_forkjoin_executor(threads, *queue, f.fj[i]);
-    CHECK(r.sum == f.fj_oracle[i]);
-    // One task per tree node: joins cascade inline, never through the
-    // queue.
-    CHECK(r.stats.spawned == kForkjoinCases[i].nodes);
-    CHECK(r.stats.executed == kForkjoinCases[i].nodes);
-    CHECK(queue->size() == 0);
+    pcq::bench::with_queue(queue_name, threads, [&](auto& queue) {
+      const pcq::exec::forkjoin_result r =
+          pcq::exec::run_forkjoin_executor(threads, queue, f.fj[i]);
+      CHECK(r.sum == f.fj_oracle[i]);
+      // One task per tree node: joins cascade inline, never through the
+      // queue.
+      CHECK(r.stats.spawned == kForkjoinCases[i].nodes);
+      CHECK(r.stats.executed == kForkjoinCases[i].nodes);
+      CHECK(queue.size() == 0);
+    });
   }
 }
 
@@ -195,21 +196,21 @@ pcq::exec::exec_stats run_mixed_publish(Queue& queue, std::size_t threads,
 
 // Any queue, any worker count: every task runs once, after its releaser,
 // at the priority it was released with, and the counts are exact.
-template <typename MakeQueue>
-void check_mixed_publish(MakeQueue make) {
+void check_mixed_publish(const std::string& queue_name) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    auto queue = make(threads);
-    mixed_log log;
-    const pcq::exec::exec_stats stats =
-        run_mixed_publish(*queue, threads, log);
-    CHECK(stats.executed == kMixedTasks);
-    CHECK(stats.spawned == kMixedTasks);
-    CHECK(log.bad_prio.load() == 0);
-    for (const auto& r : log.runs) CHECK(r.load() == 1);
-    CHECK(log.before(kP, kC) && log.before(kC, kH) && log.before(kC, kI));
-    CHECK(log.before(kQ, kD) && log.before(kD, kG));
-    CHECK(log.before(kR, kE) && log.before(kE, kF));
-    CHECK(queue->size() == 0);
+    pcq::bench::with_queue(queue_name, threads, [&](auto& queue) {
+      mixed_log log;
+      const pcq::exec::exec_stats stats =
+          run_mixed_publish(queue, threads, log);
+      CHECK(stats.executed == kMixedTasks);
+      CHECK(stats.spawned == kMixedTasks);
+      CHECK(log.bad_prio.load() == 0);
+      for (const auto& r : log.runs) CHECK(r.load() == 1);
+      CHECK(log.before(kP, kC) && log.before(kC, kH) && log.before(kC, kI));
+      CHECK(log.before(kQ, kD) && log.before(kD, kG));
+      CHECK(log.before(kR, kE) && log.before(kE, kF));
+      CHECK(queue.size() == 0);
+    });
   }
 }
 
@@ -291,22 +292,22 @@ struct tree_handler {
   }
 };
 
-template <typename MakeQueue>
-void check_trees(MakeQueue make) {
+void check_trees(const std::string& queue_name) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    auto queue = make(threads);
-    using queue_t = typename decltype(queue)::element_type;
-    tree_log log;
-    pcq::exec::executor<queue_t, tree_handler> ex(*queue, tree_handler{&log});
-    for (std::uint64_t cycle = 1; cycle <= 2; ++cycle) {
-      ex.submit(tree_prio(0), 0);
-      const pcq::exec::exec_stats stats = ex.run(threads);
-      for (const auto& r : log.runs) CHECK(r.load() == cycle);
-      CHECK(log.bad_prio.load() == 0);
-      CHECK(stats.executed == kTreeTasks);
-      CHECK(stats.spawned == kTreeTasks);
-      CHECK(queue->size() == 0);
-    }
+    pcq::bench::with_queue(queue_name, threads, [&](auto& queue) {
+      using queue_t = std::decay_t<decltype(queue)>;
+      tree_log log;
+      pcq::exec::executor<queue_t, tree_handler> ex(queue, tree_handler{&log});
+      for (std::uint64_t cycle = 1; cycle <= 2; ++cycle) {
+        ex.submit(tree_prio(0), 0);
+        const pcq::exec::exec_stats stats = ex.run(threads);
+        for (const auto& r : log.runs) CHECK(r.load() == cycle);
+        CHECK(log.bad_prio.load() == 0);
+        CHECK(stats.executed == kTreeTasks);
+        CHECK(stats.spawned == kTreeTasks);
+        CHECK(queue.size() == 0);
+      }
+    });
   }
 }
 
@@ -335,35 +336,35 @@ struct id_probe {
   }
 };
 
-template <typename MakeQueue>
-void check_id_range(MakeQueue make) {
+void check_id_range(const std::string& queue_name) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    auto queue = make(threads);
-    using queue_t = typename decltype(queue)::element_type;
-    std::atomic<std::uint64_t> seen[4]{};
-    pcq::exec::executor<queue_t, id_probe> ex(*queue, id_probe{seen});
-    ex.submit(kTopId - 1, kTopId);
-    const pcq::exec::exec_stats stats = ex.run(threads);
-    CHECK(seen[0].load() == 1 && seen[1].load() == 1 && seen[2].load() == 1);
-    CHECK(seen[3].load() == 0);
-    CHECK(stats.executed == 3);
-    CHECK(stats.spawned == 3);
-    CHECK(queue->size() == 0);
+    pcq::bench::with_queue(queue_name, threads, [&](auto& queue) {
+      using queue_t = std::decay_t<decltype(queue)>;
+      std::atomic<std::uint64_t> seen[4]{};
+      pcq::exec::executor<queue_t, id_probe> ex(queue, id_probe{seen});
+      ex.submit(kTopId - 1, kTopId);
+      const pcq::exec::exec_stats stats = ex.run(threads);
+      CHECK(seen[0].load() == 1 && seen[1].load() == 1 &&
+            seen[2].load() == 1);
+      CHECK(seen[3].load() == 0);
+      CHECK(stats.executed == 3);
+      CHECK(stats.spawned == 3);
+      CHECK(queue.size() == 0);
+    });
   }
 }
 
-template <typename MakeQueue>
-void check_queue(const fixtures& f, MakeQueue make) {
+void check_queue(const fixtures& f, const std::string& queue_name) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    check_dag(f, f.grid_dag, f.grid_oracle, make, threads);
-    check_dag(f, f.rnd_dag, f.rnd_oracle, make, threads);
-    check_forkjoin(f, make, threads);
+    check_dag(f, f.grid_dag, f.grid_oracle, queue_name, threads);
+    check_dag(f, f.rnd_dag, f.rnd_oracle, queue_name, threads);
+    check_forkjoin(f, queue_name, threads);
   }
-  check_dag(f, f.path_dag, f.path_oracle, make, 4);
-  check_dag(f, f.star_dag, f.star_oracle, make, 4);
-  check_mixed_publish(make);
-  check_trees(make);
-  check_id_range(make);
+  check_dag(f, f.path_dag, f.path_oracle, queue_name, 4);
+  check_dag(f, f.star_dag, f.star_oracle, queue_name, 4);
+  check_mixed_publish(queue_name);
+  check_trees(queue_name);
+  check_id_range(queue_name);
 }
 
 // Records the order in which one worker runs the tasks: roots 10..13
@@ -405,41 +406,10 @@ static_assert(!pcq::exec::has_touch<batch_order>::value,
 int main() {
   const fixtures f = make_fixtures();
 
-  // MultiQueue at beta = 1 and beta = 0.5 (the paper's relaxations).
-  check_queue(f, [](std::size_t threads) {
-    pcq::mq_config cfg;
-    return std::make_unique<pcq::multi_queue<std::uint64_t, std::uint64_t>>(
-        cfg, threads);
-  });
-  check_queue(f, [](std::size_t threads) {
-    pcq::mq_config cfg;
-    cfg.beta = 0.5;
-    return std::make_unique<pcq::multi_queue<std::uint64_t, std::uint64_t>>(
-        cfg, threads);
-  });
-
-  // The four baselines.
-  check_queue(f, [](std::size_t) {
-    return std::make_unique<pcq::coarse_pq<std::uint64_t, std::uint64_t>>();
-  });
-  check_queue(f, [](std::size_t) {
-    return std::make_unique<
-        pcq::lj_skiplist_pq<std::uint64_t, std::uint64_t>>();
-  });
-  check_queue(f, [](std::size_t threads) {
-    return std::make_unique<pcq::spray_pq<std::uint64_t, std::uint64_t>>(
-        threads);
-  });
-  check_queue(f, [](std::size_t) {
-    return std::make_unique<pcq::klsm_pq<std::uint64_t, std::uint64_t>>(256);
-  });
-
-  // The steal-deque scheduler baseline (not a priority queue at all —
-  // correctness must be schedule-independent, which is the point).
-  check_queue(f, [](std::size_t threads) {
-    return std::make_unique<
-        pcq::exec::steal_deque_pool<std::uint64_t, std::uint64_t>>(threads);
-  });
+  // Every roster queue, the steal-deque scheduler baseline included (not
+  // a priority queue at all — correctness must be schedule-independent,
+  // which is the point).
+  for (const char* name : pcq::testing::kRosterQueues) check_queue(f, name);
 
   // One worker, one batch: the drain loop pops four roots under one
   // lock and runs all of them before it pops again, so a child keyed

@@ -3,10 +3,10 @@
 // replays that change between passes), DIMACS parsing, generators,
 // sequential Dijkstra on hand-checked graphs, and the headline invariant —
 // parallel_sssp produces distances EXACTLY equal to sequential Dijkstra
-// for every one of the five queue types and the steal-deque pool, on
-// both generator families, single- and multi-threaded. Scales are
-// TSan-friendly; build with -DPCQ_SANITIZE=thread to make the equality
-// runs real race checks.
+// on every roster queue of kRosterQueues (pq_test_harness.hpp), the
+// steal-deque pool included, on both generator families, single- and
+// multi-threaded. Scales are TSan-friendly; build with
+// -DPCQ_SANITIZE=thread to make the equality runs real race checks.
 
 #include "graph/csr_graph.hpp"
 
@@ -14,19 +14,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <stdexcept>
-#include <type_traits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "test_macros.hpp"
+#include "pq_test_harness.hpp"
+#include "benchlib/queue_roster.hpp"
 #include "core/baselines/coarse_pq.hpp"
-#include "core/baselines/klsm_pq.hpp"
-#include "core/baselines/lj_skiplist_pq.hpp"
-#include "core/baselines/spray_pq.hpp"
-#include "core/multi_queue.hpp"
-#include "exec/steal_deque.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/dimacs.hpp"
 #include "graph/generators.hpp"
@@ -47,16 +43,19 @@ csr_graph diamond() {
   return csr_graph::from_edges(5, edges);
 }
 
-template <typename Queue, typename MakeQueue>
 void check_sssp_equality(const csr_graph& g, std::size_t threads,
-                         MakeQueue make, const dijkstra_result& reference) {
-  auto queue = make(threads);
-  const auto stats = parallel_sssp(g, 0, threads, *queue);
+                         const std::string& queue_name,
+                         const dijkstra_result& reference) {
+  const auto stats = pcq::bench::with_queue(
+      queue_name, threads, [&](auto& queue) {
+        const auto result = parallel_sssp(g, 0, threads, queue);
+        CHECK(queue.size() == 0);  // termination drained every entry
+        return result;
+      });
   CHECK(stats.distance.size() == reference.distance.size());
   for (std::size_t i = 0; i < stats.distance.size(); ++i) {
     CHECK(stats.distance[i] == reference.distance[i]);
   }
-  CHECK(queue->size() == 0);  // termination drained every entry
   // Every push (the seed and one per relaxation) is popped once, and
   // each reachable node's final-distance entry is popped and not stale,
   // so the stale pops leave room for at least that many.
@@ -190,17 +189,15 @@ csr_graph build_changing(std::uint32_t n,
   });
 }
 
-template <typename MakeQueue>
-void check_all_graphs(MakeQueue make) {
-  using queue_t = typename std::decay<decltype(*make(1))>::type;
+void check_all_graphs(const std::string& queue_name) {
   for (const csr_graph& g : {path_graph(1000), star_graph(1000)}) {
-    check_sssp_equality<queue_t>(g, 4, make, dijkstra(g, 0));
+    check_sssp_equality(g, 4, queue_name, dijkstra(g, 0));
   }
   {
     const csr_graph g = shared_head_graph(64);
     const auto reference = dijkstra(g, 0);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      check_sssp_equality<queue_t>(g, threads, make, reference);
+      check_sssp_equality(g, threads, queue_name, reference);
     }
   }
   // Frontiers narrower than the drain loop's batch: every pop returns
@@ -208,7 +205,7 @@ void check_all_graphs(MakeQueue make) {
   // on the one entry in flight.
   for (const csr_graph& g : {path_graph(64), two_node_graph()}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      check_sssp_equality<queue_t>(g, threads, make, dijkstra(g, 0));
+      check_sssp_equality(g, threads, queue_name, dijkstra(g, 0));
     }
   }
   // Sparse random digraph: irregular degrees, duplicate arcs possible,
@@ -220,8 +217,8 @@ void check_all_graphs(MakeQueue make) {
     params.seed = 0x51u;
     const csr_graph g = make_random_graph(params);
     const auto reference = dijkstra(g, 0);
-    check_sssp_equality<queue_t>(g, 1, make, reference);
-    check_sssp_equality<queue_t>(g, 4, make, reference);
+    check_sssp_equality(g, 1, queue_name, reference);
+    check_sssp_equality(g, 4, queue_name, reference);
   }
   // Grid road network: huge diameter, the fig3 shape.
   {
@@ -230,7 +227,7 @@ void check_all_graphs(MakeQueue make) {
     params.height = 24;
     params.seed = 0x52u;
     const csr_graph g = make_road_network(params);
-    check_sssp_equality<queue_t>(g, 4, make, dijkstra(g, 0));
+    check_sssp_equality(g, 4, queue_name, dijkstra(g, 0));
   }
 }
 
@@ -440,39 +437,10 @@ int main() {
     CHECK(make_random_graph(params).num_edges() == 0);
   }
 
-  // parallel_sssp == sequential Dijkstra, for all five queue types and
-  // the steal-deque pool.
-  check_all_graphs([](std::size_t threads) {
-    pcq::mq_config cfg;  // beta = 1, the classic MultiQueue
-    return std::make_unique<pcq::multi_queue<std::uint64_t, std::uint64_t>>(
-        cfg, threads);
-  });
-  check_all_graphs([](std::size_t threads) {
-    pcq::mq_config cfg;
-    cfg.beta = 0.5;  // the paper's (1+beta) relaxation
-    return std::make_unique<pcq::multi_queue<std::uint64_t, std::uint64_t>>(
-        cfg, threads);
-  });
-  check_all_graphs([](std::size_t) {
-    return std::make_unique<pcq::klsm_pq<std::uint64_t, std::uint64_t>>(256);
-  });
-  check_all_graphs([](std::size_t threads) {
-    return std::make_unique<pcq::spray_pq<std::uint64_t, std::uint64_t>>(
-        threads);
-  });
-  check_all_graphs([](std::size_t) {
-    return std::make_unique<
-        pcq::lj_skiplist_pq<std::uint64_t, std::uint64_t>>();
-  });
-  check_all_graphs([](std::size_t) {
-    return std::make_unique<pcq::coarse_pq<std::uint64_t, std::uint64_t>>();
-  });
-  // The steal-deque pool keeps no priority order at all; the fixpoint
-  // must still be Dijkstra's.
-  check_all_graphs([](std::size_t threads) {
-    return std::make_unique<
-        pcq::exec::steal_deque_pool<std::uint64_t, std::uint64_t>>(threads);
-  });
+  // parallel_sssp == sequential Dijkstra on every roster queue. The
+  // steal-deque pool keeps no priority order at all; the fixpoint must
+  // still be Dijkstra's.
+  for (const char* name : pcq::testing::kRosterQueues) check_all_graphs(name);
 
   // The shared head under a strict queue and one worker: every one of
   // the m nodes improves h, four per batch, so h is relaxed m times and

@@ -1,12 +1,13 @@
 // The DAG task process: make_dag orientation and dag_depths on
 // hand-checked graphs, settle_ranks on hand-ranked settle orders, and the
-// headline invariant — for every one of the five queue types, single-
-// and multi-threaded, run_dag_executor recording its settle order
-// settles every task exactly once, never before its predecessors
-// (re-verified offline against the arcs, not just the run's own inline
-// check), with the sequential oracle's outputs; the replay matches every
-// settle; and every queue driven by one thread is a zero-inversion exact
-// scheduler. TSan-friendly scales.
+// headline invariant — for every roster queue of kRosterQueues
+// (pq_test_harness.hpp), single- and multi-threaded, run_dag_executor
+// recording its settle order settles every task exactly once, never
+// before its predecessors (re-verified offline against the arcs, not
+// just the run's own inline check), with the sequential oracle's
+// outputs; the replay matches every settle; and every priority queue
+// whose one-thread pops are exact is a zero-inversion exact scheduler
+// when one thread drives it. TSan-friendly scales.
 
 #include "sim/graph_process.hpp"
 
@@ -14,16 +15,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <initializer_list>
-#include <memory>
-#include <type_traits>
+#include <string>
 #include <vector>
 
 #include "test_macros.hpp"
-#include "core/baselines/coarse_pq.hpp"
-#include "core/baselines/klsm_pq.hpp"
-#include "core/baselines/lj_skiplist_pq.hpp"
-#include "core/baselines/spray_pq.hpp"
-#include "core/multi_queue.hpp"
+#include "pq_test_harness.hpp"
+#include "benchlib/queue_roster.hpp"
 #include "exec/dag_workloads.hpp"
 #include "graph/generators.hpp"
 
@@ -60,18 +57,25 @@ void check_topological(const csr_graph& dag,
   }
 }
 
-template <typename MakeQueue>
+/// One recording run of the DAG executor on a fresh roster queue.
+exec::dag_exec_result record_run(const csr_graph& dag, std::size_t threads,
+                                 const std::string& queue_name) {
+  return bench::with_queue(queue_name, threads, [&](auto& queue) {
+    auto res = exec::run_dag_executor(dag, threads, queue, 0, true);
+    CHECK(queue.size() == 0);  // termination drained everything
+    return res;
+  });
+}
+
 void check_process(const csr_graph& dag, std::size_t threads,
-                   MakeQueue make) {
+                   const std::string& queue_name) {
   const std::size_t n = dag.num_nodes();
-  auto queue = make(threads);
-  const auto res = exec::run_dag_executor(dag, threads, *queue, 0, true);
+  const auto res = record_run(dag, threads, queue_name);
   CHECK(res.topo_ok);
   CHECK(res.settled == n);
   CHECK(res.stats.executed == n);
   CHECK(res.stats.spawned == n);  // every task released once
   CHECK(res.outputs == exec::sequential_dag_outputs(dag, 0));
-  CHECK(queue->size() == 0);  // termination drained everything
   check_topological(dag, res.settle_order);
   const replay_report ranks = settle_ranks(dag, res.settle_order);
   CHECK(ranks.deletions == n);
@@ -83,11 +87,10 @@ void check_process(const csr_graph& dag, std::size_t threads,
 /// of all unsettled tasks (their predecessors have smaller priority), so
 /// the settle order is the priority order, the replay sees zero
 /// inversions, and a second run settles in the same order.
-template <typename MakeQueue>
-void check_exact_scheduler(const csr_graph& dag, MakeQueue make) {
+void check_exact_scheduler(const csr_graph& dag,
+                           const std::string& queue_name) {
   const std::vector<std::uint32_t> depth = dag_depths(dag);
-  auto queue = make(1);
-  const auto res = exec::run_dag_executor(dag, 1, *queue, 0, true);
+  const auto res = record_run(dag, 1, queue_name);
   check_topological(dag, res.settle_order);
   for (std::size_t i = 1; i < res.settle_order.size(); ++i) {
     const csr_graph::node_id a = res.settle_order[i - 1];
@@ -99,21 +102,18 @@ void check_exact_scheduler(const csr_graph& dag, MakeQueue make) {
   CHECK(ranks.unmatched == 0);
   CHECK(ranks.inversions == 0);
   CHECK(ranks.rank_stats.max() == 0.0);
-  auto queue2 = make(1);
-  const auto res2 = exec::run_dag_executor(dag, 1, *queue2, 0, true);
-  CHECK(res.settle_order == res2.settle_order);
+  CHECK(res.settle_order == record_run(dag, 1, queue_name).settle_order);
 }
 
-template <typename MakeQueue>
-void check_all_workloads(MakeQueue make) {
+void check_all_workloads(const std::string& queue_name) {
   {
     graph::random_graph_params params;
     params.nodes = 1200;
     params.avg_degree = 4.0;
     params.seed = 0x61u;
     const csr_graph dag = make_dag(make_random_graph(params));
-    check_process(dag, 1, make);
-    check_process(dag, 4, make);
+    check_process(dag, 1, queue_name);
+    check_process(dag, 4, queue_name);
   }
   {
     graph::road_network_params params;
@@ -121,7 +121,7 @@ void check_all_workloads(MakeQueue make) {
     params.height = 20;
     params.seed = 0x62u;
     const csr_graph dag = make_dag(make_road_network(params));
-    check_process(dag, 4, make);
+    check_process(dag, 4, queue_name);
   }
 }
 
@@ -184,46 +184,23 @@ int main() {
     CHECK(r.unmatched == 1 && r.deletions == 0);
   }
 
-  const auto make_mq = [](std::size_t threads) {
-    mq_config cfg;
-    return std::make_unique<multi_queue<std::uint64_t, std::uint64_t>>(
-        cfg, threads);
-  };
-  const auto make_coarse = [](std::size_t) {
-    return std::make_unique<coarse_pq<std::uint64_t, std::uint64_t>>();
-  };
-  const auto make_lj = [](std::size_t) {
-    return std::make_unique<lj_skiplist_pq<std::uint64_t, std::uint64_t>>();
-  };
-  const auto make_spray = [](std::size_t threads) {
-    return std::make_unique<spray_pq<std::uint64_t, std::uint64_t>>(threads);
-  };
-  const auto make_klsm = [](std::size_t) {
-    return std::make_unique<klsm_pq<std::uint64_t, std::uint64_t>>(256);
-  };
-
-  // Hand-checked DAG through every queue, then both generator families
-  // at 1 and 4 threads.
+  // Hand-checked DAG through every roster queue, then both generator
+  // families at 1 and 4 threads.
   const csr_graph dd = double_diamond();
-  check_process(dd, 1, make_mq);
-  check_process(dd, 2, make_mq);
-  check_process(dd, 1, make_coarse);
-  check_process(dd, 1, make_lj);
-  check_process(dd, 1, make_spray);
-  check_process(dd, 1, make_klsm);
+  check_process(dd, 2, "mq_b1.0");
+  for (const char* name : testing::kRosterQueues) {
+    check_process(dd, 1, name);
+    check_all_workloads(name);
+  }
 
-  check_all_workloads(make_mq);
-  check_all_workloads(make_coarse);
-  check_all_workloads(make_lj);
-  check_all_workloads(make_spray);
-  check_all_workloads(make_klsm);
-
-  // Every queue driven by one thread is an exact scheduler: the strict
-  // ones by construction, the k-LSM and the SprayList because one handle
-  // sees all of their entries, and the default MultiQueue because at one
-  // thread it holds 2 slots and its d = 2 choices cover both. The fan has
-  // more roots than one batched pop takes: a pop of four would run task
-  // 6 before task 5, which its last root releases.
+  // Every priority queue driven by one thread is an exact scheduler: the
+  // strict ones by construction, the k-LSM and the SprayList because one
+  // handle sees all of their entries, and the default MultiQueue because
+  // at one thread it holds 2 slots and its d = 2 choices cover both. The
+  // MultiQueue at beta = 0.5 takes one choice half the time, and the
+  // steal pool has no priority order. The fan has more roots than one
+  // batched pop takes: a pop of four would run task 6 before task 5,
+  // which its last root releases.
   {
     std::vector<csr_graph::edge> edges{{0, 6, 1}, {4, 5, 1}};
     const csr_graph fan = csr_graph::from_edges(7, edges);
@@ -233,11 +210,11 @@ int main() {
     params.seed = 0x63u;
     const csr_graph dag = make_dag(make_random_graph(params));
     for (const csr_graph* g : {&fan, &dag}) {
-      check_exact_scheduler(*g, make_coarse);
-      check_exact_scheduler(*g, make_lj);
-      check_exact_scheduler(*g, make_mq);
-      check_exact_scheduler(*g, make_klsm);
-      check_exact_scheduler(*g, make_spray);
+      for (const std::string name : testing::kRosterQueues) {
+        if (name != "mq_b0.5" && name != "steal") {
+          check_exact_scheduler(*g, name);
+        }
+      }
     }
   }
 

@@ -1,5 +1,6 @@
-// The in-flight termination protocol (util/in_flight.hpp): the ledger's
-// settle rule from a seeded count, drained()'s credit hand-back, a
+// The in-flight termination protocol and thread launcher
+// (util/in_flight.hpp): run_workers at 0, 1, 2 and 5 threads, the
+// ledger's settle rule from a seeded count, drained()'s credit hand-back, a
 // seeded 4-thread cell that checks random settle sequences against an
 // exact shadow count, a 4-thread drain() cell in which one worker holds
 // a popped batch while the others keep failing pops, and a 4-thread
@@ -26,6 +27,34 @@
 #include "util/spinlock.hpp"
 
 namespace {
+
+/// run_workers(T, w) calls w(tid) exactly once for each tid in [0, T),
+/// tid 0 on the calling thread, and every worker's plain writes are
+/// visible once it returns; at T = 0 it calls nothing.
+void run_workers_runs_each_tid() {
+  constexpr std::size_t kMax = 8;
+  for (const std::size_t threads : {0, 1, 2, 5}) {
+    std::atomic<std::size_t> calls{0};
+    std::atomic<std::size_t> runs[kMax]{};
+    std::uint64_t written[kMax] = {};
+    bool tid0_on_caller = false;
+    const std::thread::id caller = std::this_thread::get_id();
+    auto worker = [&](std::size_t tid) {
+      calls.fetch_add(1, std::memory_order_relaxed);
+      if (tid >= kMax) return;
+      runs[tid].fetch_add(1, std::memory_order_relaxed);
+      written[tid] = 100 + tid;
+      if (tid == 0) tid0_on_caller = std::this_thread::get_id() == caller;
+    };
+    pcq::run_workers(threads, worker);
+    CHECK(calls.load() == threads);
+    for (std::size_t t = 0; t < kMax; ++t) {
+      CHECK(runs[t].load() == (t < threads ? 1u : 0u));
+      CHECK(written[t] == (t < threads ? 100 + t : 0));
+    }
+    CHECK(tid0_on_caller == (threads > 0));
+  }
+}
 
 /// Table: from a seeded count of 8 and a starting credit, settle(k)
 /// leaves this count and credit. Credit is banked by settle(0) calls
@@ -128,7 +157,7 @@ void concurrent_shadow(std::uint64_t seed, std::size_t episodes) {
     std::atomic<std::int64_t> pool{1};
     std::atomic<std::int64_t> owed{1};
     std::atomic<std::int64_t> budget{256};
-    std::atomic<std::size_t> ready{0};
+    pcq::spin_barrier start(kThreads);
     std::atomic<std::int64_t> processed{0};
     std::atomic<std::int64_t> produced{0};
     std::atomic<bool> early{false};
@@ -137,10 +166,7 @@ void concurrent_shadow(std::uint64_t seed, std::size_t episodes) {
       pcq::in_flight_ledger ledger(counter);
       pcq::xoshiro256ss rng(pcq::derive_seed(seed, e * kThreads + tid));
       std::int64_t mine_processed = 0, mine_produced = 0;
-      ready.fetch_add(1, std::memory_order_acq_rel);
-      while (ready.load(std::memory_order_acquire) < kThreads) {
-        std::this_thread::yield();
-      }
+      start.arrive_and_wait();
       for (;;) {
         std::int64_t avail = pool.load(std::memory_order_acquire);
         bool took = false;
@@ -180,9 +206,7 @@ void concurrent_shadow(std::uint64_t seed, std::size_t episodes) {
       CHECK(ledger.credit() == 0);
     };
 
-    std::vector<std::thread> threads;
-    for (std::size_t t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
-    for (auto& t : threads) t.join();
+    pcq::run_workers(kThreads, worker);
 
     CHECK(!early.load());
     CHECK(counter.units() == 0);
@@ -210,7 +234,7 @@ void held_batch_keeps_workers(std::size_t rounds) {
       auto seeder = queue.get_handle(0);
       for (std::uint64_t k = 0; k < pcq::kDrainBatch; ++k) seeder.push(k, k);
     }
-    std::atomic<std::size_t> ready{0};
+    pcq::spin_barrier start(kThreads);
     std::atomic<bool> holding{false};
     std::atomic<std::uint64_t> held_fails{0};  // failed pops while held
     std::atomic<std::uint64_t> settled{0};
@@ -238,10 +262,7 @@ void held_batch_keeps_workers(std::size_t rounds) {
     auto worker = [&](std::size_t tid) {
       observed_handle handle{queue.get_handle(tid), &holding, &held_fails};
       pcq::in_flight_ledger ledger(counter);
-      ready.fetch_add(1, std::memory_order_acq_rel);
-      while (ready.load(std::memory_order_acquire) < kThreads) {
-        std::this_thread::yield();
-      }
+      start.arrive_and_wait();
       pcq::drain<entry>(handle, ledger, pcq::kDrainBatch, [](const entry&) {},
                         [&](const entry&, std::vector<entry>&) {
         // Bounded wait: a worker that never fails a pop fails the check
@@ -414,6 +435,7 @@ void publish_after_settle(std::uint64_t seed, std::size_t episodes) {
 }  // namespace
 
 int main() {
+  run_workers_runs_each_tid();
   ledger_table();
   drained_flushes_credit();
   concurrent_shadow(0x1f17, 400);

@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <memory>
 #include <set>
-#include <thread>
-#include <vector>
 
 #include "test_macros.hpp"
 #include "pq_test_harness.hpp"
@@ -78,48 +76,8 @@ int main() {
     CHECK(queue.size() == 0);
   }
 
-  // Churn memory bound (the point of epoch-based reclamation): insert/
-  // delete far more elements than ever live at once, then pump briefly
-  // from a single surviving handle (all other records idle, so every
-  // reclamation scan advances the epoch and drains dead handles' orphaned
-  // limbo). Unfreed nodes must be O(live + limbo residue), not O(total
-  // inserts).
-  {
-    const std::size_t threads = 4, churn = 20000, live = 512;
-    const std::size_t total = live + threads * churn;
-    ljq queue;
-    {
-      std::vector<std::thread> pool;
-      for (std::size_t t = 0; t < threads; ++t) {
-        pool.emplace_back([&, t] {
-          auto handle = queue.get_handle(t);
-          pcq::xoshiro256ss rng(pcq::derive_seed(0xc4u, t));
-          for (std::size_t i = 0; i < live / threads; ++i) {
-            handle.push(rng() >> 1, 0);
-          }
-          for (std::size_t i = 0; i < churn; ++i) {
-            handle.push(rng() >> 1, 0);
-            std::uint64_t k = 0, v = 0;
-            CHECK(handle.try_pop(k, v));
-          }
-        });
-      }
-      for (auto& t : pool) t.join();
-    }
-    CHECK(queue.size() == live);
-    {
-      auto handle = queue.get_handle(threads);
-      pcq::xoshiro256ss rng(0xc5u);
-      for (std::size_t i = 0; i < 4000; ++i) {
-        handle.push(rng() >> 1, 0);
-        std::uint64_t k = 0, v = 0;
-        CHECK(handle.try_pop(k, v));
-      }
-    }
-    CHECK(queue.size() == live);
-    CHECK(queue.allocated_nodes() <= live + 4096);
-    CHECK(queue.allocated_nodes() < total / 4);
-  }
+  // Churn memory bound (the point of epoch-based reclamation).
+  pcq::testing::check_churn_memory(make_lj, 0xc4u);
 
   // Shared harness: conservation and no-lost-wakeups under concurrency,
   // sorted single-thread drain (LJ is strict).

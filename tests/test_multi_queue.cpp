@@ -24,6 +24,15 @@ std::unique_ptr<mq> make_mq(std::size_t threads) {
   return std::make_unique<mq>(cfg, threads);
 }
 
+// A maker for the default config with `factor` queues per thread.
+auto make_with_factor(std::size_t factor) {
+  return [factor](std::size_t threads) {
+    pcq::mq_config cfg;
+    cfg.queue_factor = factor;
+    return std::make_unique<mq>(cfg, threads);
+  };
+}
+
 }  // namespace
 
 int main() {
@@ -37,105 +46,17 @@ int main() {
     CHECK(mq(cfg, 0).num_queues() == 1);  // degenerate thread count
   }
 
-  // With a single queue the MultiQueue is an exact priority queue:
-  // pops come out sorted.
-  {
-    pcq::mq_config cfg;
-    cfg.queue_factor = 1;
-    mq queue(cfg, 1);
-    auto handle = queue.get_handle(0);
-    pcq::xoshiro256ss rng(5);
-    const std::size_t n = 4096;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t key = rng() >> 1;
-      handle.push(key, key + 1);
-    }
-    CHECK(queue.size() == n);
-    std::uint64_t prev = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t key = 0, value = 0;
-      CHECK(handle.try_pop(key, value));
-      CHECK(key >= prev);
-      CHECK(value == key + 1);
-      prev = key;
-    }
-    std::uint64_t key = 0, value = 0;
-    CHECK(!handle.try_pop(key, value));
-    CHECK(queue.size() == 0);
-  }
+  // One queue is an exact priority queue: pops come out sorted. Eight
+  // queues per thread relax the order but lose and duplicate nothing.
+  pcq::testing::check_monotone_drain(make_with_factor(1), /*n=*/4096,
+                                     /*exact=*/true, 5);
+  pcq::testing::check_monotone_drain(make_with_factor(8), /*n=*/20000,
+                                     /*exact=*/false, 6);
 
-  // Relaxed semantics, single-threaded: pops are not necessarily sorted
-  // across queues, but nothing is lost or duplicated (checksum match).
-  {
-    pcq::mq_config cfg;
-    cfg.queue_factor = 8;
-    mq queue(cfg, 1);
-    auto handle = queue.get_handle(0);
-    pcq::xoshiro256ss rng(6);
-    std::uint64_t pushed_sum = 0;
-    const std::size_t n = 20000;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t key = rng() >> 1;
-      pushed_sum += key;
-      handle.push(key, key);
-    }
-    std::uint64_t popped_sum = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t key = 0, value = 0;
-      CHECK(handle.try_pop(key, value));
-      CHECK(key == value);
-      popped_sum += key;
-    }
-    std::uint64_t key = 0, value = 0;
-    CHECK(!handle.try_pop(key, value));
-    CHECK(popped_sum == pushed_sum);
-  }
-
-  // Multi-threaded smoke (TSan-friendly scale): concurrent alternating
-  // push/pop conserves elements; a final drain accounts for the rest.
-  {
-    pcq::mq_config cfg;
-    mq queue(cfg, 4);
-    const std::size_t threads = 4;
-    const std::size_t pairs = 10000;
-    std::vector<std::uint64_t> pushed(threads, 0), popped(threads, 0);
-    std::vector<std::uint64_t> pops_ok(threads, 0);
-    std::vector<std::thread> pool;
-    for (std::size_t t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t] {
-        auto handle = queue.get_handle(t);
-        pcq::xoshiro256ss rng(pcq::derive_seed(77, t));
-        for (std::size_t i = 0; i < pairs; ++i) {
-          const std::uint64_t key = rng() >> 1;
-          pushed[t] += key;
-          handle.push(key, key);
-          std::uint64_t k = 0, v = 0;
-          if (handle.try_pop(k, v)) {
-            CHECK(k == v);
-            popped[t] += k;
-            ++pops_ok[t];
-          }
-        }
-      });
-    }
-    for (auto& t : pool) t.join();
-
-    std::uint64_t pushed_sum = 0, popped_sum = 0, pop_count = 0;
-    for (std::size_t t = 0; t < threads; ++t) {
-      pushed_sum += pushed[t];
-      popped_sum += popped[t];
-      pop_count += pops_ok[t];
-    }
-    auto handle = queue.get_handle(99);
-    std::uint64_t k = 0, v = 0;
-    while (handle.try_pop(k, v)) {
-      popped_sum += k;
-      ++pop_count;
-    }
-    CHECK(pop_count == threads * pairs);
-    CHECK(popped_sum == pushed_sum);
-    CHECK(queue.size() == 0);
-  }
+  // Concurrent alternating push/pop conserves elements, at a larger
+  // scale than the shared suite's run below.
+  pcq::testing::check_element_conservation(make_mq, /*threads=*/4,
+                                           /*pairs=*/10000, 77);
 
   // Timed API: timestamps are unique, replay matches the op counts and
   // two-choice keeps the mean rank small.
@@ -186,32 +107,31 @@ int main() {
     }
     CHECK(queue.size() == prefill);
 
-    std::atomic<bool> done{false};
-    std::thread monitor([&] {
-      while (!done.load(std::memory_order_acquire)) {
-        const std::size_t s = queue.size();
-        CHECK(s <= prefill + threads * pairs);
-        CHECK(s >= prefill / 2);  // generous: sum is not a snapshot
-        std::this_thread::yield();
-      }
-    });
-    std::vector<std::thread> pool;
-    for (std::size_t t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t] {
-        auto handle = queue.get_handle(t);
-        pcq::xoshiro256ss rng(pcq::derive_seed(321, t));
-        for (std::size_t i = 0; i < pairs; ++i) {
-          const std::uint64_t key = rng() >> 1;
-          handle.push(key, key);
-          std::uint64_t k = 0, v = 0;
-          while (!handle.try_pop(k, v)) {
-          }  // queue holds ~prefill elements, so pops always succeed
+    // Workers [0, threads) churn; worker `threads` polls size() until
+    // they have all finished.
+    std::atomic<std::size_t> finished{0};
+    auto worker = [&](std::size_t t) {
+      if (t == threads) {
+        while (finished.load(std::memory_order_acquire) < threads) {
+          const std::size_t s = queue.size();
+          CHECK(s <= prefill + threads * pairs);
+          CHECK(s >= prefill / 2);  // generous: sum is not a snapshot
+          std::this_thread::yield();
         }
-      });
-    }
-    for (auto& t : pool) t.join();
-    done.store(true, std::memory_order_release);
-    monitor.join();
+        return;
+      }
+      auto handle = queue.get_handle(t);
+      pcq::xoshiro256ss rng(pcq::derive_seed(321, t));
+      for (std::size_t i = 0; i < pairs; ++i) {
+        const std::uint64_t key = rng() >> 1;
+        handle.push(key, key);
+        std::uint64_t k = 0, v = 0;
+        while (!handle.try_pop(k, v)) {
+        }  // queue holds ~prefill elements, so pops always succeed
+      }
+      finished.fetch_add(1, std::memory_order_release);
+    };
+    pcq::run_workers(threads + 1, worker);
     CHECK(queue.size() == prefill);  // quiescent exactness
   }
 
@@ -228,16 +148,17 @@ int main() {
     cfg.queue_factor = 16;
     mq queue(cfg, 2);
     const std::size_t n = 20000;
-    std::thread producer([&] {
-      auto handle = queue.get_handle(0);
-      pcq::xoshiro256ss rng(0x5eed5);
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t key = rng() >> 1;
-        handle.push(key, key);
+    // Worker 0 produces on handle 0, worker 1 consumes on handle 1.
+    auto worker = [&](std::size_t t) {
+      auto handle = queue.get_handle(t);
+      if (t == 0) {
+        pcq::xoshiro256ss rng(0x5eed5);
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::uint64_t key = rng() >> 1;
+          handle.push(key, key);
+        }
+        return;
       }
-    });
-    {
-      auto handle = queue.get_handle(1);
       std::size_t got = 0;
       while (got < n) {
         std::uint64_t k = 0, v = 0;
@@ -246,8 +167,8 @@ int main() {
           ++got;
         }
       }
-    }
-    producer.join();
+    };
+    pcq::run_workers(2, worker);
     CHECK(queue.size() == 0);
     // Quiescent half: with every push happened-before, a single try_pop
     // per remaining element must succeed — the sweep may never report
@@ -271,12 +192,7 @@ int main() {
     pcq::testing::check_batched_conservation(make_mq, /*threads=*/4,
                                              /*rounds=*/500, /*batch=*/16,
                                              0xba7c4);
-    const auto make_single = [](std::size_t threads) {
-      pcq::mq_config cfg;
-      cfg.queue_factor = 1;
-      return std::make_unique<mq>(cfg, threads);
-    };
-    pcq::testing::check_batched_drain(make_single, /*n=*/4096, /*batch=*/8,
+    pcq::testing::check_batched_drain(make_with_factor(1), /*n=*/4096, /*batch=*/8,
                                       /*exact=*/true, 0xba7c5);
     // Multi-queue configuration: chunks stay ascending but the merge is
     // relaxed, so no global-order assertion.

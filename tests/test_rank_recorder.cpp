@@ -2,9 +2,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 
 #include "benchlib/pq_bench_driver.hpp"
 #include "core/multi_queue.hpp"
+#include "exec/steal_deque.hpp"
 #include "test_macros.hpp"
 
 namespace {
@@ -152,6 +154,26 @@ int main() {
         CHECK(queue.size() == cfg.prefill);
       }
     }
+  }
+
+  // A queue without the timed extension (the steal-deque pool) runs the
+  // scalar workload, and refuses the recording mode.
+  {
+    pcq::exec::steal_deque_pool<std::uint64_t, std::uint64_t> pool(1);
+    pcq::bench::workload_config cfg;
+    cfg.prefill = 8;
+    cfg.pairs_per_thread = 100;
+    const auto result = pcq::bench::run_alternating(pool, cfg);
+    CHECK(result.total_ops == 2 * 100);
+    CHECK(result.failed_pops == 0);
+    cfg.record_events = true;
+    bool threw = false;
+    try {
+      pcq::bench::run_alternating(pool, cfg);
+    } catch (const std::invalid_argument&) {
+      threw = true;
+    }
+    CHECK(threw);
   }
 
   // run_alternating_batched rounds pairs down to whole batches: 100 pairs in

@@ -1,9 +1,9 @@
 #include "util/spinlock.hpp"
 
-#include <thread>
-#include <vector>
+#include <cstddef>
 
 #include "test_macros.hpp"
+#include "util/in_flight.hpp"
 
 int main() {
   // try_lock semantics.
@@ -22,17 +22,14 @@ int main() {
     long counter = 0;
     const int threads = 4;
     const int increments = 20000;
-    std::vector<std::thread> pool;
-    for (int t = 0; t < threads; ++t) {
-      pool.emplace_back([&] {
-        for (int i = 0; i < increments; ++i) {
-          lock.lock();
-          ++counter;
-          lock.unlock();
-        }
-      });
-    }
-    for (auto& t : pool) t.join();
+    auto worker = [&](std::size_t) {
+      for (int i = 0; i < increments; ++i) {
+        lock.lock();
+        ++counter;
+        lock.unlock();
+      }
+    };
+    pcq::run_workers(threads, worker);
     CHECK(counter == static_cast<long>(threads) * increments);
   }
 

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -88,46 +87,8 @@ int main() {
 
   // Churn memory bound: sprays claim nodes mid-list, so their towers are
   // reclaimed through inserts' helping unlinks rather than the front
-  // restructure — epoch reclamation must still keep unfreed nodes
-  // O(live + limbo residue) instead of O(total inserts). The pump phase
-  // (single surviving handle, mostly cleaner pops at 4-thread config from
-  // one thread) drains dead handles' orphaned limbo.
-  {
-    const std::size_t threads = 4, churn = 20000, live = 512;
-    const std::size_t total = live + threads * churn;
-    sprayq queue(threads);
-    {
-      std::vector<std::thread> pool;
-      for (std::size_t t = 0; t < threads; ++t) {
-        pool.emplace_back([&, t] {
-          auto handle = queue.get_handle(t);
-          pcq::xoshiro256ss rng(pcq::derive_seed(0xd4u, t));
-          for (std::size_t i = 0; i < live / threads; ++i) {
-            handle.push(rng() >> 1, 0);
-          }
-          for (std::size_t i = 0; i < churn; ++i) {
-            handle.push(rng() >> 1, 0);
-            std::uint64_t k = 0, v = 0;
-            CHECK(handle.try_pop(k, v));
-          }
-        });
-      }
-      for (auto& t : pool) t.join();
-    }
-    CHECK(queue.size() == live);
-    {
-      auto handle = queue.get_handle(threads);
-      pcq::xoshiro256ss rng(0xd5u);
-      for (std::size_t i = 0; i < 4000; ++i) {
-        handle.push(rng() >> 1, 0);
-        std::uint64_t k = 0, v = 0;
-        CHECK(handle.try_pop(k, v));
-      }
-    }
-    CHECK(queue.size() == live);
-    CHECK(queue.allocated_nodes() <= live + 4096);
-    CHECK(queue.allocated_nodes() < total / 4);
-  }
+  // restructure; epoch reclamation must still bound unfreed nodes.
+  pcq::testing::check_churn_memory(make_spray, 0xd4u);
 
   // Shared harness checks (spray_suite): conservation and no-lost-wakeups
   // under concurrency; the 1-thread build drains exactly sorted (pure

@@ -8,6 +8,7 @@
 
 #include "test_macros.hpp"
 #include "pq_test_harness.hpp"
+#include "util/in_flight.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -104,42 +105,38 @@ int main() {
     wsd pool(1 + thieves);
     std::atomic<std::uint64_t> delivered{0}, sum{0};
     std::atomic<bool> done{false};
-    std::vector<std::thread> pool_threads;
-    for (std::size_t t = 0; t < thieves; ++t) {
-      pool_threads.emplace_back([&, t] {
-        auto h = pool.get_handle(1 + t);
-        std::uint64_t local_sum = 0, local_got = 0;
-        while (!done.load(std::memory_order_acquire) ||
-               delivered.load(std::memory_order_acquire) < n) {
-          std::uint64_t k = 0, v = 0;
-          if (h.try_pop(k, v)) {
-            CHECK(v == k + 1);
-            local_sum += k;
-            ++local_got;
-            delivered.fetch_add(1, std::memory_order_acq_rel);
-          } else if (done.load(std::memory_order_acquire) &&
-                     delivered.load(std::memory_order_acquire) >= n) {
-            break;
-          } else {
-            std::this_thread::yield();
-          }
-        }
-        sum.fetch_add(local_sum, std::memory_order_relaxed);
-        (void)local_got;
-      });
-    }
     std::uint64_t pushed_sum = 0;
-    {
-      auto producer = pool.get_handle(0);
-      pcq::xoshiro256ss rng(11);
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t key = rng() >> 1;
-        pushed_sum += key;
-        producer.push(key, key + 1);
+    // Worker 0 produces on deque 0; worker t steals through handle t.
+    auto worker = [&](std::size_t t) {
+      auto h = pool.get_handle(t);
+      if (t == 0) {
+        pcq::xoshiro256ss rng(11);
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::uint64_t key = rng() >> 1;
+          pushed_sum += key;
+          h.push(key, key + 1);
+        }
+        done.store(true, std::memory_order_release);
+        return;
       }
-    }
-    done.store(true, std::memory_order_release);
-    for (auto& t : pool_threads) t.join();
+      std::uint64_t local_sum = 0;
+      while (!done.load(std::memory_order_acquire) ||
+             delivered.load(std::memory_order_acquire) < n) {
+        std::uint64_t k = 0, v = 0;
+        if (h.try_pop(k, v)) {
+          CHECK(v == k + 1);
+          local_sum += k;
+          delivered.fetch_add(1, std::memory_order_acq_rel);
+        } else if (done.load(std::memory_order_acquire) &&
+                   delivered.load(std::memory_order_acquire) >= n) {
+          break;
+        } else {
+          std::this_thread::yield();
+        }
+      }
+      sum.fetch_add(local_sum, std::memory_order_relaxed);
+    };
+    pcq::run_workers(1 + thieves, worker);
     CHECK(delivered.load() == n);
     CHECK(sum.load() == pushed_sum);
     CHECK(pool.size() == 0);
