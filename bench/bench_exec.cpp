@@ -21,14 +21,14 @@
 // reduction (a binary tree of tasks whose joins cascade inline; one task
 // per tree node).
 //
-// Each cell is the median of verified trials that rotate through the
-// four series after one untimed warm-up round: five at smoke scale,
-// trials() at full scale. Fork-join rounds also time the sequential sum;
-// each fork-join cell's time per reduction is printed over its median
-// (forkjoin_seq_ms, ungated). Each fork-join trial is followed by a
-// kernel-free one (rounds = 0) of the same series, whose ns per task is
-// the executor's own cost without the leaf loop (forkjoin0_mops,
-// ungated).
+// Each (workload, thread count) is one cell of benchlib's measure_cell:
+// a warm-up round, then the timed rounds that rotate through the four
+// series, every trial verified, the warm-up round's included. A
+// fork-join round runs each series' trial, then its kernel-free twin
+// (rounds = 0; ns per task is the executor's own cost without the leaf
+// loop, forkjoin0_mops, ungated), and ends with the sequential sum; each
+// fork-join cell's time per reduction is printed over the sum's median
+// (forkjoin_seq_ms, ungated).
 //
 // The rank pass runs the DAG task process (sim/graph_process.hpp) on
 // smaller DAGs through six queues, the k-LSM, SprayList and LJ skiplist
@@ -235,72 +235,55 @@ int main() {
   const std::vector<std::string> series_names{"mq_b1.0", "mq_b0.5", "steal",
                                               "coarse"};
 
-  // The median takes five trials at smoke scale, dropping up to two
-  // slowed by a host stall (docs/BENCHMARKS.md gives the gate's measured
-  // failure rate).
-  const unsigned cell_trials = scaled(5u, trials());
-
-  std::vector<std::size_t> thread_counts;
-  for (std::size_t t = 1; t <= max_threads(); t *= 2) {
-    thread_counts.push_back(t);
-  }
+  const std::vector<std::size_t> thread_counts = thread_sweep(max_threads());
+  const std::size_t n_series = series_names.size();
 
   // results[workload][series][thread index] = median Mops/s; workloads:
   // grid, random, fj.
   std::vector<std::vector<std::vector<double>>> results(
-      3, std::vector<std::vector<double>>(series_names.size()));
+      3, std::vector<std::vector<double>>(n_series));
   const char* workload_names[3] = {"grid", "random", "forkjoin"};
-  std::vector<double> seq_ms;  // timed sequential fork-join sums
+  std::vector<double> seq_ms;  // per thread count: sequential sum, median
   // forkjoin0[series][thread index] = median Mops/s, kernel-free.
-  std::vector<std::vector<double>> forkjoin0(series_names.size());
+  std::vector<std::vector<double>> forkjoin0(n_series);
 
   for (std::size_t w = 0; w < 3; ++w) {
     print_header(std::string("EXEC: ") + workload_names[w] + " workload",
                  "million executed tasks per second, higher is better");
     table_printer table = series_table({"threads"}, series_names);
+    // A DAG round's series are the four schedulers. A fork-join round's
+    // are 2s (series s), 2s + 1 (its kernel-free twin) and, last, the
+    // sequential sum in ms.
+    const bool fj_round = w == 2;
     for (const std::size_t t : thread_counts) {
-      // One verified trial of series s on a fresh queue; kernel_free
-      // picks the zero-round fork-join tree.
-      const auto trial = [&](std::size_t s, bool kernel_free) {
-        return with_queue(series_names[s], t, [&](auto& queue) {
-          if (w < 2)
-            return dag_trial(series_names[s], timed_dags[w], t, queue);
-          return kernel_free ? forkjoin_trial(series_names[s], fj0,
-                                              fj0_oracle, fj_jobs, t, queue)
-                             : forkjoin_trial(series_names[s], fj, fj_oracle,
-                                              fj_jobs, t, queue);
-        });
-      };
-      // Trials rotate through the series, so a burst of interference
-      // costs each series one trial, which the median drops, instead of
-      // setting one cell. Round 0 is an untimed warm-up of every series.
-      // Each fork-join trial is followed by its kernel-free twin, and
-      // fork-join rounds end with the sequential sum.
-      std::vector<std::vector<double>> mops(series_names.size());
-      std::vector<std::vector<double>> mops0(series_names.size());
-      for (unsigned round = 0; round <= cell_trials; ++round) {
-        for (std::size_t s = 0; s < series_names.size(); ++s) {
-          const double m = trial(s, false);
-          if (round > 0) mops[s].push_back(m);
-          if (w < 2) continue;
-          const double m0 = trial(s, true);
-          if (round > 0) mops0[s].push_back(m0);
-        }
-        if (w < 2) continue;
-        const wall_timer timer;
-        if (exec::sequential_forkjoin_sum(fj) != fj_oracle) {
-          std::fprintf(stderr, "EXEC VIOLATION: sequential fork-join sum "
-                               "differs from its first run\n");
-          return 1;
-        }
-        if (round > 0) seq_ms.push_back(timer.elapsed_seconds() * 1e3);
-      }
+      const std::vector<double> cell = measure_cell(
+          fj_round ? 2 * n_series + 1 : n_series,
+          [&](std::size_t i, unsigned) {
+            if (fj_round && i == 2 * n_series) {
+              const wall_timer timer;
+              if (exec::sequential_forkjoin_sum(fj) != fj_oracle) {
+                std::fprintf(stderr, "EXEC VIOLATION: sequential fork-join "
+                                     "sum differs from its first run\n");
+                std::exit(1);
+              }
+              return timer.elapsed_seconds() * 1e3;
+            }
+            const std::string& name = series_names[fj_round ? i / 2 : i];
+            return with_queue(name, t, [&](auto& queue) {
+              if (!fj_round) return dag_trial(name, timed_dags[w], t, queue);
+              return i % 2 == 0 ? forkjoin_trial(name, fj, fj_oracle,
+                                                 fj_jobs, t, queue)
+                                : forkjoin_trial(name, fj0, fj0_oracle,
+                                                 fj_jobs, t, queue);
+            });
+          });
       std::vector<double> row{static_cast<double>(t)};
-      for (std::size_t s = 0; s < series_names.size(); ++s) {
-        results[w][s].push_back(percentile(mops[s], 0.5));
+      for (std::size_t s = 0; s < n_series; ++s) {
+        results[w][s].push_back(cell[fj_round ? 2 * s : s]);
         row.push_back(results[w][s].back());
-        if (w == 2) forkjoin0[s].push_back(percentile(mops0[s], 0.5));
+        if (fj_round) forkjoin0[s].push_back(cell[2 * s + 1]);
       }
+      if (fj_round) seq_ms.push_back(cell[2 * n_series]);
       table.row(row);
     }
   }
@@ -310,8 +293,9 @@ int main() {
   // loop, and the sequential sum shows how much of a cell that is.
   const double forkjoin_seq_ms = percentile(seq_ms, 0.5);
   print_header("EXEC: fork-join time per reduction / sequential sum",
-               "sequential sum median " + std::to_string(forkjoin_seq_ms) +
-                   " ms over every timed round; ungated");
+               "sequential sum " + std::to_string(forkjoin_seq_ms) +
+                   " ms, the median of its per-thread-count medians; "
+                   "ungated");
   table_printer fj_table = series_table({"threads"}, series_names);
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {
     std::vector<double> row{static_cast<double>(thread_counts[i])};
@@ -385,7 +369,7 @@ int main() {
           static_cast<std::size_t>(timed_dags[1].dag.num_nodes()))
       .kv("forkjoin_jobs", static_cast<std::size_t>(fj_jobs))
       .kv("kernel_rounds", static_cast<std::size_t>(rounds))
-      .kv("trials", static_cast<std::size_t>(cell_trials))
+      .kv("trials", static_cast<std::size_t>(trials()))
       .kv("forkjoin_seq_ms", forkjoin_seq_ms);
   // rank_results[w][s] as "<dag>_<field>" keys: each cell's one-thread
   // value, or its array over the thread sweep.

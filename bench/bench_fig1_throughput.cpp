@@ -18,18 +18,16 @@
 // CI uploads it as an artifact and fails on >30% multi_queue regressions
 // against the committed baseline (scripts/check_bench_regression.py).
 //
-// Each cell is the median of `trials()` runs on a fresh queue (paper: 10
-// trials). At each thread count the trials rotate through the series, so
-// a burst of interference (a neighbour on a shared box, the process's
-// cold first trial) costs each series one trial, which the median drops,
-// instead of every trial of one cell — the coarse anchor the CI gate
-// divides by included.
+// Each thread count is one cell of benchlib's measure_cell: a warm-up
+// round, then the timed rounds that rotate through the series, each trial
+// on a fresh queue seeded 7 + trial; every series reports its median.
 //
 // A second table drains a prefilled default MultiQueue with all threads
 // popping try_pop_batch(batch), batch in {1, 4, 16, 64}, until it is
 // empty: the tail is the near-empty regime where deleteMin samples keep
-// missing and the emptiness sweep runs. It goes to the top-level "drain"
-// object, outside "series", so no gate reads it.
+// missing and the emptiness sweep runs. Its cells rotate the same way
+// (prefill seeded 77 + trial). It goes to the top-level "drain" object,
+// outside "series", so no gate reads it.
 //
 // Default parameters finish in seconds; PCQ_BENCH_FULL=1 uses a
 // 10M-element prefill (paper scale).
@@ -50,7 +48,6 @@
 #include "core/multi_queue.hpp"
 #include "util/in_flight.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -96,46 +93,41 @@ double measure(const series_def& def, std::size_t threads,
   });
 }
 
-// Concurrent drain of a prefilled queue: delivered elements per second
-// across all threads, dominated at the tail by the near-empty retry
-// path (sample misses + emptiness sweeps).
+// One trial of a concurrent drain of a prefilled queue: delivered
+// elements per second across all threads, dominated at the tail by the
+// near-empty retry path (sample misses + emptiness sweeps).
 double measure_drain(std::size_t threads, std::size_t prefill,
-                     std::size_t batch) {
+                     std::size_t batch, unsigned trial) {
   using entry = std::pair<std::uint64_t, std::uint64_t>;
-  std::vector<double> mops;
-  for (unsigned trial = 0; trial < trials(); ++trial) {
-    multi_queue<std::uint64_t, std::uint64_t> queue(mq_config{}, threads);
-    {
-      auto handle = queue.get_handle(0);
-      xoshiro256ss rng(77 + trial);
-      std::vector<entry> block(1024);
-      for (std::size_t done = 0; done < prefill;) {
-        const std::size_t m = std::min(block.size(), prefill - done);
-        for (std::size_t i = 0; i < m; ++i) {
-          const std::uint64_t key = rng() >> 1;
-          block[i] = entry(key, key);
-        }
-        handle.push_batch(block.data(), m);
-        done += m;
+  multi_queue<std::uint64_t, std::uint64_t> queue(mq_config{}, threads);
+  {
+    auto handle = queue.get_handle(0);
+    xoshiro256ss rng(77 + trial);
+    std::vector<entry> block(1024);
+    for (std::size_t done = 0; done < prefill;) {
+      const std::size_t m = std::min(block.size(), prefill - done);
+      for (std::size_t i = 0; i < m; ++i) {
+        const std::uint64_t key = rng() >> 1;
+        block[i] = entry(key, key);
       }
+      handle.push_batch(block.data(), m);
+      done += m;
     }
-    std::atomic<std::uint64_t> delivered{0};
-    auto worker = [&](std::size_t tid) {
-      auto handle = queue.get_handle(tid);
-      std::vector<entry> out(batch);
-      // The loop ends on the delivered count, not on a pop's relaxed
-      // emptiness verdict.
-      while (delivered.load(std::memory_order_acquire) < prefill) {
-        const std::size_t got = handle.try_pop_batch(out.data(), batch);
-        if (got > 0) delivered.fetch_add(got, std::memory_order_acq_rel);
-      }
-    };
-    wall_timer timer;
-    run_workers(threads, worker);
-    mops.push_back(static_cast<double>(prefill) / timer.elapsed_seconds() /
-                   1e6);
   }
-  return percentile(mops, 0.5);
+  std::atomic<std::uint64_t> delivered{0};
+  auto worker = [&](std::size_t tid) {
+    auto handle = queue.get_handle(tid);
+    std::vector<entry> out(batch);
+    // The loop ends on the delivered count, not on a pop's relaxed
+    // emptiness verdict.
+    while (delivered.load(std::memory_order_acquire) < prefill) {
+      const std::size_t got = handle.try_pop_batch(out.data(), batch);
+      if (got > 0) delivered.fetch_add(got, std::memory_order_acq_rel);
+    }
+  };
+  wall_timer timer;
+  run_workers(threads, worker);
+  return static_cast<double>(prefill) / timer.elapsed_seconds() / 1e6;
 }
 
 }  // namespace
@@ -156,27 +148,16 @@ int main() {
     return columns;
   }());
 
-  std::vector<std::size_t> thread_counts;
-  for (std::size_t t = 1; t <= max_threads(); t *= 2) {
-    thread_counts.push_back(t);
-  }
+  const std::vector<std::size_t> thread_counts = thread_sweep(max_threads());
 
-  // series[s][i] = Mops/s of kSeries[s] at thread_counts[i].
-  std::vector<std::vector<double>> series(std::size(kSeries));
-
+  // mops[i][s] = Mops/s of kSeries[s] at thread_counts[i].
+  std::vector<std::vector<double>> mops;
   for (const std::size_t t : thread_counts) {
-    std::vector<std::vector<double>> mops(std::size(kSeries));
-    for (unsigned trial = 0; trial < trials(); ++trial) {
-      for (std::size_t s = 0; s < std::size(kSeries); ++s) {
-        mops[s].push_back(measure(kSeries[s], t, prefill, pairs, trial));
-      }
-    }
-    std::vector<double> row{static_cast<double>(t)};
-    for (std::size_t s = 0; s < std::size(kSeries); ++s) {
-      series[s].push_back(percentile(mops[s], 0.5));
-      row.push_back(series[s].back());
-    }
-    table.row(row);
+    mops.push_back(measure_cell(std::size(kSeries), [&](std::size_t s,
+                                                        unsigned trial) {
+      return measure(kSeries[s], t, prefill, pairs, trial);
+    }));
+    table.row(static_cast<double>(t), mops.back());
   }
 
   // Drain phase: the near-empty tail where the sweep cadence shows.
@@ -190,15 +171,14 @@ int main() {
     drain_columns.push_back("batch" + std::to_string(b));
   }
   table_printer drain_table(drain_columns);
-  // drain[b][i] = Mpops/s at kDrainBatches[b], thread_counts[i].
-  std::vector<std::vector<double>> drain(std::size(kDrainBatches));
+  // drain[i][b] = Mpops/s at thread_counts[i], kDrainBatches[b].
+  std::vector<std::vector<double>> drain;
   for (const std::size_t t : thread_counts) {
-    std::vector<double> row{static_cast<double>(t)};
-    for (std::size_t b = 0; b < std::size(kDrainBatches); ++b) {
-      drain[b].push_back(measure_drain(t, prefill, kDrainBatches[b]));
-      row.push_back(drain[b].back());
-    }
-    drain_table.row(row);
+    drain.push_back(measure_cell(std::size(kDrainBatches),
+                                 [&](std::size_t b, unsigned trial) {
+      return measure_drain(t, prefill, kDrainBatches[b], trial);
+    }));
+    drain_table.row(static_cast<double>(t), drain.back());
   }
 
   const std::string json_path = json_artifact_path("BENCH_fig1.json");
@@ -218,7 +198,7 @@ int main() {
     json.begin_object().kv("name", kSeries[s].name);
     if (kSeries[s].batch != 0) json.kv("batch", kSeries[s].batch);
     json.key("mops").begin_array();
-    for (const double m : series[s]) json.value(m);
+    for (const std::vector<double>& cell : mops) json.value(cell[s]);
     json.end_array().end_object();
   }
   json.end_array();
@@ -229,7 +209,7 @@ int main() {
   for (std::size_t b = 0; b < std::size(kDrainBatches); ++b) {
     json.begin_object().kv("batch", kDrainBatches[b]);
     json.key("mpops").begin_array();
-    for (const double m : drain[b]) json.value(m);
+    for (const std::vector<double>& cell : drain) json.value(cell[b]);
     json.end_array().end_object();
   }
   json.end_array().end_object().end_object();

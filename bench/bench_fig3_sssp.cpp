@@ -17,10 +17,15 @@
 // relaxed queues (MultiQueues, k-LSM, spray) beat the strict ones (LJ,
 // coarse) clearly at higher thread counts.
 //
-// Besides the console table (median-of-trials seconds, lower is
-// better), the run emits BENCH_fig3.json with both seconds and a
-// higher-is-better throughput series ("mops" = million settled nodes
-// per second) that CI gates against bench/baselines/ via
+// Each thread count is one cell of benchlib's measure_cell: a warm-up
+// round, then the timed rounds that rotate through the seven queues; each
+// series reports its median seconds. Every trial is verified, the
+// warm-up round's included.
+//
+// Besides the console table (seconds, lower is better), the run emits
+// BENCH_fig3.json with both seconds and a higher-is-better throughput
+// series ("mops" = million settled nodes per second) that CI gates
+// against bench/baselines/ via
 // scripts/check_bench_regression.py --figure fig3 --normalize coarse.
 
 #include <cstdint>
@@ -37,7 +42,6 @@
 #include "graph/dimacs.hpp"
 #include "graph/generators.hpp"
 #include "graph/parallel_sssp.hpp"
-#include "util/stats.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -46,26 +50,22 @@ using namespace pcq;
 using namespace pcq::bench;
 using namespace pcq::graph;
 
-/// Median-of-trials runtime of the named roster queue; every trial's
-/// distances are checked exactly against the sequential reference (a
-/// mismatch aborts the bench).
+/// Seconds of one run of the named roster queue; its distances are
+/// checked exactly against the sequential reference (a mismatch aborts
+/// the bench).
 double measure(const csr_graph& g, std::size_t threads,
                const std::string& queue_name,
                const dijkstra_result& reference) {
-  std::vector<double> seconds;
-  for (unsigned trial = 0; trial < trials(); ++trial) {
-    const auto stats = with_queue(queue_name, threads, [&](auto& queue) {
-      return parallel_sssp(g, 0, threads, queue);
-    });
-    for (std::size_t i = 0; i < stats.distance.size(); ++i) {
-      if (stats.distance[i] != reference.distance[i]) {
-        std::fprintf(stderr, "DISTANCE MISMATCH at node %zu!\n", i);
-        std::exit(1);
-      }
+  const auto stats = with_queue(queue_name, threads, [&](auto& queue) {
+    return parallel_sssp(g, 0, threads, queue);
+  });
+  for (std::size_t i = 0; i < stats.distance.size(); ++i) {
+    if (stats.distance[i] != reference.distance[i]) {
+      std::fprintf(stderr, "DISTANCE MISMATCH at node %zu!\n", i);
+      std::exit(1);
     }
-    seconds.push_back(stats.seconds);
   }
-  return percentile(seconds, 0.5);
+  return stats.seconds;
 }
 
 }  // namespace
@@ -110,22 +110,17 @@ int main() {
     return columns;
   }());
 
-  std::vector<std::size_t> thread_counts;
-  for (std::size_t t = 1; t <= max_threads(); t *= 2) {
-    thread_counts.push_back(t);
-  }
+  const std::vector<std::size_t> thread_counts = thread_sweep(max_threads());
 
-  // seconds_by[s][i] = median seconds of series_names[s] at
+  // seconds[i][s] = median seconds of series_names[s] at
   // thread_counts[i].
-  std::vector<std::vector<double>> seconds_by(series_names.size());
-
+  std::vector<std::vector<double>> seconds;
   for (const std::size_t t : thread_counts) {
-    std::vector<double> row{static_cast<double>(t)};
-    for (std::size_t s = 0; s < series_names.size(); ++s) {
-      seconds_by[s].push_back(measure(graph, t, series_names[s], reference));
-      row.push_back(seconds_by[s].back());
-    }
-    table.row(row);
+    seconds.push_back(measure_cell(series_names.size(),
+                                   [&](std::size_t s, unsigned) {
+      return measure(graph, t, series_names[s], reference);
+    }));
+    table.row(static_cast<double>(t), seconds.back());
   }
 
   const std::string json_path = json_artifact_path("BENCH_fig3.json");
@@ -145,12 +140,12 @@ int main() {
   for (std::size_t s = 0; s < series_names.size(); ++s) {
     json.begin_object().kv("name", series_names[s]);
     json.key("mops").begin_array();
-    for (const double secs : seconds_by[s]) {
-      json.value(secs > 0.0 ? settled / secs / 1e6 : 0.0);
+    for (const std::vector<double>& cell : seconds) {
+      json.value(cell[s] > 0.0 ? settled / cell[s] / 1e6 : 0.0);
     }
     json.end_array();
     json.key("seconds").begin_array();
-    for (const double secs : seconds_by[s]) json.value(secs);
+    for (const std::vector<double>& cell : seconds) json.value(cell[s]);
     json.end_array().end_object();
   }
   json.end_array().end_object();

@@ -6,7 +6,8 @@
 // (dary4 is coarse_pq's heap and the CI gate's anchor) and
 // std::priority_queue are the plain array heaps it is measured against.
 // The utility table documents what a d-choice probe costs before it ever
-// touches a heap.
+// touches a heap; its six operations are one cell, rotating like the
+// heaps.
 //
 // Substrate table: hold-model pairs at fixed heap depth — the regime a
 // MultiQueue slot actually lives in (its depth hovers around
@@ -17,8 +18,12 @@
 // sweeps 2^8..2^20; the JSON "threads" axis carries the log2 depth
 // exponents (the schema's generic strictly-increasing x-axis), one
 // series per substrate plus std::priority_queue as the STL reference.
-// Each (substrate, depth) cell prefills once and reuses the structure
-// across trials: steady state is the point, not construction.
+// Each depth is one cell of benchlib's measure_cell (a warm-up round,
+// then the timed rounds that rotate through the series, medians). Each
+// structure is prefilled once and reused across the cell's trials:
+// steady state is the point, not construction. A trial first runs a
+// quarter-trial of untimed pairs, since the previous series' trial
+// evicted the structure from cache.
 //
 // Expected shape: the array heaps (dary*, std_pq) sit within a few tens
 // of percent of each other at every depth and trade places from run to
@@ -30,13 +35,14 @@
 // Sized-prefill row: one hold_deep slot's share of a deep prefill —
 // reserve(2^18) on a fresh buffered16, then 2^18 pushes of bounded(2^30)
 // keys — as ns per entry, with the process's minor page faults across
-// the same span (getrusage). It runs before the table, and every trial's
-// heap lives until the last trial ends, so each trial reserves memory no
-// earlier trial touched, as each slot of a new queue does. Nearly every
-// push lands in the insertion buffer, so the row times the flush: the
-// sorting network and the first writes into the arena. It is written to
-// BENCH_micro.json as the top-level "sized_prefill" object, outside the
-// gated series.
+// the same span (getrusage). It runs before the table as one cell of two
+// series, the time and then the fault count of the same trial, and every
+// trial's heap lives until the last trial ends, so each trial reserves
+// memory no earlier trial touched, as each slot of a new queue does.
+// Nearly every push lands in the insertion buffer, so the row times the
+// flush: the sorting network and the first writes into the arena. It is
+// written to BENCH_micro.json as the top-level "sized_prefill" object,
+// outside the gated series.
 //
 // Emits BENCH_micro.json (gated in CI against a committed baseline).
 
@@ -60,7 +66,6 @@
 #include "util/fenwick.hpp"
 #include "util/rng.hpp"
 #include "util/spinlock.hpp"
-#include "util/stats.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -139,44 +144,36 @@ long minor_faults() {
   return usage.ru_minflt;
 }
 
-struct prefill_cost {
-  double ns_per_entry, minor_faults;  // medians over the trials
-};
-
 /// reserve(n) plus n pushes of bounded(2^30) keys into a fresh
-/// buffered16, per trial.
-prefill_cost sized_prefill(std::size_t n) {
+/// buffered16, per trial: {ns per entry, minor faults}, medians.
+std::vector<double> sized_prefill(std::size_t n) {
   using heap_t = sub_t<buffered_heap<16>>;
   xoshiro256ss rng(0x5f1u);
   std::vector<u64> keys(n);
   for (u64& k : keys) k = rng.bounded(1u << 30);
   std::vector<std::unique_ptr<heap_t>> heaps;  // kept until the last trial
-  std::vector<double> ns, faults;
-  for (unsigned trial = 0; trial < trials() + 2; ++trial) {
+  double faults = 0;  // series 1 reads the count of series 0's trial
+  return measure_cell(2, [&](std::size_t s, unsigned) {
+    if (s == 1) return faults;
     heaps.push_back(std::make_unique<heap_t>());
     heap_t& heap = *heaps.back();
     const long faults_before = minor_faults();
     wall_timer timer;
     heap.reserve(n);
     for (std::size_t i = 0; i < n; ++i) heap.push(keys[i], i);
-    ns.push_back(timer.elapsed_seconds() / static_cast<double>(n) * 1e9);
-    faults.push_back(static_cast<double>(minor_faults() - faults_before));
+    const double ns = timer.elapsed_seconds() / static_cast<double>(n) * 1e9;
+    faults = static_cast<double>(minor_faults() - faults_before);
     g_sink += heap.top_key();
-  }
-  return {percentile(ns, 0.5), percentile(faults, 0.5)};
+    return ns;
+  });
 }
 
-/// Median ns/op of a scalar utility operation (body invoked `iters`
-/// times per trial).
+/// ns per call of `body` over `iters` calls: one trial of a utility op.
 template <typename Body>
-double measure_ns(std::size_t iters, Body&& body) {
-  std::vector<double> ns;
-  for (unsigned trial = 0; trial < trials() + 2; ++trial) {
-    wall_timer timer;
-    for (std::size_t i = 0; i < iters; ++i) body();
-    ns.push_back(timer.elapsed_seconds() / static_cast<double>(iters) * 1e9);
-  }
-  return percentile(ns, 0.5);
+double ns_per_call(std::size_t iters, Body&& body) {
+  wall_timer timer;
+  for (std::size_t i = 0; i < iters; ++i) body();
+  return timer.elapsed_seconds() / static_cast<double>(iters) * 1e9;
 }
 
 struct series_def {
@@ -205,91 +202,90 @@ int main() {
   const std::size_t iters = scaled<std::size_t>(1u << 15, 1u << 18);
 
   const std::size_t prefill_entries = std::size_t{1} << 18;
-  const prefill_cost prefill = sized_prefill(prefill_entries);
+  const std::vector<double> prefill = sized_prefill(prefill_entries);
   print_header("MICRO sized prefill: buffered16, reserve + pushes",
                "one hold_deep slot's share; minor faults over the same span");
   table_printer prefill_table({"entries", "ns_per_entry", "minor_faults"});
-  prefill_table.row({static_cast<double>(prefill_entries),
-                     prefill.ns_per_entry, prefill.minor_faults});
+  prefill_table.row(static_cast<double>(prefill_entries), prefill);
 
   print_header(
       "MICRO substrates: hold-model pop+push pairs at fixed depth "
       "(Mops/s, higher is better)",
       "one sequential structure per cell, prefilled once; depth = the "
       "regime a MultiQueue slot lives in");
-  std::printf("iters/trial=%zu trials=%u (PCQ_BENCH_FULL=%d)\n", iters,
-              trials() + 2, full_scale() ? 1 : 0);
+  std::printf("iters/trial=%zu (PCQ_BENCH_FULL=%d)\n", iters,
+              full_scale() ? 1 : 0);
 
   std::vector<std::string> columns{"log2_depth"};
   for (const auto& s : kSeries) columns.emplace_back(s.name);
   table_printer table(columns);
 
-  // results[s][d] = Mops/s for kSeries[s] at exponents[d].
-  std::vector<std::vector<double>> results(std::size(kSeries));
+  // results[d][s] = Mops/s for kSeries[s] at exponents[d].
+  std::vector<std::vector<double>> results;
   for (const int e : exponents) {
     const std::size_t depth = std::size_t{1} << e;
     std::vector<std::unique_ptr<pair_cell>> cells;
     for (const auto& s : kSeries) cells.push_back(s.make(depth));
-    // Trials rotate through the series, so a burst of interference (a
-    // neighbour on a shared box, the process's cold first trial) costs
-    // each series one trial, which the median drops, instead of every
-    // trial of one cell. Extra trials over the repo default give the
-    // median that headroom on small CI boxes.
-    std::vector<std::vector<double>> mops(cells.size());
-    for (unsigned trial = 0; trial < trials() + 2; ++trial) {
-      for (std::size_t s = 0; s < cells.size(); ++s) {
-        mops[s].push_back(cells[s]->trial(iters));
-      }
-    }
-    std::vector<double> row{static_cast<double>(e)};
-    for (std::size_t s = 0; s < cells.size(); ++s) {
-      results[s].push_back(percentile(mops[s], 0.5));
-      row.push_back(results[s].back());
-    }
-    table.row(row);
+    results.push_back(measure_cell(cells.size(), [&](std::size_t s,
+                                                     unsigned) {
+      return cells[s]->trial(iters);
+    }));
+    table.row(static_cast<double>(e), results.back());
   }
 
   // Scalar utility costs: what every d-choice probe / sticky decision /
   // timed-extension tick pays before touching a heap.
   const std::size_t micro_iters = scaled<std::size_t>(1u << 20, 1u << 23);
   xoshiro256ss rng(0x7u);
-  const double ns_rng_next = measure_ns(micro_iters, [&] { g_sink += rng(); });
-  const double ns_rng_bounded =
-      measure_ns(micro_iters, [&] { g_sink += rng.bounded(12345); });
-  const double ns_rng_exponential = measure_ns(micro_iters, [&] {
-    g_sink += static_cast<u64>(rng.exponential(64.0) * 1e3);
-  });
   std::vector<double> weights(64);
   for (std::size_t i = 0; i < weights.size(); ++i) {
     weights[i] = 1.0 + static_cast<double>(i % 7);
   }
   alias_table alias(weights);
-  const double ns_alias_sample =
-      measure_ns(micro_iters, [&] { g_sink += alias.sample(rng); });
   const std::size_t fenwick_m = scaled<std::size_t>(1u << 16, 1u << 20);
   rank_oracle oracle(fenwick_m);
   for (std::size_t i = 0; i < fenwick_m; i += 2) oracle.insert(i);
-  const double ns_fenwick_toggle = measure_ns(micro_iters / 4, [&] {
-    const std::size_t label = 2 * rng.bounded(fenwick_m / 2);
-    if (oracle.contains(label)) {
-      g_sink += oracle.remove(label);
-    } else {
-      oracle.insert(label);
-    }
-  });
   spinlock lock;
-  const double ns_spinlock = measure_ns(micro_iters, [&] {
-    lock.lock();
-    ++g_sink;
-    lock.unlock();
+  // ns[op]: rng_next, rng_bounded, rng_exp, alias_sample,
+  // fenwick_toggle, spinlock.
+  const std::vector<double> ns = measure_cell(6, [&](std::size_t op,
+                                                     unsigned) {
+    switch (op) {
+      case 0:
+        return ns_per_call(micro_iters, [&] { g_sink += rng(); });
+      case 1:
+        return ns_per_call(micro_iters,
+                           [&] { g_sink += rng.bounded(12345); });
+      case 2:
+        return ns_per_call(micro_iters, [&] {
+          g_sink += static_cast<u64>(rng.exponential(64.0) * 1e3);
+        });
+      case 3:
+        return ns_per_call(micro_iters,
+                           [&] { g_sink += alias.sample(rng); });
+      case 4:
+        return ns_per_call(micro_iters / 4, [&] {
+          const std::size_t label = 2 * rng.bounded(fenwick_m / 2);
+          if (oracle.contains(label)) {
+            g_sink += oracle.remove(label);
+          } else {
+            oracle.insert(label);
+          }
+        });
+      default:
+        return ns_per_call(micro_iters, [&] {
+          lock.lock();
+          ++g_sink;
+          lock.unlock();
+        });
+    }
   });
 
   print_header("MICRO utility ops (ns/op, lower is better)",
                "the scalar costs layered onto every queue operation");
   table_printer micro_table({"rng_next", "rng_bounded", "rng_exp",
                              "alias_sample", "fenwick_toggle", "spinlock"});
-  micro_table.row({ns_rng_next, ns_rng_bounded, ns_rng_exponential,
-                   ns_alias_sample, ns_fenwick_toggle, ns_spinlock});
+  micro_table.row(ns);
 
   const std::string json_path = json_artifact_path("BENCH_micro.json");
   json_writer json(json_path);
@@ -299,19 +295,19 @@ int main() {
       .kv("full_scale", full_scale())
       .kv("x_axis", "log2_heap_depth")
       .kv("iters_per_trial", iters)
-      .kv("trials", static_cast<std::size_t>(trials()) + 2)
-      .kv("ns_rng_next", ns_rng_next)
-      .kv("ns_rng_bounded", ns_rng_bounded)
-      .kv("ns_rng_exponential", ns_rng_exponential)
-      .kv("ns_alias_sample", ns_alias_sample)
-      .kv("ns_fenwick_toggle", ns_fenwick_toggle)
-      .kv("ns_spinlock_uncontended", ns_spinlock);
+      .kv("trials", static_cast<std::size_t>(trials()))
+      .kv("ns_rng_next", ns[0])
+      .kv("ns_rng_bounded", ns[1])
+      .kv("ns_rng_exponential", ns[2])
+      .kv("ns_alias_sample", ns[3])
+      .kv("ns_fenwick_toggle", ns[4])
+      .kv("ns_spinlock_uncontended", ns[5]);
   json.key("sized_prefill").begin_object()
       .kv("ungated", "median over the trials of one fresh buffered16 each")
       .kv("heap", "buffered16")
       .kv("entries", prefill_entries)
-      .kv("ns_per_entry", prefill.ns_per_entry)
-      .kv("minor_faults", prefill.minor_faults)
+      .kv("ns_per_entry", prefill[0])
+      .kv("minor_faults", prefill[1])
       .end_object();
   json.key("threads").begin_array();
   for (const int e : exponents) json.value(static_cast<unsigned>(e));
@@ -320,7 +316,7 @@ int main() {
   for (std::size_t s = 0; s < std::size(kSeries); ++s) {
     json.begin_object().kv("name", kSeries[s].name);
     json.key("mops").begin_array();
-    for (const double m : results[s]) json.value(m);
+    for (const std::vector<double>& cell : results) json.value(cell[s]);
     json.end_array().end_object();
   }
   json.end_array().end_object();

@@ -250,11 +250,8 @@ rank_cost measure_rank_cost(std::size_t k, bool batch_publish) {
 }  // namespace
 
 int main() {
-  std::vector<std::size_t> thread_counts;
-  for (std::size_t t = 1; t <= std::min<std::size_t>(8, max_threads());
-       t *= 2) {
-    thread_counts.push_back(t);
-  }
+  const std::vector<std::size_t> thread_counts =
+      thread_sweep(std::min<std::size_t>(8, max_threads()));
 
   std::printf("RANK: replayed rank of the MultiQueue, one factor at a time "
               "around beta = 1, d = 2, s = 1\nprefill=%zu pairs/thread=%zu; "

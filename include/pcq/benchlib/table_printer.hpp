@@ -45,6 +45,14 @@ class table_printer {
     std::fflush(stdout);
   }
 
+  /// A row of `x` (the sweep's value: a thread count, a depth) followed
+  /// by one value per series.
+  void row(double x, const std::vector<double>& series) {
+    std::vector<double> values{x};
+    values.insert(values.end(), series.begin(), series.end());
+    row(values);
+  }
+
  private:
   static std::string format(double v) {
     char buffer[32];

@@ -71,6 +71,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -170,13 +171,18 @@ make_mq_dispatcher(std::size_t workers, const mq_config& cfg = mq_config{}) {
 /// uses). Workers pop only their own FIFO, so a routing mistake is paid
 /// in full — under heavy-tailed service times one long job ahead in the
 /// chosen FIFO stalls everything behind it, which is precisely the
-/// effect the queue-level-choice comparison is after.
+/// effect the queue-level-choice comparison is after. Zero workers throw
+/// std::invalid_argument: a dispatch would have no queue to join.
 class po2_dispatcher {
  public:
   po2_dispatcher(std::size_t workers, std::uint64_t seed)
       : queues_(new worker_queue[workers]),
         num_workers_(workers),
-        rng_(seed) {}
+        rng_(seed) {
+    if (workers == 0) {
+      throw std::invalid_argument("po2_dispatcher: no workers");
+    }
+  }
 
   void dispatch(const request& r) {
     const std::size_t d = num_workers_ < 2 ? num_workers_ : 2;

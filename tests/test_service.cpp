@@ -139,6 +139,10 @@ int main() {
     CHECK_NEAR(report.wait.mean(), 6.75, 1e-12);
   }
 
+  // po2 over zero workers has no queue for a dispatch to join: the
+  // constructor rejects it rather than let dispatch() index past the array.
+  CHECK_THROWS(po2_dispatcher(0, 1234), std::invalid_argument);
+
   // po2 with one worker IS FCFS: every dispatch joins the only queue.
   {
     const std::vector<request> trace = hand_trace();

@@ -1,8 +1,11 @@
 #include "util/stats.hpp"
 
 #include <cmath>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
+#include "benchlib/bench_env.hpp"
 #include "test_macros.hpp"
 #include "util/rng.hpp"
 
@@ -128,6 +131,51 @@ int main() {
     CHECK(into_empty.count() == 1 && into_empty.p50() == 7.5);
     one.merge(empty);
     CHECK(one.count() == 1 && one.p50() == 7.5);
+  }
+
+  // measure_cell, the benches' one timing protocol: a warm-up round,
+  // then trials() timed rounds, each calling run(s, trial) for s = 0 ..
+  // S - 1 in order; each series gets the median of its timed values.
+  {
+    using pcq::bench::trials;
+    constexpr std::size_t kSeries = 3;
+    const unsigned timed = trials();
+    std::vector<std::pair<std::size_t, unsigned>> calls;
+    const std::vector<double> medians = pcq::bench::measure_cell(
+        kSeries, [&](std::size_t s, unsigned trial) {
+          calls.emplace_back(s, trial);
+          // The warm-up round's values are huge: any of them in a median
+          // would move it. A timed trial's value is skewed, so the median
+          // differs from the mean and from the last trial.
+          if (calls.size() <= kSeries) return 1e12;
+          return 100.0 * static_cast<double>(s) +
+                 static_cast<double>(trial) * static_cast<double>(trial);
+        });
+    CHECK(calls.size() == kSeries * (timed + 1));
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      const std::size_t round = i / kSeries;
+      CHECK(calls[i].first == i % kSeries);
+      // The warm-up round passes trial 0; timed round r passes r - 1.
+      CHECK(calls[i].second == (round == 0 ? 0u : round - 1));
+    }
+    CHECK(medians.size() == kSeries);
+    std::vector<double> squares;
+    for (unsigned t = 0; t < timed; ++t) squares.push_back(t * t);
+    for (std::size_t s = 0; s < kSeries; ++s) {
+      CHECK(medians[s] ==
+            100.0 * static_cast<double>(s) + pcq::percentile(squares, 0.5));
+    }
+    if (timed == 5) CHECK(medians[2] == 204.0);  // smoke scale: 0,1,4,9,16
+  }
+
+  // thread_sweep: the powers of two up to the cap.
+  {
+    using pcq::bench::thread_sweep;
+    using counts = std::vector<std::size_t>;
+    CHECK(thread_sweep(1) == counts({1}));
+    CHECK(thread_sweep(2) == counts({1, 2}));
+    CHECK(thread_sweep(3) == counts({1, 2}));
+    CHECK(thread_sweep(8) == counts({1, 2, 4, 8}));
   }
 
   std::printf("test_stats OK\n");
